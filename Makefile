@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race lint lint-audit lint-audit-check fmt vet fuzz-smoke clean
+.PHONY: all build test race lint lint-audit lint-audit-check fmt vet fuzz-smoke bench-test clean
 
 all: build test lint
 
@@ -50,12 +50,21 @@ lint-audit:
 lint-audit-check:
 	$(GO) run ./tools/amnesialint/cmd -auditcheck README.md ./...
 
-# fuzz-smoke runs both fuzzers briefly under the race detector with a
+# fuzz-smoke runs the fuzzers briefly under the race detector with a
 # shared local corpus dir, mirroring the CI step.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sql
 	$(GO) test -race -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -race -run '^$$' -fuzz FuzzInsertDecode -fuzztime $(FUZZTIME) ./internal/server
+
+# bench-test vets and tests the benchmark module. benchmarks/ is a
+# module of its own, so `./...` above never reaches it, yet it compiles
+# against this module's internal packages: an API change that breaks it
+# must fail here, not in the benchmark driver. Its tests include a
+# 1.5 s smoke pass of every workload.
+bench-test:
+	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
 
 clean:
 	rm -rf $(BIN)

@@ -55,6 +55,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -119,13 +120,10 @@ type Options struct {
 	// parsed-plan cache is always on and unaffected by this knob.
 	CacheEntries int
 	// Fsync selects the WAL commit discipline for durable databases
-	// (OpenDir): "always" syncs every batch before acknowledging,
-	// "group" (the default) coalesces ~2ms windows, "off" leaves
-	// syncing to the OS. Ignored by Open.
+	// (OpenDir): "always" and "group" (the default) sync every batch —
+	// whatever queued while the previous sync was in flight — before
+	// acknowledging it; "off" leaves it to the OS. Ignored by Open.
 	Fsync string
-	// GroupCommitWindow overrides the "group" policy's coalescing
-	// window; zero means 2ms. Ignored by Open.
-	GroupCommitWindow time.Duration
 	// SegmentBytes is the WAL segment size past which the background
 	// snapshotter rotates and truncates; zero means 64 MiB. Ignored by
 	// Open.
@@ -805,8 +803,10 @@ type Table struct {
 	ex     *engine.Exec
 	policy Policy
 	strat  amnesia.Strategy
-	cold   *coldstore.Store
-	book   *summary.Book
+	// expired buffers the positions a retention window forgets.
+	expired []int
+	cold    *coldstore.Store
+	book    *summary.Book
 	// dropped (guarded by mu) marks a handle whose relation left the
 	// catalog: DropTable sets it under the exclusive lock before
 	// logging the drop record, so mutations through a stale handle fail
@@ -903,42 +903,41 @@ func (t *Table) Insert(cols map[string][]int64) error {
 		t.mu.Unlock()
 		return err
 	}
-	pends, err := t.insertLocked(cols)
+	pend, err := t.insertLocked(cols)
 	t.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return t.db.commitWait(pends...)
+	return t.db.commitWait(pend)
 }
 
-// insertLocked applies the batch and, on durable databases, captures
-// the mutation outcome into WAL records: the decay strategy picks
-// forgets stochastically, so the positions are recovered by diffing
-// the active bitmap around enforcement — the log records what was
-// forgotten, never why.
-func (t *Table) insertLocked(cols map[string][]int64) ([]*durability.Pending, error) {
-	logging := t.db.dur != nil
-	var words []uint64
-	var oldLen int
-	if logging {
-		words, oldLen = t.tbl.ActiveSnapshot(nil)
-	}
+// insertLocked applies the batch and, on durable databases, logs the
+// outcome — the batch, and the positions enforcement reports forgotten
+// (what was forgotten, never why) — as two records under one Pending:
+// one write, one fsync, one wait.
+func (t *Table) insertLocked(cols map[string][]int64) (*durability.Pending, error) {
 	if _, err := t.tbl.AppendBatch(cols); err != nil {
 		return nil, err
 	}
-	enfErr := t.enforceBudgetLocked()
-	if !logging {
+	forgotten, enfErr := t.enforceBudgetLocked()
+	if t.db.dur == nil {
 		return nil, enfErr
 	}
 	rec, err := wal.RecordInsert(t.Name(), t.tbl.Columns(), cols)
 	if err != nil {
 		return nil, err
 	}
-	pends := []*durability.Pending{t.db.logRecord(rec)}
-	if fg := t.tbl.ForgottenSince(words, oldLen); len(fg) > 0 {
-		pends = append(pends, t.db.logRecord(wal.RecordForget(t.Name(), fg)))
+	return t.db.logRecord(append(rec, t.forgetRecord(forgotten)...)), enfErr
+}
+
+// forgetRecord encodes the positions an enforcement forgot, nil for
+// none, sorting them in place first: the record delta-encodes them.
+func (t *Table) forgetRecord(forgotten []int) []byte {
+	if len(forgotten) == 0 {
+		return nil
 	}
-	return pends, enfErr
+	slices.Sort(forgotten)
+	return wal.RecordForget(t.Name(), forgotten)
 }
 
 // InsertColumn appends a batch to a table, providing values for the named
@@ -960,21 +959,10 @@ func (t *Table) EnforceBudget() error {
 		return err
 	}
 	var pend *durability.Pending
-	err := func() error {
-		logging := t.db.dur != nil
-		var words []uint64
-		var oldLen int
-		if logging {
-			words, oldLen = t.tbl.ActiveSnapshot(nil)
-		}
-		eerr := t.enforceBudgetLocked()
-		if logging {
-			if fg := t.tbl.ForgottenSince(words, oldLen); len(fg) > 0 {
-				pend = t.db.logRecord(wal.RecordForget(t.Name(), fg))
-			}
-		}
-		return eerr
-	}()
+	forgotten, err := t.enforceBudgetLocked()
+	if t.db.dur != nil && len(forgotten) > 0 {
+		pend = t.db.logRecord(t.forgetRecord(forgotten))
+	}
 	t.mu.Unlock()
 	if err != nil {
 		return err
@@ -982,22 +970,32 @@ func (t *Table) EnforceBudget() error {
 	return t.db.commitWait(pend)
 }
 
-func (t *Table) enforceBudgetLocked() error {
+// enforceBudgetLocked applies the retention window, then the budget
+// strategy, and returns the positions the two forgot, valid until the
+// next call; a strategy's slice is handed on, not copied, when it can.
+func (t *Table) enforceBudgetLocked() ([]int, error) {
+	var forgotten []int
 	if t.policy.MaxAgeBatches > 0 {
-		amnesia.ForgetOlderThan(t.tbl, t.policy.MaxAgeBatches)
+		t.expired = amnesia.ForgetOlderThan(t.tbl, t.policy.MaxAgeBatches, t.expired[:0])
+		forgotten = t.expired
 	}
 	if t.strat == nil {
-		return nil
+		return forgotten, nil
 	}
 	over := t.tbl.ActiveCount() - t.policy.Budget
 	if over <= 0 {
-		return nil
+		return forgotten, nil
 	}
-	t.strat.Forget(t.tbl, over)
+	if chosen := t.strat.Forget(t.tbl, over); len(forgotten) == 0 {
+		forgotten = chosen
+	} else {
+		t.expired = append(t.expired, chosen...)
+		forgotten = t.expired
+	}
 	if got := t.tbl.ActiveCount(); got != t.policy.Budget {
-		return fmt.Errorf("amnesiadb: budget enforcement left %d active, want %d", got, t.policy.Budget)
+		return forgotten, fmt.Errorf("amnesiadb: budget enforcement left %d active, want %d", got, t.policy.Budget)
 	}
-	return nil
+	return forgotten, nil
 }
 
 // Pred is an opaque query predicate over one column's values.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"amnesiadb"
+	"amnesiadb/internal/amnesia"
 	"amnesiadb/internal/dist"
 	"amnesiadb/internal/engine"
 	"amnesiadb/internal/exp"
@@ -345,6 +346,71 @@ func BenchmarkPrecisionVectorized(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := ex.Precision("a", pred); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkForget prices one budget enforcement at the serving
+// system's steady state: a table held at 64 Ki or 1 Mi active tuples, a
+// 4096-row batch arriving (untimed), and the strategy forgetting 4096
+// to restore the budget (timed), with a Vacuum every 64 batches as the
+// ingest workload does. ns/row is per forgotten tuple. The
+// sampler-backed strategies (ante, rot, frequent, decay) reuse their
+// scratch, so their steady-state allocs/op stay at or below 2.
+func BenchmarkForget(b *testing.B) {
+	const batch = 4096
+	for _, name := range []string{"fifo", "uniform", "ante", "rot", "frequent", "decay"} {
+		for _, size := range []struct {
+			label  string
+			budget int
+		}{{"64Ki", 64 << 10}, {"1Mi", 1 << 20}} {
+			b.Run(name+"/"+size.label, func(b *testing.B) {
+				src := xrand.New(benchSeed)
+				tb := table.New("bench", "a")
+				vals := make([]int64, batch)
+				touched := make([]int32, 0, batch)
+				arrive := func() {
+					for i := range vals {
+						vals[i] = src.Int63n(1 << 30)
+					}
+					if _, err := tb.AppendSingleColumn(vals); err != nil {
+						b.Fatal(err)
+					}
+					// A query's worth of access-count feedback.
+					touched = touched[:0]
+					for i := 0; i < batch/4; i++ {
+						touched = append(touched, int32(src.Intn(tb.Len())))
+					}
+					tb.TouchMany(touched)
+				}
+				for tb.Len() < size.budget {
+					arrive()
+				}
+				strat, err := amnesia.New(name, "a", src.Split())
+				if err != nil {
+					b.Fatal(err)
+				}
+				// Warm the strategy's scratch to its steady-state size.
+				for i := 0; i < 64; i++ {
+					arrive()
+					strat.Forget(tb, batch)
+				}
+				tb.Vacuum()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					if i%64 == 63 {
+						tb.Vacuum()
+					}
+					arrive()
+					b.StartTimer()
+					if got := strat.Forget(tb, batch); len(got) != batch {
+						b.Fatalf("forgot %d, want %d", len(got), batch)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/row")
+			})
 		}
 	}
 }

@@ -790,3 +790,105 @@ func TestLoadTableInvalidatesResultCache(t *testing.T) {
 		t.Fatalf("COUNT after load = %v, want 1 (stale cache?)", res.Rows[0][0])
 	}
 }
+
+// TestDurableRoundTripEveryStrategy replays what strategies report:
+// under every strategy, with and without a retention window, N inserts
+// → Close → OpenDir must restore the active bitmap position for
+// position and SUM to the last bit — the WAL carries the positions each
+// enforcement returned (retention prefix and strategy picks in one
+// record beside the batch), so a strategy that misreports, or a log
+// site that drops or reorders them, diverges here. EnforceBudget after
+// a policy change and a partitioned insert + Adapt ride along.
+func TestDurableRoundTripEveryStrategy(t *testing.T) {
+	type state struct {
+		active []int32
+		sum    int64
+		stats  amnesiadb.Stats
+	}
+	capture := func(t *testing.T, db *amnesiadb.DB) state {
+		t.Helper()
+		tb, ok := db.Table("ev")
+		if !ok {
+			t.Fatal("table ev missing")
+		}
+		res, err := tb.Select("v", amnesiadb.All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, err := tb.Aggregate("v", amnesiadb.All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return state{active: res.Rows, sum: agg.Sum, stats: tb.Stats()}
+	}
+	for _, strategy := range amnesiadb.Strategies() {
+		for _, maxAge := range []int{0, 3} {
+			t.Run(fmt.Sprintf("%s/maxAge=%d", strategy, maxAge), func(t *testing.T) {
+				dir := t.TempDir()
+				opts := amnesiadb.Options{Seed: 11, Fsync: "off"}
+				db, err := amnesiadb.OpenDir(dir, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tb, err := db.CreateTable("ev", "v", "w")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tb.SetPolicy(amnesiadb.Policy{Strategy: strategy, Budget: 300, MaxAgeBatches: maxAge}); err != nil {
+					t.Fatal(err)
+				}
+				pm, err := db.CreatePartitionedTable("pm", "v", 1<<20, 4, strategy, 200)
+				if err != nil {
+					t.Fatal(err)
+				}
+				next := int64(0)
+				for b := 0; b < 10; b++ {
+					v, w := make([]int64, 100), make([]int64, 100)
+					for i := range v {
+						v[i], w[i] = next*7919%(1<<20), next
+						next++
+					}
+					if err := tb.Insert(map[string][]int64{"v": v, "w": w}); err != nil {
+						t.Fatal(err)
+					}
+					if err := pm.Insert(v); err != nil {
+						t.Fatal(err)
+					}
+					// Feed the access counts the query-driven strategies read.
+					if _, err := tb.Select("v", amnesiadb.Range(0, 1<<18)); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := pm.Select(0, 1<<18); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := pm.Adapt(); err != nil {
+					t.Fatal(err)
+				}
+				if err := tb.SetPolicy(amnesiadb.Policy{Strategy: strategy, Budget: 120, MaxAgeBatches: maxAge}); err != nil {
+					t.Fatal(err)
+				}
+				if err := tb.EnforceBudget(); err != nil {
+					t.Fatal(err)
+				}
+				want, wantPM := capture(t, db), partFingerprint(t, db, "pm", 1<<20)
+				if want.stats.Active != 120 || want.stats.Forgotten != 880 {
+					t.Fatalf("before close: %+v, want 120 active of 1000", want.stats)
+				}
+				db.Close()
+
+				re, err := amnesiadb.OpenDir(dir, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer re.Close()
+				if got := capture(t, re); !reflect.DeepEqual(got, want) {
+					t.Fatalf("replayed state diverged\n got %+v\nwant %+v", got, want)
+				}
+				if got := partFingerprint(t, re, "pm", 1<<20); got != wantPM {
+					t.Fatalf("replayed partitioned state diverged\n got %s\nwant %s", got, wantPM)
+				}
+			})
+		}
+	}
+}

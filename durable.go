@@ -112,7 +112,6 @@ func OpenDir(dir string, opts Options) (*DB, error) {
 	}
 	dopts := durability.Options{
 		Policy:       pol,
-		GroupWindow:  opts.GroupCommitWindow,
 		SegmentBytes: opts.SegmentBytes,
 	}
 	gens, nextSeq, err := durability.Plan(dir)
@@ -211,24 +210,16 @@ func (db *DB) logRecord(rec []byte) *durability.Pending {
 	return db.dur.log.Load().Enqueue(rec)
 }
 
-// commitWait blocks until every pending record's batch is fsynced (per
-// policy). A failure degrades the database and surfaces ErrReadOnly;
+// commitWait blocks until the pending mutation's batch is fsynced (per
+// policy); a nil p (in-memory database, or nothing was logged) is a
+// no-op. A failure degrades the database and surfaces ErrReadOnly;
 // success checks whether the segment has outgrown its threshold and
 // pokes the background snapshotter.
-func (db *DB) commitWait(ps ...*durability.Pending) error {
-	if db.dur == nil {
+func (db *DB) commitWait(p *durability.Pending) error {
+	if db.dur == nil || p == nil {
 		return nil
 	}
-	var err error
-	for _, p := range ps {
-		if p == nil {
-			continue
-		}
-		if e := p.Wait(); e != nil && err == nil {
-			err = e
-		}
-	}
-	if err != nil {
+	if err := p.Wait(); err != nil {
 		db.degrade(err)
 		return fmt.Errorf("%w: %v", ErrReadOnly, err)
 	}

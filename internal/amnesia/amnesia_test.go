@@ -2,9 +2,12 @@ package amnesia
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"amnesiadb/internal/bitvec"
 	"amnesiadb/internal/table"
 	"amnesiadb/internal/xrand"
 )
@@ -60,8 +63,8 @@ func TestAllStrategiesForgetExactBudget(t *testing.T) {
 	for _, s := range allStrategies(xrand.New(2)) {
 		tb := mkTable(t, 5, 100)
 		got := s.Forget(tb, 123)
-		if got != 123 {
-			t.Fatalf("%s returned %d, want 123", s.Name(), got)
+		if len(got) != 123 {
+			t.Fatalf("%s returned %d positions, want 123", s.Name(), len(got))
 		}
 		if tb.ActiveCount() != 500-123 {
 			t.Fatalf("%s left %d active, want %d", s.Name(), tb.ActiveCount(), 500-123)
@@ -73,8 +76,8 @@ func TestAllStrategiesClampToActive(t *testing.T) {
 	for _, s := range allStrategies(xrand.New(3)) {
 		tb := mkTable(t, 1, 10)
 		got := s.Forget(tb, 50)
-		if got != 10 {
-			t.Fatalf("%s returned %d, want 10 (clamped)", s.Name(), got)
+		if len(got) != 10 {
+			t.Fatalf("%s returned %d positions, want 10 (clamped)", s.Name(), len(got))
 		}
 		if tb.ActiveCount() != 0 {
 			t.Fatalf("%s left %d active", s.Name(), tb.ActiveCount())
@@ -82,14 +85,16 @@ func TestAllStrategiesClampToActive(t *testing.T) {
 	}
 }
 
-func TestAllStrategiesZeroBudgetNoop(t *testing.T) {
-	for _, s := range allStrategies(xrand.New(4)) {
-		tb := mkTable(t, 2, 50)
-		if got := s.Forget(tb, 0); got != 0 {
-			t.Fatalf("%s forgot %d on zero budget", s.Name(), got)
-		}
-		if tb.ActiveCount() != 100 {
-			t.Fatalf("%s changed active count on zero budget", s.Name())
+func TestAllStrategiesNonPositiveBudgetNoop(t *testing.T) {
+	for _, n := range []int{0, -1, -500} {
+		for _, s := range allStrategies(xrand.New(4)) {
+			tb := mkTable(t, 2, 50)
+			if got := s.Forget(tb, n); len(got) != 0 {
+				t.Fatalf("%s forgot %d on budget %d", s.Name(), len(got), n)
+			}
+			if tb.ActiveCount() != 100 {
+				t.Fatalf("%s changed active count on budget %d", s.Name(), n)
+			}
 		}
 	}
 }
@@ -236,8 +241,8 @@ func TestRotHonoursHighWaterMark(t *testing.T) {
 func TestRotFallsBackWhenHWMExhausted(t *testing.T) {
 	tb := mkTable(t, 2, 10) // current batch 1; minAge 5 protects everything
 	got := NewRot(xrand.New(10), 5).Forget(tb, 7)
-	if got != 7 || tb.ActiveCount() != 13 {
-		t.Fatalf("rot fallback forgot %d, active %d", got, tb.ActiveCount())
+	if len(got) != 7 || tb.ActiveCount() != 13 {
+		t.Fatalf("rot fallback forgot %d, active %d", len(got), tb.ActiveCount())
 	}
 }
 
@@ -421,11 +426,19 @@ func TestDistAlignedKeepsHistogramShape(t *testing.T) {
 
 func TestForgetOlderThan(t *testing.T) {
 	tb := mkTable(t, 5, 10) // batches 0..4, current = 4
-	n := ForgetOlderThan(tb, 2)
+	tb.Forget(3)
+	got := ForgetOlderThan(tb, 2, []int{-1})
 	// Ages: batch 0 -> 4, 1 -> 3, 2 -> 2, 3 -> 1, 4 -> 0. Older than 2
-	// means batches 0 and 1: 20 tuples.
-	if n != 20 {
-		t.Fatalf("forgot %d, want 20", n)
+	// means batches 0 and 1: 20 tuples, one of them forgotten already.
+	// The positions come back ascending, after what dst held.
+	want := []int{-1}
+	for i := 0; i < 20; i++ {
+		if i != 3 {
+			want = append(want, i)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("forgot %v, want %v", got, want)
 	}
 	for i := 0; i < 20; i++ {
 		if tb.IsActive(i) {
@@ -437,9 +450,16 @@ func TestForgetOlderThan(t *testing.T) {
 			t.Fatalf("in-window tuple %d forgotten", i)
 		}
 	}
-	// Idempotent.
-	if n := ForgetOlderThan(tb, 2); n != 0 {
-		t.Fatalf("second pass forgot %d", n)
+	// Idempotent, and a window wider than the table's history is a no-op.
+	epoch := tb.Epoch()
+	if got := ForgetOlderThan(tb, 2, nil); len(got) != 0 {
+		t.Fatalf("second pass forgot %v", got)
+	}
+	if got := ForgetOlderThan(tb, 100, nil); len(got) != 0 {
+		t.Fatalf("over-wide window forgot %v", got)
+	}
+	if tb.Epoch() != epoch {
+		t.Fatal("a pass that forgot nothing bumped the epoch")
 	}
 }
 
@@ -449,33 +469,85 @@ func TestForgetOlderThanPanics(t *testing.T) {
 			t.Fatal("negative maxAge did not panic")
 		}
 	}()
-	ForgetOlderThan(mkTable(t, 1, 1), -1)
+	ForgetOlderThan(mkTable(t, 1, 1), -1, nil)
 }
 
-func TestWeightedSampleKDistinct(t *testing.T) {
-	src := xrand.New(17)
-	w := make([]float64, 50)
-	for i := range w {
-		w[i] = float64(i + 1)
-	}
-	got := weightedSampleK(src, w, 20)
-	seen := map[int]bool{}
-	for _, i := range got {
-		if i < 0 || i >= 50 || seen[i] {
-			t.Fatalf("invalid or duplicate index %d in %v", i, got)
+// sliceWeights prices position i at w[i].
+type sliceWeights []uint64
+
+func (w sliceWeights) scan(base int, mask, u uint64) (int, uint64, uint64) {
+	var sum uint64
+	for m := mask; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros64(m)
+		if sum += w[base+p]; sum > u {
+			return p, w[base+p], sum
 		}
-		seen[i] = true
+	}
+	return -1, 0, sum
+}
+
+// sampleWeights draws k of the positions [0, len(w)) through a sampler.
+func sampleWeights(s *sampler, src *xrand.Source, w []uint64, k int) []int {
+	return s.sample(src, bitvec.NewSet(len(w)), len(w), sliceWeights(w), k)
+}
+
+func TestSamplerDistinct(t *testing.T) {
+	src := xrand.New(17)
+	// 150 positions: three bitmap words, the last one partial.
+	w := make([]uint64, 150)
+	for i := range w {
+		w[i] = uint64(i + 1)
+	}
+	var s sampler
+	for _, k := range []int{20, 150, 400} {
+		got := sampleWeights(&s, src, w, k)
+		if want := min(k, len(w)); len(got) != want {
+			t.Fatalf("k=%d returned %d positions, want %d", k, len(got), want)
+		}
+		seen := map[int]bool{}
+		for _, i := range got {
+			if i < 0 || i >= len(w) || seen[i] {
+				t.Fatalf("invalid or duplicate index %d in %v", i, got)
+			}
+			seen[i] = true
+		}
 	}
 }
 
-func TestWeightedSampleKBias(t *testing.T) {
+func TestSamplerHonoursBitmapAndPrefix(t *testing.T) {
+	src := xrand.New(21)
+	active := bitvec.NewSet(300)
+	for i := 0; i < 300; i += 3 {
+		active.Clear(i)
+	}
+	w := make(sliceWeights, 300)
+	for i := range w {
+		w[i] = 1
+	}
+	var s sampler
+	got := s.sample(src, active, 130, w, 1000)
+	if len(got) != active.CountRange(0, 130) {
+		t.Fatalf("drew %d positions, %d are set below 130", len(got), active.CountRange(0, 130))
+	}
+	for _, i := range got {
+		if i >= 130 || !active.Test(i) {
+			t.Fatalf("drew position %d: outside the prefix or not set", i)
+		}
+	}
+	if active.Count() != 200 {
+		t.Fatal("sampler modified the caller's bitmap")
+	}
+}
+
+func TestSamplerBias(t *testing.T) {
 	src := xrand.New(18)
 	// Item 1 has 9x the weight of item 0; over many single draws it must
 	// win roughly 9x as often.
-	w := []float64{1, 9}
+	w := []uint64{1, 9}
 	c0, c1 := 0, 0
+	var s sampler
 	for i := 0; i < 20000; i++ {
-		if weightedSampleK(src, w, 1)[0] == 0 {
+		if sampleWeights(&s, src, w, 1)[0] == 0 {
 			c0++
 		} else {
 			c1++
@@ -487,19 +559,24 @@ func TestWeightedSampleKBias(t *testing.T) {
 	}
 }
 
-func TestWeightedSampleKZeroWeightsLast(t *testing.T) {
+func TestSamplerZeroWeightsLast(t *testing.T) {
 	src := xrand.New(19)
-	w := []float64{0, 1, 0, 1}
-	got := weightedSampleK(src, w, 2)
+	w := []uint64{0, 1, 0, 1}
+	var s sampler
+	got := sampleWeights(&s, src, w, 2)
 	for _, i := range got {
 		if i == 0 || i == 2 {
 			t.Fatalf("zero-weight index %d chosen while positive weights remained", i)
 		}
 	}
 	// But with k = 4 the zero-weight items must still be returned.
-	got = weightedSampleK(src, w, 4)
+	got = sampleWeights(&s, src, w, 4)
 	if len(got) != 4 {
 		t.Fatalf("full sample returned %d items", len(got))
+	}
+	// And all-zero weights still meet the budget.
+	if got = sampleWeights(&s, src, []uint64{0, 0, 0}, 2); len(got) != 2 {
+		t.Fatalf("all-zero sample returned %d items", len(got))
 	}
 }
 

@@ -23,6 +23,7 @@ type Area struct {
 	// Extents only grow; they are kept across update batches so mold
 	// persists on the timeline.
 	areas []extent
+	out   []int
 }
 
 type extent struct {
@@ -54,36 +55,40 @@ func (a *Area) Areas() [][2]int {
 }
 
 // Forget implements Strategy.
-func (a *Area) Forget(t *table.Table, n int) int {
+func (a *Area) Forget(t *table.Table, n int) []int {
 	n = clampBudget(t, n)
-	forgotten := 0
-	for forgotten < n {
-		if a.forgetOne(t) {
-			forgotten++
-		}
+	a.out = a.out[:0]
+	for len(a.out) < n {
+		a.forgetOne(t)
 	}
-	return forgotten
+	return a.out
 }
 
-// forgetOne performs one mold step: seed or extend. It reports whether a
-// tuple was actually forgotten; a false return means the chosen extension
-// direction was exhausted and the caller should retry.
-func (a *Area) forgetOne(t *table.Table) bool {
+// forget marks p, which the next seed or extension must already see as
+// forgotten, and records it.
+func (a *Area) forget(t *table.Table, p int) {
+	t.Forget(p)
+	a.out = append(a.out, p)
+}
+
+// forgetOne performs one mold step: seed or extend.
+func (a *Area) forgetOne(t *table.Table) {
 	pick := a.src.Intn(a.k + 1) // 0..k-1 extend, k seed
 	if pick >= len(a.areas) {
-		return a.seed(t)
+		a.seed(t)
+		return
 	}
-	return a.extend(t, pick)
+	a.extend(t, pick)
 }
 
 // seed starts a new mold at a uniformly chosen active tuple.
-func (a *Area) seed(t *table.Table) bool {
+func (a *Area) seed(t *table.Table) {
 	active := t.ActiveIndices()
 	if len(active) == 0 {
-		return false
+		return
 	}
 	p := active[a.src.Intn(len(active))]
-	t.Forget(p)
+	a.forget(t, p)
 	a.areas = append(a.areas, extent{lo: p, hi: p})
 	// Respect the configured K by dropping the oldest area once K molds
 	// exist; the dropped area's tuples stay forgotten, it just stops
@@ -91,12 +96,11 @@ func (a *Area) seed(t *table.Table) bool {
 	if len(a.areas) > a.k {
 		a.areas = a.areas[1:]
 	}
-	return true
 }
 
 // extend grows area i by one active tuple in a random direction, falling
 // back to the other direction at the timeline edges.
-func (a *Area) extend(t *table.Table, i int) bool {
+func (a *Area) extend(t *table.Table, i int) {
 	e := &a.areas[i]
 	dirFirst := a.src.Bool(0.5)
 	for attempt := 0; attempt < 2; attempt++ {
@@ -104,21 +108,21 @@ func (a *Area) extend(t *table.Table, i int) bool {
 		if left {
 			// nearest active tuple strictly before the extent
 			if p := prevActive(t, e.lo-1); p >= 0 {
-				t.Forget(p)
+				a.forget(t, p)
 				e.lo = p
-				return true
+				return
 			}
 		} else {
 			if p := t.Active().NextSet(e.hi + 1); p >= 0 {
-				t.Forget(p)
+				a.forget(t, p)
 				e.hi = p
-				return true
+				return
 			}
 		}
 	}
 	// Both directions blocked (area swallowed the whole table side);
 	// seed elsewhere instead so progress is guaranteed.
-	return a.seed(t)
+	a.seed(t)
 }
 
 // prevActive returns the largest active position <= i, or -1.

@@ -24,6 +24,7 @@ type AreaValue struct {
 	k   int
 	// areas holds the inclusive value extents of each mold.
 	areas []vextent
+	out   []int
 }
 
 type vextent struct {
@@ -65,10 +66,11 @@ type valEntry struct {
 }
 
 // Forget implements Strategy.
-func (a *AreaValue) Forget(t *table.Table, n int) int {
+func (a *AreaValue) Forget(t *table.Table, n int) []int {
 	n = clampBudget(t, n)
+	a.out = a.out[:0]
 	if n == 0 {
-		return 0
+		return a.out
 	}
 	c, err := t.Column(a.col)
 	if err != nil {
@@ -82,47 +84,45 @@ func (a *AreaValue) Forget(t *table.Table, n int) int {
 	sort.Slice(arr, func(i, j int) bool { return arr[i].val < arr[j].val })
 
 	remaining := len(arr)
-	forgotten := 0
-	for forgotten < n && remaining > 0 {
-		if a.step(t, arr, &remaining) {
-			forgotten++
-		}
+	for len(a.out) < n && remaining > 0 {
+		a.step(arr, &remaining)
 	}
-	return forgotten
+	t.ForgetMany(a.out)
+	return a.out
 }
 
-// step performs one mold action and reports whether a tuple was
-// forgotten.
-func (a *AreaValue) step(t *table.Table, arr []valEntry, remaining *int) bool {
+// step performs one mold action.
+func (a *AreaValue) step(arr []valEntry, remaining *int) {
 	pick := a.src.Intn(a.k + 1)
 	if pick >= len(a.areas) {
-		return a.seedValue(t, arr, remaining)
+		a.seedValue(arr, remaining)
+		return
 	}
-	return a.extendValue(t, arr, remaining, pick)
+	a.extendValue(arr, remaining, pick)
 }
 
 // seedValue starts a new mold at a random still-active entry.
-func (a *AreaValue) seedValue(t *table.Table, arr []valEntry, remaining *int) bool {
+func (a *AreaValue) seedValue(arr []valEntry, remaining *int) {
 	if *remaining == 0 {
-		return false
+		return
 	}
 	for {
 		i := a.src.Intn(len(arr))
 		if arr[i].used {
 			continue
 		}
-		a.consume(t, arr, i, remaining)
+		a.consume(arr, i, remaining)
 		a.areas = append(a.areas, vextent{lo: arr[i].val, hi: arr[i].val})
 		if len(a.areas) > a.k {
 			a.areas = a.areas[1:]
 		}
-		return true
+		return
 	}
 }
 
 // extendValue grows mold i by the nearest unused entry just outside its
 // value extent, trying a random direction first.
-func (a *AreaValue) extendValue(t *table.Table, arr []valEntry, remaining *int, i int) bool {
+func (a *AreaValue) extendValue(arr []valEntry, remaining *int, i int) {
 	e := &a.areas[i]
 	dirFirst := a.src.Bool(0.5)
 	for attempt := 0; attempt < 2; attempt++ {
@@ -133,18 +133,18 @@ func (a *AreaValue) extendValue(t *table.Table, arr []valEntry, remaining *int, 
 			j := sort.Search(len(arr), func(k int) bool { return arr[k].val >= e.lo })
 			for j--; j >= 0; j-- {
 				if !arr[j].used {
-					a.consume(t, arr, j, remaining)
+					a.consume(arr, j, remaining)
 					e.lo = arr[j].val
-					return true
+					return
 				}
 			}
 		} else {
 			j := sort.Search(len(arr), func(k int) bool { return arr[k].val > e.hi })
 			for ; j < len(arr); j++ {
 				if !arr[j].used {
-					a.consume(t, arr, j, remaining)
+					a.consume(arr, j, remaining)
 					e.hi = arr[j].val
-					return true
+					return
 				}
 			}
 		}
@@ -155,15 +155,15 @@ func (a *AreaValue) extendValue(t *table.Table, arr []valEntry, remaining *int, 
 	hi := sort.Search(len(arr), func(k int) bool { return arr[k].val > e.hi })
 	for j := lo; j < hi; j++ {
 		if !arr[j].used {
-			a.consume(t, arr, j, remaining)
-			return true
+			a.consume(arr, j, remaining)
+			return
 		}
 	}
-	return a.seedValue(t, arr, remaining)
+	a.seedValue(arr, remaining)
 }
 
-func (a *AreaValue) consume(t *table.Table, arr []valEntry, i int, remaining *int) {
-	t.Forget(arr[i].pos)
+func (a *AreaValue) consume(arr []valEntry, i int, remaining *int) {
+	a.out = append(a.out, arr[i].pos)
 	arr[i].used = true
 	*remaining--
 }

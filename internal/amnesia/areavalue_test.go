@@ -25,8 +25,8 @@ func randomValueTable(t *testing.T, n int, seed uint64) *table.Table {
 func TestAreaValueBudget(t *testing.T) {
 	tb := randomValueTable(t, 1000, 1)
 	a := NewAreaValue(xrand.New(2), "a", 3)
-	if got := a.Forget(tb, 400); got != 400 {
-		t.Fatalf("forgot %d", got)
+	if got := a.Forget(tb, 400); len(got) != 400 {
+		t.Fatalf("forgot %d", len(got))
 	}
 	if tb.ActiveCount() != 600 {
 		t.Fatalf("active = %d", tb.ActiveCount())

@@ -2,6 +2,7 @@ package amnesia
 
 import (
 	"math"
+	"math/bits"
 
 	"amnesiadb/internal/table"
 	"amnesiadb/internal/xrand"
@@ -23,6 +24,8 @@ const DefaultDecayHalfLife = 3.0
 type Decay struct {
 	src      *xrand.Source
 	halfLife float64
+	s        sampler
+	w        decayWeights
 }
 
 // NewDecay returns the decay strategy with the given half-life in batches
@@ -41,21 +44,49 @@ func NewDecay(src *xrand.Source, halfLife float64) *Decay {
 func (*Decay) Name() string { return "decay" }
 
 // Forget implements Strategy.
-func (d *Decay) Forget(t *table.Table, n int) int {
+func (d *Decay) Forget(t *table.Table, n int) []int {
 	n = clampBudget(t, n)
 	if n == 0 {
-		return 0
+		return nil
 	}
-	current := float64(t.Batches() - 1)
-	active := t.ActiveIndices()
-	w := make([]float64, len(active))
-	for j, i := range active {
-		age := current - float64(t.InsertBatch(i))
-		strength := (1 + float64(t.AccessCount(i))) * math.Exp2(-age/d.halfLife)
-		w[j] = 1 / strength
+	d.w.reset(t, d.halfLife)
+	out := d.s.sample(d.src, t.Active(), t.Len(), &d.w, n)
+	t.ForgetMany(out)
+	return out
+}
+
+// decayWeights prices a tuple at weightOne/strength with the age term
+// taken relative to the oldest active batch, 2^-((batch-oldest)/
+// halfLife), so the oldest untouched tuple weighs weightOne however old
+// the table is (sampling sees only ratios; the unscaled
+// 2^(age/halfLife) overflows a float64 at 1024 half-lives). A tuple
+// over 31 half-lives younger than the oldest rounds to weight zero and
+// is forgotten only after every older one. The term depends on the
+// batch alone: one Exp2 per batch spanned, none per tuple.
+type decayWeights struct {
+	t      *table.Table
+	young  []uint64 // young[j] = 2^31 * 2^-(j/halfLife), j batches after the oldest active
+	oldest int32
+}
+
+// reset anchors the age term at t's oldest active batch and extends the
+// per-batch table to the newest.
+func (w *decayWeights) reset(t *table.Table, halfLife float64) {
+	w.t = t
+	w.oldest = t.InsertBatch(t.OldestActive())
+	for j := len(w.young); j < t.Batches()-int(w.oldest); j++ {
+		w.young = append(w.young, uint64(1<<31*math.Exp2(-float64(j)/halfLife)))
 	}
-	for _, j := range weightedSampleK(d.src, w, n) {
-		t.Forget(active[j])
+}
+
+func (w *decayWeights) scan(base int, mask, u uint64) (int, uint64, uint64) {
+	var sum uint64
+	for m := mask; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros64(m)
+		c := w.young[w.t.InsertBatch(base+p)-w.oldest] * inverse(w.t.AccessCount(base+p)) >> 31
+		if sum += c; sum > u {
+			return p, c, sum
+		}
 	}
-	return n
+	return -1, 0, sum
 }

@@ -16,6 +16,7 @@ import (
 type Pairwise struct {
 	src *xrand.Source
 	col string
+	out []int
 }
 
 // NewPairwise returns the average-preserving strategy operating on column
@@ -34,10 +35,11 @@ func NewPairwise(src *xrand.Source, col string) *Pairwise {
 func (*Pairwise) Name() string { return "pairwise" }
 
 // Forget implements Strategy.
-func (p *Pairwise) Forget(t *table.Table, n int) int {
+func (p *Pairwise) Forget(t *table.Table, n int) []int {
 	n = clampBudget(t, n)
+	p.out = p.out[:0]
 	if n == 0 {
-		return 0
+		return p.out
 	}
 	c, err := t.Column(p.col)
 	if err != nil {
@@ -53,15 +55,12 @@ func (p *Pairwise) Forget(t *table.Table, n int) int {
 	sort.Slice(order, func(a, b int) bool { return c.Get(order[a]) < c.Get(order[b]) })
 
 	lo, hi := 0, len(order)-1
-	forgotten := 0
-	for forgotten+2 <= n && lo < hi {
-		t.Forget(order[lo])
-		t.Forget(order[hi])
-		forgotten += 2
+	for len(p.out)+2 <= n && lo < hi {
+		p.out = append(p.out, order[lo], order[hi])
 		lo++
 		hi--
 	}
-	if forgotten < n && lo <= hi {
+	if len(p.out) < n && lo <= hi {
 		// Odd remainder: forget the tuple whose value is closest to the
 		// active mean, the single choice with least impact on AVG.
 		var sum float64
@@ -75,10 +74,10 @@ func (p *Pairwise) Forget(t *table.Table, n int) int {
 				best, bestDist = i, d
 			}
 		}
-		t.Forget(order[best])
-		forgotten++
+		p.out = append(p.out, order[best])
 	}
-	return forgotten
+	t.ForgetMany(p.out)
+	return p.out
 }
 
 // DefaultAlignBins is the histogram resolution used by New for the
@@ -100,6 +99,7 @@ type DistAligned struct {
 	totalN    int64
 	binWidth  int64
 	maxSeen   int64
+	out       []int
 }
 
 // NewDistAligned returns the distribution-aligned strategy with the given
@@ -121,10 +121,11 @@ func NewDistAligned(src *xrand.Source, col string, bins int) *DistAligned {
 func (*DistAligned) Name() string { return "distaligned" }
 
 // Forget implements Strategy.
-func (d *DistAligned) Forget(t *table.Table, n int) int {
+func (d *DistAligned) Forget(t *table.Table, n int) []int {
 	n = clampBudget(t, n)
+	d.out = d.out[:0]
 	if n == 0 {
-		return 0
+		return d.out
 	}
 	c, err := t.Column(d.col)
 	if err != nil {
@@ -140,11 +141,10 @@ func (d *DistAligned) Forget(t *table.Table, n int) int {
 		byBin[b] = append(byBin[b], i)
 	}
 
-	forgotten := 0
-	for forgotten < n {
+	for len(d.out) < n {
 		// Find the bin with the largest surplus of active tuples over
 		// its target share of the post-forget active count.
-		targetTotal := float64(len(active) - forgotten - 1)
+		targetTotal := float64(len(active) - len(d.out) - 1)
 		best, bestSurplus := -1, math.Inf(-1)
 		for b := 0; b < d.bins; b++ {
 			if len(byBin[b]) == 0 {
@@ -161,12 +161,12 @@ func (d *DistAligned) Forget(t *table.Table, n int) int {
 		}
 		members := byBin[best]
 		pick := d.src.Intn(len(members))
-		t.Forget(members[pick])
+		d.out = append(d.out, members[pick])
 		members[pick] = members[len(members)-1]
 		byBin[best] = members[:len(members)-1]
-		forgotten++
 	}
-	return forgotten
+	t.ForgetMany(d.out)
+	return d.out
 }
 
 // refresh rebuilds the ground-truth histogram when the observed value

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"time"
 
 	"amnesiadb/internal/durability/failpoint"
 	"amnesiadb/internal/wal"
@@ -18,21 +17,11 @@ var ErrClosed = errors.New("durability: log closed")
 type Options struct {
 	// Policy selects the fsync discipline; see FsyncPolicy.
 	Policy FsyncPolicy
-	// GroupWindow is how long FsyncGroup coalesces before syncing.
-	// Zero means the 2ms default.
-	GroupWindow time.Duration
 	// SegmentBytes is the size past which the owner should snapshot
 	// and rotate. Zero means 64 MiB. The log only reports (Size); the
 	// owner decides when to rotate, because rotation pairs with a
 	// snapshot.
 	SegmentBytes int64
-}
-
-func (o *Options) window() time.Duration {
-	if o.GroupWindow <= 0 {
-		return 2 * time.Millisecond
-	}
-	return o.GroupWindow
 }
 
 // SegmentThreshold resolves the rotation threshold.
@@ -43,9 +32,10 @@ func (o *Options) SegmentThreshold() int64 {
 	return o.SegmentBytes
 }
 
-// Pending is one mutation's place in the commit queue. Wait blocks
-// until the batch containing the record has been written and (per
-// policy) fsynced; its error is the write/sync failure, after which
+// Pending is one mutation's place in the commit queue: one framed
+// record, or several back to back that must land together. Wait blocks
+// until the batch containing them has been written and (per policy)
+// fsynced; its error is the write/sync failure, after which
 // the log is sticky-broken and the owner should degrade to read-only.
 type Pending struct {
 	data []byte
@@ -64,7 +54,9 @@ func (p *Pending) Wait() error {
 // a dedicated committer goroutine drains the queue in batches, writes
 // them with one syscall, fsyncs per policy, and wakes every waiter in
 // the batch. One fsync therefore commits every mutation that queued
-// while the previous one ran — the classic group commit.
+// while the previous one ran — the classic group commit — and one that
+// finds the committer idle is written at once: batches form only while
+// a sync is in flight, never by waiting for company.
 type Log struct {
 	opts Options
 
@@ -146,9 +138,9 @@ func (l *Log) Err() error {
 	return l.err
 }
 
-// Enqueue appends one framed record to the commit queue. The returned
-// Pending resolves when the record's batch is durable. On a broken or
-// closed log the Pending resolves immediately with the sticky error.
+// Enqueue appends one mutation's framed record (or records) to the
+// commit queue; the returned Pending resolves when they are durable.
+// On a broken or closed log it resolves at once with the sticky error.
 func (l *Log) Enqueue(rec []byte) *Pending {
 	p := &Pending{done: make(chan struct{})}
 	l.mu.Lock()
@@ -240,12 +232,6 @@ func (l *Log) run() {
 		if len(l.queue) == 0 && l.closed {
 			l.mu.Unlock()
 			return
-		}
-		if l.opts.Policy == FsyncGroup && !l.closed {
-			// Coalesce: let more mutators queue before paying the sync.
-			l.mu.Unlock()
-			time.Sleep(l.opts.window())
-			l.mu.Lock()
 		}
 		batch := l.queue
 		l.queue = nil

@@ -19,9 +19,10 @@ const (
 	// batches whatever queued during the previous sync, so concurrent
 	// writers share fsyncs.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncGroup waits a short window (Options.GroupWindow) to coalesce
-	// a larger batch before the sync — higher throughput, bounded
-	// acknowledgement latency, same survives-kill guarantee.
+	// FsyncGroup, the facade's default, is a second name for the same
+	// discipline: batches form only while a sync is in flight, so there
+	// is no window to wait out and a lone writer pays one fsync, not a
+	// nap plus one. The name stays an accepted -fsync value.
 	FsyncGroup
 	// FsyncOff writes without syncing: the OS decides when bytes reach
 	// the disk, so a machine crash can lose the tail. Process crashes

@@ -71,13 +71,15 @@ func (p *Partition) Hits() int64 { return p.hits.Load() }
 // while Adapt rebalances concurrently.
 func (p *Partition) Budget() int { return int(p.budget.Load()) }
 
-// enforceBudgetLocked forgets the shard down to its current budget; the
-// caller must hold p.mu. Insert and Adapt both enforce through this one
-// body so the two paths cannot drift.
-func (p *Partition) enforceBudgetLocked() {
+// enforceBudgetLocked forgets the shard down to its current budget and
+// returns the positions the strategy reports forgotten, valid until the
+// shard's next enforcement; the caller must hold p.mu. Insert and Adapt
+// both enforce through this one body so the two paths cannot drift.
+func (p *Partition) enforceBudgetLocked() []int {
 	if over := p.tbl.ActiveCount() - p.Budget(); over > 0 {
-		p.strat.Forget(p.tbl, over)
+		return p.strat.Forget(p.tbl, over)
 	}
+	return nil
 }
 
 // enforceBudget is enforceBudgetLocked under the shard mutation lock.
@@ -282,11 +284,11 @@ func (s *Set) Insert(vals []int64) error { return s.InsertObserved(vals, nil) }
 
 // InsertObserved is Insert with a mutation observer: after each shard's
 // append-and-enforce commits, obs receives the shard index, the values
-// appended there, and the positions the budget enforcement forgot
-// (captured by diffing the active bitmap, since strategies choose
-// stochastically). The durability layer turns one call into one WAL
-// record that replays bit-for-bit without re-running the strategy. A
-// nil obs makes it plain Insert.
+// appended there, and the positions the shard's strategy reports
+// forgotten — unordered, valid until that shard is next mutated. The
+// durability layer turns one call into one WAL record that replays
+// bit-for-bit without re-running the strategy. A nil obs makes it
+// plain Insert.
 func (s *Set) InsertObserved(vals []int64, obs func(shard int, appended []int64, forgotten []int)) error {
 	byShard := make(map[int][]int64)
 	for _, v := range vals {
@@ -296,19 +298,14 @@ func (s *Set) InsertObserved(vals []int64, obs func(shard int, appended []int64,
 		}
 		byShard[i] = append(byShard[i], v)
 	}
-	var words []uint64
 	for i, vs := range byShard {
 		p := s.parts[i]
 		p.mu.Lock()
-		var oldLen int
-		if obs != nil {
-			words, oldLen = p.tbl.ActiveSnapshot(words[:0])
-		}
 		_, err := p.tbl.AppendSingleColumn(vs)
 		if err == nil {
-			p.enforceBudgetLocked()
+			forgotten := p.enforceBudgetLocked()
 			if obs != nil {
-				obs(i, vs, p.tbl.ForgottenSince(words, oldLen))
+				obs(i, vs, forgotten)
 			}
 		}
 		p.mu.Unlock()
@@ -611,9 +608,9 @@ func (s *Set) Adapt() { s.AdaptObserved(nil) }
 
 // AdaptObserved is Adapt with a mutation observer: after each shard's
 // budget is rewritten and enforced, obs receives the shard index, the
-// new budget, and the positions enforcement forgot — one WAL record's
-// worth of replayable outcome per shard. A nil obs makes it plain
-// Adapt.
+// new budget, and the positions the shard's strategy reports forgotten
+// (as InsertObserved hands them over) — one WAL record's worth of
+// replayable outcome per shard. A nil obs makes it plain Adapt.
 func (s *Set) AdaptObserved(obs func(shard, budget int, forgotten []int)) {
 	total := 0
 	var weight int64
@@ -624,7 +621,6 @@ func (s *Set) AdaptObserved(obs func(shard, budget int, forgotten []int)) {
 		weight += snap[i]
 	}
 	remaining := total
-	var words []uint64
 	for i, p := range s.parts {
 		var share int
 		if i == len(s.parts)-1 {
@@ -642,13 +638,9 @@ func (s *Set) AdaptObserved(obs func(shard, budget int, forgotten []int)) {
 		p.budget.Store(int64(share))
 		p.hits.Store(0)
 		p.mu.Lock()
-		var oldLen int
+		forgotten := p.enforceBudgetLocked()
 		if obs != nil {
-			words, oldLen = p.tbl.ActiveSnapshot(words[:0])
-		}
-		p.enforceBudgetLocked()
-		if obs != nil {
-			obs(i, share, p.tbl.ForgottenSince(words, oldLen))
+			obs(i, share, forgotten)
 		}
 		p.mu.Unlock()
 	}

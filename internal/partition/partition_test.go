@@ -1,9 +1,12 @@
 package partition
 
 import (
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
+	"amnesiadb/internal/amnesia"
 	"amnesiadb/internal/xrand"
 )
 
@@ -321,6 +324,82 @@ func TestConcurrentInsertAdapt(t *testing.T) {
 	for i, p := range s.Partitions() {
 		if p.Table().ActiveCount() > p.Budget() {
 			t.Fatalf("shard %d over budget: %d > %d", i, p.Table().ActiveCount(), p.Budget())
+		}
+	}
+}
+
+// TestObservedPositionsMatchBitmapDiff is the partitioned half of the
+// position oracle: for every strategy, what InsertObserved and
+// AdaptObserved hand the observer — the shard strategy's own report,
+// which the WAL logs as it stands — must be, as a set, exactly the
+// bitmap difference the mutation made on that shard: no duplicates,
+// nothing that was not active before.
+func TestObservedPositionsMatchBitmapDiff(t *testing.T) {
+	const domain, shards = 1 << 16, 4
+	for _, name := range amnesia.Names() {
+		src := xrand.New(77)
+		set, err := New("v", domain, shards, name, 600, src.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		type snap struct {
+			words  []uint64
+			oldLen int
+		}
+		snapshot := func() []snap {
+			out := make([]snap, shards)
+			for i, p := range set.Partitions() {
+				out[i].words, out[i].oldLen = p.Table().ActiveSnapshot(nil)
+			}
+			return out
+		}
+		check := func(op string, before []snap, shard int, forgotten []int) {
+			t.Helper()
+			got := append([]int(nil), forgotten...)
+			sort.Ints(got)
+			want := set.Partitions()[shard].Table().ForgottenSince(before[shard].words, before[shard].oldLen)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s %s shard %d: observer got %v, bitmap diff %v", name, op, shard, got, want)
+			}
+		}
+		forgot := 0
+		for round := 0; round < 12; round++ {
+			vals := make([]int64, 300)
+			for i := range vals {
+				vals[i] = src.Int63n(domain)
+			}
+			before := snapshot()
+			seen := map[int]bool{}
+			err := set.InsertObserved(vals, func(shard int, appended []int64, forgotten []int) {
+				check("insert", before, shard, forgotten)
+				seen[shard] = true
+				forgot += len(forgotten)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range before {
+				if !seen[i] {
+					check("insert (unobserved)", before, i, nil)
+				}
+			}
+			if round%4 != 3 {
+				continue
+			}
+			// Skew the workload so Adapt shrinks three shards.
+			for q := 0; q < 50; q++ {
+				if _, err := set.Select(0, domain/shards); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before = snapshot()
+			set.AdaptObserved(func(shard, budget int, forgotten []int) {
+				check("adapt", before, shard, forgotten)
+				forgot += len(forgotten)
+			})
+		}
+		if forgot == 0 {
+			t.Fatalf("%s: nothing was ever forgotten; the test exercised nothing", name)
 		}
 	}
 }

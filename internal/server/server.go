@@ -498,6 +498,7 @@ func streamResult(w http.ResponseWriter, columns []string, ints []bool, src rowS
 	flush()
 }
 
+// insertRequest is the POST /insert body; decodeInsert parses it.
 type insertRequest struct {
 	Table string `json:"table"`
 	// Create lists column names to create the table on first use.
@@ -506,8 +507,8 @@ type insertRequest struct {
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	var req insertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := readInsert(r.Body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -532,9 +533,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown table %q (pass create to make it)", req.Table))
 			return
 		}
-		var err error
-		t, err = s.db.CreateTable(req.Table, req.Create...)
-		if err != nil {
+		if t, err = s.db.CreateTable(req.Table, req.Create...); err != nil {
 			s.writeMutErr(w, http.StatusBadRequest, err)
 			return
 		}

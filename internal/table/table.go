@@ -143,10 +143,10 @@ func (t *Table) AdvanceEpoch(delta uint64) { t.epoch.Add(delta) }
 
 // ActiveSnapshot appends the active bitmap's words to dst and returns
 // the extended slice plus the current tuple count. Together with
-// ForgottenSince it lets the durability layer capture exactly which
-// positions a stochastic decay strategy forgot — the WAL logs *what*
-// was forgotten, never why — by diffing the bitmap around the
-// enforcement call instead of instrumenting every strategy.
+// ForgottenSince it diffs the bitmap around a mutation. Strategies
+// report what they forget themselves, so the serving path calls
+// neither: they are the oracle the position tests hold those reports
+// against, and what the benchmark's table.forget_diff rung times.
 func (t *Table) ActiveSnapshot(dst []uint64) ([]uint64, int) {
 	n := t.Len()
 	for wi := 0; wi < (n+63)/64; wi++ {
@@ -193,6 +193,14 @@ func (t *Table) Active() *bitvec.Vector { return t.active }
 
 // InsertBatch returns the batch id tuple i arrived in.
 func (t *Table) InsertBatch(i int) int32 { return t.insertBatch[i] }
+
+// BatchStart returns the position of the first tuple that arrived in
+// batch b or later, Len() when there is none. Appends extend the tail
+// and Vacuum preserves order, so batch ids never decrease along the
+// positions and "older than batch b" is the prefix [0, BatchStart(b)).
+func (t *Table) BatchStart(b int32) int {
+	return sort.Search(len(t.insertBatch), func(i int) bool { return t.insertBatch[i] >= b })
+}
 
 // AccessCount returns the query access frequency of tuple i.
 func (t *Table) AccessCount(i int) uint32 { return t.accessCount[i] }

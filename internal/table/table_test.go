@@ -276,3 +276,24 @@ func BenchmarkAppendBatch(b *testing.B) {
 		}
 	}
 }
+
+func TestBatchStart(t *testing.T) {
+	tb := New("t", "a")
+	for _, n := range []int{3, 0, 70, 5} { // batch 1 is empty
+		if _, err := tb.AppendSingleColumn(make([]int64, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for b, want := range map[int32]int{-2: 0, 0: 0, 1: 3, 2: 3, 3: 73, 4: 78, 9: 78} {
+		if got := tb.BatchStart(b); got != want {
+			t.Errorf("BatchStart(%d) = %d, want %d", b, got, want)
+		}
+	}
+	tb.Forget(1)
+	tb.Forget(40)
+	// Vacuum renumbers positions but keeps them in batch order.
+	tb.Vacuum()
+	if got := tb.BatchStart(2); got != 2 {
+		t.Fatalf("BatchStart(2) after Vacuum = %d, want 2", got)
+	}
+}

@@ -2,6 +2,7 @@ package amnesiadb
 
 import (
 	"fmt"
+	"slices"
 
 	"amnesiadb/internal/durability"
 	"amnesiadb/internal/lockrank"
@@ -103,6 +104,7 @@ func (p *PartitionedTable) Insert(vals []int64) error {
 		}
 		var shards []wal.ShardMutation
 		err := p.set.InsertObserved(vals, func(shard int, appended []int64, forgotten []int) {
+			slices.Sort(forgotten) // the record delta-encodes positions
 			shards = append(shards, wal.ShardMutation{
 				Shard:     shard,
 				Values:    appended,
@@ -159,6 +161,7 @@ func (p *PartitionedTable) Adapt() error {
 	} else {
 		var shards []wal.ShardAdapt
 		p.set.AdaptObserved(func(shard, budget int, forgotten []int) {
+			slices.Sort(forgotten)
 			shards = append(shards, wal.ShardAdapt{
 				Shard:     shard,
 				Budget:    budget,
