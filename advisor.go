@@ -1,6 +1,8 @@
 package amnesiadb
 
 import (
+	"slices"
+
 	"amnesiadb/internal/advisor"
 	"amnesiadb/internal/engine"
 )
@@ -45,19 +47,29 @@ func (a *Advisor) Select(p Pred) (*Result, error) {
 	return &Result{Rows: res.Rows, Values: res.Values}, nil
 }
 
-// Aggregate runs the aggregate through the table and records it.
+// Aggregate runs the aggregate through the table and records it. The
+// collector needs every contributing position, so this is a select
+// folded here: it touches the same rows an engine aggregate would, once.
 func (a *Advisor) Aggregate(p Pred) (Agg, error) {
 	a.t.mu.Lock()
 	defer a.t.mu.Unlock()
 	if err := a.t.liveLocked(); err != nil {
 		return Agg{}, err
 	}
-	agg, err := a.t.ex.Aggregate(a.col, p.expr(), engine.ScanActive)
+	res, err := a.t.ex.Select(a.col, p.expr(), engine.ScanActive)
 	if err != nil {
 		return Agg{}, err
 	}
-	a.c.ObserveAggregate(agg.Rower)
-	return Agg{Count: agg.Rows, Sum: agg.Sum, Min: agg.Min, Max: agg.Max, Avg: agg.Avg}, nil
+	if len(res.Rows) == 0 {
+		return Agg{}, ErrNoRows
+	}
+	a.c.ObserveAggregate(res.Rows)
+	agg := Agg{Count: len(res.Values), Min: slices.Min(res.Values), Max: slices.Max(res.Values)}
+	for _, v := range res.Values {
+		agg.Sum += v
+	}
+	agg.Avg = float64(agg.Sum) / float64(agg.Count)
+	return agg, nil
 }
 
 // Advice is the advisor's recommendation.

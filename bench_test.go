@@ -7,11 +7,15 @@
 package amnesiadb_test
 
 import (
+	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"amnesiadb"
 	"amnesiadb/internal/amnesia"
+	"amnesiadb/internal/bitvec"
+	"amnesiadb/internal/column"
 	"amnesiadb/internal/dist"
 	"amnesiadb/internal/engine"
 	"amnesiadb/internal/exp"
@@ -347,6 +351,116 @@ func BenchmarkPrecisionVectorized(b *testing.B) {
 		if _, _, _, err := ex.Precision("a", pred); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// --- Kernel ledger -------------------------------------------------------
+//
+// The three benchmarks below are the in-repo view of the read ladder's
+// bottom rungs: the mask-first column kernels over 4 Mi rows next to a
+// plain sum over the same values (the memory roofline), in ns per stored
+// row, so a kernel change shows its distance from the roofline without
+// the full amnesiaperf ladder.
+
+const kernelRows = 4 << 20
+
+// kernelColumn builds the ledger fixture: values uniform over [0, 2^30)
+// and an active bitmap with a quarter of the rows forgotten.
+func kernelColumn() (*column.Int64, *bitvec.Vector) {
+	src := xrand.New(benchSeed)
+	vals := make([]int64, kernelRows)
+	active := bitvec.New(kernelRows)
+	for i := range vals {
+		vals[i] = src.Int63n(1 << 30)
+		if src.Bool(0.75) {
+			active.Set(i)
+		}
+	}
+	c := column.New()
+	c.AppendSlice(vals)
+	return c, active
+}
+
+// kernelRange is a range of the given selectivity inside the domain.
+func kernelRange(pct float64) (lo, hi int64) {
+	lo = 1 << 28
+	return lo, lo + int64(pct/100*(1<<30))
+}
+
+var kernelSink int64
+
+// BenchmarkMemSum is the roofline: one pass over the values, no predicate.
+func BenchmarkMemSum(b *testing.B) {
+	c, _ := kernelColumn()
+	vals := c.Values()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var s int64
+		for _, v := range vals {
+			s += v
+		}
+		kernelSink += s
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/kernelRows, "ns/row")
+}
+
+// BenchmarkScanKernel times the ScanBatchRange resume loop (ns/row) and
+// the count-only kernel (count-ns/row) per selectivity, with and without
+// an active bitmap. The count figure is the bare mask cost and must not
+// depend on selectivity; the scan figure adds position emission.
+func BenchmarkScanKernel(b *testing.B) {
+	c, bitmap := kernelColumn()
+	sel := make([]int32, engine.BatchSize)
+	val := make([]int64, engine.BatchSize)
+	for _, pct := range []float64{0.1, 1, 5, 25, 50} {
+		for _, mode := range []string{"active", "nil"} {
+			b.Run(fmt.Sprintf("%gpct/%s", pct, mode), func(b *testing.B) {
+				lo, hi := kernelRange(pct)
+				var active *bitvec.Vector
+				if mode == "active" {
+					active = bitmap
+				}
+				var scan, count time.Duration
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					t0 := time.Now()
+					for pos := 0; pos < c.Len(); {
+						var n int
+						n, pos = c.ScanBatchRange(lo, hi, active, pos, c.Len(), sel, val)
+						kernelSink += int64(n)
+					}
+					t1 := time.Now()
+					kernelSink += int64(c.CountRangeIn(lo, hi, active, 0, c.Len()))
+					scan += t1.Sub(t0)
+					count += time.Since(t1)
+				}
+				b.ReportMetric(float64(scan.Nanoseconds())/float64(b.N)/kernelRows, "ns/row")
+				b.ReportMetric(float64(count.Nanoseconds())/float64(b.N)/kernelRows, "count-ns/row")
+			})
+		}
+	}
+}
+
+// BenchmarkAggregateKernel times the fused count/sum/min/max fold at
+// scan_stream's two aggregate selectivities, masks recorded as a
+// touching aggregate does.
+func BenchmarkAggregateKernel(b *testing.B) {
+	c, active := kernelColumn()
+	masks := make([]uint64, kernelRows/64)
+	for _, pct := range []float64{25, 50} {
+		b.Run(fmt.Sprintf("%gpct", pct), func(b *testing.B) {
+			lo, hi := kernelRange(pct)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(masks)
+				n, sum, _, _ := c.AggregateRangeIn(lo, hi, active, 0, c.Len(), masks)
+				kernelSink += int64(n) + sum
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/kernelRows, "ns/row")
+		})
 	}
 }
 

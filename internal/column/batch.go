@@ -24,17 +24,41 @@ func (c *Int64) ScanBatch(lo, hi int64, active *bitvec.Vector, start int, sel []
 	return c.ScanBatchRange(lo, hi, active, start, len(c.data), sel, val)
 }
 
-// ScanBatchRange is ScanBatch bounded to the row interval [start, end):
-// the morsel-driven parallel scan hands each worker a contiguous run of
-// blocks as [start, end) so workers share the column with no coordination
-// beyond their disjoint ranges. end is clamped to Len. Active-restricted
-// scans intersect each block's row range with the bitmap one 64-bit word
-// at a time (bitvec.Word) and iterate only the set bits, so wholly
-// forgotten spans cost one load instead of 64 Test calls.
-func (c *Int64) ScanBatchRange(lo, hi int64, active *bitvec.Vector, start, end int, sel []int32, val []int64) (n, next int) {
-	if len(sel) != len(val) {
-		panic(fmt.Sprintf("column: ScanBatch buffers disagree: %d positions, %d values", len(sel), len(val)))
+// rangeMask is the scan kernel every consumer shares: bit j of the
+// result is set iff d[j] lies in the inclusive interval [lo, lo+span],
+// for up to 64 rows. One wrapping subtract and one unsigned compare
+// cover both ends of the interval, and the compare never becomes a
+// branch: its borrow is shifted into the mask through the carry flag
+// (SUB, ADC per row — rows run high to low so row j lands on bit j), a
+// full word as two independent carry chains. The cost per row therefore
+// does not depend on how many rows qualify, where a per-row `if`
+// mispredicts its way to 3-4x at 25-50 % selectivity.
+func rangeMask(d []int64, lo int64, span uint64) uint64 {
+	var out, outHi uint64 // rows outside the interval
+	if len(d) == 64 {
+		for j := 31; j >= 0; j-- {
+			_, b := bits.Sub64(span, uint64(d[j]-lo), 0)
+			out, _ = bits.Add64(out, out, b)
+			_, b = bits.Sub64(span, uint64(d[j+32]-lo), 0)
+			outHi, _ = bits.Add64(outHi, outHi, b)
+		}
+		return ^(outHi<<32 | out)
 	}
+	for j := len(d) - 1; j >= 0; j-- {
+		_, b := bits.Sub64(span, uint64(d[j]-lo), 0)
+		out, _ = bits.Add64(out, out, b)
+	}
+	return ^out & (1<<uint(len(d)) - 1)
+}
+
+// scanMasks drives rangeMask over the row interval [start, end) (end
+// clamped to Len) one active-bitmap word at a time: fn receives each
+// word's first row position and its non-zero qualifying mask — rows with
+// lo <= v < hi (hi == math.MaxInt64 unbounded) whose active bit is set,
+// every bit when active is nil — in ascending order, until it returns
+// false. Zone maps skip whole blocks; words straddling start, end or a
+// block boundary are masked to the rows inside.
+func (c *Int64) scanMasks(lo, hi int64, active *bitvec.Vector, start, end int, fn func(base int, m uint64) bool) {
 	if active != nil && active.Len() < len(c.data) {
 		panic(fmt.Sprintf("column: active bitmap %d bits for %d rows", active.Len(), len(c.data)))
 	}
@@ -44,58 +68,63 @@ func (c *Int64) ScanBatchRange(lo, hi int64, active *bitvec.Vector, start, end i
 	if end > len(c.data) {
 		end = len(c.data)
 	}
-	unbounded := hi == math.MaxInt64
-	i := start
-	for i < end && n < len(sel) {
-		b := i / c.blockSize
-		blockEnd := (b + 1) * c.blockSize
-		if blockEnd > end {
-			blockEnd = end
+	// One inclusive span serves both bound conventions: [lo, MaxInt64]
+	// when unbounded, [lo, hi-1] otherwise.
+	span := uint64(hi - lo)
+	if hi != math.MaxInt64 {
+		if lo >= hi {
+			return
 		}
+		span--
+	}
+	for i := start; i < end; {
+		b := i / c.blockSize
+		blockEnd := min((b+1)*c.blockSize, end)
 		if !c.zones[b].Contains(lo, hi) {
 			i = blockEnd
 			continue
 		}
-		if active == nil {
-			// The inner loop is the hot path: contiguous block rows,
-			// bounds hoisted, no function calls.
-			for ; i < blockEnd && n < len(sel); i++ {
-				if v := c.data[i]; v >= lo && (v < hi || unbounded) {
-					sel[n] = int32(i)
-					val[n] = v
-					n++
-				}
+		for i < blockEnd {
+			base := i &^ 63
+			wordEnd := min(base+64, blockEnd)
+			m := rangeMask(c.data[i:wordEnd], lo, span) << (uint(i) & 63)
+			if active != nil {
+				m &= active.Word(i >> 6)
 			}
-			continue
-		}
-		// Active path: visit one bitmap word per 64-row span, masked to
-		// [i, blockEnd), and walk its set bits only.
-		for i < blockEnd && n < len(sel) {
-			wi := i >> 6
-			w := active.Word(wi) & (^uint64(0) << (uint(i) & 63))
-			spanEnd := (wi + 1) << 6
-			if spanEnd > blockEnd {
-				w &= (uint64(1) << uint(blockEnd-wi<<6)) - 1
-				spanEnd = blockEnd
+			i = wordEnd
+			if m != 0 && !fn(base, m) {
+				return
 			}
-			for w != 0 {
-				if n == len(sel) {
-					// Batch full mid-word: resume at the lowest set bit
-					// still pending (clear rows in between match nothing).
-					return n, wi<<6 + bits.TrailingZeros64(w)
-				}
-				r := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				if v := c.data[r]; v >= lo && (v < hi || unbounded) {
-					sel[n] = int32(r)
-					val[n] = v
-					n++
-				}
-			}
-			i = spanEnd
 		}
 	}
-	return n, i
+}
+
+// ScanBatchRange is ScanBatch bounded to the row interval [start, end):
+// the morsel-driven parallel scan hands each worker a contiguous run of
+// blocks as [start, end) so workers share the column with no coordination
+// beyond their disjoint ranges. end is clamped to Len. Positions are
+// emitted from each word's qualifying mask by TrailingZeros64; a batch
+// that fills mid-word resumes at the lowest qualifying row still pending.
+func (c *Int64) ScanBatchRange(lo, hi int64, active *bitvec.Vector, start, end int, sel []int32, val []int64) (n, next int) {
+	if len(sel) != len(val) {
+		panic(fmt.Sprintf("column: ScanBatch buffers disagree: %d positions, %d values", len(sel), len(val)))
+	}
+	next = max(start, min(end, len(c.data)))
+	c.scanMasks(lo, hi, active, start, end, func(base int, m uint64) bool {
+		k, data := n, c.data
+		for ; m != 0 && k < len(sel); k++ {
+			r := base + bits.TrailingZeros64(m)
+			m &= m - 1
+			sel[k] = int32(r)
+			val[k] = data[r]
+		}
+		n = k
+		if m != 0 {
+			next = base + bits.TrailingZeros64(m)
+		}
+		return m == 0
+	})
+	return n, next
 }
 
 // CountRangeIn returns the number of rows in the row interval [start, end)
@@ -104,54 +133,45 @@ func (c *Int64) ScanBatchRange(lo, hi int64, active *bitvec.Vector, start, end i
 // (COUNT(*), Precision ground truth) split a column the same way the
 // materializing kernel does. end is clamped to Len.
 func (c *Int64) CountRangeIn(lo, hi int64, active *bitvec.Vector, start, end int) int {
-	if active != nil && active.Len() < len(c.data) {
-		panic(fmt.Sprintf("column: active bitmap %d bits for %d rows", active.Len(), len(c.data)))
-	}
-	if start < 0 {
-		start = 0
-	}
-	if end > len(c.data) {
-		end = len(c.data)
-	}
-	unbounded := hi == math.MaxInt64
 	n := 0
-	for i := start; i < end; {
-		b := i / c.blockSize
-		blockEnd := (b + 1) * c.blockSize
-		if blockEnd > end {
-			blockEnd = end
-		}
-		if !c.zones[b].Contains(lo, hi) {
-			i = blockEnd
-			continue
-		}
-		if active == nil {
-			for ; i < blockEnd; i++ {
-				if v := c.data[i]; v >= lo && (v < hi || unbounded) {
-					n++
-				}
-			}
-			continue
-		}
-		for i < blockEnd {
-			wi := i >> 6
-			w := active.Word(wi) & (^uint64(0) << (uint(i) & 63))
-			spanEnd := (wi + 1) << 6
-			if spanEnd > blockEnd {
-				w &= (uint64(1) << uint(blockEnd-wi<<6)) - 1
-				spanEnd = blockEnd
-			}
-			for w != 0 {
-				r := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				if v := c.data[r]; v >= lo && (v < hi || unbounded) {
-					n++
-				}
-			}
-			i = spanEnd
-		}
-	}
+	c.scanMasks(lo, hi, active, start, end, func(_ int, m uint64) bool {
+		n += bits.OnesCount64(m)
+		return true
+	})
 	return n
+}
+
+// AggregateRangeIn folds count, sum, min and max over the rows of
+// [start, end) with lo <= v < hi, honouring active when non-nil,
+// straight from the qualifying masks: no position or value batch is
+// materialized. An empty qualifying set reports count 0, min MaxInt64
+// and max MinInt64, so partial results merge without a special case.
+// When masks is non-nil, the mask of bitmap word w is OR-ed into
+// masks[w-start/64] — what Table.TouchMask consumes; it must cover the
+// interval and arrive zeroed.
+func (c *Int64) AggregateRangeIn(lo, hi int64, active *bitvec.Vector, start, end int, masks []uint64) (count int, sum, minV, maxV int64) {
+	minV, maxV = math.MaxInt64, math.MinInt64
+	w0 := max(start, 0) >> 6
+	c.scanMasks(lo, hi, active, start, end, func(base int, m uint64) bool {
+		if masks != nil {
+			masks[base>>6-w0] |= m
+		}
+		count += bits.OnesCount64(m)
+		s, mn, mx, data := sum, minV, maxV, c.data
+		for ; m != 0; m &= m - 1 {
+			v := data[base+bits.TrailingZeros64(m)]
+			s += v
+			if v < mn {
+				mn = v
+			}
+			if v > mx {
+				mx = v
+			}
+		}
+		sum, minV, maxV = s, mn, mx
+		return true
+	})
+	return count, sum, minV, maxV
 }
 
 // Gather fills out with the values at the given row positions and returns

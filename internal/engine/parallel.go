@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -20,10 +19,18 @@ import (
 // shared counter until the column is drained.
 const MorselBlocks = 64
 
-// parallelMinRows is the auto-parallelism threshold: below it a scan
-// runs serially, because goroutine startup and the merge would cost
-// more than the scan itself. One morsel of default-size blocks.
-const parallelMinRows = MorselBlocks * column.DefaultBlockSize
+// parallelMinRows is the auto-parallelism threshold of scans: one
+// maximum-stride morsel of default-size blocks (1 Mi rows). The adaptive
+// cursor already says a sparse scan's right unit of work is that big,
+// so a smaller table has nothing to split: attaching workers and
+// merging would cost more than a near-roofline scan saves.
+const parallelMinRows = MaxMorselBlocks * column.DefaultBlockSize
+
+// taskMinRows is the same threshold for the per-row-heavy barriers that
+// resolve through Workers — sort runs, join build and probe: at tens of
+// nanoseconds a row, one base morsel (64 Ki rows) is already
+// milliseconds of work and worth splitting.
+const taskMinRows = MorselBlocks * column.DefaultBlockSize
 
 // SetParallelism sets the executor's intra-query parallelism: 0 (the
 // default) picks GOMAXPROCS workers for scans of at least
@@ -54,7 +61,7 @@ func (e *Exec) Scheduler() *sched.Pool { return e.sched }
 
 // workersFor resolves the knob to a worker count for a scan of rows
 // tuples, clamped to the scheduler pool's width when one is set.
-func (e *Exec) workersFor(rows int) int { return WorkersSched(e.sched, e.par, rows) }
+func (e *Exec) workersFor(rows int) int { return resolveWorkers(e.sched, e.par, rows, parallelMinRows) }
 
 // EffectiveWorkers reports the worker count a scan of rows tuples
 // actually admits under the executor's knob and scheduler clamp; the
@@ -65,36 +72,37 @@ func (e *Exec) EffectiveWorkers(rows int) int { return e.workersFor(rows) }
 // most this many tuples count as short for the shared pool's
 // fair-share dispatch, so point lookups overtake long scans without
 // starving them (the boost is burst-bounded in sched).
-const shortScanRows = 8 * parallelMinRows
+const shortScanRows = 8 * MorselBlocks * column.DefaultBlockSize
 
 // shortScan classifies a scan of rows tuples for pool priority.
 func shortScan(rows int) bool { return rows <= shortScanRows }
 
 // Workers resolves a parallelism knob for a task over rows tuples:
 // 1 forces serial, n > 1 forces n workers, 0 (auto) uses GOMAXPROCS
-// past the one-morsel row threshold and stays serial below it. The
-// join, the SQL sort and the benchmarks all share this one resolution
-// so the knob means the same thing everywhere.
-func Workers(par, rows int) int {
-	switch {
-	case par == 1:
-		return 1
-	case par > 1:
-		return par
-	default:
-		if rows < parallelMinRows {
-			return 1
-		}
-		return runtime.GOMAXPROCS(0)
-	}
-}
+// from taskMinRows rows on and stays serial below it. The join, the SQL
+// sort and the benchmarks all share this one resolution so the knob
+// means the same thing everywhere; scans resolve the same way from
+// their own, higher row threshold (parallelMinRows).
+func Workers(par, rows int) int { return resolveWorkers(nil, par, rows, taskMinRows) }
 
 // WorkersSched is Workers with the shared-pool clamp: a forced
 // Parallelism(n) with n above the pool width would oversubscribe the
 // box the moment queries share one pool, so the resolved count never
 // exceeds the pool size. A nil pool resolves exactly like Workers.
 func WorkersSched(p *sched.Pool, par, rows int) int {
-	w := Workers(par, rows)
+	return resolveWorkers(p, par, rows, taskMinRows)
+}
+
+// resolveWorkers is the one knob resolution: auto goes parallel from
+// minRows rows on, and the pool's width caps whatever was resolved.
+func resolveWorkers(p *sched.Pool, par, rows, minRows int) int {
+	w := par
+	if par == 0 {
+		w = 1
+		if rows >= minRows {
+			w = runtime.GOMAXPROCS(0)
+		}
+	}
 	if p != nil && w > p.Size() {
 		w = p.Size()
 	}
@@ -269,71 +277,9 @@ func collectChunks(c *column.Int64, pred expr.Expr, active *bitvec.Vector, start
 	return out
 }
 
-// aggregateParallel folds morsels into per-worker partial aggregates and
-// merges them. Sums, counts and min/max are order-independent over
-// int64, so the merged aggregate equals the serial one exactly. When the
-// feedback loop needs the contributing rows, each morsel collects its
-// positions into a per-morsel buffer and the merge concatenates them in
-// morsel order — one ordered Rower, one TouchMany flush at the caller.
-func (e *Exec) aggregateParallel(c *column.Int64, pred expr.Expr, active *bitvec.Vector, workers int, touching bool) *AggResult {
-	lo, hi, exact := pred.Bounds()
-	rowsPer, nm := morselGeometry(c)
-	partials := make([]AggResult, workers)
-	for i := range partials {
-		partials[i].Min, partials[i].Max = math.MaxInt64, math.MinInt64
-	}
-	var rower [][]int32
-	if touching {
-		rower = make([][]int32, nm)
-	}
-	e.forEachMorsel(workers, nm, func(w, m int) {
-		p := &partials[w]
-		scanMorselBatches(c, lo, hi, exact, pred, active, m*rowsPer, (m+1)*rowsPer, func(sel []int32, val []int64) {
-			if touching {
-				rower[m] = append(rower[m], sel...)
-			}
-			p.Rows += len(val)
-			for _, v := range val {
-				p.Sum += v
-				if v < p.Min {
-					p.Min = v
-				}
-				if v > p.Max {
-					p.Max = v
-				}
-			}
-		})
-	})
-	agg := &AggResult{Min: math.MaxInt64, Max: math.MinInt64}
-	for i := range partials {
-		p := &partials[i]
-		agg.Rows += p.Rows
-		agg.Sum += p.Sum
-		if p.Min < agg.Min {
-			agg.Min = p.Min
-		}
-		if p.Max > agg.Max {
-			agg.Max = p.Max
-		}
-	}
-	if touching {
-		total := 0
-		for _, r := range rower {
-			total += len(r)
-		}
-		if total > 0 {
-			agg.Rower = make([]int32, 0, total)
-			for _, r := range rower {
-				agg.Rower = append(agg.Rower, r...)
-			}
-		}
-	}
-	return agg
-}
-
 // groupByParallel builds per-worker group tables and merges them; the
 // caller sorts by key, so worker interleaving never shows. Touched
-// positions are collected per morsel like aggregateParallel's Rower.
+// positions are collected per morsel and concatenated in morsel order.
 func (e *Exec) groupByParallel(c *column.Int64, pred expr.Expr, active *bitvec.Vector, width int64, workers int, touching bool) (map[int64]*Group, []int32) {
 	lo, hi, exact := pred.Bounds()
 	rowsPer, nm := morselGeometry(c)
@@ -387,29 +333,4 @@ func (e *Exec) groupByParallel(c *column.Int64, pred expr.Expr, active *bitvec.V
 		}
 	}
 	return merged, flat
-}
-
-// countMatchesParallel counts qualifying rows across morsels with
-// per-morsel tallies summed at the end. Exact-bounds predicates use the
-// pure counting kernel (no batch materialization at all); inexact ones
-// run the filter pipeline and count survivors.
-func (e *Exec) countMatchesParallel(c *column.Int64, pred expr.Expr, active *bitvec.Vector, workers int) int {
-	lo, hi, exact := pred.Bounds()
-	rowsPer, nm := morselGeometry(c)
-	counts := make([]int, nm)
-	e.forEachMorsel(workers, nm, func(_, m int) {
-		start, end := m*rowsPer, (m+1)*rowsPer
-		if exact {
-			counts[m] = c.CountRangeIn(lo, hi, active, start, end)
-			return
-		}
-		n := 0
-		scanMorselBatches(c, lo, hi, exact, pred, active, start, end, func(sel []int32, _ []int64) { n += len(sel) })
-		counts[m] = n
-	})
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total
 }

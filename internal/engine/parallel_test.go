@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"amnesiadb/internal/column"
 	"amnesiadb/internal/expr"
 	"amnesiadb/internal/table"
 	"amnesiadb/internal/xrand"
@@ -13,7 +14,7 @@ import (
 
 // parallelTestRows spans four morsels at the default block size, so a
 // forced-parallel scan genuinely splits across workers.
-const parallelTestRows = 4 * parallelMinRows
+const parallelTestRows = 4 * MorselBlocks * column.DefaultBlockSize
 
 // parallelTable builds a table large enough for several morsels and
 // applies the named active-bitmap shape.
@@ -135,26 +136,102 @@ func TestParallelAggregateEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelAggregateRowerOrdered checks the feedback path: a touching
-// parallel aggregate reports the same contributing rows, in the same
-// insertion order, as the serial one.
-func TestParallelAggregateRowerOrdered(t *testing.T) {
-	tb := parallelTable(t, "every-other")
-	serial := New(tb)
-	serial.SetParallelism(1)
-	parallel := New(tb)
-	parallel.SetParallelism(4)
+// TestParallelAggregateTouchesLikeSerial checks the feedback path: a
+// touching parallel aggregate leaves the same access counts as the
+// serial one — every contributing row touched exactly once per query.
+func TestParallelAggregateTouchesLikeSerial(t *testing.T) {
 	pred := expr.NewRange(0, 1<<16)
-	want, err := serial.Aggregate("a", pred, ScanActive)
-	if err != nil {
-		t.Fatal(err)
+	counts := func(par int) []uint32 {
+		tb := parallelTable(t, "every-other")
+		ex := New(tb)
+		ex.SetParallelism(par)
+		if _, err := ex.Aggregate("a", pred, ScanActive); err != nil {
+			t.Fatal(err)
+		}
+		return accessCounts(tb)
 	}
-	got, err := parallel.Aggregate("a", pred, ScanActive)
-	if err != nil {
-		t.Fatal(err)
+	if want, got := counts(1), counts(4); !reflect.DeepEqual(want, got) {
+		t.Fatal("parallel aggregate's access counts diverge from serial")
 	}
-	if !reflect.DeepEqual(want.Rower, got.Rower) {
-		t.Fatalf("parallel Rower diverges: %d vs %d rows", len(want.Rower), len(got.Rower))
+}
+
+// TestAggregateMatchesSelectAtEverySize sweeps table sizes around the
+// word, morsel and auto-parallel boundaries: at every parallelism the
+// aggregate equals the fold of Select's values and leaves the access
+// counts a Select of the same predicate leaves, for exact and inexact
+// bounds alike.
+func TestAggregateMatchesSelectAtEverySize(t *testing.T) {
+	morsel := MorselBlocks * column.DefaultBlockSize
+	sizes := []int{1, 63, 64, 65, morsel - 1, morsel, morsel + 1}
+	if !testing.Short() {
+		sizes = append(sizes, parallelMinRows+1)
+	}
+	preds := []expr.Expr{expr.NewRange(1000, 6000), expr.Cmp{Op: expr.NE, Val: 137}}
+	for _, n := range sizes {
+		for _, pred := range preds {
+			ref := vectorTable(t, n, 10000, 5)
+			sel, err := New(ref).Select("a", pred, ScanActive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rowAggregate(ref, "a", pred, ScanActive)
+			wantCounts := accessCounts(ref)
+			for _, par := range []int{1, 2, 0} {
+				tb := vectorTable(t, n, 10000, 5)
+				ex := New(tb)
+				ex.SetParallelism(par)
+				got, err := ex.Aggregate("a", pred, ScanActive)
+				if want == nil {
+					if err != ErrNoRows {
+						t.Fatalf("n=%d pred=%s par=%d: want ErrNoRows, got %v", n, pred, par, err)
+					}
+				} else if err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d pred=%s par=%d: aggregate %+v (%v), want %+v over %d rows", n, pred, par, got, err, want, sel.Count())
+				}
+				if !reflect.DeepEqual(accessCounts(tb), wantCounts) {
+					t.Fatalf("n=%d pred=%s par=%d: access counts diverge from Select's", n, pred, par)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentAggregatesAndSelectsTouchExactly races touching
+// aggregates (per-morsel TouchMask flushes) against touching selects
+// (per-query TouchMany) on one table: the final access counts are the
+// serial sum — each query adds one to every row it matched.
+func TestConcurrentAggregatesAndSelectsTouchExactly(t *testing.T) {
+	tb := parallelTable(t, "random")
+	pred := expr.NewRange(1<<14, 1<<16)
+	const goroutines, rounds = 8, 3
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ex := New(tb)
+			ex.SetParallelism(1 + g%3)
+			for i := 0; i < rounds; i++ {
+				var err error
+				if (g+i)%2 == 0 {
+					_, err = ex.Aggregate("a", pred, ScanActive)
+				} else {
+					_, err = ex.Select("a", pred, ScanActive)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	matched := rowSelect(tb, "a", pred, ScanActive)
+	want := make([]uint32, tb.Len())
+	for _, r := range matched.Rows {
+		want[r] = goroutines * rounds
+	}
+	if !reflect.DeepEqual(accessCounts(tb), want) {
+		t.Fatal("concurrent touches lost or duplicated access counts")
 	}
 }
 
@@ -220,8 +297,10 @@ func TestSilentPrecisionAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("silent Precision allocated %v objects per run, want ~0", allocs)
+	// Two counting passes, each one morsel-loop closure and its tally,
+	// plus the predicate boxed once for them.
+	if allocs > 5 {
+		t.Fatalf("silent Precision allocated %v objects per run, want O(1)", allocs)
 	}
 }
 
@@ -252,7 +331,7 @@ func TestParallelSelectTouchesOnce(t *testing.T) {
 // returned by the word-parallel kernel.
 func TestParallelMidBatchResume(t *testing.T) {
 	tb := table.New("t", "a")
-	vals := make([]int64, 3*parallelMinRows)
+	vals := make([]int64, 3*parallelTestRows/4)
 	for i := range vals {
 		vals[i] = int64(i % 100) // every row matches [0, 100)
 	}

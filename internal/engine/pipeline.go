@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"amnesiadb/internal/bitvec"
 	"amnesiadb/internal/column"
@@ -468,26 +467,24 @@ func NewChunkPipelineSched(ctx context.Context, sp *sched.Pool, workers, n int, 
 }
 
 // Adaptive morsel sizing: the scheduler starts at MorselBlocks and
-// grows the stride geometrically while morsels both complete faster
-// than adaptGrowBelow and qualify almost nothing — the signature of a
-// highly selective predicate over a huge column, where fixed-size
-// morsels spend as much time on scheduling atomics and chunk
-// bookkeeping as on scanning. The output gate matters as much as the
-// time gate: a dense scan's morsels may also finish fast, but growing
-// their stride would multiply the rows one in-flight pipeline task can
-// hold and blow the stalled-consumer memory bound, while a sparse
-// morsel's output stays around a chunk no matter the stride, so growth
-// is free. Growth is capped so a mispredicted stride never destroys
-// work-stealing balance, and because claimed ranges are contiguous and
-// emitted in claim order, results stay byte-identical at every stride.
+// doubles the stride after every morsel that qualifies at most one
+// batch — the signature of a highly selective predicate over a huge
+// column, where fixed-size morsels spend as much time on scheduling
+// atomics and chunk bookkeeping as on scanning — and halves it after a
+// denser one. Growth keys on output alone: a sparse morsel's output
+// stays around a chunk no matter the stride, so growing it is free,
+// while growing a dense scan's stride would multiply the rows one
+// in-flight pipeline task can hold and blow the stalled-consumer memory
+// bound. Output is a function of data and predicate, so the stride
+// sequence — and with it per-run latency — never flips on scheduler
+// noise the way a wall-clock gate does. Growth is capped so a
+// mispredicted stride never destroys work-stealing balance, and because
+// claimed ranges are contiguous and emitted in claim order, results
+// stay byte-identical at every stride.
 const (
 	// MaxMorselBlocks caps adaptive stride growth at 16x the base
 	// morsel: 1Mi rows per morsel at the default block size.
 	MaxMorselBlocks = 16 * MorselBlocks
-	// adaptGrowBelow is the per-morsel wall-time floor under which the
-	// stride may double: finishing a morsel this fast means scheduling
-	// overhead is a measurable fraction of the work.
-	adaptGrowBelow = 200 * time.Microsecond
 	// adaptGrowMaxRows is the qualifying-output ceiling for growth: a
 	// morsel compacting to at most one batch is doing mostly skipping,
 	// not producing.
@@ -499,7 +496,7 @@ type rowRange struct{ start, end int }
 
 // adaptiveMorsels is a per-query morsel cursor: claim hands out
 // contiguous ranges of the current stride with dense sequence numbers,
-// observe grows the stride when morsels complete too fast. One mutex
+// observe grows the stride while morsels qualify next to nothing. One mutex
 // guards both — a morsel is many thousands of rows, so the lock is cold.
 type adaptiveMorsels struct {
 	mu        sync.Mutex
@@ -548,25 +545,20 @@ func (a *adaptiveMorsels) claim() (rowRange, int, bool) {
 	return r, seq, true
 }
 
-// observe feeds one morsel's wall time and qualifying-row count back
-// into the stride: fast, near-empty morsels grow it; dense morsels
-// shrink it back toward the base. The shrink matters when selectivity
-// shifts mid-column (a sparse prefix followed by a dense suffix, the
-// shape of time-ordered data with a recent-values predicate): without
-// it, a stride grown during the sparse region would let every
-// in-flight task of the dense region hold a full max-stride morsel's
-// worth of chunks, multiplying the stalled-consumer memory bound.
-func (a *adaptiveMorsels) observe(d time.Duration, qualRows int) {
+// observe feeds one morsel's qualifying-row count back into the stride:
+// near-empty morsels grow it; dense morsels shrink it back toward the
+// base. The shrink matters when selectivity shifts mid-column (a sparse
+// prefix followed by a dense suffix, the shape of time-ordered data
+// with a recent-values predicate): without it, a stride grown during
+// the sparse region would let every in-flight task of the dense region
+// hold a full max-stride morsel's worth of chunks, multiplying the
+// stalled-consumer memory bound.
+func (a *adaptiveMorsels) observe(qualRows int) {
 	a.mu.Lock()
-	switch {
-	case d < adaptGrowBelow && qualRows <= adaptGrowMaxRows:
-		if a.stride < MaxMorselBlocks {
-			a.stride *= 2
-		}
-	case qualRows > adaptGrowMaxRows:
-		if a.stride > MorselBlocks {
-			a.stride /= 2
-		}
+	if qualRows <= adaptGrowMaxRows {
+		a.stride = min(2*a.stride, MaxMorselBlocks)
+	} else {
+		a.stride = max(a.stride/2, MorselBlocks)
 	}
 	a.mu.Unlock()
 }
@@ -605,13 +597,12 @@ func (e *Exec) SelectChunkStream(ctx context.Context, col string, pred expr.Expr
 	var touchMu sync.Mutex
 	var touched []int32
 	produce := func(r rowRange) ([]SelChunk, error) {
-		t0 := time.Now()
 		batches := collectChunks(c, pred, active, r.start, r.end)
 		qual := 0
 		for _, b := range batches {
 			qual += len(b.Sel)
 		}
-		cur.observe(time.Since(t0), qual)
+		cur.observe(qual)
 		if len(batches) == 0 {
 			return nil, nil
 		}

@@ -294,7 +294,7 @@ func TestAdaptiveMorselsGrowAndCap(t *testing.T) {
 			t.Fatalf("claim %d = [%d,%d), want start %d", s, r.start, r.end, pos)
 		}
 		pos, seq = r.end, seq+1
-		cur.observe(0, 0) // instantaneous, empty morsel: grow
+		cur.observe(0) // empty morsel: grow
 	}
 	if pos != c.Len() {
 		t.Fatalf("claims covered %d rows, column has %d", pos, c.Len())
@@ -304,38 +304,32 @@ func TestAdaptiveMorselsGrowAndCap(t *testing.T) {
 	}
 	// Unbounded feedback saturates at the cap and stays there.
 	for i := 0; i < 32; i++ {
-		cur.observe(0, 0)
+		cur.observe(0)
 	}
 	if got := cur.Stride(); got != MaxMorselBlocks {
 		t.Fatalf("stride cap = %d, want %d", got, MaxMorselBlocks)
 	}
-	// Slow morsels never grow the stride.
-	cur2 := newAdaptiveMorsels(c)
-	cur2.observe(time.Second, 0)
-	if got := cur2.Stride(); got != MorselBlocks {
-		t.Fatalf("slow morsel grew stride to %d", got)
-	}
-	// Neither do fast but dense morsels: growing their stride would
-	// multiply the rows an in-flight pipeline task can hold.
+	// Dense morsels never grow the stride: that would multiply the rows
+	// an in-flight pipeline task can hold.
 	cur3 := newAdaptiveMorsels(c)
-	cur3.observe(0, adaptGrowMaxRows+1)
+	cur3.observe(adaptGrowMaxRows + 1)
 	if got := cur3.Stride(); got != MorselBlocks {
 		t.Fatalf("dense morsel grew stride to %d", got)
 	}
 	// And a grown stride shrinks back once morsels turn dense, so a
 	// sparse prefix cannot inflate the dense suffix's memory bound.
 	cur4 := newAdaptiveMorsels(c)
-	cur4.observe(0, 0)
-	cur4.observe(0, 0)
+	cur4.observe(0)
+	cur4.observe(0)
 	if got := cur4.Stride(); got != 4*MorselBlocks {
 		t.Fatalf("grown stride = %d, want %d", got, 4*MorselBlocks)
 	}
-	cur4.observe(0, adaptGrowMaxRows+1)
+	cur4.observe(adaptGrowMaxRows + 1)
 	if got := cur4.Stride(); got != 2*MorselBlocks {
 		t.Fatalf("stride after dense morsel = %d, want %d", got, 2*MorselBlocks)
 	}
-	cur4.observe(0, adaptGrowMaxRows+1)
-	cur4.observe(0, adaptGrowMaxRows+1)
+	cur4.observe(adaptGrowMaxRows + 1)
+	cur4.observe(adaptGrowMaxRows + 1)
 	if got := cur4.Stride(); got != MorselBlocks {
 		t.Fatalf("stride floor = %d, want base %d", got, MorselBlocks)
 	}

@@ -36,7 +36,7 @@ func rowAggregate(t *table.Table, col string, pred expr.Expr, mode ScanMode) *Ag
 	if len(sel.Rows) == 0 {
 		return nil
 	}
-	agg := &AggResult{Min: math.MaxInt64, Max: math.MinInt64, Rower: sel.Rows}
+	agg := &AggResult{Min: math.MaxInt64, Max: math.MinInt64}
 	for _, v := range sel.Values {
 		agg.Rows++
 		agg.Sum += v
@@ -160,9 +160,6 @@ func TestVectorizedAggregateMatchesRowAtATime(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Silent executors skip Rower collection by design; compare
-			// the numeric aggregates only.
-			want.Rower = nil
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("pred=%s mode=%s: aggregate diverged: got %+v want %+v", pred, mode, got, want)
 			}
@@ -170,35 +167,42 @@ func TestVectorizedAggregateMatchesRowAtATime(t *testing.T) {
 	}
 }
 
-// TestAggregateRowerOnFeedbackPath checks a touching executor still
-// collects the contributing positions the advisor and §3.2 strategies
-// consume, while silent and ScanAll aggregates leave Rower nil.
-func TestAggregateRowerOnFeedbackPath(t *testing.T) {
-	tb := vectorTable(t, BatchSize+33, 1000, 31)
+// accessCounts snapshots the table's access-count vector.
+func accessCounts(tb *table.Table) []uint32 {
+	out := make([]uint32, tb.Len())
+	for i := range out {
+		out[i] = tb.AccessCount(i)
+	}
+	return out
+}
+
+// TestAggregateTouchesOnFeedbackPath checks a touching executor feeds
+// the §3.2 strategies exactly the rows a Select would, while silent and
+// ScanAll aggregates touch nothing.
+func TestAggregateTouchesOnFeedbackPath(t *testing.T) {
 	pred := expr.NewRange(100, 800)
-	want := rowAggregate(tb, "a", pred, ScanActive)
+	ref := vectorTable(t, BatchSize+33, 1000, 31)
+	if _, err := New(ref).Select("a", pred, ScanActive); err != nil {
+		t.Fatal(err)
+	}
+	want := accessCounts(ref)
 
-	got, err := New(tb).Aggregate("a", pred, ScanActive)
-	if err != nil {
+	tb := vectorTable(t, BatchSize+33, 1000, 31)
+	untouched := accessCounts(tb)
+	if _, err := NewSilent(tb).Aggregate("a", pred, ScanActive); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Rower, want.Rower) {
-		t.Fatalf("feedback-path Rower diverged: %d vs %d positions", len(got.Rower), len(want.Rower))
-	}
-
-	silent, err := NewSilent(tb).Aggregate("a", pred, ScanActive)
-	if err != nil {
+	if _, err := New(tb).Aggregate("a", pred, ScanAll); err != nil {
 		t.Fatal(err)
 	}
-	if silent.Rower != nil {
-		t.Fatalf("silent aggregate collected %d positions", len(silent.Rower))
+	if !reflect.DeepEqual(accessCounts(tb), untouched) {
+		t.Fatal("silent or ScanAll aggregate touched access counts")
 	}
-	all, err := New(tb).Aggregate("a", pred, ScanAll)
-	if err != nil {
+	if _, err := New(tb).Aggregate("a", pred, ScanActive); err != nil {
 		t.Fatal(err)
 	}
-	if all.Rower != nil {
-		t.Fatalf("ScanAll aggregate collected %d positions", len(all.Rower))
+	if !reflect.DeepEqual(accessCounts(tb), want) {
+		t.Fatal("feedback-path aggregate's access counts diverge from Select's")
 	}
 }
 

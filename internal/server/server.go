@@ -215,6 +215,12 @@ const rowBufMax = 1 << 20
 // json.Marshal output it replaces (pinned by TestAppendRowJSONMatchesEncodingJSON).
 func appendJSONFloat(b []byte, v float64) []byte {
 	abs := math.Abs(v)
+	// Integer cells — every stored column is int64 — skip the float
+	// formatter: below 2^53 'f' prints exactly the integer's digits.
+	// Negative zero is the one integral value whose sign AppendInt drops.
+	if v == math.Trunc(v) && abs < 1<<53 && !(v == 0 && math.Signbit(v)) {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -345,6 +345,36 @@ func TestAppendRowJSONMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// FuzzAppendJSONFloat holds the cell encoder — integer fast path
+// included — to encoding/json for every float64 it accepts; NaN takes
+// appendRowJSON's null path and infinities never reach the encoder
+// (no int64 column or aggregate of one produces them).
+func FuzzAppendJSONFloat(f *testing.F) {
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), 1<<53 - 1, -(1<<53 - 1), 1 << 53, -(1 << 53), 1<<53 + 2,
+		1e21, 1e-7, math.NaN(), math.MaxInt64, math.MinInt64, 0.5, -2.25,
+	} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v float64) {
+		if math.IsInf(v, 0) {
+			t.Skip()
+		}
+		got := string(appendRowJSON(nil, []float64{v}))
+		want := "[null]"
+		if !math.IsNaN(v) {
+			b, err := json.Marshal([]float64{v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = string(b)
+		}
+		if got != want {
+			t.Fatalf("appendRowJSON([%v]) = %s, want %s", v, got, want)
+		}
+	})
+}
+
 // TestQueryCancelledRequestContext pins the ctx propagation satellite at
 // the HTTP surface: a request whose context is already cancelled cannot
 // stream a full result — the body terminates with the cancellation in

@@ -552,9 +552,11 @@ func orderedSelectStream(ctx context.Context, rel Relation, headers []string, in
 // rows, column-at-a-time: the scan column's values are already in hand,
 // every other column is gathered over the span's positions.
 func projectSpan(rel Relation, cols []string, scanCol string, rows []int32, vals []int64, out [][]float64) ([][]float64, error) {
+	// One backing array per span; rows are fixed-capacity slices of it.
 	base := len(out)
-	for range vals {
-		out = append(out, make([]float64, len(cols)))
+	cells := make([]float64, len(vals)*len(cols))
+	for i := range vals {
+		out = append(out, cells[i*len(cols):(i+1)*len(cols):(i+1)*len(cols)])
 	}
 	var buf []int64
 	for ci, cn := range cols {

@@ -8,6 +8,7 @@ package table
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -23,17 +24,18 @@ import (
 // Concurrency contract: structural mutation (appends, forgetting,
 // vacuuming) requires external exclusive locking, but any number of
 // concurrent readers may scan the table — and those readers may call
-// Touch/TouchMany, which serialise the access-frequency updates behind
-// an internal mutex. That split is what lets the facade run ScanActive
-// queries under a shared read lock while preserving the §3.2
-// query-based-amnesia feedback loop.
+// Touch/TouchMany/TouchMask, which serialise the access-frequency
+// updates behind an internal mutex. That split is what lets the facade
+// run ScanActive queries under a shared read lock while preserving the
+// §3.2 query-based-amnesia feedback loop.
 //
 // The read surface the engine's morsel workers need — Column, Active,
 // Len — takes no locks and returns stable references while the
 // table's external lock is held shared, so any number of intra-query
 // worker goroutines may scan concurrently with zero coordination
-// through the table itself; only their single per-query TouchMany
-// flush meets the internal mutex.
+// through the table itself; only their touch flushes — one TouchMany
+// per select, one TouchMask per aggregate morsel — meet the internal
+// mutex.
 type Table struct {
 	name    string
 	colName []string
@@ -298,6 +300,21 @@ func (t *Table) TouchMany(idx []int32) {
 	t.touchMu.Lock()
 	for _, i := range idx {
 		t.touchOne(int(i))
+	}
+	t.touchMu.Unlock()
+}
+
+// TouchMask is TouchMany for rows given as bitmasks: bit b of masks[k]
+// names tuple (startWord+k)*64 + b. Aggregates flush each morsel's
+// qualifying masks here instead of materializing every contributing
+// position, so the lock is held for one morsel's rows at a time and the
+// feedback costs O(morsel) memory however many rows the query folds.
+func (t *Table) TouchMask(startWord int, masks []uint64) {
+	t.touchMu.Lock()
+	for k, m := range masks {
+		for base := (startWord + k) << 6; m != 0; m &= m - 1 {
+			t.touchOne(base + bits.TrailingZeros64(m))
+		}
 	}
 	t.touchMu.Unlock()
 }

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -109,6 +110,27 @@ func TestTouchSaturates(t *testing.T) {
 	tb.TouchMany([]int32{0, 0})
 	if tb.AccessCount(0) != 7 {
 		t.Fatalf("access count after TouchMany = %d", tb.AccessCount(0))
+	}
+}
+
+// TestTouchMaskMatchesTouchMany checks the bitmask flush names the same
+// tuples as the position flush, from any start word, and that a count
+// already at the uint32 ceiling stays there.
+func TestTouchMaskMatchesTouchMany(t *testing.T) {
+	vals := make([]int64, 200)
+	byMask, byPos := single(t, vals), single(t, vals)
+	byMask.accessCount[70], byPos.accessCount[70] = ^uint32(0), ^uint32(0)
+	masks := []uint64{1<<6 | 1<<63, 0, 1 | 1<<7}
+	byMask.TouchMask(1, masks)
+	byPos.TouchMany([]int32{64 + 6, 64 + 63, 192, 192 + 7})
+	if !slices.Equal(byMask.accessCount, byPos.accessCount) {
+		t.Fatalf("TouchMask counts %v, TouchMany counts %v", byMask.accessCount, byPos.accessCount)
+	}
+	if got := byMask.AccessCount(70); got != ^uint32(0) {
+		t.Fatalf("saturated count moved to %d", got)
+	}
+	if got := byMask.AccessCount(199); got != 1 {
+		t.Fatalf("row 199 touched %d times, want 1", got)
 	}
 }
 
