@@ -1,7 +1,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race lint lint-audit lint-audit-check fmt vet fuzz-smoke bench-test clean
+.PHONY: all build test race lint lint-audit lint-audit-check fmt vet fuzz-smoke bench-test loc clean
 
 all: build test lint
 
@@ -67,6 +67,14 @@ fuzz-smoke:
 # 1.5 s smoke pass of every workload.
 bench-test:
 	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints non-test Go lines per package directory and in total,
+# outside benchmarks/, .bench_build/ and testdata/: the number a
+# simplification PR reports before and after, like a speedup.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path './.bench_build/*' ! -path '*/testdata/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 clean:
 	rm -rf $(BIN)

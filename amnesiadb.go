@@ -92,14 +92,14 @@ type Options struct {
 	// aggregates are exact — only the core count changes. Forced counts
 	// above the worker pool's width are clamped to it.
 	Parallelism int
-	// PoolSize selects the shared worker pool that executes every
-	// query's morsels. 0 (default) uses the process-global pool of
+	// PoolSize selects the worker pool that executes every query's
+	// morsels — the engine's only dispatcher. 0 (default, and what a
+	// negative value is clamped to) uses the process-global pool of
 	// GOMAXPROCS workers shared by every DB in the process, so total
 	// engine concurrency stays bounded by the core count no matter how
 	// many queries run at once; n > 0 gives this DB a dedicated pool of
-	// n workers (Close releases it); n < 0 disables the pool entirely
-	// and every query spawns its own goroutines, the pre-pool behavior.
-	// Results are identical at every setting.
+	// n workers (Close releases it). Results are identical at every
+	// setting.
 	PoolSize int
 	// MaxQueries is the advisory admission limit the serving layer
 	// reads via DB.MaxQueries: the number of queries allowed to execute
@@ -200,9 +200,9 @@ type DB struct {
 	// par is Options.Parallelism, stamped onto every executor built for
 	// this database (tables, SQL runs, partition shards).
 	par int
-	// pool is the shared morsel scheduler stamped onto every executor;
-	// nil runs the legacy per-query-goroutine paths. ownPool marks a
-	// dedicated (PoolSize > 0) pool that Close must shut down.
+	// pool is the morsel scheduler stamped onto every executor, never
+	// nil. ownPool marks a dedicated (PoolSize > 0) pool that Close
+	// must shut down.
 	pool    *sched.Pool
 	ownPool bool
 	// plans caches parsed statements by normalized SQL; results caches
@@ -274,11 +274,10 @@ func Open(opts Options) *DB {
 		maxQueryDur:   max(opts.MaxQueryDuration, 0),
 		stallDetach:   max(stall, 0),
 	}
-	switch {
-	case opts.PoolSize > 0:
+	if opts.PoolSize > 0 {
 		db.pool = sched.New(opts.PoolSize)
 		db.ownPool = true
-	case opts.PoolSize == 0:
+	} else {
 		db.pool = sched.Default()
 	}
 	return db
@@ -302,7 +301,7 @@ func (db *DB) Close() {
 // database's queries; the /healthz endpoint reports it.
 type PoolStats struct {
 	// Workers is the pool width — the hard bound on concurrently
-	// executing morsel steps. Zero means no pool (PoolSize < 0).
+	// executing morsel steps.
 	Workers int `json:"workers"`
 	// Running counts steps executing right now.
 	Running int `json:"running"`
@@ -310,12 +309,8 @@ type PoolStats struct {
 	Queries int `json:"queries"`
 }
 
-// PoolStats snapshots the worker pool; zeros when the DB runs without
-// one.
+// PoolStats snapshots the worker pool.
 func (db *DB) PoolStats() PoolStats {
-	if db.pool == nil {
-		return PoolStats{}
-	}
 	s := db.pool.Stats()
 	return PoolStats{Workers: s.Workers, Running: s.Running, Queries: s.Queries}
 }
@@ -1320,7 +1315,7 @@ func (db *DB) Join(left *Table, leftCol string, right *Table, rightCol string, p
 	lockPair(left, right)
 	defer unlockPair(left, right)
 	//lint:ignore ctxflow Join is a public ctx-less facade method; SQL joins thread the request context via Opts.Ctx.
-	res, err := engine.HashJoinSched(context.Background(), db.pool, left.tbl, leftCol, right.tbl, rightCol, p.expr(), engine.ScanActive, db.par)
+	res, err := engine.HashJoin(context.Background(), db.pool, left.tbl, leftCol, right.tbl, rightCol, p.expr(), engine.ScanActive, db.par)
 	if err != nil {
 		return nil, err
 	}
@@ -1339,7 +1334,7 @@ func (db *DB) JoinPrecision(left *Table, leftCol string, right *Table, rightCol 
 	lockPair(left, right)
 	defer unlockPair(left, right)
 	//lint:ignore ctxflow JoinPrecision is a public ctx-less facade method; precision runs are operator-driven, not request-driven.
-	return engine.JoinPrecisionSched(context.Background(), db.pool, left.tbl, leftCol, right.tbl, rightCol, p.expr(), db.par)
+	return engine.JoinPrecision(context.Background(), db.pool, left.tbl, leftCol, right.tbl, rightCol, p.expr(), db.par)
 }
 
 // lockPair acquires both tables' read locks in a stable order. Joins are

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -51,7 +52,7 @@ func runJoinBench(n, workers int) error {
 		par  int
 	}{{"serial", 1}, {"parallel", workers}} {
 		op := func() error {
-			res, err := engine.HashJoinPar(probe, "k", build, "k", nil, engine.ScanActive, cell.par)
+			res, err := engine.HashJoin(context.Background(), nil, probe, "k", build, "k", nil, engine.ScanActive, cell.par)
 			if err != nil {
 				return err
 			}
@@ -64,7 +65,7 @@ func runJoinBench(n, workers int) error {
 		if err != nil {
 			return err
 		}
-		w := engine.Workers(cell.par, total)
+		w := engine.Workers(nil, cell.par, total, engine.TaskMinRows)
 		if w > probeMorsels {
 			w = probeMorsels
 		}

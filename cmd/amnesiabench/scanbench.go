@@ -59,7 +59,7 @@ func runScanBench(n, workers int) error {
 	pool := sched.Default()
 	rowsPerMorsel := engine.MorselBlocks * column.DefaultBlockSize
 	numMorsels := (n + rowsPerMorsel - 1) / rowsPerMorsel
-	resolved := engine.WorkersSched(pool, workers, n)
+	resolved := engine.Workers(pool, workers, n, engine.TaskMinRows)
 	if resolved > numMorsels {
 		resolved = numMorsels
 	}

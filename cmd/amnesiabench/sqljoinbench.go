@@ -17,7 +17,7 @@ import (
 // one JSON line each for the direct join, the SQL join, the parse step
 // alone, and the derived sql-minus-direct delta. The SQL path pays for
 // parse, plan/validation and float64 projection on top of the identical
-// HashJoinPar call, so the delta is the end-to-end cost of the SQL
+// HashJoin call, so the delta is the end-to-end cost of the SQL
 // surface, with parse_ns isolating the front half.
 func runSQLJoinBench(n, workers int) error {
 	db := amnesiadb.Open(amnesiadb.Options{Seed: 1, Parallelism: workers})
@@ -46,7 +46,7 @@ func runSQLJoinBench(n, workers int) error {
 	}
 	total := n + n/8
 	const query = "SELECT probe.k, build.k FROM probe JOIN build ON probe.k = build.k"
-	w := engine.Workers(workers, total)
+	w := engine.Workers(nil, workers, total, engine.TaskMinRows)
 	enc := json.NewEncoder(os.Stdout)
 	emit := func(bench string, ns, allocs float64) error {
 		return enc.Encode(scanResult{

@@ -36,12 +36,19 @@ var batchPool = sync.Pool{
 	},
 }
 
-// GetBatch returns a full-size batch from the pool.
-func GetBatch() *Batch { return batchPool.Get().(*Batch) }
+// getHook and putHook, when non-nil, observe every pool hand-out and
+// return; tests use them to pin that teardown and error paths recycle
+// their batches.
+var getHook, putHook func(*Batch)
 
-// putHook, when non-nil, observes every pool return; tests use it to
-// pin that teardown and error paths recycle their batches.
-var putHook func(*Batch)
+// GetBatch returns a full-size batch from the pool.
+func GetBatch() *Batch {
+	b := batchPool.Get().(*Batch)
+	if getHook != nil {
+		getHook(b)
+	}
+	return b
+}
 
 // PutBatch returns a batch obtained from GetBatch to the pool.
 func PutBatch(b *Batch) {
@@ -53,24 +60,13 @@ func PutBatch(b *Batch) {
 	batchPool.Put(b)
 }
 
-// scanBatches drives the batch pipeline over the whole column under
-// mode; see scanMorselBatches.
-func (e *Exec) scanBatches(c *column.Int64, pred expr.Expr, mode ScanMode, fn func(sel []int32, val []int64)) {
-	lo, hi, exact := pred.Bounds()
-	var active *bitvec.Vector
-	if mode == ScanActive {
-		active = e.t.Active()
-	}
-	scanMorselBatches(c, lo, hi, exact, pred, active, 0, c.Len(), fn)
-}
-
 // countMatches returns the number of rows satisfying pred under mode
 // without materializing positions or values — the counting fast path
 // behind COUNT(*) and both of Precision's passes — over the same morsel
 // loop as every other scan. Exact-bounds predicates use the pure
 // counting kernel; inexact ones run the filter pipeline and count
 // survivors.
-func (e *Exec) countMatches(c *column.Int64, pred expr.Expr, mode ScanMode) int {
+func (e *Exec) countMatches(c *column.Int64, pred expr.Expr, mode ScanMode) (int, error) {
 	var active *bitvec.Vector
 	if mode == ScanActive {
 		active = e.t.Active()
@@ -78,7 +74,7 @@ func (e *Exec) countMatches(c *column.Int64, pred expr.Expr, mode ScanMode) int 
 	lo, hi, exact := pred.Bounds()
 	rowsPer, nm := morselGeometry(c)
 	var total atomic.Int64
-	e.forEachMorsel(e.workersFor(c.Len()), nm, func(_, m int) {
+	err := ForEachTask(e.ctx, e.sched, e.workersFor(c.Len()), nm, func(_, m int) {
 		start, end := m*rowsPer, (m+1)*rowsPer
 		n := 0
 		if exact {
@@ -88,5 +84,5 @@ func (e *Exec) countMatches(c *column.Int64, pred expr.Expr, mode ScanMode) int 
 		}
 		total.Add(int64(n))
 	})
-	return int(total.Load())
+	return int(total.Load()), err
 }

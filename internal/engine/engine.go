@@ -21,23 +21,42 @@
 // Running the same query in both modes is how the simulator computes the
 // precision metrics of §2.3 without a reference database.
 //
-// Large scans are additionally parallel *within* one query,
-// morsel-driven in the Leis et al. sense: the column's block range is
-// carved into morsels of MorselBlocks zone-mapped blocks, and worker
-// goroutines pull morsel indices from a shared atomic counter, each
-// running the same ScanBatch/Filter pipeline over its morsel with
-// worker-local pooled batches and worker-local partial states (chunk
-// lists for Select, partial aggregates for Aggregate, group tables for
-// GroupBy, tallies for counting). Partials merge deterministically —
-// per-morsel outputs concatenate in morsel order, so Select results
-// stay in insertion order and aggregates equal their serial values
-// exactly. One knob governs the whole engine: SetParallelism(0) (auto)
-// uses GOMAXPROCS workers for scans of at least one maximum-stride
-// morsel (1 Mi rows at the default block size) and stays serial below
-// it, where attaching workers and merging costs more than a
-// near-roofline scan saves; SetParallelism(1) forces serial; n > 1
-// forces n workers. Serial is never a second code path: it is the
-// morsel loop run inline by one worker.
+// Scans are morsel-driven in the Leis et al. sense: the column's block
+// range is carved into morsels of MorselBlocks zone-mapped blocks, and
+// steps pull morsel indices from a shared atomic counter, each running
+// the same ScanBatch/Filter pipeline over its morsel with worker-local
+// pooled batches and worker-local partial states (chunk lists for
+// Select, partial aggregates for Aggregate, group tables for GroupBy,
+// tallies for counting). Partials merge deterministically — per-morsel
+// outputs concatenate in morsel order, so Select results stay in
+// insertion order and aggregates are exact at every worker count. One
+// knob governs the whole engine: SetParallelism(0) (auto) uses
+// GOMAXPROCS workers for scans of at least one maximum-stride morsel
+// (1 Mi rows at the default block size) and one worker below it, where
+// attaching workers and merging costs more than a near-roofline scan
+// saves; SetParallelism(1) is one worker; n > 1 asks for n, capped at
+// the pool's width.
+//
+// There is one dispatcher and one entry per operator. Every barrier —
+// Select, Aggregate, counting, GroupBy, the join's build and probe, and
+// through ForEachTask the SQL sort runs and the partition layer's shard
+// fan-outs — hands its steps to run (parallel.go): one worker loops
+// inline on the caller, more attach to the worker pool as one sched
+// query of that width which the caller drives alongside the pool's
+// workers (Attach + Wait). The pool is the only place engine work runs;
+// an unset one is sched.Default(). Before every step run checks the
+// Exec's context and the query's governor quota, so every operator
+// stops at its next morsel once the request is cancelled, over budget
+// or past its deadline. Every stream — SelectChunkStream, shard
+// fan-outs — runs through runPipeline (pipeline.go), whose steps are
+// queries of the same pool that nobody Waits on: the consumer blocks on
+// a channel instead. That is why the two drivers stay apart and why
+// Select is not Collect() of SelectChunkStream: a barrier may run
+// inside another query's pool step (a shard's Select inside a
+// partitioned fan-out), where it must drive its own morsels; a stream
+// consumer there would block a pool worker on a producer nobody is
+// obliged to run. Materialized-is-Collect-of-the-stream applies where
+// the caller is not a pool step (partition.Set.Select, SQL's ORDER BY).
 //
 // Scans are also pipelined (see pipeline.go): SelectChunkStream's
 // workers push qualifying chunks into a bounded channel, in order,
@@ -51,17 +70,12 @@
 // time; claimed ranges stay contiguous and merge in claim order, so
 // every stride produces byte-identical output.
 //
-// HashJoin rides the same scheduler end to end, build-while-collect:
-// both sides' collections stream concurrently, the side predicted
-// smaller scatters into radix partitions as its chunks arrive (chunk
-// arrival order keeps each key's match list in build order) with one
-// worker building each partition's hash map, and the probe runs
-// morsel-parallel over the collected probe vector with per-morsel
-// output slots concatenated in probe order — so the parallel join is
-// byte-identical to the serial one. Cross-shard parallelism follows
-// the same shape one level up: internal/partition fans a query's
-// per-shard scans out concurrently (a shard is the morsel), and SQL's
-// ORDER BY sorts morsel-sized runs in parallel before a k-way merge.
+// HashJoin rides the same dispatchers end to end, build-while-collect
+// (see its doc). Cross-shard parallelism follows the same shape one
+// level up: internal/partition fans a query's per-shard scans out
+// through ForEachTask and NewChunkPipeline (a shard is the morsel), and
+// SQL's ORDER BY sorts morsel-sized runs through ForEachTask before a
+// k-way merge.
 //
 // Executors are safe for concurrent readers: scans take no locks and
 // share no mutable state, and the access-frequency touches feeding
@@ -73,6 +87,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math"
 	"slices"
@@ -123,31 +138,41 @@ type Result struct {
 // run under ScanActive.
 func (r *Result) Count() int { return len(r.Rows) }
 
-// Exec is a query executor bound to one table. The zero value is unusable;
-// construct with New. An Exec holds no per-query state — only
-// configuration (the table binding, the touch flag, the parallelism
-// knob) — so one executor may serve any number of concurrent read-only
-// queries once configured.
+// Exec is a query executor bound to one table, and the execution
+// context of its operators: table binding, touch flag, parallelism
+// knob, worker pool and cancellation context. The zero value is
+// unusable; construct with New. An Exec holds no per-query state beyond
+// that configuration, so one executor may serve any number of
+// concurrent read-only queries; a request derives its own cancellable
+// copy with WithContext.
 type Exec struct {
 	t     *table.Table
 	touch bool
 	// par is the intra-query parallelism knob; see SetParallelism.
 	par int
-	// sched, when non-nil, dispatches parallel work through a shared
-	// worker pool instead of spawning per-query goroutines; see
-	// SetScheduler.
+	// sched is the worker pool the operators' steps run on; nil means
+	// sched.Default(). See SetScheduler.
 	sched *sched.Pool
+	// ctx stops the operators at morsel boundaries; see WithContext.
+	ctx context.Context
 }
 
 // New returns an executor for t that records access frequencies (Touch)
 // for tuples returned by ScanActive selections — the feedback loop
 // query-based amnesia (§3.2) depends on.
-func New(t *table.Table) *Exec { return &Exec{t: t, touch: true} }
+func New(t *table.Table) *Exec {
+	e := NewSilent(t)
+	e.touch = true
+	return e
+}
 
 // NewSilent returns an executor that does not update access frequencies.
 // Metric ground-truth scans use it so that measuring precision does not
 // perturb rot-style strategies.
-func NewSilent(t *table.Table) *Exec { return &Exec{t: t} }
+func NewSilent(t *table.Table) *Exec {
+	//lint:ignore ctxflow the constructors are the engine's ctx-less entry: an Exec is uncancellable until a request derives its own with WithContext.
+	return &Exec{t: t, ctx: context.Background()}
+}
 
 // Table returns the executor's table.
 func (e *Exec) Table() *table.Table { return e.t }
@@ -174,7 +199,11 @@ func (e *Exec) selectTouching(col string, pred expr.Expr, mode ScanMode, touch b
 	// The scan kernel fills pooled batches (morsel-parallel past the
 	// threshold); the chunks are then merged once into an exactly-sized
 	// result. One pass over the data, no append-doubling churn.
-	res := mergeChunks(e.collectAll(c, pred, active))
+	chunks, err := e.collectAll(c, pred, active)
+	if err != nil {
+		return nil, err
+	}
+	res := mergeChunks(chunks)
 	if touch && mode == ScanActive {
 		e.t.TouchMany(res.Rows)
 	}
@@ -195,75 +224,24 @@ type SelChunk struct {
 	quota *governor.Quota
 }
 
-// SelectChunks is Select without the final concatenation: the qualifying
-// tuples come back as the scan pipeline produced them — a list of
-// batch-sized chunks in insertion order — so callers (the SQL layer's
-// result stream) can project and serialize incrementally instead of
-// materializing one flat result. Chunk buffers are stolen from the batch
-// pool (the pool replaces them on demand); the caller owns them.
-// Concatenating the chunks yields exactly Select's Rows and Values.
-func (e *Exec) SelectChunks(col string, pred expr.Expr, mode ScanMode) ([]SelChunk, error) {
-	c, err := e.t.Column(col)
-	if err != nil {
-		return nil, err
-	}
-	var active *bitvec.Vector
-	if mode == ScanActive {
-		active = e.t.Active()
-	}
-	batches := e.collectAll(c, pred, active)
-	out := make([]SelChunk, len(batches))
-	for i, b := range batches {
-		out[i] = SelChunk{Rows: b.Sel, Values: b.Val}
-	}
-	if e.touch && mode == ScanActive {
-		// One TouchMany per query, like Select: flushing per chunk would
-		// contend on the touch mutex once per batch across concurrent
-		// readers — exactly the serialisation the per-query flush exists
-		// to avoid.
-		total := 0
-		for _, b := range batches {
-			total += len(b.Sel)
-		}
-		if total > 0 {
-			rows := make([]int32, 0, total)
-			for _, b := range batches {
-				rows = append(rows, b.Sel...)
-			}
-			e.t.TouchMany(rows)
-		}
-	}
-	return out, nil
-}
-
-// collectAll runs the scan pipeline over the whole column — serial, or
-// morsel-parallel when the knob admits workers — and returns the
-// qualifying rows as truncated pooled batches in insertion order. Both
-// Select and SelectChunks drain this one path. Parallel scans pull
-// adaptively sized morsels (see adaptiveMorsels): each claimed range
-// fills its own chunk-list slot keyed by claim sequence, and the
-// flattening walks the slots in claim order — claims are contiguous and
-// ascending, so rows stay in insertion order, byte-identical to the
-// serial scan at every stride.
-func (e *Exec) collectAll(c *column.Int64, pred expr.Expr, active *bitvec.Vector) []*Batch {
-	w := e.workersFor(c.Len())
-	if w <= 1 {
-		return collectChunks(c, pred, active, 0, c.Len())
-	}
+// collectAll runs the scan pipeline over the whole column as one barrier
+// and returns the qualifying rows as truncated pooled batches in
+// insertion order. Steps pull adaptively sized morsels (see
+// adaptiveMorsels): each claimed range fills its own chunk-list slot
+// keyed by claim sequence, and the flattening walks the slots in claim
+// order — claims are contiguous and ascending, so rows stay in
+// insertion order, byte-identical at every stride and worker count. A
+// cancelled scan hands its batches back to the pool.
+func (e *Exec) collectAll(c *column.Int64, pred expr.Expr, active *bitvec.Vector) ([]*Batch, error) {
 	cur := e.newMorsels(c)
 	var mu sync.Mutex
 	var slots [][]*Batch
-	runOne := func() bool {
+	err := run(e.ctx, e.sched, e.workersFor(c.Len()), shortScan(c.Len()), func(int) bool {
 		r, seq, ok := cur.claim()
 		if !ok {
 			return false
 		}
-		cs := collectChunks(c, pred, active, r.start, r.end)
-		qual := 0
-		for _, b := range cs {
-			qual += len(b.Sel)
-		}
-		cur.observe(qual)
+		cs := cur.scan(c, pred, active, r)
 		mu.Lock()
 		for len(slots) <= seq {
 			slots = append(slots, nil)
@@ -271,37 +249,19 @@ func (e *Exec) collectAll(c *column.Int64, pred expr.Expr, active *bitvec.Vector
 		slots[seq] = cs
 		mu.Unlock()
 		return true
-	}
-	if e.sched != nil {
-		// Shared-pool dispatch: the scan becomes one pool query of w
-		// concurrent steps, scheduled fair-share against every other
-		// active query; the calling goroutine drives its own steps while
-		// it waits, so a saturated pool never idles the caller.
-		q := e.sched.Attach(w, shortScan(c.Len()), func() sched.Status {
-			if !runOne() {
-				return sched.Done
-			}
-			return sched.Ran
-		})
-		q.Wait()
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for runOne() {
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	e.recordStride(cur)
 	var flat []*Batch
 	for _, cs := range slots {
 		flat = append(flat, cs...)
 	}
-	return flat
+	if err != nil {
+		for _, b := range flat {
+			PutBatch(b)
+		}
+		return nil, err
+	}
+	return flat, nil
 }
 
 // mergeChunks concatenates scan chunks into an exactly-sized Result and
@@ -433,7 +393,7 @@ func (e *Exec) Aggregate(col string, pred expr.Expr, mode ScanMode) (*AggResult,
 	if e.touch && mode == ScanActive {
 		scratch = make([]uint64, workers*wordsPer)
 	}
-	e.forEachMorsel(workers, nm, func(w, m int) {
+	err = ForEachTask(e.ctx, e.sched, workers, nm, func(w, m int) {
 		p := &partials[w]
 		start, end := m*rowsPer, min((m+1)*rowsPer, c.Len())
 		var masks []uint64
@@ -461,6 +421,9 @@ func (e *Exec) Aggregate(col string, pred expr.Expr, mode ScanMode) (*AggResult,
 			e.t.TouchMask(start>>6, masks)
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
 	agg := &partials[0]
 	for _, p := range partials[1:] {
 		agg.fold(p.Rows, p.Sum, p.Min, p.Max)
@@ -492,10 +455,14 @@ func (e *Exec) Precision(col string, pred expr.Expr) (rf, mf int, pf float64, er
 			return 0, 0, 0, err
 		}
 		rf = act.Count()
-	} else {
-		rf = e.countMatches(c, pred, ScanActive)
+	} else if rf, err = e.countMatches(c, pred, ScanActive); err != nil {
+		return 0, 0, 0, err
 	}
-	mf = e.countMatches(c, pred, ScanAll) - rf
+	all, err := e.countMatches(c, pred, ScanAll)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	mf = all - rf
 	if rf+mf == 0 {
 		return 0, 0, 1, nil
 	}

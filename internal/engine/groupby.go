@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"amnesiadb/internal/bitvec"
@@ -41,32 +42,55 @@ func (e *Exec) GroupByBucket(col string, pred expr.Expr, mode ScanMode, width in
 	return e.groupBy(col, pred, mode, width)
 }
 
-// groupBy folds each scan batch straight into a group hash table; rows
-// are only retained when the access-frequency feedback needs them.
-// Large scans run morsel-parallel with per-worker tables merged before
-// the sort.
+// groupBy folds each scan batch straight into a per-worker group hash
+// table over the one morsel loop and merges the tables before the sort
+// by key, so worker interleaving never shows. Rows are only retained
+// when the access-frequency feedback needs them: collected per morsel
+// and flushed in one TouchMany, in morsel order.
 func (e *Exec) groupBy(col string, pred expr.Expr, mode ScanMode, width int64) ([]Group, error) {
 	c, err := e.t.Column(col)
 	if err != nil {
 		return nil, err
 	}
-	touching := e.touch && mode == ScanActive
-	var touched []int32
-	var byKey map[int64]*Group
-	if w := e.workersFor(c.Len()); w > 1 {
-		var active *bitvec.Vector
-		if mode == ScanActive {
-			active = e.t.Active()
-		}
-		byKey, touched = e.groupByParallel(c, pred, active, width, w, touching)
-	} else {
-		byKey = make(map[int64]*Group)
-		e.scanBatches(c, pred, mode, func(sel []int32, val []int64) {
-			if touching {
-				touched = append(touched, sel...)
+	var active *bitvec.Vector
+	if mode == ScanActive {
+		active = e.t.Active()
+	}
+	lo, hi, exact := pred.Bounds()
+	rowsPer, nm := morselGeometry(c)
+	workers := e.workersFor(c.Len())
+	maps := make([]map[int64]*Group, workers)
+	for w := range maps {
+		maps[w] = make(map[int64]*Group)
+	}
+	var touched [][]int32
+	if e.touch && mode == ScanActive {
+		touched = make([][]int32, nm)
+	}
+	err = ForEachTask(e.ctx, e.sched, workers, nm, func(w, m int) {
+		scanMorselBatches(c, lo, hi, exact, pred, active, m*rowsPer, (m+1)*rowsPer, func(sel []int32, val []int64) {
+			if touched != nil {
+				touched[m] = append(touched[m], sel...)
 			}
-			foldGroups(byKey, val, width)
+			foldGroups(maps[w], val, width)
 		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	byKey := maps[0]
+	for _, part := range maps[1:] {
+		for key, g := range part {
+			mg, ok := byKey[key]
+			if !ok {
+				byKey[key] = g
+				continue
+			}
+			mg.Rows += g.Rows
+			mg.Sum += g.Sum
+			mg.Min = min(mg.Min, g.Min)
+			mg.Max = max(mg.Max, g.Max)
+		}
 	}
 	out := make([]Group, 0, len(byKey))
 	for _, g := range byKey {
@@ -74,8 +98,8 @@ func (e *Exec) groupBy(col string, pred expr.Expr, mode ScanMode, width int64) (
 		out = append(out, *g)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	if touching {
-		e.t.TouchMany(touched)
+	if touched != nil {
+		e.t.TouchMany(slices.Concat(touched...))
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"amnesiadb/internal/engine/governor"
@@ -28,35 +29,6 @@ type JoinResult struct {
 // Count returns the number of joined pairs.
 func (r *JoinResult) Count() int { return len(r.Rows) }
 
-// HashJoin computes the equi-join left.leftCol = right.rightCol over
-// tuples visible under mode, completing the SELECT-PROJECT-JOIN subspace
-// of §2.2. An optional predicate restricts the join key. Both sides are
-// collected by the vectorized scan pipeline, whose value vectors double
-// as the join keys — no per-tuple column access happens during build or
-// probe. The smaller side is always the build side; output order is
-// probe-side position order.
-//
-// HashJoin parallelises with the same auto heuristic as the scans: large
-// joins collect, build and probe with GOMAXPROCS workers, small ones run
-// serially. Use HashJoinPar to pin the worker count.
-//
-// In a database with amnesia, join results silently shrink as either
-// side forgets matching tuples — JoinPrecision quantifies that loss.
-func HashJoin(left *table.Table, leftCol string, right *table.Table, rightCol string, pred expr.Expr, mode ScanMode) (*JoinResult, error) {
-	return HashJoinPar(left, leftCol, right, rightCol, pred, mode, 0)
-}
-
-// HashJoinPar is HashJoin with an explicit parallelism knob, resolved
-// like Exec.SetParallelism: 0 auto (parallel past a row threshold),
-// 1 serial, n > 1 forces n workers. Every setting returns byte-identical
-// results: the build preserves build-side insertion order per key (the
-// radix scatter is chunk-major) and the probe emits per-morsel output
-// slots concatenated in probe order.
-func HashJoinPar(left *table.Table, leftCol string, right *table.Table, rightCol string, pred expr.Expr, mode ScanMode, par int) (*JoinResult, error) {
-	//lint:ignore ctxflow HashJoinPar is the sanctioned ctx-less compat entry; request paths use HashJoinCtx.
-	return HashJoinCtx(context.Background(), left, leftCol, right, rightCol, pred, mode, par)
-}
-
 // joinSize predicts a side's qualifying-row magnitude before any scan
 // runs: the visible tuple count under the scan mode. It steers which
 // side's scatter starts while collecting — a performance guess only; the
@@ -69,57 +41,90 @@ func joinSize(t *table.Table, mode ScanMode) int {
 	return t.ActiveCount()
 }
 
-// HashJoinCtx is HashJoinPar with request-scoped cancellation and a
-// pipelined build: instead of collecting the left side, then the right
-// side, then scattering the build side and finally constructing the hash
-// maps, both sides' scans stream concurrently, and the side predicted to
-// be the build (the smaller visible tuple count) feeds an incremental
-// radix scatter as its chunks arrive — the scatter finishes essentially
-// when the scan does, overlapping the collect and build phases. If the
-// prediction turns out wrong (the predicate qualified the other side
-// smaller), the join falls back to the two-pass scatter on the true
-// build side, no worse than the unpipelined join. Every path — serial,
-// pipelined, mispredicted — emits byte-identical rows: the build-side
-// choice uses exact qualifying counts, per-key match lists stay in
-// build-side insertion order, and the probe emits in probe order.
-// Cancelling ctx tears down the side scans mid-collection.
-func HashJoinCtx(ctx context.Context, left *table.Table, leftCol string, right *table.Table, rightCol string, pred expr.Expr, mode ScanMode, par int) (*JoinResult, error) {
-	return HashJoinSched(ctx, nil, left, leftCol, right, rightCol, pred, mode, par)
+// joinSide is one input of a join in flight: the chunks its scan
+// streamed in, their row count, and — on the side predicted to be the
+// build — the radix scatter fed while collecting.
+type joinSide struct {
+	chunks []SelChunk
+	count  int
+	scat   *radixScatter
+	err    error
 }
 
-// HashJoinSched is HashJoinCtx with collection, build and probe all
-// dispatched through a shared worker pool when sp is non-nil: the side
-// scans stream through pool-scheduled pipelines and the scatter, map
-// build and probe morsels run as pool queries, so a join competes
-// fair-share with every other active query instead of spawning its own
-// worker complement. Results stay byte-identical to every other path.
-func HashJoinSched(ctx context.Context, sp *sched.Pool, left *table.Table, leftCol string, right *table.Table, rightCol string, pred expr.Expr, mode ScanMode, par int) (*JoinResult, error) {
+// collect drains the side's scan stream to its end — also after a
+// teardown, so every chunk the stream handed out is in st.chunks for the
+// join to flatten or recycle. Chunks arrive in insertion order from the
+// single stream, so an incremental scatter sees each partition's keys
+// in global build order.
+func (st *joinSide) collect(ctx context.Context, ex *Exec, col string, pred expr.Expr, mode ScanMode) {
+	cs, err := ex.SelectChunkStream(ctx, col, pred, mode)
+	if err != nil {
+		st.err = err
+		return
+	}
+	for {
+		c, ok, err := cs.Next()
+		if !ok {
+			st.err = err
+			return
+		}
+		st.chunks = append(st.chunks, c)
+		st.count += len(c.Values)
+		if st.scat != nil {
+			st.scat.add(c)
+		}
+	}
+}
+
+// HashJoin computes the equi-join left.leftCol = right.rightCol over
+// tuples visible under mode, completing the SELECT-PROJECT-JOIN subspace
+// of §2.2. An optional predicate restricts the join key. It is the
+// engine's one join: ctx cancels it, its steps run on sp (nil =
+// sched.Default()), and par resolves like Exec.SetParallelism over the
+// two sides' visible tuples (0 auto, 1 one worker, n > 1 asks for n).
+//
+// The build is pipelined: both sides' scans stream concurrently, their
+// value vectors doubling as the join keys, and the side predicted to be
+// the build (the smaller visible tuple count) feeds a radix scatter as
+// its chunks arrive — the scatter finishes essentially when the scan
+// does. The real build side is the one with the smaller exact
+// qualifying count; if the prediction was wrong, its collected chunks
+// go through the same scatter after the fact. One worker builds each
+// partition's hash map, and the probe runs morsel by morsel over the
+// collected probe vector with per-morsel output slots concatenated in
+// probe order. One worker is not a second path: it is one partition
+// (radix bits 0), one map and an inline probe loop. Every worker count
+// and both prediction outcomes emit byte-identical rows: per-key match
+// lists stay in build-side insertion order, output is in probe-side
+// position order.
+//
+// The query's governor quota is checked on entry and charged for the
+// streamed chunks, the flat build and probe copies, and the
+// concatenated output. On every early return — a bad column, a
+// cancellation, an exhausted budget — both sides' collected chunks go
+// back to the pool and their charges are released.
+//
+// In a database with amnesia, join results silently shrink as either
+// side forgets matching tuples — JoinPrecision quantifies that loss.
+func HashJoin(ctx context.Context, sp *sched.Pool, left *table.Table, leftCol string, right *table.Table, rightCol string, pred expr.Expr, mode ScanMode, par int) (*JoinResult, error) {
 	if pred == nil {
 		pred = expr.True{}
 	}
-	workers := WorkersSched(sp, par, joinSize(left, mode)+joinSize(right, mode))
-	if workers <= 1 {
-		return hashJoinSerial(ctx, left, leftCol, right, rightCol, pred, mode, par)
+	quota := governor.FromContext(ctx)
+	if err := quota.Check(); err != nil {
+		return nil, err
 	}
-
-	nparts := 1 << uint(bits.Len(uint(workers-1))) // next power of two >= workers
-	if nparts > 256 {
-		nparts = 256
-	}
-	rbits := uint(bits.TrailingZeros(uint(nparts)))
+	nl, nr := joinSize(left, mode), joinSize(right, mode)
+	workers := Workers(sp, par, nl+nr, TaskMinRows)
+	// Next power of two >= workers partitions; one worker, one partition.
+	rbits := uint(min(bits.Len(uint(workers-1)), 8))
 
 	// buildGuess is the side whose scatter starts while collecting.
 	buildGuess := 0
-	if joinSize(left, mode) > joinSize(right, mode) {
+	if nl > nr {
 		buildGuess = 1
 	}
-	type sideState struct {
-		chunks []SelChunk
-		count  int
-		scat   *radixScatter
-		err    error
-	}
-	sides := [2]*sideState{{}, {}}
+	sides := [2]*joinSide{{}, {}}
 	sides[buildGuess].scat = newRadixScatter(rbits)
 	tables := [2]*table.Table{left, right}
 	cols := [2]string{leftCol, rightCol}
@@ -129,108 +134,80 @@ func HashJoinSched(ctx context.Context, sp *sched.Pool, left *table.Table, leftC
 	// both collections share a cancel.
 	jctx, cancelSides := context.WithCancel(ctx)
 	defer cancelSides()
-
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i, st := range sides {
+		ex := NewSilent(tables[i])
+		ex.SetParallelism(par)
+		ex.SetScheduler(sp)
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			st := sides[i]
-			ex := NewSilent(tables[i])
-			ex.SetParallelism(par)
-			ex.SetScheduler(sp)
-			cs, err := ex.SelectChunkStream(jctx, cols[i], pred, mode)
-			if err != nil {
-				st.err = err
+			if st.collect(jctx, ex, cols[i], pred, mode); st.err != nil {
 				cancelSides()
-				return
 			}
-			defer cs.Close()
-			for {
-				c, ok, err := cs.Next()
-				if err != nil {
-					st.err = err
-					cancelSides()
-					return
-				}
-				if !ok {
-					return
-				}
-				st.chunks = append(st.chunks, c)
-				st.count += len(c.Values)
-				if st.scat != nil {
-					// Incremental chunk-major scatter: chunks arrive in
-					// insertion order from the single stream, so each
-					// partition sees keys in global build order.
-					st.scat.add(c)
-				}
-			}
-		}(i)
+		}()
 	}
 	wg.Wait()
-	var sideErr error
-	for _, st := range sides {
-		if st.err == nil {
-			continue
-		}
-		// Prefer the concrete failure over the cancellation it induced
-		// on the sibling.
-		if sideErr == nil || errors.Is(sideErr, context.Canceled) {
-			sideErr = st.err
-		}
-	}
-	if sideErr != nil {
-		return nil, sideErr
-	}
-
-	// Both sides are about to be flattened (probe vector, build scatter
-	// or two-pass table): charge the flat copies against the query's
-	// quota for the duration of build+probe, on top of the chunk charges
-	// the side collections are still holding. An over-budget join dies
-	// here, before the big allocations, with only its own quota latched.
-	quota := governor.FromContext(ctx)
-	flatBytes := int64(sides[0].count+sides[1].count) * (4 + 8)
-	if err := quota.Acquire(flatBytes); err != nil {
+	drop := func(err error) (*JoinResult, error) {
 		recycleChunks(sides[0].chunks)
 		recycleChunks(sides[1].chunks)
 		return nil, err
 	}
+	// Prefer the concrete failure over the cancellation it induced on
+	// the sibling.
+	err := sides[0].err
+	if err == nil || (errors.Is(err, context.Canceled) && sides[1].err != nil) {
+		err = sides[1].err
+	}
+	if err != nil {
+		return drop(err)
+	}
+
+	// Both sides are about to be flattened (probe vector, build
+	// scatter): charge the flat copies against the query's quota for the
+	// duration of build+probe, on top of the chunk charges the side
+	// collections are still holding. An over-budget join dies here,
+	// before the big allocations, with only its own quota latched.
+	flatBytes := int64(sides[0].count+sides[1].count) * (4 + 8)
+	if err := quota.Acquire(flatBytes); err != nil {
+		return drop(err)
+	}
 	defer quota.Release(flatBytes)
 
-	// The real build side is the smaller qualifying side — the same rule
-	// the serial join applies, so probe order (and with it the output)
-	// is identical at every parallelism.
+	// The build side is the smaller qualifying side at every worker
+	// count, so probe order (and with it the output) never depends on
+	// parallelism or on the prediction.
 	swap := sides[0].count > sides[1].count
-	buildIdx := 0
+	build, probeSide := sides[0], sides[1]
 	if swap {
-		buildIdx = 1
+		build, probeSide = probeSide, build
 	}
-	probe := chunksToResult(sides[1-buildIdx].chunks)
-	var ht *joinTable
-	if buildIdx == buildGuess {
-		ht = sides[buildGuess].scat.table(sp, workers)
-		recycleChunks(sides[buildGuess].chunks)
-	} else {
-		// Misprediction: scatter the true build side the old two-pass
-		// way; the speculative scatter is discarded.
-		build := chunksToResult(sides[buildIdx].chunks)
-		ht = buildJoinTableSched(sp, build.Values, build.Rows, workers)
+	if build.scat == nil {
+		// Misprediction: the speculative scatter is discarded and the
+		// true build side's chunks take the same route, late.
+		build.scat = newRadixScatter(rbits)
+		for _, c := range build.chunks {
+			build.scat.add(c)
+		}
+	}
+	recycleChunks(build.chunks)
+	probe := chunksToResult(probeSide.chunks)
+	ht, err := build.scat.table(ctx, sp, workers)
+	if err != nil {
+		return nil, err
 	}
 
-	// Morsel-parallel probe: each morsel fills its own output slot (the
-	// hash table is read-only by now), and the slots concatenate in
-	// morsel order, so pairs come back exactly as the serial probe emits
-	// them.
+	// Each probe morsel fills its own output slot (the hash table is
+	// read-only by now), and the slots concatenate in morsel order.
 	nm := (probe.Count() + ProbeMorselRows - 1) / ProbeMorselRows
 	slots := make([][]JoinRow, nm)
-	forEachMorselSched(sp, workers, nm, func(_, m int) {
+	err = ForEachTask(ctx, sp, workers, nm, func(_, m int) {
 		start := m * ProbeMorselRows
-		end := start + ProbeMorselRows
-		if end > probe.Count() {
-			end = probe.Count()
-		}
-		slots[m] = probeRange(ht, probe, start, end, swap)
+		slots[m] = probeRange(ht, probe, start, min(start+ProbeMorselRows, probe.Count()), swap)
 	})
+	if err != nil {
+		return nil, err
+	}
 	total := 0
 	for _, s := range slots {
 		total += len(s)
@@ -243,61 +220,7 @@ func HashJoinSched(ctx context.Context, sp *sched.Pool, left *table.Table, leftC
 		return nil, err
 	}
 	defer quota.Release(outBytes)
-	out := &JoinResult{}
-	if total > 0 {
-		out.Rows = make([]JoinRow, 0, total)
-		for _, s := range slots {
-			out.Rows = append(out.Rows, s...)
-		}
-	}
-	return out, nil
-}
-
-// hashJoinSerial is the unpipelined join small inputs take: collect both
-// sides, build a flat map on the smaller, probe in order. It is the
-// byte-identity reference for every pipelined path.
-func hashJoinSerial(ctx context.Context, left *table.Table, leftCol string, right *table.Table, rightCol string, pred expr.Expr, mode ScanMode, par int) (*JoinResult, error) {
-	// Same resource accounting as the scheduled join: the flat side
-	// collections and the materialized output charge the query's quota
-	// transiently, so an over-budget join dies identically whether the
-	// pool granted it one worker or many.
-	quota := governor.FromContext(ctx)
-	if err := quota.Check(); err != nil {
-		return nil, err
-	}
-	collect := func(t *table.Table, colName string) (*Result, error) {
-		ex := NewSilent(t)
-		ex.SetParallelism(par)
-		return ex.Select(colName, pred, mode)
-	}
-	l, err := collect(left, leftCol)
-	if err != nil {
-		return nil, err
-	}
-	r, err := collect(right, rightCol)
-	if err != nil {
-		return nil, err
-	}
-	flatBytes := int64(l.Count()+r.Count()) * (4 + 8)
-	if err := quota.Acquire(flatBytes); err != nil {
-		return nil, err
-	}
-	defer quota.Release(flatBytes)
-
-	// Build on the smaller side.
-	swap := l.Count() > r.Count()
-	build, probe := l, r
-	if swap {
-		build, probe = r, l
-	}
-	ht := buildJoinTable(build.Values, build.Rows, 1)
-	rows := probeRange(ht, probe, 0, probe.Count(), swap)
-	outBytes := int64(len(rows)) * 16
-	if err := quota.Acquire(outBytes); err != nil {
-		return nil, err
-	}
-	quota.Release(outBytes)
-	return &JoinResult{Rows: rows}, nil
+	return &JoinResult{Rows: slices.Concat(slots...)}, nil
 }
 
 // chunksToResult flattens streamed scan chunks into the exact-size flat
@@ -323,8 +246,7 @@ func chunksToResult(chunks []SelChunk) *Result {
 // radixScatter accumulates build-side keys into radix partitions
 // incrementally, one chunk at a time, as the build scan streams in. A
 // single goroutine adds chunks in arrival order, so each partition's
-// arrays stay in global build order — exactly what the two-pass
-// chunk-major scatter produces, without waiting for the full collection.
+// arrays stay in global build order.
 type radixScatter struct {
 	bits uint
 	keys [][]int64
@@ -347,16 +269,16 @@ func (s *radixScatter) add(c SelChunk) {
 
 // table builds the per-partition hash maps — one worker per partition,
 // lock-free — over the scattered arrays.
-func (s *radixScatter) table(sp *sched.Pool, workers int) *joinTable {
+func (s *radixScatter) table(ctx context.Context, sp *sched.Pool, workers int) (*joinTable, error) {
 	jt := &joinTable{bits: s.bits, parts: make([]map[int64][]int32, len(s.keys))}
-	forEachMorselSched(sp, workers, len(s.keys), func(_, p int) {
+	err := ForEachTask(ctx, sp, workers, len(s.keys), func(_, p int) {
 		ht := make(map[int64][]int32, len(s.keys[p]))
 		for i, k := range s.keys[p] {
 			ht[k] = append(ht[k], s.rows[p][i])
 		}
 		jt.parts[p] = ht
 	})
-	return jt
+	return jt, err
 }
 
 // ProbeMorselRows is the probe-side morsel granularity of the parallel
@@ -368,7 +290,7 @@ const ProbeMorselRows = 64 * 1024
 
 // joinTable is a hash table over the build side, radix-split by key so
 // independent workers can populate disjoint partitions without locks.
-// bits == 0 degenerates to one flat map (the serial build).
+// bits == 0 is one flat map (the one-worker build).
 type joinTable struct {
 	bits  uint
 	parts []map[int64][]int32
@@ -387,99 +309,9 @@ func radixOf(k int64, bits uint) int {
 	return int((uint64(k) * 0x9E3779B97F4A7C15) >> (64 - bits))
 }
 
-// buildJoinTable builds the partitioned hash table over the build side's
-// keys and positions. The parallel build is a two-pass radix scatter:
-// workers first count keys per (chunk, partition), a serial prefix sum
-// turns the counts into disjoint write offsets, then workers scatter
-// keys into per-partition arrays — chunk-major, so each partition sees
-// keys in build order — and finally each partition's map is built by one
-// worker. Every pass writes disjoint memory, so the build takes no
-// locks.
-func buildJoinTable(keys []int64, rows []int32, workers int) *joinTable {
-	return buildJoinTableSched(nil, keys, rows, workers)
-}
-
-// buildJoinTableSched is buildJoinTable with the scatter passes
-// dispatched through a shared pool when sp is non-nil.
-func buildJoinTableSched(sp *sched.Pool, keys []int64, rows []int32, workers int) *joinTable {
-	if workers > len(keys) {
-		workers = len(keys)
-	}
-	if workers <= 1 {
-		ht := make(map[int64][]int32, len(keys))
-		for i, k := range keys {
-			ht[k] = append(ht[k], rows[i])
-		}
-		return &joinTable{parts: []map[int64][]int32{ht}}
-	}
-	nparts := 1 << uint(bits.Len(uint(workers-1))) // next power of two ≥ workers
-	if nparts > 256 {
-		nparts = 256
-	}
-	rbits := uint(bits.TrailingZeros(uint(nparts)))
-
-	nchunks := workers
-	chunk := (len(keys) + nchunks - 1) / nchunks
-	// Ceiling division can push trailing chunk starts past the end when
-	// len(keys) is barely above workers; chunkBounds clamps both edges.
-	chunkBounds := func(c int) (lo, hi int) {
-		lo = min(c*chunk, len(keys))
-		hi = min(lo+chunk, len(keys))
-		return lo, hi
-	}
-	counts := make([][]int, nchunks)
-	forEachMorselSched(sp, workers, nchunks, func(_, c int) {
-		cnt := make([]int, nparts)
-		lo, hi := chunkBounds(c)
-		for _, k := range keys[lo:hi] {
-			cnt[radixOf(k, rbits)]++
-		}
-		counts[c] = cnt
-	})
-	// Prefix-sum chunk-major: partition p holds chunk 0's keys before
-	// chunk 1's, preserving global build order within each partition.
-	totals := make([]int, nparts)
-	offsets := make([][]int, nchunks)
-	for c := range offsets {
-		offsets[c] = make([]int, nparts)
-	}
-	for p := 0; p < nparts; p++ {
-		for c := 0; c < nchunks; c++ {
-			offsets[c][p] = totals[p]
-			totals[p] += counts[c][p]
-		}
-	}
-	partKeys := make([][]int64, nparts)
-	partRows := make([][]int32, nparts)
-	for p := range partKeys {
-		partKeys[p] = make([]int64, totals[p])
-		partRows[p] = make([]int32, totals[p])
-	}
-	forEachMorselSched(sp, workers, nchunks, func(_, c int) {
-		off := append([]int(nil), offsets[c]...)
-		lo, hi := chunkBounds(c)
-		for i := lo; i < hi; i++ {
-			p := radixOf(keys[i], rbits)
-			partKeys[p][off[p]] = keys[i]
-			partRows[p][off[p]] = rows[i]
-			off[p]++
-		}
-	})
-	jt := &joinTable{bits: rbits, parts: make([]map[int64][]int32, nparts)}
-	forEachMorselSched(sp, workers, nparts, func(_, p int) {
-		ht := make(map[int64][]int32, len(partKeys[p]))
-		for i, k := range partKeys[p] {
-			ht[k] = append(ht[k], partRows[p][i])
-		}
-		jt.parts[p] = ht
-	})
-	return jt
-}
-
 // probeRange probes rows [start, end) of the probe side against the
 // hash table, returning matches in probe order (and, per probe key,
-// build order). Both the serial join and every probe morsel use this
-// one loop, so the two paths cannot drift apart.
+// build order).
 func probeRange(jt *joinTable, probe *Result, start, end int, swap bool) []JoinRow {
 	var out []JoinRow
 	for i := start; i < end; i++ {
@@ -501,24 +333,13 @@ func probeRange(jt *joinTable, probe *Result, start, end int, swap bool) []JoinR
 // JoinPrecision runs the join under ScanActive and ScanAll and reports
 // the §2.3 metrics lifted to join results: pairs returned, pairs missed
 // because at least one side forgot its tuple, and the precision ratio.
-func JoinPrecision(left *table.Table, leftCol string, right *table.Table, rightCol string, pred expr.Expr) (rf, mf int, pf float64, err error) {
-	return JoinPrecisionPar(left, leftCol, right, rightCol, pred, 0)
-}
-
-// JoinPrecisionPar is JoinPrecision with an explicit parallelism knob.
-func JoinPrecisionPar(left *table.Table, leftCol string, right *table.Table, rightCol string, pred expr.Expr, par int) (rf, mf int, pf float64, err error) {
-	//lint:ignore ctxflow JoinPrecisionPar is the sanctioned ctx-less compat entry; request paths use JoinPrecisionSched.
-	return JoinPrecisionSched(context.Background(), nil, left, leftCol, right, rightCol, pred, par)
-}
-
-// JoinPrecisionSched is JoinPrecisionPar over a shared worker pool with
-// request-scoped cancellation: ctx tears down both underlying joins.
-func JoinPrecisionSched(ctx context.Context, sp *sched.Pool, left *table.Table, leftCol string, right *table.Table, rightCol string, pred expr.Expr, par int) (rf, mf int, pf float64, err error) {
-	act, err := HashJoinSched(ctx, sp, left, leftCol, right, rightCol, pred, ScanActive, par)
+// ctx, sp and par are HashJoin's.
+func JoinPrecision(ctx context.Context, sp *sched.Pool, left *table.Table, leftCol string, right *table.Table, rightCol string, pred expr.Expr, par int) (rf, mf int, pf float64, err error) {
+	act, err := HashJoin(ctx, sp, left, leftCol, right, rightCol, pred, ScanActive, par)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	all, err := HashJoinSched(ctx, sp, left, leftCol, right, rightCol, pred, ScanAll, par)
+	all, err := HashJoin(ctx, sp, left, leftCol, right, rightCol, pred, ScanAll, par)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -7,10 +7,20 @@ import (
 	"runtime"
 	"testing"
 
+	"amnesiadb/internal/engine/sched"
 	"amnesiadb/internal/expr"
 	"amnesiadb/internal/table"
 	"amnesiadb/internal/xrand"
 )
+
+// widePool is a dedicated pool wider than a small runner's core count:
+// forced worker counts are clamped to the pool's width, so tests that
+// want up to eight workers really interleaving bring their own.
+func widePool(t testing.TB) *sched.Pool {
+	p := sched.New(8)
+	t.Cleanup(p.Close)
+	return p
+}
 
 // joinTestTables builds two tables with overlapping duplicate-heavy key
 // sets and a scattering of forgotten tuples on both sides — the cases
@@ -40,6 +50,7 @@ func joinTestTables(t *testing.T, nl, nr int) (*table.Table, *table.Table) {
 // pairs, same order — across swap directions, predicates, scan modes and
 // forgotten tuples.
 func TestHashJoinParallelEquivalence(t *testing.T) {
+	pool := widePool(t)
 	l, r := joinTestTables(t, 40000, 9000)
 	// big's active probe side (~146K rows) spans multiple ProbeMorselRows
 	// morsels, so the per-morsel output slot concatenation actually runs
@@ -59,12 +70,12 @@ func TestHashJoinParallelEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial, err := HashJoinPar(tc.left, "k", tc.right, "k", tc.pred, tc.mode, 1)
+			serial, err := HashJoin(context.Background(), pool, tc.left, "k", tc.right, "k", tc.pred, tc.mode, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, par := range []int{2, 4, 8} {
-				got, err := HashJoinPar(tc.left, "k", tc.right, "k", tc.pred, tc.mode, par)
+				got, err := HashJoin(context.Background(), pool, tc.left, "k", tc.right, "k", tc.pred, tc.mode, par)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,10 +93,11 @@ func TestHashJoinParallelEquivalence(t *testing.T) {
 // TestHashJoinParallelEmptySides covers the zero-row edges the scheduler
 // must not trip over.
 func TestHashJoinParallelEmptySides(t *testing.T) {
+	pool := widePool(t)
 	l := tblNamed(t, "l", 1, 2, 3)
 	empty := table.New("e", "k")
 	for _, par := range []int{1, 4} {
-		res, err := HashJoinPar(l, "k", empty, "k", nil, ScanActive, par)
+		res, err := HashJoin(context.Background(), pool, l, "k", empty, "k", nil, ScanActive, par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,12 +110,13 @@ func TestHashJoinParallelEmptySides(t *testing.T) {
 // TestJoinPrecisionParallelEquivalence checks the lifted §2.3 metrics
 // match between the serial and parallel paths.
 func TestJoinPrecisionParallelEquivalence(t *testing.T) {
+	pool := widePool(t)
 	l, r := joinTestTables(t, 20000, 5000)
-	rf1, mf1, pf1, err := JoinPrecisionPar(l, "k", r, "k", nil, 1)
+	rf1, mf1, pf1, err := JoinPrecision(context.Background(), pool, l, "k", r, "k", nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf4, mf4, pf4, err := JoinPrecisionPar(l, "k", r, "k", nil, 4)
+	rf4, mf4, pf4, err := JoinPrecision(context.Background(), pool, l, "k", r, "k", nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,15 +133,16 @@ func TestJoinPrecisionParallelEquivalence(t *testing.T) {
 // worker count used to make ceil-division chunk starts overrun the key
 // slice.
 func TestHashJoinParallelTinyBuildSide(t *testing.T) {
+	pool := widePool(t)
 	probe := tblNamed(t, "p", 1, 2, 3, 1, 2, 3, 4, 5, 4, 5)
 	for _, buildKeys := range [][]int64{{1}, {1, 2}, {1, 2, 3}, {1, 2, 3, 4, 5}} {
 		build := tblNamed(t, "b", buildKeys...)
-		serial, err := HashJoinPar(probe, "k", build, "k", nil, ScanActive, 1)
+		serial, err := HashJoin(context.Background(), pool, probe, "k", build, "k", nil, ScanActive, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range []int{2, 3, 4, 8} {
-			got, err := HashJoinPar(probe, "k", build, "k", nil, ScanActive, par)
+			got, err := HashJoin(context.Background(), pool, probe, "k", build, "k", nil, ScanActive, par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,6 +160,7 @@ func TestHashJoinParallelTinyBuildSide(t *testing.T) {
 // performance hint only — the output must still be byte-identical to
 // the serial join, which decides by exact qualifying counts.
 func TestHashJoinMispredictedBuildSide(t *testing.T) {
+	pool := widePool(t)
 	src := xrand.New(11)
 	// Left is visibly bigger (so the pipeline scatters the right side
 	// speculatively) but almost nothing on the left qualifies, making
@@ -167,7 +182,7 @@ func TestHashJoinMispredictedBuildSide(t *testing.T) {
 	if joinSize(l, ScanActive) <= joinSize(r, ScanActive) {
 		t.Fatal("test setup: left must be visibly bigger to force the misprediction")
 	}
-	serial, err := HashJoinPar(l, "k", r, "k", pred, ScanActive, 1)
+	serial, err := HashJoin(context.Background(), pool, l, "k", r, "k", pred, ScanActive, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +190,7 @@ func TestHashJoinMispredictedBuildSide(t *testing.T) {
 		t.Fatal("degenerate case: no pairs")
 	}
 	for _, par := range []int{2, 4, 8} {
-		got, err := HashJoinPar(l, "k", r, "k", pred, ScanActive, par)
+		got, err := HashJoin(context.Background(), pool, l, "k", r, "k", pred, ScanActive, par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,11 +205,12 @@ func TestHashJoinMispredictedBuildSide(t *testing.T) {
 // cancelled mid-collection aborts the join with the cancellation error
 // and leaks no goroutines.
 func TestHashJoinCtxCancel(t *testing.T) {
+	pool := widePool(t)
 	l, r := joinTestTables(t, 200000, 150000)
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the collections even start
-	if _, err := HashJoinCtx(ctx, l, "k", r, "k", nil, ScanActive, 4); !errors.Is(err, context.Canceled) {
+	if _, err := HashJoin(ctx, pool, l, "k", r, "k", nil, ScanActive, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("join under cancelled ctx = %v, want context.Canceled", err)
 	}
 	waitGoroutines(t, baseline)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -21,7 +22,7 @@ func tblNamed(t *testing.T, name string, vals ...int64) *table.Table {
 func TestHashJoinBasic(t *testing.T) {
 	l := tblNamed(t, "l", 1, 2, 3, 4)
 	r := tblNamed(t, "r", 2, 4, 4, 6)
-	res, err := HashJoin(l, "k", r, "k", nil, ScanActive)
+	res, err := HashJoin(context.Background(), nil, l, "k", r, "k", nil, ScanActive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestHashJoinBasic(t *testing.T) {
 func TestHashJoinPredicate(t *testing.T) {
 	l := tblNamed(t, "l", 1, 2, 3)
 	r := tblNamed(t, "r", 1, 2, 3)
-	res, err := HashJoin(l, "k", r, "k", expr.NewRange(2, 4), ScanActive)
+	res, err := HashJoin(context.Background(), nil, l, "k", r, "k", expr.NewRange(2, 4), ScanActive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +56,14 @@ func TestHashJoinRespectsAmnesiaBothSides(t *testing.T) {
 	r := tblNamed(t, "r", 1, 2, 3)
 	l.Forget(0) // key 1 gone on the left
 	r.Forget(2) // key 3 gone on the right
-	res, err := HashJoin(l, "k", r, "k", nil, ScanActive)
+	res, err := HashJoin(context.Background(), nil, l, "k", r, "k", nil, ScanActive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Count() != 1 || res.Rows[0].Key != 2 {
 		t.Fatalf("amnesiac join = %+v", res.Rows)
 	}
-	all, err := HashJoin(l, "k", r, "k", nil, ScanAll)
+	all, err := HashJoin(context.Background(), nil, l, "k", r, "k", nil, ScanAll, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +75,10 @@ func TestHashJoinRespectsAmnesiaBothSides(t *testing.T) {
 func TestHashJoinUnknownColumns(t *testing.T) {
 	l := tblNamed(t, "l", 1)
 	r := tblNamed(t, "r", 1)
-	if _, err := HashJoin(l, "zz", r, "k", nil, ScanActive); err == nil {
+	if _, err := HashJoin(context.Background(), nil, l, "zz", r, "k", nil, ScanActive, 0); err == nil {
 		t.Fatal("bad left column accepted")
 	}
-	if _, err := HashJoin(l, "k", r, "zz", nil, ScanActive); err == nil {
+	if _, err := HashJoin(context.Background(), nil, l, "k", r, "zz", nil, ScanActive, 0); err == nil {
 		t.Fatal("bad right column accepted")
 	}
 }
@@ -95,11 +96,11 @@ func TestHashJoinBuildSideChoiceIrrelevant(t *testing.T) {
 	}
 	l := tblNamed(t, "l", big...)
 	r := tblNamed(t, "r", small...)
-	a, err := HashJoin(l, "k", r, "k", nil, ScanActive)
+	a, err := HashJoin(context.Background(), nil, l, "k", r, "k", nil, ScanActive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := HashJoin(r, "k", l, "k", nil, ScanActive)
+	b, err := HashJoin(context.Background(), nil, r, "k", l, "k", nil, ScanActive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestJoinPrecision(t *testing.T) {
 	l := tblNamed(t, "l", 1, 2, 3, 4)
 	r := tblNamed(t, "r", 1, 2, 3, 4)
 	l.Forget(1)
-	rf, mf, pf, err := JoinPrecision(l, "k", r, "k", nil)
+	rf, mf, pf, err := JoinPrecision(context.Background(), nil, l, "k", r, "k", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestJoinPrecisionCompoundsAcrossSides(t *testing.T) {
 		l.Forget(i)
 		r.Forget(i + 1)
 	}
-	_, _, pf, err := JoinPrecision(l, "k", r, "k", nil)
+	_, _, pf, err := JoinPrecision(context.Background(), nil, l, "k", r, "k", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestJoinPrecisionCompoundsAcrossSides(t *testing.T) {
 func TestJoinPrecisionEmpty(t *testing.T) {
 	l := tblNamed(t, "l", 1)
 	r := tblNamed(t, "r", 2)
-	_, _, pf, err := JoinPrecision(l, "k", r, "k", nil)
+	_, _, pf, err := JoinPrecision(context.Background(), nil, l, "k", r, "k", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func BenchmarkHashJoin(b *testing.B) {
 	l, r := mk(100000), mk(10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := HashJoin(l, "k", r, "k", nil, ScanActive); err != nil {
+		if _, err := HashJoin(context.Background(), nil, l, "k", r, "k", nil, ScanActive, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

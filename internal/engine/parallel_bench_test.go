@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -124,7 +125,7 @@ func BenchmarkParallelJoin(b *testing.B) {
 			b.SetBytes((benchRows + int64(len(vals))) * 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := HashJoinPar(probeTbl, "a", buildTbl, "a", nil, ScanActive, s.par)
+				res, err := HashJoin(context.Background(), nil, probeTbl, "a", buildTbl, "a", nil, ScanActive, s.par)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -149,7 +150,7 @@ func BenchmarkParallelCount(b *testing.B) {
 			b.SetBytes(benchRows * 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if n := ex.countMatches(c, pred, ScanActive); n == 0 {
+				if n, err := ex.countMatches(c, pred, ScanActive); err != nil || n == 0 {
 					b.Fatal("empty count")
 				}
 			}

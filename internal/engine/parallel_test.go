@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"amnesiadb/internal/column"
+	"amnesiadb/internal/engine/sched"
 	"amnesiadb/internal/expr"
 	"amnesiadb/internal/table"
 	"amnesiadb/internal/xrand"
@@ -297,9 +298,10 @@ func TestSilentPrecisionAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Two counting passes, each one morsel-loop closure and its tally,
-	// plus the predicate boxed once for them.
-	if allocs > 5 {
+	// Two counting passes, each one morsel-loop closure, its tally and
+	// the dispatcher's task counter and step closure, plus the predicate
+	// boxed once for them.
+	if allocs > 9 {
 		t.Fatalf("silent Precision allocated %v objects per run, want O(1)", allocs)
 	}
 }
@@ -434,7 +436,7 @@ func TestParallelConcurrentQueries(t *testing.T) {
 }
 
 // TestWorkersForKnob pins the knob semantics: auto engages only past
-// the row threshold, explicit values are obeyed verbatim.
+// the row threshold, explicit values are obeyed up to the pool's width.
 func TestWorkersForKnob(t *testing.T) {
 	tb := tbl(t, 1, 2, 3)
 	ex := NewSilent(tb)
@@ -449,8 +451,17 @@ func TestWorkersForKnob(t *testing.T) {
 		t.Fatalf("forced serial: %d workers, want 1", got)
 	}
 	ex.SetParallelism(6)
-	if got := ex.workersFor(10); got != 6 {
-		t.Fatalf("forced 6: %d workers", got)
+	for _, width := range []int{8, 4} {
+		pool := sched.New(width)
+		defer pool.Close()
+		ex.SetScheduler(pool)
+		if got, want := ex.workersFor(10), min(6, width); got != want {
+			t.Fatalf("forced 6 on a pool of %d: %d workers, want %d", width, got, want)
+		}
+	}
+	ex.SetScheduler(nil)
+	if got, want := ex.workersFor(10), min(6, sched.Default().Size()); got != want {
+		t.Fatalf("forced 6 on the default pool: %d workers, want %d", got, want)
 	}
 	ex.SetParallelism(-3)
 	if got := ex.Parallelism(); got != 0 {

@@ -136,7 +136,7 @@ func (s *ChunkStream) Stride() int {
 }
 
 // Collect drains the stream into a flat chunk list — the materialized
-// ScanChunks form — recycling nothing (the caller owns the chunks).
+// form of a scan — recycling nothing (the caller owns the chunks).
 func (s *ChunkStream) Collect() ([]SelChunk, error) {
 	var out []SelChunk
 	for {
@@ -163,49 +163,38 @@ func (s *ChunkStream) Collect() ([]SelChunk, error) {
 // producer has exited and before ScanDone closes — the touch-flush hook.
 // ctx cancellation and Close are equivalent teardowns.
 //
-// With a nil pool the pipeline spawns its own workers goroutines, the
-// pre-scheduler behaviour. With a pool, production becomes one sched
-// query of the given width: steps claim and produce tasks on shared
-// pool workers, the in-flight token budget is enforced by try-acquire
-// (a step that cannot take a token returns Blocked instead of holding
-// a pool worker hostage), and the emitter wakes the query every time
+// Production is one sched query of the given width on sp (nil =
+// sched.Default()): steps claim and produce tasks on shared pool
+// workers, the in-flight token budget is enforced by try-acquire (a
+// step that cannot take a token returns Blocked instead of holding a
+// pool worker hostage), and the emitter wakes the query every time
 // consuming a task returns a token. Teardown (Close, ctx, an error)
 // wakes a parked query so its next step observes stop and finishes.
+// Nobody Waits on the query — the consumer blocks on a channel, not on
+// the pool — which is why barrier operators running inside a pool step
+// use run instead of collecting a stream.
 func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, workers int, short bool,
 	claim func() (T, int, bool),
 	produce func(T) ([]SelChunk, error),
 	finish func()) {
 
-	if ctx != nil {
-		// An already-cancelled context must not start producing: check
-		// synchronously so pre-cancelled queries fail deterministically
-		// instead of racing the watcher goroutine.
-		select {
-		case <-ctx.Done():
-			s.closeWith(context.Cause(ctx))
-		default:
-		}
+	// An already-cancelled context must not start producing: check
+	// synchronously so pre-cancelled queries fail deterministically
+	// instead of racing the watcher goroutine.
+	if ctx.Err() != nil {
+		s.closeWith(context.Cause(ctx))
 	}
-	if q := governor.FromContext(ctx); q != nil {
-		// Morsel-boundary enforcement: a query killed by its budget, a
-		// process-level shed or its deadline stops before claiming the
-		// next task, on every pipeline (scans and shard fan-outs alike).
-		inner := produce
-		produce = func(t T) ([]SelChunk, error) {
-			if err := q.Check(); err != nil {
-				return nil, err
-			}
-			return inner(t)
-		}
-	}
-	inflight := pipelineInflight(workers)
-	sem := make(chan struct{}, inflight)
+	// Morsel-boundary enforcement: a query killed by its budget, a
+	// process-level shed or its deadline stops before producing the
+	// next task, on every pipeline (scans and shard fan-outs alike).
+	quota := governor.FromContext(ctx)
+	sem := make(chan struct{}, pipelineInflight(workers))
 	notify := make(chan struct{}, 1)
 	var (
 		mu        sync.Mutex
 		ready     = map[int][]SelChunk{}
 		perr      error
-		producing = workers
+		producing = true
 	)
 	wake := func() {
 		select {
@@ -214,121 +203,68 @@ func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, wor
 		}
 	}
 
+	// Steps never block — teardown and token exhaustion turn into
+	// Done/Blocked — so shared pool workers cannot deadlock across
+	// queries.
+	q := poolOf(sp).Attach(workers, short, func() sched.Status {
+		// Teardown has priority over a free token.
+		select {
+		case <-s.stop:
+			return sched.Done
+		default:
+		}
+		select {
+		case sem <- struct{}{}:
+		default:
+			return sched.Blocked
+		}
+		task, seq, ok := claim()
+		if !ok {
+			<-sem
+			return sched.Done
+		}
+		var chunks []SelChunk
+		err := quota.Check()
+		if err == nil {
+			chunks, err = produce(task)
+		}
+		mu.Lock()
+		if err != nil && perr == nil {
+			perr = err
+		}
+		ready[seq] = chunks
+		mu.Unlock()
+		wake()
+		if err != nil {
+			// Fail fast; the recorded error wins over the close cause.
+			s.closeWith(err)
+			return sched.Done
+		}
+		return sched.Ran
+	})
+	go func() { // teardown watcher: a parked query must observe stop
+		select {
+		case <-s.stop:
+			q.Wake()
+		case <-s.scanDone:
+		}
+	}()
 	var wg sync.WaitGroup
-	// wakeProducers, in pool mode, unparks the production query after
-	// the emitter returns an in-flight token; a no-op otherwise.
-	wakeProducers := func() {}
-	if sp != nil {
-		// Pool mode: one sched query produces every task. Steps never
-		// block — teardown and token exhaustion turn into Done/Blocked —
-		// so shared pool workers cannot deadlock across queries.
-		producing = 1
-		step := func() sched.Status {
-			// Teardown has priority over a free token, like the
-			// goroutine worker's ordered selects.
-			select {
-			case <-s.stop:
-				return sched.Done
-			default:
-			}
-			select {
-			case sem <- struct{}{}:
-			default:
-				return sched.Blocked
-			}
-			task, seq, ok := claim()
-			if !ok {
-				<-sem
-				return sched.Done
-			}
-			chunks, err := produce(task)
-			mu.Lock()
-			if err != nil && perr == nil {
-				perr = err
-			}
-			ready[seq] = chunks
-			mu.Unlock()
-			wake()
-			if err != nil {
-				s.closeWith(err)
-				return sched.Done
-			}
-			return sched.Ran
+	wg.Add(1)
+	go func() { // production ends when the pool query finishes
+		defer wg.Done()
+		<-q.Done()
+		// A panicking producer step is contained by the pool; turn it
+		// into a stream error so the consumer unblocks with a cause
+		// instead of hanging on a stream nobody will ever fill.
+		if pan, _ := q.Panicked(); pan != nil {
+			s.closeWith(fmt.Errorf("engine: producer panicked: %v", pan))
 		}
-		q := sp.Attach(workers, short, step)
-		wakeProducers = q.Wake
-		go func() { // teardown watcher: a parked query must observe stop
-			select {
-			case <-s.stop:
-				q.Wake()
-			case <-s.scanDone:
-			}
-		}()
-		wg.Add(1)
-		go func() { // production ends when the pool query finishes
-			defer wg.Done()
-			<-q.Done()
-			// A panicking producer step is contained by the pool; turn it
-			// into a stream error so the consumer unblocks with a cause
-			// instead of hanging on a stream nobody will ever fill.
-			if pan, _ := q.Panicked(); pan != nil {
-				s.closeWith(fmt.Errorf("engine: producer panicked: %v", pan))
-			}
-			mu.Lock()
-			producing = 0
-			mu.Unlock()
-			wake()
-		}()
-	} else {
-		worker := func() {
-			defer wg.Done()
-			defer func() {
-				mu.Lock()
-				producing--
-				mu.Unlock()
-				wake()
-			}()
-			for {
-				// Teardown has priority: once stop closes, no new morsel may
-				// be claimed, even if a semaphore slot is free (a two-way
-				// select would pick between the ready cases at random).
-				select {
-				case <-s.stop:
-					return
-				default:
-				}
-				select {
-				case sem <- struct{}{}:
-				case <-s.stop:
-					return
-				}
-				task, seq, ok := claim()
-				if !ok {
-					<-sem
-					return
-				}
-				chunks, err := produce(task)
-				mu.Lock()
-				if err != nil && perr == nil {
-					perr = err
-				}
-				ready[seq] = chunks
-				mu.Unlock()
-				wake()
-				if err != nil {
-					// Fail fast: wake every worker out of its sem wait so the
-					// pipeline drains promptly. The recorded error wins over
-					// the close cause.
-					s.closeWith(err)
-					return
-				}
-			}
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go worker()
-		}
-	}
+		mu.Lock()
+		producing = false
+		mu.Unlock()
+		wake()
+	}()
 
 	wg.Add(1)
 	go func() { // emitter: drains slots in sequence order
@@ -338,7 +274,7 @@ func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, wor
 			mu.Lock()
 			chunks, have := ready[next]
 			err := perr
-			done := producing == 0
+			done := !producing
 			if have {
 				delete(ready, next)
 			}
@@ -358,7 +294,7 @@ func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, wor
 					}
 				}
 				<-sem
-				wakeProducers()
+				q.Wake()
 				next++
 				continue
 			}
@@ -373,7 +309,7 @@ func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, wor
 		}
 	}()
 
-	if ctx != nil && ctx.Done() != nil {
+	if ctx.Done() != nil {
 		go func() { // context watcher; exits with the pipeline
 			select {
 			case <-ctx.Done():
@@ -429,26 +365,14 @@ func RecycleChunk(c SelChunk) {
 }
 
 // NewChunkPipeline starts a pipelined fan-out over n indexed tasks:
-// produce(i) runs on up to workers goroutines, and the tasks' chunks are
-// emitted strictly in index order over the stream's bounded channel. The
-// partition layer's shard fan-out streams through this; tests drive it
-// directly to pin the backpressure bound.
-func NewChunkPipeline(ctx context.Context, workers, n int, produce func(task int) ([]SelChunk, error)) *ChunkStream {
-	return NewChunkPipelineSched(ctx, nil, workers, n, produce)
-}
-
-// NewChunkPipelineSched is NewChunkPipeline with production dispatched
-// through a shared pool when sp is non-nil: the fan-out becomes one
-// sched query of the given width instead of spawning its own
-// goroutines. Shard fan-outs are whole-shard tasks, so they never get
-// the short-query boost.
-func NewChunkPipelineSched(ctx context.Context, sp *sched.Pool, workers, n int, produce func(task int) ([]SelChunk, error)) *ChunkStream {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+// produce(i) runs as steps of one pool query of the given width on sp
+// (nil = sched.Default()), and the tasks' chunks are emitted strictly in
+// index order over the stream's bounded channel. The partition layer's
+// shard fan-out streams through this; tests drive it directly to pin
+// the backpressure bound. Shard fan-outs are whole-shard tasks, so they
+// never get the short-query boost.
+func NewChunkPipeline(ctx context.Context, sp *sched.Pool, workers, n int, produce func(task int) ([]SelChunk, error)) *ChunkStream {
+	workers = max(min(workers, n), 1)
 	s := newChunkStream()
 	var next int
 	var mu sync.Mutex
@@ -545,6 +469,19 @@ func (a *adaptiveMorsels) claim() (rowRange, int, bool) {
 	return r, seq, true
 }
 
+// scan runs the scan pipeline over one claimed range — the morsel body
+// of the barrier and the stream alike — and feeds what qualified back
+// into the stride.
+func (a *adaptiveMorsels) scan(c *column.Int64, pred expr.Expr, active *bitvec.Vector, r rowRange) []*Batch {
+	batches := collectChunks(c, pred, active, r.start, r.end)
+	qual := 0
+	for _, b := range batches {
+		qual += len(b.Sel)
+	}
+	a.observe(qual)
+	return batches
+}
+
 // observe feeds one morsel's qualifying-row count back into the stride:
 // near-empty morsels grow it; dense morsels shrink it back toward the
 // base. The shrink matters when selectivity shifts mid-column (a sparse
@@ -570,8 +507,8 @@ func (a *adaptiveMorsels) Stride() int {
 	return a.stride
 }
 
-// SelectChunkStream is the pipelined form of SelectChunks: qualifying
-// chunks arrive over a bounded channel while morsel workers are still
+// SelectChunkStream is the pipelined form of Select: qualifying chunks
+// arrive over a bounded channel while morsel workers are still
 // scanning, in insertion order, byte-identical to Select's output when
 // concatenated. The access-frequency feedback is flushed in one
 // TouchMany once the scan side completes, whether or not the consumer
@@ -597,12 +534,7 @@ func (e *Exec) SelectChunkStream(ctx context.Context, col string, pred expr.Expr
 	var touchMu sync.Mutex
 	var touched []int32
 	produce := func(r rowRange) ([]SelChunk, error) {
-		batches := collectChunks(c, pred, active, r.start, r.end)
-		qual := 0
-		for _, b := range batches {
-			qual += len(b.Sel)
-		}
-		cur.observe(qual)
+		batches := cur.scan(c, pred, active, r)
 		if len(batches) == 0 {
 			return nil, nil
 		}

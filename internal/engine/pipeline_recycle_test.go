@@ -12,10 +12,7 @@ import (
 )
 
 func TestCollectErrorPathRecyclesChunks(t *testing.T) {
-	var recycled int
-	putHook = func(*Batch) { recycled++ }
-	defer func() { putHook = nil }()
-
+	mark := markBatches()
 	s := newChunkStream()
 	const buffered = 2
 	for i := 0; i < buffered; i++ {
@@ -30,28 +27,28 @@ func TestCollectErrorPathRecyclesChunks(t *testing.T) {
 	if err == nil || chunks != nil {
 		t.Fatalf("Collect = (%v, %v), want (nil, error)", chunks, err)
 	}
-	if recycled != buffered {
+	if recycled := batchPuts.Load() - mark.puts; recycled != buffered {
 		t.Fatalf("recycled %d pool batches on the error path, want %d", recycled, buffered)
 	}
 }
 
-// TestForEachTaskCtx pins the ctx-aware fan-out primitive: a nil ctx
-// degrades to the plain scheduler path, a live ctx runs every task, and
-// a canceled ctx returns its error without running the remainder.
+// TestForEachTaskCtx pins the fan-out primitive's cancellation: a live
+// ctx runs every task, and a canceled ctx returns its error without
+// running the remainder.
 func TestForEachTaskCtx(t *testing.T) {
 	ran := make([]bool, 8)
-	if err := ForEachTaskCtx(nil, nil, 2, len(ran), func(i int) { ran[i] = true }); err != nil {
-		t.Fatalf("nil ctx: %v", err)
+	if err := ForEachTask(context.Background(), nil, 2, len(ran), func(_, i int) { ran[i] = true }); err != nil {
+		t.Fatalf("live ctx: %v", err)
 	}
 	for i, ok := range ran {
 		if !ok {
-			t.Fatalf("nil ctx skipped task %d", i)
+			t.Fatalf("live ctx skipped task %d", i)
 		}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := ForEachTaskCtx(ctx, nil, 2, 4, func(int) { t.Error("task ran under canceled ctx") }); !errors.Is(err, context.Canceled) {
+	if err := ForEachTask(ctx, nil, 2, 4, func(int, int) { t.Error("task ran under canceled ctx") }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled ctx: err = %v, want context.Canceled", err)
 	}
 }

@@ -77,7 +77,7 @@ func TestSelectChunkStreamMatchesSelect(t *testing.T) {
 // order.
 func TestChunkPipelineEmitsInOrder(t *testing.T) {
 	const n = 32
-	st := NewChunkPipeline(context.Background(), 4, n, func(task int) ([]SelChunk, error) {
+	st := NewChunkPipeline(context.Background(), nil, 4, n, func(task int) ([]SelChunk, error) {
 		// Invert completion order within each worker's stride.
 		time.Sleep(time.Duration(n-task) * 100 * time.Microsecond)
 		return []SelChunk{{Values: []int64{int64(task)}}}, nil
@@ -109,7 +109,7 @@ func TestChunkPipelineEmitsInOrder(t *testing.T) {
 func TestChunkPipelineBackpressure(t *testing.T) {
 	const n, workers = 200, 4
 	var produced atomic.Int64
-	st := NewChunkPipeline(context.Background(), workers, n, func(task int) ([]SelChunk, error) {
+	st := NewChunkPipeline(context.Background(), nil, workers, n, func(task int) ([]SelChunk, error) {
 		produced.Add(1)
 		return []SelChunk{{Values: []int64{int64(task)}}}, nil
 	})
@@ -244,7 +244,7 @@ func TestChunkStreamCloseTearsDown(t *testing.T) {
 // error surfaces to the consumer and tears the pipeline down.
 func TestChunkPipelineProduceError(t *testing.T) {
 	boom := errors.New("boom")
-	st := NewChunkPipeline(context.Background(), 2, 16, func(task int) ([]SelChunk, error) {
+	st := NewChunkPipeline(context.Background(), nil, 2, 16, func(task int) ([]SelChunk, error) {
 		if task == 3 {
 			return nil, boom
 		}

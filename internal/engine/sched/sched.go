@@ -1,12 +1,11 @@
-// Package sched is the process-global query scheduler: a fixed pool of
-// worker goroutines dispatching morsel-sized steps from per-query run
-// queues, instead of every query spawning its own GOMAXPROCS workers.
-// Under one concurrent query the pool behaves like the per-query
-// scheduler it replaces — all workers pull that query's steps — but
-// under many it is what keeps the box subscribed ~1x: the worker count
-// is fixed at construction, queries share it fair-share round-robin,
-// and short queries get a bounded priority boost so a 4M-row scan
-// cannot starve point lookups.
+// Package sched is the process-global query scheduler, the only way
+// engine work runs: a fixed pool of worker goroutines dispatching
+// morsel-sized steps from per-query run queues. Under one concurrent
+// query all workers pull that query's steps; under many the pool is
+// what keeps the box subscribed ~1x: the worker count is fixed at
+// construction, queries share it fair-share round-robin, and short
+// queries get a bounded priority boost so a 4M-row scan cannot starve
+// point lookups.
 //
 // The unit of dispatch is a step: one call of the query's step
 // function, typically one morsel claim + scan. Steps must never block

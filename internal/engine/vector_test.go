@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -237,7 +238,7 @@ func TestVectorizedJoinMatchesRowAtATime(t *testing.T) {
 	right := vectorTable(t, 2*BatchSize, 300, 19)
 	for _, pred := range []expr.Expr{nil, expr.NewRange(10, 200), expr.Not{X: expr.NewRange(0, 150)}} {
 		for _, mode := range []ScanMode{ScanActive, ScanAll} {
-			got, err := HashJoin(left, "a", right, "a", pred, mode)
+			got, err := HashJoin(context.Background(), nil, left, "a", right, "a", pred, mode, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,148 +1,17 @@
-// Package index provides the auxiliary access paths §4.4 discusses as
-// amnesia candidates: a Block-Range-Index (BRIN) summarising value ranges
-// per tuple block, and a sorted secondary index mapping values to tuple
-// positions. Both can prune forgotten tuples ("stop indexing the forgotten
+// Package index provides the auxiliary access path §4.4 discusses as an
+// amnesia candidate: a sorted secondary index mapping values to tuple
+// positions. It can prune forgotten tuples ("stop indexing the forgotten
 // data": an index-based evaluation skips them while a complete scan still
-// fetches everything), and both can be dropped and recreated on demand —
-// the MonetDB-style knobless space reclamation the paper mentions.
+// fetches everything), and it can be dropped and recreated on demand —
+// the MonetDB-style knobless space reclamation the paper mentions. Block
+// range summaries live with the data: see internal/column's zone maps.
 package index
 
 import (
-	"fmt"
 	"sort"
 
 	"amnesiadb/internal/table"
 )
-
-// BRIN is a block-range index: per fixed-size block of tuple positions it
-// stores the min/max value of the still-indexed tuples, enabling range
-// scans to skip blocks. Unlike column zone maps, a BRIN is rebuilt
-// explicitly and may exclude forgotten tuples.
-type BRIN struct {
-	col       string
-	blockSize int
-	mins      []int64
-	maxs      []int64
-	counts    []int // indexed tuples per block; 0 = fully pruned block
-	rows      int
-}
-
-// NewBRIN builds a BRIN over the named column of t with the given block
-// size, indexing only active tuples. It panics if blockSize <= 0.
-func NewBRIN(t *table.Table, col string, blockSize int) (*BRIN, error) {
-	if blockSize <= 0 {
-		panic("index: BRIN block size must be positive")
-	}
-	b := &BRIN{col: col, blockSize: blockSize}
-	if err := b.Rebuild(t); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// Rebuild re-derives the BRIN from the current table state, dropping
-// forgotten tuples from the summaries.
-func (b *BRIN) Rebuild(t *table.Table) error {
-	c, err := t.Column(b.col)
-	if err != nil {
-		return err
-	}
-	n := c.Len()
-	blocks := (n + b.blockSize - 1) / b.blockSize
-	b.mins = make([]int64, blocks)
-	b.maxs = make([]int64, blocks)
-	b.counts = make([]int, blocks)
-	b.rows = n
-	for blk := 0; blk < blocks; blk++ {
-		lo := blk * b.blockSize
-		hi := lo + b.blockSize
-		if hi > n {
-			hi = n
-		}
-		first := true
-		for i := lo; i < hi; i++ {
-			if !t.IsActive(i) {
-				continue
-			}
-			v := c.Get(i)
-			if first {
-				b.mins[blk], b.maxs[blk] = v, v
-				first = false
-			} else {
-				if v < b.mins[blk] {
-					b.mins[blk] = v
-				}
-				if v > b.maxs[blk] {
-					b.maxs[blk] = v
-				}
-			}
-			b.counts[blk]++
-		}
-	}
-	return nil
-}
-
-// Blocks returns the number of summarised blocks.
-func (b *BRIN) Blocks() int { return len(b.counts) }
-
-// PrunedBlocks returns how many blocks contain no indexed tuples at all —
-// storage that amnesia has fully reclaimed from the index's point of view.
-func (b *BRIN) PrunedBlocks() int {
-	n := 0
-	for _, c := range b.counts {
-		if c == 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// CandidateBlocks appends to dst the block numbers whose summaries
-// intersect [lo, hi) and returns the extended slice.
-func (b *BRIN) CandidateBlocks(lo, hi int64, dst []int) []int {
-	for blk, cnt := range b.counts {
-		if cnt == 0 {
-			continue
-		}
-		if b.maxs[blk] >= lo && b.mins[blk] < hi {
-			dst = append(dst, blk)
-		}
-	}
-	return dst
-}
-
-// Scan returns the positions of active tuples with lo <= v < hi by probing
-// only candidate blocks. Results are in ascending position order.
-func (b *BRIN) Scan(t *table.Table, lo, hi int64) ([]int32, error) {
-	c, err := t.Column(b.col)
-	if err != nil {
-		return nil, err
-	}
-	if c.Len() != b.rows {
-		return nil, fmt.Errorf("index: BRIN stale: built over %d rows, table has %d", b.rows, c.Len())
-	}
-	var out []int32
-	for _, blk := range b.CandidateBlocks(lo, hi, nil) {
-		start := blk * b.blockSize
-		end := start + b.blockSize
-		if end > c.Len() {
-			end = c.Len()
-		}
-		for i := start; i < end; i++ {
-			if !t.IsActive(i) {
-				continue
-			}
-			if v := c.Get(i); v >= lo && v < hi {
-				out = append(out, int32(i))
-			}
-		}
-	}
-	return out, nil
-}
-
-// SizeBytes estimates the index footprint: two int64 bounds and one int
-// count per block. This feeds the §4.4 drop-to-reclaim-space accounting.
-func (b *BRIN) SizeBytes() int { return len(b.counts) * (8 + 8 + 8) }
 
 // Sorted is a secondary index: (value, position) pairs in value order over
 // the active tuples at build time. Lookups are binary searches; forgotten

@@ -49,90 +49,6 @@ func sameRows(a, b []int32) bool {
 	return true
 }
 
-func TestBRINScanMatchesNaive(t *testing.T) {
-	tb, vals := randTable(t, 500, 1)
-	src := xrand.New(2)
-	for i := 0; i < 500; i++ {
-		if src.Bool(0.3) {
-			tb.Forget(i)
-		}
-	}
-	b, err := NewBRIN(tb, "a", 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range [][2]int64{{0, 1000}, {100, 200}, {999, 1000}, {500, 500}} {
-		got, err := b.Scan(tb, r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := naiveScan(tb, vals, r[0], r[1]); !sameRows(got, want) {
-			t.Fatalf("BRIN scan [%d,%d): got %d rows, want %d", r[0], r[1], len(got), len(want))
-		}
-	}
-}
-
-func TestBRINPrunesForgottenBlocks(t *testing.T) {
-	tb, _ := randTable(t, 256, 3)
-	// Forget an entire block-aligned region.
-	for i := 64; i < 128; i++ {
-		tb.Forget(i)
-	}
-	b, err := NewBRIN(tb, "a", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Blocks() != 4 {
-		t.Fatalf("blocks = %d", b.Blocks())
-	}
-	if b.PrunedBlocks() != 1 {
-		t.Fatalf("pruned blocks = %d, want 1", b.PrunedBlocks())
-	}
-	// Full-range candidates must skip the pruned block.
-	cand := b.CandidateBlocks(0, 1000, nil)
-	for _, blk := range cand {
-		if blk == 1 {
-			t.Fatal("pruned block returned as candidate")
-		}
-	}
-}
-
-func TestBRINStaleDetection(t *testing.T) {
-	tb, _ := randTable(t, 100, 4)
-	b, err := NewBRIN(tb, "a", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb.AppendSingleColumn([]int64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Scan(tb, 0, 10); err == nil {
-		t.Fatal("stale BRIN scan succeeded")
-	}
-	if err := b.Rebuild(tb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Scan(tb, 0, 10); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBRINUnknownColumn(t *testing.T) {
-	tb, _ := randTable(t, 10, 5)
-	if _, err := NewBRIN(tb, "zz", 8); err == nil {
-		t.Fatal("unknown column accepted")
-	}
-}
-
-func TestBRINSizeShrinksWithBlockSize(t *testing.T) {
-	tb, _ := randTable(t, 1000, 6)
-	small, _ := NewBRIN(tb, "a", 8)
-	large, _ := NewBRIN(tb, "a", 256)
-	if small.SizeBytes() <= large.SizeBytes() {
-		t.Fatalf("BRIN sizes: fine=%d coarse=%d", small.SizeBytes(), large.SizeBytes())
-	}
-}
-
 func TestSortedScanMatchesNaive(t *testing.T) {
 	tb, vals := randTable(t, 500, 7)
 	src := xrand.New(8)
@@ -223,9 +139,9 @@ func TestSortedEmptyTable(t *testing.T) {
 	}
 }
 
-func TestPropertyIndexesAgree(t *testing.T) {
-	// BRIN and Sorted must return identical row sets for any data and
-	// any range.
+func TestPropertySortedMatchesNaive(t *testing.T) {
+	// Sorted must return the naive scan's row set for any data and any
+	// range.
 	f := func(raw []uint16, loRaw, hiRaw uint16, forget []uint8) bool {
 		if len(raw) == 0 {
 			return true
@@ -245,44 +161,14 @@ func TestPropertyIndexesAgree(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		b, err := NewBRIN(tb, "a", 16)
-		if err != nil {
-			return false
-		}
 		s, err := NewSorted(tb, "a")
 		if err != nil {
 			return false
 		}
-		bs, err := b.Scan(tb, lo, hi)
-		if err != nil {
-			return false
-		}
-		return sameRows(bs, s.Scan(tb, lo, hi))
+		return sameRows(naiveScan(tb, vals, lo, hi), s.Scan(tb, lo, hi))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkBRINScan(b *testing.B) {
-	src := xrand.New(1)
-	tb := table.New("t", "a")
-	vals := make([]int64, 1<<18)
-	for i := range vals {
-		vals[i] = src.Int63n(1 << 18)
-	}
-	if _, err := tb.AppendSingleColumn(vals); err != nil {
-		b.Fatal(err)
-	}
-	idx, err := NewBRIN(tb, "a", 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := idx.Scan(tb, 1000, 2000); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -2,7 +2,7 @@ package partition
 
 // Regression tests for the context-threaded fan-out: the ctxflow
 // analyzer flagged the shard fan-out for dropping the request context,
-// and the fix (fanOut over engine.ForEachTaskCtx) must make a canceled
+// and the fix (fanOut over engine.ForEachTask) must make a canceled
 // context win over shard work.
 
 import (
@@ -22,21 +22,23 @@ func TestFanOutHonorsCanceledContext(t *testing.T) {
 	cancel()
 	pred := expr.NewRange(0, 1000)
 
-	if _, err := s.ScanChunksCtx(ctx, pred); !errors.Is(err, context.Canceled) {
-		t.Errorf("ScanChunksCtx on canceled ctx: err = %v, want context.Canceled", err)
+	if cs, err := s.ScanChunkStream(ctx, pred); err != nil {
+		t.Errorf("ScanChunkStream on canceled ctx: %v", err)
+	} else if _, err := cs.Collect(); !errors.Is(err, context.Canceled) {
+		t.Errorf("collected ScanChunkStream on canceled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, err := s.AggregateExprCtx(ctx, pred); !errors.Is(err, context.Canceled) {
-		t.Errorf("AggregateExprCtx on canceled ctx: err = %v, want context.Canceled", err)
+	if _, err := s.Aggregate(ctx, pred); !errors.Is(err, context.Canceled) {
+		t.Errorf("Aggregate on canceled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, _, _, err := s.PrecisionExprCtx(ctx, pred); !errors.Is(err, context.Canceled) {
-		t.Errorf("PrecisionExprCtx on canceled ctx: err = %v, want context.Canceled", err)
+	if _, _, _, err := s.Precision(ctx, pred); !errors.Is(err, context.Canceled) {
+		t.Errorf("Precision on canceled ctx: err = %v, want context.Canceled", err)
 	}
 
-	// The ctx-less compat entries must keep working unchanged.
-	if _, err := s.ScanChunks(pred); err != nil {
-		t.Errorf("ScanChunks without ctx: %v", err)
+	// A live ctx and the ctx-less Select must keep working unchanged.
+	if _, err := s.Select(0, 1000); err != nil {
+		t.Errorf("Select without ctx: %v", err)
 	}
-	if _, err := s.AggregateExpr(pred); err != nil {
-		t.Errorf("AggregateExpr without ctx: %v", err)
+	if _, err := s.Aggregate(context.Background(), pred); err != nil {
+		t.Errorf("Aggregate under a live ctx: %v", err)
 	}
 }

@@ -13,10 +13,13 @@
 // loop. Budgets are atomic and each shard serialises its own mutation,
 // so Adapt can run online, interleaved with Inserts.
 //
-// Sets are also SQL citizens: ScanChunks, AggregateExpr and
-// PrecisionExpr take arbitrary single-attribute predicates (pruning the
-// fan-out by the predicate's bounding interval), which is what the SQL
-// layer's PartitionRelation adapter serves the catalog with.
+// Sets are also SQL citizens: ScanChunkStream, Aggregate and Precision
+// take a request context and an arbitrary single-attribute predicate
+// (pruning the fan-out by the predicate's bounding interval), which is
+// what the SQL layer's PartitionRelation adapter serves the catalog
+// with. Every fan-out runs on the engine's dispatchers — barriers
+// through engine.ForEachTask, streams through engine.NewChunkPipeline —
+// on the pool stamped by SetScheduler, or the process-global one.
 package partition
 
 import (
@@ -24,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync/atomic"
 
@@ -100,8 +102,8 @@ type Set struct {
 	src      *xrand.Source
 	// par is the fan-out parallelism knob; see SetParallelism.
 	par int
-	// sched, when non-nil, dispatches fan-outs and shard scans through
-	// a shared worker pool; see SetScheduler.
+	// sched is the worker pool fan-outs and shard scans run on; nil
+	// means sched.Default(). See SetScheduler.
 	sched *sched.Pool
 }
 
@@ -157,8 +159,8 @@ func (s *Set) Domain() int64 { return s.domain }
 func (s *Set) Strategy() string { return s.strategy }
 
 // SetParallelism sets the fan-out parallelism (0 auto = GOMAXPROCS,
-// 1 serial, n > 1 forced) and stamps the same knob onto every shard
-// executor. Shards are independent tables, so a partitioned query runs
+// 1 one worker, n > 1 asks for n) and stamps the same knob onto every
+// shard executor. Shards are independent tables, so a partitioned query runs
 // its per-shard scans concurrently. The two levels never multiply: a
 // query fanning out to several shards runs each shard's scan serially
 // (the fan-out itself saturates the cores), while a query confined to
@@ -174,11 +176,10 @@ func (s *Set) SetParallelism(n int) {
 	}
 }
 
-// SetScheduler routes the set's fan-outs and every shard executor
-// through a shared worker pool (nil restores spawn-per-query), so
-// partitioned queries compete fair-share with everything else on the
-// pool. Configure before serving concurrent queries, like
-// SetParallelism.
+// SetScheduler picks the worker pool the set's fan-outs and every shard
+// executor run on (nil, the default, is sched.Default()), so partitioned
+// queries compete fair-share with everything else on the pool.
+// Configure before serving concurrent queries, like SetParallelism.
 func (s *Set) SetScheduler(p *sched.Pool) {
 	s.sched = p
 	for _, part := range s.parts {
@@ -199,44 +200,26 @@ func (s *Set) Epoch() uint64 {
 }
 
 // FanWorkers resolves the parallelism knob to the worker count a
-// fan-out over n shards actually runs with. Unlike engine.Workers there
-// is no row threshold: a shard is a coarse unit of work, so any
-// multi-shard fan-out is worth spreading. Exported so the bench CLI
-// reports the same resolution the queries use.
+// fan-out over n shards actually runs with: the engine's one resolution
+// with no row threshold — a shard is a coarse unit of work, so any
+// multi-shard fan-out is worth spreading — capped at the shard count.
+// Exported so the bench CLI reports the same resolution the queries use.
 func (s *Set) FanWorkers(n int) int {
-	w := n
-	switch {
-	case s.par == 1 || n <= 1:
-		return 1
-	case s.par > 1:
-		if s.par < w {
-			w = s.par
-		}
-	default:
-		if g := runtime.GOMAXPROCS(0); g < w {
-			w = g
-		}
-	}
-	// A fan-out wider than the shared pool would oversubscribe it the
-	// same way a forced scan parallelism would; clamp to pool width.
-	if s.sched != nil && w > s.sched.Size() {
-		w = s.sched.Size()
-	}
-	return w
+	return max(min(engine.Workers(s.sched, s.par, n, 0), n), 1)
 }
 
 // fanOut runs fn over every shard in hit — concurrently up to the
 // parallelism knob — handing each call the executor shardExec picks for
 // this fan-out width, and returns the first error in shard order. A
-// cancelled ctx skips shards not yet started and reports ctx.Err(),
+// cancelled ctx skips shards not yet started and reports its cause,
 // which outranks shard errors (partial fan-outs have no meaningful
-// first error). Both Select and Precision schedule through this one
+// first error). Aggregate and Precision schedule through this one
 // scaffold.
 func (s *Set) fanOut(ctx context.Context, hit []*Partition, fn func(i int, ex *engine.Exec) error) error {
 	errs := make([]error, len(hit))
 	w := s.FanWorkers(len(hit))
-	if err := engine.ForEachTaskCtx(ctx, s.sched, w, len(hit), func(i int) {
-		errs[i] = fn(i, s.shardExec(hit[i], w))
+	if err := engine.ForEachTask(ctx, s.sched, w, len(hit), func(_, i int) {
+		errs[i] = fn(i, s.shardExec(ctx, hit[i], w))
 	}); err != nil {
 		return err
 	}
@@ -248,19 +231,18 @@ func (s *Set) fanOut(ctx context.Context, hit []*Partition, fn func(i int, ex *e
 	return nil
 }
 
-// shardExec picks the executor for one shard of a fan-out over workers
-// concurrent shards: the shard's stamped executor when the fan-out is
-// serial (single-shard queries keep their intra-shard parallelism), a
-// throwaway serial one when several shards already run concurrently —
-// nesting morsel workers inside a concurrent fan-out would oversubscribe
-// the cores quadratically. Results are identical either way; only the
-// scheduling changes.
-func (s *Set) shardExec(p *Partition, workers int) *engine.Exec {
-	if workers <= 1 {
-		return p.ex
+// shardExec derives the executor for one shard of a fan-out over workers
+// concurrent shards, running under the fan-out's ctx: the shard's
+// stamped knob when the fan-out has one worker (single-shard queries
+// keep their intra-shard parallelism), one worker when several shards
+// already run concurrently — nesting morsel workers inside a concurrent
+// fan-out would oversubscribe the cores quadratically. Results are
+// identical either way; only the scheduling changes.
+func (s *Set) shardExec(ctx context.Context, p *Partition, workers int) *engine.Exec {
+	ex := p.ex.WithContext(ctx)
+	if workers > 1 {
+		ex.SetParallelism(1)
 	}
-	ex := engine.New(p.tbl)
-	ex.SetParallelism(1)
 	return ex
 }
 
@@ -400,54 +382,29 @@ func (s *Set) locateIdx(v int64) (int, error) {
 	return i, nil
 }
 
-// ScanChunks returns the active tuples matching pred as one chunk per
-// intersecting shard, in value-range order — the chunked form the SQL
-// catalog streams from. The predicate's bounding interval prunes the
-// fan-out to the shards it can touch; per-shard scans run concurrently
-// up to the parallelism knob, each recording a workload hit for Adapt.
-// Chunk positions are nil: they would be shard-local and mean nothing
-// globally, so partitioned results project by value. Concatenating the
-// chunk values yields exactly Select's output.
-func (s *Set) ScanChunks(pred expr.Expr) ([]engine.SelChunk, error) {
-	//lint:ignore ctxflow ScanChunks is the public ctx-less compat entry; request paths use ScanChunksCtx.
-	return s.ScanChunksCtx(context.Background(), pred)
-}
-
-// ScanChunksCtx is ScanChunks with request-scoped cancellation: a
-// cancelled ctx abandons shards not yet started and returns ctx.Err().
-func (s *Set) ScanChunksCtx(ctx context.Context, pred expr.Expr) ([]engine.SelChunk, error) {
-	lo, hi, _ := pred.Bounds()
-	hit := s.intersecting(lo, hi)
-	chunks := make([]engine.SelChunk, len(hit))
-	err := s.fanOut(ctx, hit, func(i int, ex *engine.Exec) error {
-		hit[i].hits.Add(1)
-		res, err := ex.Select(s.column, pred, engine.ScanActive)
-		if err != nil {
-			return err
-		}
-		chunks[i] = engine.SelChunk{Values: res.Values}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return chunks, nil
-}
-
-// ScanChunkStream is the pipelined form of ScanChunks: per-shard scans
-// fan out concurrently and each shard's qualifying values are emitted —
-// strictly in value-range order — over the stream's bounded channel as
-// soon as the shard finishes, so a consumer sees the first shard's rows
-// while later shards are still scanning. Empty shards emit nothing.
-// Concatenating the streamed chunks yields exactly ScanChunks' output;
-// cancelling ctx (or closing the stream) abandons the remaining shards.
+// ScanChunkStream streams the active tuples matching pred, one chunk per
+// intersecting shard — the chunked form the SQL catalog serves. The
+// predicate's bounding interval prunes the fan-out to the shards it can
+// touch; per-shard scans run concurrently up to the parallelism knob,
+// each recording a workload hit for Adapt, and each shard's qualifying
+// values are emitted — strictly in value-range order — over the
+// stream's bounded channel as soon as the shard finishes, so a consumer
+// sees the first shard's rows while later shards are still scanning.
+// Empty shards emit nothing. Chunk positions are nil: they would be
+// shard-local and mean nothing globally, so partitioned results project
+// by value. Cancelling ctx (or closing the stream) abandons the
+// remaining shards.
+//
+// A shard's scan is a barrier (Exec.Select), not a nested stream: it
+// runs inside one of this pipeline's pool steps and has to drive its
+// own morsels there.
 func (s *Set) ScanChunkStream(ctx context.Context, pred expr.Expr) (*engine.ChunkStream, error) {
 	lo, hi, _ := pred.Bounds()
 	hit := s.intersecting(lo, hi)
 	w := s.FanWorkers(len(hit))
-	return engine.NewChunkPipelineSched(ctx, s.sched, w, len(hit), func(i int) ([]engine.SelChunk, error) {
+	return engine.NewChunkPipeline(ctx, s.sched, w, len(hit), func(i int) ([]engine.SelChunk, error) {
 		hit[i].hits.Add(1)
-		res, err := s.shardExec(hit[i], w).Select(s.column, pred, engine.ScanActive)
+		res, err := s.shardExec(ctx, hit[i], w).Select(s.column, pred, engine.ScanActive)
 		if err != nil {
 			return nil, err
 		}
@@ -459,16 +416,18 @@ func (s *Set) ScanChunkStream(ctx context.Context, pred expr.Expr) (*engine.Chun
 }
 
 // Select returns matching active values across all shards intersecting
-// [lo, hi), recording per-shard workload hits for Adapt. Shards are
-// independent tables, so the per-shard scans run concurrently up to the
-// parallelism knob; per-shard results land in per-shard slots
-// concatenated in value order, so the output is byte-identical to the
-// serial fan-out. Like the flat engine's scans, Select is safe for
-// concurrent readers: hit counters are atomic and the per-shard
-// executors touch access frequencies through the table's internal
-// synchronisation.
+// [lo, hi), recording per-shard workload hits for Adapt: the collected
+// form of ScanChunkStream, concatenated in value order. Like the flat
+// engine's scans, Select is safe for concurrent readers: hit counters
+// are atomic and the per-shard executors touch access frequencies
+// through the table's internal synchronisation.
 func (s *Set) Select(lo, hi int64) ([]int64, error) {
-	chunks, err := s.ScanChunks(expr.NewRange(lo, hi))
+	//lint:ignore ctxflow Select is the set's one ctx-less entry (library callers and the frozen benchmark); request paths stream with their own ctx.
+	cs, err := s.ScanChunkStream(context.Background(), expr.NewRange(lo, hi))
+	if err != nil {
+		return nil, err
+	}
+	chunks, err := cs.Collect()
 	if err != nil {
 		return nil, err
 	}
@@ -486,21 +445,15 @@ func (s *Set) Select(lo, hi int64) ([]int64, error) {
 	return out, nil
 }
 
-// AggregateExpr folds the single attribute under pred across the
+// Aggregate folds the single attribute under pred across the
 // intersecting shards in one concurrent fan-out, merging the per-shard
 // partials exactly (sums, counts and min/max are order-independent).
 // Shards whose qualifying set is empty contribute nothing; when every
 // shard is empty it returns engine.ErrNoRows like the flat engine.
 // Each touched shard records a workload hit, so SQL aggregates feed
-// Adapt like selects do.
-func (s *Set) AggregateExpr(pred expr.Expr) (*engine.AggResult, error) {
-	//lint:ignore ctxflow AggregateExpr is the public ctx-less compat entry; request paths use AggregateExprCtx.
-	return s.AggregateExprCtx(context.Background(), pred)
-}
-
-// AggregateExprCtx is AggregateExpr with request-scoped cancellation: a
-// cancelled ctx abandons shards not yet started and returns ctx.Err().
-func (s *Set) AggregateExprCtx(ctx context.Context, pred expr.Expr) (*engine.AggResult, error) {
+// Adapt like selects do. A cancelled ctx stops the fan-out — and every
+// running shard scan at its next morsel — and returns the cause.
+func (s *Set) Aggregate(ctx context.Context, pred expr.Expr) (*engine.AggResult, error) {
 	lo, hi, _ := pred.Bounds()
 	hit := s.intersecting(lo, hi)
 	partials := make([]*engine.AggResult, len(hit))
@@ -510,11 +463,8 @@ func (s *Set) AggregateExprCtx(ctx context.Context, pred expr.Expr) (*engine.Agg
 		if errors.Is(err, engine.ErrNoRows) {
 			return nil
 		}
-		if err != nil {
-			return err
-		}
 		partials[i] = a
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -526,12 +476,8 @@ func (s *Set) AggregateExprCtx(ctx context.Context, pred expr.Expr) (*engine.Agg
 		}
 		out.Rows += p.Rows
 		out.Sum += p.Sum
-		if p.Min < out.Min {
-			out.Min = p.Min
-		}
-		if p.Max > out.Max {
-			out.Max = p.Max
-		}
+		out.Min = min(out.Min, p.Min)
+		out.Max = max(out.Max, p.Max)
 	}
 	if out.Rows == 0 {
 		return nil, engine.ErrNoRows
@@ -540,29 +486,19 @@ func (s *Set) AggregateExprCtx(ctx context.Context, pred expr.Expr) (*engine.Agg
 	return out, nil
 }
 
-// PrecisionExpr aggregates the §2.3 metrics for pred across the shards
-// its bounding interval touches, running the per-shard precision scans
-// concurrently like Select. Metrics do not record workload hits, so
-// measuring precision never perturbs Adapt.
-func (s *Set) PrecisionExpr(pred expr.Expr) (rf, mf int, pf float64, err error) {
-	//lint:ignore ctxflow PrecisionExpr is the public ctx-less compat entry; request paths use PrecisionExprCtx.
-	return s.PrecisionExprCtx(context.Background(), pred)
-}
-
-// PrecisionExprCtx is PrecisionExpr with request-scoped cancellation: a
-// cancelled ctx abandons shards not yet started and returns ctx.Err().
-func (s *Set) PrecisionExprCtx(ctx context.Context, pred expr.Expr) (rf, mf int, pf float64, err error) {
+// Precision aggregates the §2.3 metrics for pred across the shards its
+// bounding interval touches, running the per-shard precision scans
+// concurrently and cancellably like Aggregate. Metrics do not record
+// workload hits, so measuring precision never perturbs Adapt.
+func (s *Set) Precision(ctx context.Context, pred expr.Expr) (rf, mf int, pf float64, err error) {
 	lo, hi, _ := pred.Bounds()
 	hit := s.intersecting(lo, hi)
 	rfs := make([]int, len(hit))
 	mfs := make([]int, len(hit))
 	ferr := s.fanOut(ctx, hit, func(i int, ex *engine.Exec) error {
 		r, m, _, err := ex.Precision(s.column, pred)
-		if err != nil {
-			return err
-		}
 		rfs[i], mfs[i] = r, m
-		return nil
+		return err
 	})
 	if ferr != nil {
 		return 0, 0, 0, ferr
@@ -575,12 +511,6 @@ func (s *Set) PrecisionExprCtx(ctx context.Context, pred expr.Expr) (rf, mf int,
 		return 0, 0, 1, nil
 	}
 	return rf, mf, float64(rf) / float64(rf+mf), nil
-}
-
-// Precision aggregates the §2.3 metrics across the shards that intersect
-// [lo, hi); see PrecisionExpr.
-func (s *Set) Precision(lo, hi int64) (rf, mf int, pf float64, err error) {
-	return s.PrecisionExpr(expr.NewRange(lo, hi))
 }
 
 // Stats sums tuple counts over all shards.

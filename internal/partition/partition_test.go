@@ -1,12 +1,14 @@
 package partition
 
 import (
+	"context"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"amnesiadb/internal/amnesia"
+	"amnesiadb/internal/expr"
 	"amnesiadb/internal/xrand"
 )
 
@@ -140,7 +142,7 @@ func TestPrecisionAcrossShards(t *testing.T) {
 	if err := s.Insert([]int64{100, 200, 600, 700}); err != nil {
 		t.Fatal(err)
 	}
-	rf, mf, pf, err := s.Precision(0, 1000)
+	rf, mf, pf, err := s.Precision(context.Background(), expr.NewRange(0, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +213,7 @@ func TestAdaptImprovesHotRangePrecision(t *testing.T) {
 				s.Adapt()
 			}
 		}
-		_, _, pf, err := s.Precision(0, 250)
+		_, _, pf, err := s.Precision(context.Background(), expr.NewRange(0, 250))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,11 +263,11 @@ func TestSelectParallelFanOutEquivalence(t *testing.T) {
 				t.Fatalf("range %v: value %d diverges: %d vs %d", r, i, want[i], got[i])
 			}
 		}
-		rf1, mf1, pf1, err := serial.Precision(r[0], r[1])
+		rf1, mf1, pf1, err := serial.Precision(context.Background(), expr.NewRange(r[0], r[1]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rf4, mf4, pf4, err := parallel.Precision(r[0], r[1])
+		rf4, mf4, pf4, err := parallel.Precision(context.Background(), expr.NewRange(r[0], r[1]))
 		if err != nil {
 			t.Fatal(err)
 		}

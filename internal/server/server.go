@@ -657,7 +657,7 @@ func (s *Server) handlePrecision(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("partitioned table %q has no column %q", name, col))
 			return
 		}
-		rf, mf, pf, err = p.Precision(lo, hi)
+		rf, mf, pf, err = p.Precision(r.Context(), lo, hi)
 	} else {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown table %q", name))
 		return

@@ -40,9 +40,9 @@ type Opts struct {
 	// collections mid-scan. The HTTP server threads the request context
 	// through here so a disconnected client stops paying for its query.
 	Ctx context.Context
-	// Sched, when non-nil, dispatches the query's parallel work — sort
-	// runs and join phases — through a shared worker pool; relation
-	// scans use the scheduler stamped on the relation itself. A forced
+	// Sched is the worker pool the query's own barriers — sort runs
+	// and join phases — run on (nil is sched.Default()); relation scans
+	// use the scheduler stamped on the relation itself. A forced
 	// Parallelism above the pool width is clamped to it.
 	Sched *sched.Pool
 	// Quota, when non-nil, is the query's resource account: every
@@ -453,7 +453,7 @@ func clusteredOrderedStream(ctx context.Context, headers []string, ints []bool, 
 	for _, c := range chunks {
 		total += len(c.Values)
 	}
-	if err := engine.ForEachTaskCtx(ctx, sp, engine.WorkersSched(sp, par, total), len(chunks), func(i int) {
+	if err := engine.ForEachTask(ctx, sp, engine.Workers(sp, par, total, engine.TaskMinRows), len(chunks), func(_, i int) {
 		slices.Sort(chunks[i].Values)
 	}); err != nil {
 		for _, c := range chunks {
@@ -609,15 +609,14 @@ func execAggregateStream(rel Relation, q *Query, o Opts) (*ResultStream, error) 
 		// LIMIT 0 caps even the aggregate's single row.
 		return emptyStream(headers, ints), nil
 	}
-	// The aggregate is one barrier computation inside the engine, with
-	// no morsel boundaries this layer can check mid-flight — so enforce
-	// the quota's deadline (and any pressure kill) at admission.
-	if gq := governor.FromContext(o.context()); gq != nil {
-		if err := gq.Check(); err != nil {
-			return nil, err
-		}
+	// The aggregate is one barrier inside the engine, which checks ctx
+	// and the quota's deadline (and any pressure kill) before every
+	// morsel; the check here rejects at admission, before any touch.
+	ctx := o.context()
+	if err := governor.FromContext(ctx).Check(); err != nil {
+		return nil, err
 	}
-	agg, err := rel.Aggregate(col, pred, o.Parallelism)
+	agg, err := rel.Aggregate(ctx, col, pred, o.Parallelism)
 	if errors.Is(err, engine.ErrNoRows) {
 		// SQL semantics over an empty qualifying set: COUNT is 0, every
 		// other aggregate is NULL (one row, NaN standing in for NULL).

@@ -52,7 +52,7 @@ func resolveJoinRef(sides [2]joinSide, ref ColRef) (joinCol, error) {
 // parallel scan, the join runs at the configured parallelism, and the
 // matched pairs stream through per-window projection — each output
 // window gathers its qualified columns from the owning side's table.
-// Output order is HashJoinPar's probe order, so results are
+// Output order is engine.HashJoin's probe order, so results are
 // byte-identical to the engine's direct join at every parallelism.
 func execJoinStream(cat Catalog, q *Query, o Opts) (*ResultStream, error) {
 	if q.Aggregate != nil {
@@ -96,7 +96,7 @@ func execJoinStream(cat Catalog, q *Query, o Opts) (*ResultStream, error) {
 		pred = expr.True{}
 	} else {
 		// The predicate restricts the join key (the §2.2 one-attribute
-		// subspace lifted to joins): HashJoinPar applies it to both
+		// subspace lifted to joins): HashJoin applies it to both
 		// sides' key collection, so WHERE must name the key.
 		jc, err := resolveJoinRef(sides, q.WhereCol)
 		if err != nil {
@@ -123,7 +123,7 @@ func execJoinStream(cat Catalog, q *Query, o Opts) (*ResultStream, error) {
 	// The join pipelines internally: both side collections stream
 	// concurrently and the predicted build side scatters as chunks
 	// arrive. A cancelled request context tears the collections down.
-	jr, err := engine.HashJoinSched(o.context(), o.Sched, sides[0].rel.tbl, sides[0].key, sides[1].rel.tbl, sides[1].key, pred, engine.ScanActive, o.Parallelism)
+	jr, err := engine.HashJoin(o.context(), o.Sched, sides[0].rel.tbl, sides[0].key, sides[1].rel.tbl, sides[1].key, pred, engine.ScanActive, o.Parallelism)
 	if err != nil {
 		return nil, err
 	}

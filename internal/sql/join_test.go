@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -103,7 +104,7 @@ func TestJoinMatchesEngineJoin(t *testing.T) {
 		if pred == nil {
 			pred = expr.True{}
 		}
-		jr, err := engine.HashJoin(tc.left, tc.lcol, tc.right, tc.rcol, pred, engine.ScanActive)
+		jr, err := engine.HashJoin(context.Background(), nil, tc.left, tc.lcol, tc.right, tc.rcol, pred, engine.ScanActive, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +154,7 @@ func TestJoinOrderByLimit(t *testing.T) {
 }
 
 // TestJoinParallelEquivalence checks the SQL join is byte-identical at
-// every parallelism, riding HashJoinPar's determinism.
+// every parallelism, riding HashJoin's determinism.
 func TestJoinParallelEquivalence(t *testing.T) {
 	const n = 40000
 	src := xrand.New(7)

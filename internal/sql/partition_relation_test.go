@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"amnesiadb/internal/engine"
 	"amnesiadb/internal/expr"
 	"amnesiadb/internal/partition"
 	"amnesiadb/internal/xrand"
@@ -164,20 +165,20 @@ func TestStreamChunking(t *testing.T) {
 	}
 }
 
-// TestPartitionedStreamMatchesScanChunks pins the pipelined shard
-// fan-out: concatenating ScanChunkStream's chunks must reproduce
-// ScanChunks (and with it the set's Select) exactly — shard order,
+// TestPartitionedStreamMatchesShardScans pins the pipelined shard
+// fan-out: concatenating ScanChunkStream's chunks must reproduce the
+// shards' own scans taken one by one in range order — shard order,
 // value order, every shard.
-func TestPartitionedStreamMatchesScanChunks(t *testing.T) {
+func TestPartitionedStreamMatchesShardScans(t *testing.T) {
 	set, _ := partFixture(t, 8)
 	pred := expr.NewRange(50, 900)
-	chunks, err := set.ScanChunks(pred)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want []int64
-	for _, c := range chunks {
-		want = append(want, c.Values...)
+	for _, p := range set.Partitions() {
+		res, err := engine.NewSilent(p.Table()).Select(set.Column(), pred, engine.ScanActive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res.Values...)
 	}
 	st, err := set.ScanChunkStream(context.Background(), pred)
 	if err != nil {

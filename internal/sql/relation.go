@@ -20,17 +20,14 @@ type Relation interface {
 	Kind() string
 	// Columns lists the projectable column names in declaration order.
 	Columns() []string
-	// ScanChunks returns the active tuples of col matching pred as
-	// chunks in deterministic order (insertion order for tables, value
-	// order for partitioned sets). par is the engine's intra-query
-	// parallelism knob; relations with their own stamped knob may
-	// ignore it.
-	ScanChunks(col string, pred expr.Expr, par int) ([]engine.SelChunk, error)
-	// ScanChunkStream is the pipelined form of ScanChunks: chunks
-	// arrive over a bounded channel, in the same deterministic order,
-	// while producers are still scanning. Cancelling ctx tears the
-	// producers down; the stream's ScanDone reports when relation
-	// storage is no longer read.
+	// ScanChunkStream streams the active tuples of col matching pred
+	// as chunks in deterministic order (insertion order for tables,
+	// value order for partitioned sets) over a bounded channel, while
+	// producers are still scanning; its Collect is the materialized
+	// form. par is the engine's intra-query parallelism knob;
+	// relations with their own stamped knob may ignore it. Cancelling
+	// ctx tears the producers down; the stream's ScanDone reports when
+	// relation storage is no longer read.
 	ScanChunkStream(ctx context.Context, col string, pred expr.Expr, par int) (*engine.ChunkStream, error)
 	// Clustered reports that scan chunks arrive as disjoint, ascending
 	// value ranges (partitioned sets: one chunk per shard, in shard
@@ -42,10 +39,12 @@ type Relation interface {
 	// the executor projects their scan values directly.
 	Gather(col string, rows []int32, buf []int64) ([]int64, error)
 	// Aggregate folds col under pred in one pass; engine.ErrNoRows
-	// reports an empty qualifying set.
-	Aggregate(col string, pred expr.Expr, par int) (*engine.AggResult, error)
-	// Precision reports the §2.3 metrics for pred over col.
-	Precision(col string, pred expr.Expr, par int) (rf, mf int, pf float64, err error)
+	// reports an empty qualifying set. A done ctx stops the pass at
+	// its next morsel and returns the cause.
+	Aggregate(ctx context.Context, col string, pred expr.Expr, par int) (*engine.AggResult, error)
+	// Precision reports the §2.3 metrics for pred over col, cancellable
+	// like Aggregate.
+	Precision(ctx context.Context, col string, pred expr.Expr, par int) (rf, mf int, pf float64, err error)
 	// Stats sums the relation's tuple counters.
 	Stats() table.Stats
 	// Epoch returns the relation's monotonic mutation epoch: it changes
@@ -80,8 +79,8 @@ type TableRelation struct {
 // NewTableRelation wraps t as a catalog Relation.
 func NewTableRelation(t *table.Table) *TableRelation { return &TableRelation{tbl: t} }
 
-// SetScheduler routes the relation's scans through a shared worker
-// pool; nil (the default) keeps per-query goroutines.
+// SetScheduler picks the worker pool the relation's scans run on; nil
+// (the default) is sched.Default().
 func (r *TableRelation) SetScheduler(p *sched.Pool) { r.sched = p }
 
 // Kind implements Relation.
@@ -97,11 +96,6 @@ func (r *TableRelation) exec(par int) *engine.Exec {
 	ex.SetParallelism(par)
 	ex.SetScheduler(r.sched)
 	return ex
-}
-
-// ScanChunks implements Relation.
-func (r *TableRelation) ScanChunks(col string, pred expr.Expr, par int) ([]engine.SelChunk, error) {
-	return r.exec(par).SelectChunks(col, pred, engine.ScanActive)
 }
 
 // ScanChunkStream implements Relation: the engine's pipelined morsel
@@ -124,13 +118,13 @@ func (r *TableRelation) Gather(col string, rows []int32, buf []int64) ([]int64, 
 }
 
 // Aggregate implements Relation.
-func (r *TableRelation) Aggregate(col string, pred expr.Expr, par int) (*engine.AggResult, error) {
-	return r.exec(par).Aggregate(col, pred, engine.ScanActive)
+func (r *TableRelation) Aggregate(ctx context.Context, col string, pred expr.Expr, par int) (*engine.AggResult, error) {
+	return r.exec(par).WithContext(ctx).Aggregate(col, pred, engine.ScanActive)
 }
 
 // Precision implements Relation.
-func (r *TableRelation) Precision(col string, pred expr.Expr, par int) (rf, mf int, pf float64, err error) {
-	return r.exec(par).Precision(col, pred)
+func (r *TableRelation) Precision(ctx context.Context, col string, pred expr.Expr, par int) (rf, mf int, pf float64, err error) {
+	return r.exec(par).WithContext(ctx).Precision(col, pred)
 }
 
 // Stats implements Relation.
@@ -163,17 +157,9 @@ func (r *PartitionRelation) checkCol(col string) error {
 	return nil
 }
 
-// ScanChunks implements Relation. The set's own fan-out knob governs
-// concurrency, so par is ignored.
-func (r *PartitionRelation) ScanChunks(col string, pred expr.Expr, _ int) ([]engine.SelChunk, error) {
-	if err := r.checkCol(col); err != nil {
-		return nil, err
-	}
-	return r.set.ScanChunks(pred)
-}
-
 // ScanChunkStream implements Relation: the set's pipelined shard
-// fan-out, one chunk per shard in value order.
+// fan-out, one chunk per shard in value order. The set's own fan-out
+// knob governs concurrency, so par is ignored.
 func (r *PartitionRelation) ScanChunkStream(ctx context.Context, col string, pred expr.Expr, _ int) (*engine.ChunkStream, error) {
 	if err := r.checkCol(col); err != nil {
 		return nil, err
@@ -195,19 +181,19 @@ func (r *PartitionRelation) Gather(string, []int32, []int64) ([]int64, error) {
 }
 
 // Aggregate implements Relation.
-func (r *PartitionRelation) Aggregate(col string, pred expr.Expr, _ int) (*engine.AggResult, error) {
+func (r *PartitionRelation) Aggregate(ctx context.Context, col string, pred expr.Expr, _ int) (*engine.AggResult, error) {
 	if err := r.checkCol(col); err != nil {
 		return nil, err
 	}
-	return r.set.AggregateExpr(pred)
+	return r.set.Aggregate(ctx, pred)
 }
 
 // Precision implements Relation.
-func (r *PartitionRelation) Precision(col string, pred expr.Expr, _ int) (rf, mf int, pf float64, err error) {
+func (r *PartitionRelation) Precision(ctx context.Context, col string, pred expr.Expr, _ int) (rf, mf int, pf float64, err error) {
 	if err := r.checkCol(col); err != nil {
 		return 0, 0, 0, err
 	}
-	return r.set.PrecisionExpr(pred)
+	return r.set.Precision(ctx, pred)
 }
 
 // Stats implements Relation.

@@ -57,7 +57,7 @@ func orderPerm(ctx context.Context, keys []int64, desc bool, limit, par int, sp 
 
 	nRuns := (n + sortRunRows - 1) / sortRunRows
 	runs := make([][]int, nRuns) // per-run permutations of global indices
-	err := engine.ForEachTaskCtx(ctx, sp, engine.WorkersSched(sp, par, n), nRuns, func(r int) {
+	err := engine.ForEachTask(ctx, sp, engine.Workers(sp, par, n, engine.TaskMinRows), nRuns, func(_, r int) {
 		start := r * sortRunRows
 		end := start + sortRunRows
 		if end > n {

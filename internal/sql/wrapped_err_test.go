@@ -7,6 +7,7 @@ package sql
 // empty-set semantics.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -20,7 +21,7 @@ import (
 // positional context.
 type wrappedNoRowsRel struct{ Relation }
 
-func (r wrappedNoRowsRel) Aggregate(col string, pred expr.Expr, par int) (*engine.AggResult, error) {
+func (r wrappedNoRowsRel) Aggregate(_ context.Context, col string, pred expr.Expr, par int) (*engine.AggResult, error) {
 	return nil, fmt.Errorf("shard 3: %w", engine.ErrNoRows)
 }
 

@@ -1,7 +1,5 @@
 package xrand
 
-import "strconv"
-
 // Shuffle permutes the first n positions using swap, via Fisher-Yates.
 // It panics if n < 0.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {
@@ -110,29 +108,3 @@ func (r *Reservoir) Sample() []int64 { return r.keep }
 
 // Seen returns the number of elements offered so far.
 func (r *Reservoir) Seen() int { return r.seen }
-
-// WeightedChoice draws an index in [0, len(w)) with probability
-// proportional to w[i]. Weights must be non-negative and not all zero;
-// otherwise it panics. O(n) per draw — fine for the per-batch granularity
-// the simulator needs.
-func (s *Source) WeightedChoice(w []float64) int {
-	var total float64
-	for i, x := range w {
-		if x < 0 {
-			panic("xrand: WeightedChoice with negative weight at index " + strconv.Itoa(i))
-		}
-		total += x
-	}
-	if total <= 0 {
-		panic("xrand: WeightedChoice with zero total weight")
-	}
-	target := s.Float64() * total
-	var acc float64
-	for i, x := range w {
-		acc += x
-		if target < acc {
-			return i
-		}
-	}
-	return len(w) - 1 // float round-off fell past the end
-}

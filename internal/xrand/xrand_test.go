@@ -255,49 +255,6 @@ func TestReservoirSeen(t *testing.T) {
 	}
 }
 
-func TestWeightedChoiceFollowsWeights(t *testing.T) {
-	s := New(17)
-	w := []float64{1, 3, 6}
-	const n = 60000
-	counts := make([]int, len(w))
-	for i := 0; i < n; i++ {
-		counts[s.WeightedChoice(w)]++
-	}
-	total := 10.0
-	for i, wi := range w {
-		want := float64(n) * wi / total
-		if math.Abs(float64(counts[i])-want) > want*0.1 {
-			t.Fatalf("weight %d chosen %d, want ~%.0f", i, counts[i], want)
-		}
-	}
-}
-
-func TestWeightedChoiceZeroWeightNeverChosen(t *testing.T) {
-	s := New(18)
-	w := []float64{0, 1, 0}
-	for i := 0; i < 1000; i++ {
-		if got := s.WeightedChoice(w); got != 1 {
-			t.Fatalf("chose zero-weight index %d", got)
-		}
-	}
-}
-
-func TestWeightedChoicePanics(t *testing.T) {
-	for name, w := range map[string][]float64{
-		"all-zero": {0, 0},
-		"negative": {1, -1},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s weights did not panic", name)
-				}
-			}()
-			New(1).WeightedChoice(w)
-		}()
-	}
-}
-
 func TestZipfRankOrdering(t *testing.T) {
 	// Lower ranks must be (weakly) more frequent for a decreasing pmf.
 	s := New(19)

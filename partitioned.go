@@ -1,10 +1,12 @@
 package amnesiadb
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
 	"amnesiadb/internal/durability"
+	"amnesiadb/internal/expr"
 	"amnesiadb/internal/lockrank"
 	"amnesiadb/internal/partition"
 	"amnesiadb/internal/wal"
@@ -134,11 +136,13 @@ func (p *PartitionedTable) Select(lo, hi int64) ([]int64, error) {
 	return p.set.Select(lo, hi)
 }
 
-// Precision reports the §2.3 metrics over [lo, hi) across shards.
-func (p *PartitionedTable) Precision(lo, hi int64) (rf, mf int, pf float64, err error) {
+// Precision reports the §2.3 metrics over [lo, hi) across shards. A
+// done ctx stops the per-shard scans at their next morsel and returns
+// the cause.
+func (p *PartitionedTable) Precision(ctx context.Context, lo, hi int64) (rf, mf int, pf float64, err error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.set.Precision(lo, hi)
+	return p.set.Precision(ctx, expr.NewRange(lo, hi))
 }
 
 // Adapt reallocates the total budget toward the shards the workload has

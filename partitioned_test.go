@@ -1,6 +1,7 @@
 package amnesiadb
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestPartitionedTableLifecycle(t *testing.T) {
 	if len(got) != s.Active {
 		t.Fatalf("full select = %d values, active = %d", len(got), s.Active)
 	}
-	rf, mf, pf, err := pt.Precision(0, 1000)
+	rf, mf, pf, err := pt.Precision(context.Background(), 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestPartitionedConcurrentInsertSelectAdapt(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, _, _, err := pt.Precision(lo, lo+400); err != nil {
+				if _, _, _, err := pt.Precision(context.Background(), lo, lo+400); err != nil {
 					t.Error(err)
 					return
 				}

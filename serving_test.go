@@ -82,13 +82,13 @@ var servingQueries = []string{
 
 // TestConcurrentMixedQueriesByteIdentical is the tentpole stress pin:
 // 64 goroutines hammer one pooled database (shared scheduler, result
-// cache on) with a mixed workload while a serial, pool-less,
-// cache-less reference database defines the expected answer for every
+// cache on) with a mixed workload while a one-worker, cache-less
+// reference database defines the expected answer for every
 // statement. Any scheduling, merging or caching bug that perturbs
 // ordering or content fails DeepEqual; the -race CI job runs this
 // fully instrumented.
 func TestConcurrentMixedQueriesByteIdentical(t *testing.T) {
-	ref := servingDB(t, amnesiadb.Options{Seed: 5, Parallelism: 1, PoolSize: -1})
+	ref := servingDB(t, amnesiadb.Options{Seed: 5, Parallelism: 1})
 	pooled := servingDB(t, amnesiadb.Options{Seed: 5, CacheEntries: 32})
 	defer pooled.Close()
 

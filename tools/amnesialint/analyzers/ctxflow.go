@@ -7,20 +7,14 @@ import (
 	"amnesiadb/tools/amnesialint/analysis"
 )
 
-// CtxFlow keeps cancellation wired through the request path. Two rules:
-//
-//  1. No context.Background()/context.TODO() below the entry layers
-//     (server, cmd, tests). A fresh root context deep in the engine
-//     detaches that work from the request: a disconnected client keeps
-//     burning cores. Sanctioned public entry points (the facade's
-//     ctx-less compatibility API) carry an audited lint:ignore.
-//
-//  2. A function outside the engine that calls one of the engine's
-//     sched-pool dispatchers (names ending in "Sched") must itself
-//     thread a context: either the call passes a context.Context
-//     argument, or the enclosing function takes one (so the fan-out is
-//     at least reachable by cancellation plumbing), or the function is
-//     itself a *Sched primitive.
+// CtxFlow keeps cancellation wired through the request path: no
+// context.Background()/context.TODO() below the entry layers (server,
+// cmd, tests). A fresh root context deep in the engine detaches that
+// work from the request: a disconnected client keeps burning cores.
+// Sanctioned public entry points (the facade's ctx-less compatibility
+// API) carry an audited lint:ignore. Every engine dispatcher takes a
+// context.Context parameter, so the compiler — not this analyzer —
+// makes callers thread one.
 var CtxFlow = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc:  "request-path code must thread context.Context; no context.Background()/TODO() below the server layer",
@@ -43,43 +37,17 @@ func runCtxFlow(pass *analysis.Pass) error {
 		return nil
 	}
 	info := pass.TypesInfo
-	engineLayer := pkgPathHasSuffix(pass.Pkg, enginePath)
-
 	funcDecls(pass.Files, pass.Fset, func(fd *ast.FuncDecl) {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			// Rule 1: fresh root contexts.
 			if isFuncNamed(info, call, "context", "Background") || isFuncNamed(info, call, "context", "TODO") {
 				pass.Reportf(call.Pos(),
 					"%s below the server layer detaches this work from the request; thread the caller's context (entry-point shims need an audited lint:ignore)",
 					calleeFunc(info, call).FullName()+"()")
-				return true
 			}
-			// Rule 2: un-threaded sched-pool dispatch.
-			if engineLayer {
-				return true
-			}
-			fn := calleeFunc(info, call)
-			if fn == nil || !strings.HasSuffix(fn.Name(), "Sched") || !pkgPathHasSuffix(fn.Pkg(), enginePath) {
-				return true
-			}
-			if strings.HasSuffix(fd.Name.Name, "Sched") {
-				return true
-			}
-			for _, arg := range call.Args {
-				if tv, ok := info.Types[arg]; ok && isContextType(tv.Type) {
-					return true
-				}
-			}
-			if hasCtxParam(info, fd) {
-				return true
-			}
-			pass.Reportf(call.Pos(),
-				"%s dispatches onto the scheduler pool via %s but threads no context; a cancelled query would keep running this fan-out",
-				fd.Name.Name, fn.Name())
 			return true
 		})
 	})

@@ -1,12 +1,8 @@
-// Package query sits below the server layer: fresh root contexts and
-// un-threaded scheduler dispatch are both violations here.
+// Package query sits below the server layer: fresh root contexts are
+// violations here.
 package query
 
-import (
-	"context"
-
-	"fixture/internal/engine"
-)
+import "context"
 
 func freshRoot() context.Context {
 	return context.Background() // want ctxflow "below the server layer"
@@ -14,22 +10,6 @@ func freshRoot() context.Context {
 
 func todoRoot() context.Context {
 	return context.TODO() // want ctxflow "below the server layer"
-}
-
-func unthreaded(n int) {
-	engine.ForEachTaskSched(nil, 1, n, func(int) {}) // want ctxflow "threads no context"
-}
-
-// threaded has cancellation plumbing in reach: the enclosing function
-// takes a context, so the fan-out is wireable.
-func threaded(ctx context.Context, n int) {
-	_ = ctx
-	engine.ForEachTaskSched(nil, 1, n, func(int) {})
-}
-
-// threadedCall passes the context into the dispatch itself.
-func threadedCall(ctx context.Context, n int) error {
-	return engine.ForEachTaskCtx(ctx, nil, 1, n, func(int) {})
 }
 
 // suppressed is the audited escape hatch.
@@ -41,8 +21,5 @@ func suppressed() context.Context {
 var (
 	_ = freshRoot
 	_ = todoRoot
-	_ = unthreaded
-	_ = threaded
-	_ = threadedCall
 	_ = suppressed
 )
