@@ -19,12 +19,11 @@ type Advisor struct {
 
 // NewAdvisor returns an advisor observing queries against column col.
 func (t *Table) NewAdvisor(col string) (*Advisor, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.liveLocked(); err != nil {
-		return nil, err
-	}
-	c, err := advisor.NewCollector(t.tbl, col)
+	var c *advisor.Collector
+	err := t.exclusive(func() (err error) {
+		c, err = advisor.NewCollector(t.tbl, col)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -32,44 +31,41 @@ func (t *Table) NewAdvisor(col string) (*Advisor, error) {
 }
 
 // Select runs the query through the table and records it.
-func (a *Advisor) Select(p Pred) (*Result, error) {
-	a.t.mu.Lock()
-	defer a.t.mu.Unlock()
-	if err := a.t.liveLocked(); err != nil {
-		return nil, err
-	}
-	res, err := a.t.ex.Select(a.col, p.expr(), engine.ScanActive)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi, _ := p.expr().Bounds()
-	a.c.ObserveRange(lo, hi, res.Rows)
-	return &Result{Rows: res.Rows, Values: res.Values}, nil
+func (a *Advisor) Select(p Pred) (res *Result, err error) {
+	err = a.t.exclusive(func() error {
+		r, err := a.t.ex.Select(a.col, p.expr(), engine.ScanActive)
+		if err != nil {
+			return err
+		}
+		lo, hi, _ := p.expr().Bounds()
+		a.c.ObserveRange(lo, hi, r.Rows)
+		res = &Result{Rows: r.Rows, Values: r.Values}
+		return nil
+	})
+	return res, err
 }
 
 // Aggregate runs the aggregate through the table and records it. The
 // collector needs every contributing position, so this is a select
 // folded here: it touches the same rows an engine aggregate would, once.
-func (a *Advisor) Aggregate(p Pred) (Agg, error) {
-	a.t.mu.Lock()
-	defer a.t.mu.Unlock()
-	if err := a.t.liveLocked(); err != nil {
-		return Agg{}, err
-	}
-	res, err := a.t.ex.Select(a.col, p.expr(), engine.ScanActive)
-	if err != nil {
-		return Agg{}, err
-	}
-	if len(res.Rows) == 0 {
-		return Agg{}, ErrNoRows
-	}
-	a.c.ObserveAggregate(res.Rows)
-	agg := Agg{Count: len(res.Values), Min: slices.Min(res.Values), Max: slices.Max(res.Values)}
-	for _, v := range res.Values {
-		agg.Sum += v
-	}
-	agg.Avg = float64(agg.Sum) / float64(agg.Count)
-	return agg, nil
+func (a *Advisor) Aggregate(p Pred) (agg Agg, err error) {
+	err = a.t.exclusive(func() error {
+		res, err := a.t.ex.Select(a.col, p.expr(), engine.ScanActive)
+		if err != nil {
+			return err
+		}
+		if len(res.Rows) == 0 {
+			return ErrNoRows
+		}
+		a.c.ObserveAggregate(res.Rows)
+		agg = Agg{Count: len(res.Values), Min: slices.Min(res.Values), Max: slices.Max(res.Values)}
+		for _, v := range res.Values {
+			agg.Sum += v
+		}
+		agg.Avg = float64(agg.Sum) / float64(agg.Count)
+		return nil
+	})
+	return agg, err
 }
 
 // Advice is the advisor's recommendation.
@@ -88,21 +84,20 @@ type Advice struct {
 
 // Advise analyses the observed workload for the target precision
 // (0 < target <= 1) and returns a policy recommendation.
-func (a *Advisor) Advise(target float64) (Advice, error) {
-	a.t.mu.Lock()
-	defer a.t.mu.Unlock()
-	if err := a.t.liveLocked(); err != nil {
-		return Advice{}, err
-	}
-	r, err := a.c.Analyze(target)
-	if err != nil {
-		return Advice{}, err
-	}
-	return Advice{
-		Strategy:        r.Strategy,
-		Reason:          r.Reason,
-		Budget:          r.AffordableBudget,
-		MeanSelectivity: r.MeanSelectivity,
-		FreshFocus:      r.FreshFocus,
-	}, nil
+func (a *Advisor) Advise(target float64) (adv Advice, err error) {
+	err = a.t.exclusive(func() error {
+		r, err := a.c.Analyze(target)
+		if err != nil {
+			return err
+		}
+		adv = Advice{
+			Strategy:        r.Strategy,
+			Reason:          r.Reason,
+			Budget:          r.AffordableBudget,
+			MeanSelectivity: r.MeanSelectivity,
+			FreshFocus:      r.FreshFocus,
+		}
+		return nil
+	})
+	return adv, err
 }

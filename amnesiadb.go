@@ -192,11 +192,9 @@ const planCacheSize = 256
 // to one short critical section per query.
 type DB struct {
 	mu lockrank.Catalog
-	// tables and parts are the two kinds of the relation catalog; they
-	// share one namespace (CreateTable and CreatePartitionedTable check
-	// both), and SQL queries route to either kind transparently.
-	tables map[string]*Table
-	parts  map[string]*PartitionedTable
+	// rels is the relation catalog: flat and partitioned tables in one
+	// namespace, entered only through register.
+	rels map[string]relation
 	// par is Options.Parallelism, stamped onto every executor built for
 	// this database (tables, SQL runs, partition shards).
 	par int
@@ -263,8 +261,7 @@ func Open(opts Options) *DB {
 	}
 	db := &DB{
 		src:           xrand.New(opts.Seed),
-		tables:        make(map[string]*Table),
-		parts:         make(map[string]*PartitionedTable),
+		rels:          make(map[string]relation),
 		par:           par,
 		plans:         sql.NewPlanCache(planCacheSize),
 		results:       sql.NewResultCache(opts.CacheEntries),
@@ -349,78 +346,135 @@ func (db *DB) GovernorStats() governor.Stats { return db.gov.Stats() }
 // CreateTable adds a table with the given columns. Every column stores
 // int64 values. It fails if the name is taken.
 func (db *DB) CreateTable(name string, columns ...string) (*Table, error) {
-	if err := db.writable(); err != nil {
-		return nil, err
-	}
-	db.mu.Lock()
-	if db.taken(name) {
-		db.mu.Unlock()
-		return nil, fmt.Errorf("amnesiadb: table %q already exists", name)
-	}
 	if len(columns) == 0 {
-		db.mu.Unlock()
 		return nil, fmt.Errorf("amnesiadb: table %q needs at least one column", name)
 	}
-	tbl := table.New(name, columns...)
-	ex := engine.New(tbl)
-	ex.SetParallelism(db.par)
-	ex.SetScheduler(db.pool)
-	t := &Table{
-		db:  db,
-		tbl: tbl,
-		ex:  ex,
-	}
-	tbl.AdvanceEpoch(db.nextIncarnation())
-	db.tables[name] = t
-	p := db.logRecord(wal.RecordCreate(name, columns))
-	db.mu.Unlock()
-	if err := db.commitWait(p); err != nil {
+	t := &Table{handle: handle{db: db, name: name}, tbl: table.New(name, columns...)}
+	if err := db.register(t, wal.RecordCreate(name, columns)); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// taken reports whether name is claimed by either catalog kind; callers
-// hold db.mu.
-func (db *DB) taken(name string) bool {
-	if _, dup := db.tables[name]; dup {
-		return true
-	}
-	_, dup := db.parts[name]
-	return dup
+// relation is one catalog entry: a flat Table or a PartitionedTable.
+// Both kinds share one namespace and one handle; they differ in how
+// they attach to the database and how they are snapshotted.
+type relation interface {
+	base() *handle
+	// attach stamps the database's executor settings, the SQL view and
+	// the fresh epoch incarnation inc; register calls it once.
+	attach(inc uint64)
+	// appendTo adds the relation's section to a snapshot catalog; the
+	// caller holds the full barrier (lockCatalog).
+	appendTo(cat *snapshot.Catalog)
+	// shards is the partition count; zero for flat tables.
+	shards() int
 }
+
+// handle is what every relation shares: its lock, its database, its
+// catalog name, its drop latch and its SQL view. Queries take mu as
+// readers; mutation, and anything that reads access frequencies, takes
+// it exclusively through exclusive or mutate.
+type handle struct {
+	mu   lockrank.Relation
+	db   *DB
+	name string
+	// rel is the relation's SQL view, built once by attach.
+	rel sql.Relation
+	// dropped (guarded by mu) marks a handle whose relation left the
+	// catalog: DropTable sets it under the exclusive lock before
+	// logging the drop record, so mutations through a stale handle fail
+	// instead of appending WAL records after their relation's drop.
+	dropped bool
+}
+
+func (h *handle) base() *handle { return h }
+
+// Name returns the relation's catalog name.
+func (h *handle) Name() string { return h.name }
+
+// liveLocked fails mutation through a handle that outlived its
+// relation's drop; callers hold h.mu exclusively. The check must run
+// before any WAL record is enqueued, or replay would encounter a
+// mutation on a dropped relation and reject the log.
+func (h *handle) liveLocked() error {
+	if h.dropped {
+		return fmt.Errorf("amnesiadb: %w %q (dropped)", ErrUnknownTable, h.name)
+	}
+	return nil
+}
+
+// exclusive runs fn under h's exclusive lock once the handle is known
+// live.
+func (h *handle) exclusive(fn func() error) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err := h.liveLocked(); err != nil {
+		return err
+	}
+	return fn()
+}
+
+// mutate is exclusive for logged mutations: it refuses a read-only
+// database, runs fn — which applies the change and enqueues its WAL
+// record, so per-relation log order is lock order — and awaits the
+// returned Pending after unlocking. An error from fn is returned
+// without waiting.
+func (h *handle) mutate(fn func() (*durability.Pending, error)) error {
+	if err := h.db.writable(); err != nil {
+		return err
+	}
+	var p *durability.Pending
+	if err := h.exclusive(func() (err error) {
+		p, err = fn()
+		return err
+	}); err != nil {
+		return err
+	}
+	return h.db.commitWait(p)
+}
+
+// register is the one way a relation enters the catalog — create, load
+// and restore alike. It refuses a read-only database and a taken name,
+// attaches r under a fresh epoch incarnation, inserts it and enqueues
+// rec (nil when the caller persists the relation otherwise), then
+// awaits the record once the catalog lock is released.
+func (db *DB) register(r relation, rec []byte) error {
+	if err := db.writable(); err != nil {
+		return err
+	}
+	h := r.base()
+	db.mu.Lock()
+	if _, dup := db.rels[h.name]; dup {
+		db.mu.Unlock()
+		return fmt.Errorf("amnesiadb: table %q already exists", h.name)
+	}
+	r.attach(db.nextIncarnation())
+	db.rels[h.name] = r
+	p := db.logRecord(rec)
+	db.mu.Unlock()
+	return db.commitWait(p)
+}
+
+// lookup resolves name to a catalog entry of kind T, or false when the
+// name is missing or held by the other kind.
+func lookup[T relation](db *DB, name string) (T, bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	r, ok := db.rels[name].(T)
+	return r, ok
+}
+
+// errUnknown reports a name the catalog does not hold.
+func errUnknown(name string) error { return fmt.Errorf("amnesiadb: %w %q", ErrUnknownTable, name) }
 
 // Table returns the named flat table, or false. Partitioned tables live
 // beside flat ones in the catalog; fetch them with Partitioned.
-func (db *DB) Table(name string) (*Table, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[name]
-	return t, ok
-}
+func (db *DB) Table(name string) (*Table, bool) { return lookup[*Table](db, name) }
 
 // Partitioned returns the named partitioned table, or false.
 func (db *DB) Partitioned(name string) (*PartitionedTable, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	p, ok := db.parts[name]
-	return p, ok
-}
-
-// TableNames lists every catalog entry — flat and partitioned — in
-// lexical order.
-func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables)+len(db.parts))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	for n := range db.parts {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return lookup[*PartitionedTable](db, name)
 }
 
 // RelationInfo describes one catalog entry for monitoring surfaces (the
@@ -437,12 +491,9 @@ type RelationInfo struct {
 func (db *DB) Relations() []RelationInfo {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]RelationInfo, 0, len(db.tables)+len(db.parts))
-	for n := range db.tables {
-		out = append(out, RelationInfo{Name: n, Kind: "table"})
-	}
-	for n, p := range db.parts {
-		out = append(out, RelationInfo{Name: n, Kind: "partitioned", Shards: len(p.set.Partitions())})
+	out := make([]RelationInfo, 0, len(db.rels))
+	for n, r := range db.rels {
+		out = append(out, RelationInfo{Name: n, Kind: r.base().rel.Kind(), Shards: r.shards()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -658,45 +709,26 @@ func (db *DB) QueryStreamCtx(ctx context.Context, q string) (*QueryStream, error
 	// exclusively while it waits for each relation in the same name
 	// order, so a query holding table A's read lock and waiting on
 	// db.mu deadlocks against a snapshot holding db.mu and waiting on A.
-	type resolvedRel struct {
-		t *Table
-		p *PartitionedTable
-	}
-	resolved := make([]resolvedRel, len(names))
+	hs := make([]*handle, len(names))
 	db.mu.RLock()
 	for i, n := range names {
-		t, okT := db.tables[n]
-		p, okP := db.parts[n]
-		switch {
-		case okT:
-			resolved[i].t = t
-		case okP:
-			resolved[i].p = p
-		default:
+		r, ok := db.rels[n]
+		if !ok {
 			db.mu.RUnlock()
-			return nil, fmt.Errorf("amnesiadb: %w %q", ErrUnknownTable, n)
+			return nil, errUnknown(n)
 		}
+		hs[i] = r.base()
 	}
 	db.mu.RUnlock()
-	rels := make(map[string]sql.Relation, len(names))
-	var unlocks []func()
-	release := func() {
-		for _, u := range unlocks {
-			u()
-		}
+	// The drain watcher may release these locks on another goroutine,
+	// so the release names this one as their owner (docs/LOCKING.md).
+	owner := lockrank.Self()
+	for _, h := range hs {
+		h.mu.RLock()
 	}
-	for i, n := range names {
-		if t := resolved[i].t; t != nil {
-			t.mu.RLock()
-			unlocks = append(unlocks, t.mu.RUnlock)
-			tr := sql.NewTableRelation(t.tbl)
-			tr.SetScheduler(db.pool)
-			rels[n] = tr
-		} else {
-			p := resolved[i].p
-			p.mu.RLock()
-			unlocks = append(unlocks, p.mu.RUnlock)
-			rels[n] = sql.NewPartitionRelation(p.set)
+	release := func() {
+		for _, h := range hs {
+			h.mu.RUnlockFor(owner)
 		}
 	}
 	// The epoch signature is read under the relations' read locks, so
@@ -707,8 +739,8 @@ func (db *DB) QueryStreamCtx(ctx context.Context, q string) (*QueryStream, error
 	var sig string
 	if db.results != nil {
 		var sb strings.Builder
-		for _, n := range names {
-			fmt.Fprintf(&sb, "%s:%d;", n, rels[n].Epoch())
+		for _, h := range hs {
+			fmt.Fprintf(&sb, "%s:%d;", h.name, h.rel.Epoch())
 		}
 		sig = sb.String()
 		if res, ok := db.results.Get(norm, sig); ok {
@@ -724,11 +756,12 @@ func (db *DB) QueryStreamCtx(ctx context.Context, q string) (*QueryStream, error
 	// when the stream ends.
 	quota := db.gov.NewQuota(db.maxQueryBytes)
 	st, err := sql.ExecStream(sql.CatalogFunc(func(n string) (sql.Relation, error) {
-		r, ok := rels[n]
-		if !ok {
-			return nil, fmt.Errorf("amnesiadb: %w %q", ErrUnknownTable, n)
+		for _, h := range hs {
+			if h.name == n {
+				return h.rel, nil
+			}
 		}
-		return r, nil
+		return nil, errUnknown(n)
 	}), pq, sql.Opts{
 		Parallelism: db.par,
 		Ctx:         ctx,
@@ -788,12 +821,11 @@ type Policy struct {
 }
 
 // Table is a columnar table with optional amnesia. Obtain via
-// DB.CreateTable. Queries take mu as readers; structural mutation and
-// anything that reads access frequencies (policy enforcement, snapshots)
-// takes it exclusively.
+// DB.CreateTable. Queries take its lock as readers; structural mutation
+// and anything that reads access frequencies (policy enforcement,
+// snapshots) takes it exclusively.
 type Table struct {
-	mu     lockrank.Relation
-	db     *DB
+	handle
 	tbl    *table.Table
 	ex     *engine.Exec
 	policy Policy
@@ -802,54 +834,45 @@ type Table struct {
 	expired []int
 	cold    *coldstore.Store
 	book    *summary.Book
-	// dropped (guarded by mu) marks a handle whose relation left the
-	// catalog: DropTable sets it under the exclusive lock before
-	// logging the drop record, so mutations through a stale handle fail
-	// instead of appending WAL records after their relation's drop.
-	dropped bool
 }
 
-// liveLocked fails mutation through a handle that outlived its
-// relation's drop; callers hold t.mu exclusively. The check must run
-// before any WAL record is enqueued, or replay would encounter a
-// mutation on a dropped relation and reject the log.
-func (t *Table) liveLocked() error {
-	if t.dropped {
-		return fmt.Errorf("amnesiadb: %w %q (dropped)", ErrUnknownTable, t.Name())
-	}
-	return nil
+func (t *Table) attach(inc uint64) {
+	t.ex = engine.New(t.tbl)
+	t.ex.SetParallelism(t.db.par)
+	t.ex.SetScheduler(t.db.pool)
+	tr := sql.NewTableRelation(t.tbl)
+	tr.SetScheduler(t.db.pool)
+	t.rel = tr
+	t.tbl.AdvanceEpoch(inc)
 }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.tbl.Name() }
+func (t *Table) appendTo(cat *snapshot.Catalog) {
+	cat.Tables = append(cat.Tables, snapshot.TableEntry{Table: t.tbl, Policy: snapshot.Policy(t.policy)})
+}
+
+func (t *Table) shards() int { return 0 }
 
 // Columns returns the column names in declaration order.
 func (t *Table) Columns() []string { return t.tbl.Columns() }
 
 // SetPolicy installs (or with a zero Policy removes) the amnesia policy.
 func (t *Table) SetPolicy(p Policy) error {
-	if err := t.db.writable(); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	if err := t.liveLocked(); err != nil {
-		t.mu.Unlock()
-		return err
-	}
-	pend, err := t.setPolicyLocked(p)
-	t.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return t.db.commitWait(pend)
+	return t.mutate(func() (*durability.Pending, error) {
+		if err := t.applyPolicy(p); err != nil {
+			return nil, err
+		}
+		return t.db.logRecord(wal.RecordPolicy(t.name, wal.PolicySpec(t.policy))), nil
+	})
 }
 
-func (t *Table) setPolicyLocked(p Policy) (*durability.Pending, error) {
+// applyPolicy installs p. SetPolicy logs it afterwards; replay and
+// restore only apply it. Callers hold t.mu exclusively or own t alone.
+func (t *Table) applyPolicy(p Policy) error {
 	if p.Budget < 0 {
-		return nil, fmt.Errorf("amnesiadb: negative budget %d", p.Budget)
+		return fmt.Errorf("amnesiadb: negative budget %d", p.Budget)
 	}
 	if p.MaxAgeBatches < 0 {
-		return nil, fmt.Errorf("amnesiadb: negative MaxAgeBatches %d", p.MaxAgeBatches)
+		return fmt.Errorf("amnesiadb: negative MaxAgeBatches %d", p.MaxAgeBatches)
 	}
 	switch {
 	case p.Budget == 0 && p.MaxAgeBatches == 0:
@@ -864,16 +887,11 @@ func (t *Table) setPolicyLocked(p Policy) (*durability.Pending, error) {
 		}
 		strat, err := amnesia.New(p.Strategy, col, t.db.splitSrc())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t.policy, t.strat = p, strat
 	}
-	return t.db.logRecord(wal.RecordPolicy(t.Name(), wal.PolicySpec{
-		Strategy:      t.policy.Strategy,
-		Budget:        t.policy.Budget,
-		Column:        t.policy.Column,
-		MaxAgeBatches: t.policy.MaxAgeBatches,
-	})), nil
+	return nil
 }
 
 // Policy returns the active policy; Budget 0 means amnesia is off.
@@ -890,20 +908,7 @@ func (t *Table) Policy() Policy {
 // the commit policy; a persistence failure degrades the database to
 // read-only and surfaces ErrReadOnly.
 func (t *Table) Insert(cols map[string][]int64) error {
-	if err := t.db.writable(); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	if err := t.liveLocked(); err != nil {
-		t.mu.Unlock()
-		return err
-	}
-	pend, err := t.insertLocked(cols)
-	t.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return t.db.commitWait(pend)
+	return t.mutate(func() (*durability.Pending, error) { return t.insertLocked(cols) })
 }
 
 // insertLocked applies the batch and, on durable databases, logs the
@@ -918,21 +923,22 @@ func (t *Table) insertLocked(cols map[string][]int64) (*durability.Pending, erro
 	if t.db.dur == nil {
 		return nil, enfErr
 	}
-	rec, err := wal.RecordInsert(t.Name(), t.tbl.Columns(), cols)
+	rec, err := wal.RecordInsert(t.name, t.tbl.Columns(), cols)
 	if err != nil {
 		return nil, err
 	}
 	return t.db.logRecord(append(rec, t.forgetRecord(forgotten)...)), enfErr
 }
 
-// forgetRecord encodes the positions an enforcement forgot, nil for
-// none, sorting them in place first: the record delta-encodes them.
+// forgetRecord encodes the positions an enforcement forgot, sorting
+// them in place first (the record delta-encodes them); nil for none or
+// for an in-memory database.
 func (t *Table) forgetRecord(forgotten []int) []byte {
-	if len(forgotten) == 0 {
+	if t.db.dur == nil || len(forgotten) == 0 {
 		return nil
 	}
 	slices.Sort(forgotten)
-	return wal.RecordForget(t.Name(), forgotten)
+	return wal.RecordForget(t.name, forgotten)
 }
 
 // InsertColumn appends a batch to a table, providing values for the named
@@ -945,24 +951,10 @@ func (t *Table) InsertColumn(col string, vals []int64) error {
 // until the active count is within budget. It is called automatically by
 // Insert; manual calls are useful after policy changes.
 func (t *Table) EnforceBudget() error {
-	if err := t.db.writable(); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	if err := t.liveLocked(); err != nil {
-		t.mu.Unlock()
-		return err
-	}
-	var pend *durability.Pending
-	forgotten, err := t.enforceBudgetLocked()
-	if t.db.dur != nil && len(forgotten) > 0 {
-		pend = t.db.logRecord(t.forgetRecord(forgotten))
-	}
-	t.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return t.db.commitWait(pend)
+	return t.mutate(func() (*durability.Pending, error) {
+		forgotten, err := t.enforceBudgetLocked()
+		return t.db.logRecord(t.forgetRecord(forgotten)), err
+	})
 }
 
 // enforceBudgetLocked applies the retention window, then the budget
@@ -1094,11 +1086,12 @@ func (t *Table) Aggregate(col string, p Pred) (Agg, error) {
 }
 
 // Precision runs p in both scan modes and reports the §2.3 metrics:
-// rf tuples returned, mf tuples missed to amnesia, pf = rf/(rf+mf).
-func (t *Table) Precision(col string, p Pred) (rf, mf int, pf float64, err error) {
+// rf tuples returned, mf tuples missed to amnesia, pf = rf/(rf+mf). A
+// done ctx stops the scans at their next morsel and returns the cause.
+func (t *Table) Precision(ctx context.Context, col string, p Pred) (rf, mf int, pf float64, err error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.ex.Precision(col, p.expr())
+	return t.ex.WithContext(ctx).Precision(col, p.expr())
 }
 
 // Stats summarises table state.
@@ -1135,73 +1128,64 @@ func (t *Table) ActivePerBatch() (active, total []int) {
 	return t.tbl.ActivePerBatch()
 }
 
-// Vacuum physically removes forgotten tuples (that have not been demoted)
-// and reclaims their storage. Summary segments survive; cold-tier
-// snapshots survive; positions are renumbered. On a durable database the
-// renumbering is itself a logged mutation, so Vacuum returns an error
-// when the database is read-only or the WAL append fails.
+// Vacuum physically removes every forgotten tuple — demoted ones
+// included — and reclaims their storage; positions are renumbered.
+// Summary segments survive. The cold tier does not: it is in-memory,
+// holds only forgotten tuples, and drops every resident Vacuum
+// reclaimed (its retrieval history stays on the bill), so a later
+// RecoverRange finds nothing. On a durable database the renumbering is
+// itself a logged mutation, so Vacuum returns an error when the
+// database is read-only or the WAL append fails.
 func (t *Table) Vacuum() error {
-	if err := t.db.writable(); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	if err := t.liveLocked(); err != nil {
-		t.mu.Unlock()
-		return err
-	}
+	return t.mutate(func() (*durability.Pending, error) {
+		t.vacuumLocked()
+		return t.db.logRecord(wal.RecordVacuum(t.name)), nil
+	})
+}
+
+// vacuumLocked applies a vacuum: Vacuum logs it afterwards, replay
+// only applies it. Callers hold t.mu exclusively or own t alone.
+func (t *Table) vacuumLocked() {
 	t.tbl.Vacuum()
 	if t.book != nil {
 		t.book.Rebase()
 	}
-	pend := t.db.logRecord(wal.RecordVacuum(t.Name()))
-	t.mu.Unlock()
-	return t.db.commitWait(pend)
+	if t.cold != nil {
+		t.cold.Reclaim()
+	}
 }
 
 // DemoteForgotten moves every forgotten tuple into the simulated cold
-// tier (AWS-Glacier-like cost model) and returns how many moved. A
+// tier (AWS-Glacier-like cost model) and returns how many moved. The
+// tier is in-memory and lasts until the next Vacuum or restart. A
 // dropped handle reports ErrUnknownTable instead of demoting into a
 // cold tier nothing can recover from.
-func (t *Table) DemoteForgotten() (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.liveLocked(); err != nil {
-		return 0, err
-	}
-	if t.cold == nil {
-		t.cold = coldstore.New(t.tbl, coldstore.Glacier2016)
-	}
-	return t.cold.Demote(), nil
+func (t *Table) DemoteForgotten() (n int, err error) {
+	err = t.exclusive(func() error {
+		if t.cold == nil {
+			t.cold = coldstore.New(t.tbl, coldstore.Glacier2016)
+		}
+		n = t.cold.Demote()
+		return nil
+	})
+	return n, err
 }
 
 // RecoverRange explicitly recovers cold tuples of column col with values
 // in [lo, hi), reactivating them. It returns the recovered positions and
 // the simulated retrieval latency.
-func (t *Table) RecoverRange(col string, lo, hi int64) ([]int, time.Duration, error) {
-	if err := t.db.writable(); err != nil {
-		return nil, 0, err
-	}
-	t.mu.Lock()
-	if err := t.liveLocked(); err != nil {
-		t.mu.Unlock()
-		return nil, 0, err
-	}
-	var pend *durability.Pending
-	hits, lat, err := func() ([]int, time.Duration, error) {
+func (t *Table) RecoverRange(col string, lo, hi int64) (hits []int, lat time.Duration, err error) {
+	err = t.mutate(func() (*durability.Pending, error) {
 		if t.cold == nil {
-			return nil, 0, fmt.Errorf("amnesiadb: table %q has no cold tier", t.Name())
+			return nil, fmt.Errorf("amnesiadb: table %q has no cold tier", t.name)
 		}
-		hits, lat, err := t.cold.RecoverRange(col, lo, hi)
-		if err == nil && len(hits) > 0 {
-			pend = t.db.logRecord(wal.RecordRemember(t.Name(), hits))
+		var err error
+		if hits, lat, err = t.cold.RecoverRange(col, lo, hi); err != nil || len(hits) == 0 {
+			return nil, err
 		}
-		return hits, lat, err
-	}()
-	t.mu.Unlock()
+		return t.db.logRecord(wal.RecordRemember(t.name, hits)), nil
+	})
 	if err != nil {
-		return nil, 0, err
-	}
-	if err := t.db.commitWait(pend); err != nil {
 		return nil, 0, err
 	}
 	return hits, lat, nil
@@ -1234,20 +1218,19 @@ const summaryEps = 0.01
 // aggregate segment (count/sum/min/max plus a quantile sketch) and
 // returns how many tuples were absorbed. Absorbed mass keeps contributing
 // to ApproxAvg and ForgottenQuantile even after a Vacuum.
-func (t *Table) Summarize(col string) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.liveLocked(); err != nil {
-		return 0, err
-	}
-	if t.book == nil {
-		b, err := summary.NewBookWithQuantiles(t.tbl, col, summaryEps)
-		if err != nil {
-			return 0, err
+func (t *Table) Summarize(col string) (n int, err error) {
+	err = t.exclusive(func() error {
+		if t.book == nil {
+			b, err := summary.NewBookWithQuantiles(t.tbl, col, summaryEps)
+			if err != nil {
+				return err
+			}
+			t.book = b
 		}
-		t.book = b
-	}
-	return t.book.Absorb(), nil
+		n = t.book.Absorb()
+		return nil
+	})
+	return n, err
 }
 
 // ForgottenQuantile returns an approximate phi-quantile (phi in [0, 1])
@@ -1310,12 +1293,12 @@ type JoinRow struct {
 // tuples, optionally restricted by a predicate on the join key. Both
 // tables must belong to this database. The join runs at the database's
 // Parallelism setting: collection, hash build and probe all
-// morsel-parallel for large inputs, serial below the threshold.
-func (db *DB) Join(left *Table, leftCol string, right *Table, rightCol string, p Pred) ([]JoinRow, error) {
+// morsel-parallel for large inputs, serial below the threshold. A done
+// ctx stops the join at its next morsel and returns the cause.
+func (db *DB) Join(ctx context.Context, left *Table, leftCol string, right *Table, rightCol string, p Pred) ([]JoinRow, error) {
 	lockPair(left, right)
 	defer unlockPair(left, right)
-	//lint:ignore ctxflow Join is a public ctx-less facade method; SQL joins thread the request context via Opts.Ctx.
-	res, err := engine.HashJoin(context.Background(), db.pool, left.tbl, leftCol, right.tbl, rightCol, p.expr(), engine.ScanActive, db.par)
+	res, err := engine.HashJoin(ctx, db.pool, left.tbl, leftCol, right.tbl, rightCol, p.expr(), engine.ScanActive, db.par)
 	if err != nil {
 		return nil, err
 	}
@@ -1329,12 +1312,12 @@ func (db *DB) Join(left *Table, leftCol string, right *Table, rightCol string, p
 // JoinPrecision reports the §2.3 metrics lifted to join pairs: pairs
 // returned over active tuples, pairs missed because either side forgot a
 // participant, and their ratio. Join precision compounds — it is roughly
-// the product of the two sides' tuple precision.
-func (db *DB) JoinPrecision(left *Table, leftCol string, right *Table, rightCol string, p Pred) (rf, mf int, pf float64, err error) {
+// the product of the two sides' tuple precision. A done ctx stops it
+// like Join.
+func (db *DB) JoinPrecision(ctx context.Context, left *Table, leftCol string, right *Table, rightCol string, p Pred) (rf, mf int, pf float64, err error) {
 	lockPair(left, right)
 	defer unlockPair(left, right)
-	//lint:ignore ctxflow JoinPrecision is a public ctx-less facade method; precision runs are operator-driven, not request-driven.
-	return engine.JoinPrecision(context.Background(), db.pool, left.tbl, leftCol, right.tbl, rightCol, p.expr(), db.par)
+	return engine.JoinPrecision(ctx, db.pool, left.tbl, leftCol, right.tbl, rightCol, p.expr(), db.par)
 }
 
 // lockPair acquires both tables' read locks in a stable order. Joins are
@@ -1346,7 +1329,7 @@ func lockPair(a, b *Table) {
 		a.mu.RLock()
 		return
 	}
-	if a.tbl.Name() > b.tbl.Name() {
+	if a.Name() > b.Name() {
 		a, b = b, a
 	}
 	a.mu.RLock()
@@ -1366,12 +1349,7 @@ func unlockPair(a, b *Table) {
 // batches, access frequencies — to w in a compact binary format. The
 // amnesia policy itself is configuration, not state, and is not saved.
 func (t *Table) Save(w io.Writer) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.liveLocked(); err != nil {
-		return err
-	}
-	return snapshot.Write(w, t.tbl)
+	return t.exclusive(func() error { return snapshot.Write(w, t.tbl) })
 }
 
 // LoadTable restores a table previously written by Save into the
@@ -1384,25 +1362,14 @@ func (t *Table) Save(w io.Writer) error {
 // table snapshot's batch and access state cannot be expressed as
 // insert records.
 func (db *DB) LoadTable(r io.Reader) (*Table, error) {
-	if err := db.writable(); err != nil {
-		return nil, err
-	}
 	tbl, err := snapshot.Read(r)
 	if err != nil {
 		return nil, err
 	}
-	db.mu.Lock()
-	if db.taken(tbl.Name()) {
-		db.mu.Unlock()
-		return nil, fmt.Errorf("amnesiadb: table %q already exists", tbl.Name())
+	t := &Table{handle: handle{db: db, name: tbl.Name()}, tbl: tbl}
+	if err := db.register(t, nil); err != nil {
+		return nil, err
 	}
-	ex := engine.New(tbl)
-	ex.SetParallelism(db.par)
-	ex.SetScheduler(db.pool)
-	tbl.AdvanceEpoch(db.nextIncarnation())
-	t := &Table{db: db, tbl: tbl, ex: ex}
-	db.tables[tbl.Name()] = t
-	db.mu.Unlock()
 	if db.dur != nil {
 		if err := db.Snapshot(); err != nil {
 			// Half-done load: the table is registered in memory but its
@@ -1410,10 +1377,7 @@ func (db *DB) LoadTable(r io.Reader) (*Table, error) {
 			// disk stay in agreement — a caller that retries hits the
 			// normal "create or load again" path, not a phantom table.
 			db.mu.Lock()
-			t.mu.Lock()
-			t.dropped = true
-			delete(db.tables, tbl.Name())
-			t.mu.Unlock()
+			db.unregisterLocked(&t.handle, nil)
 			db.mu.Unlock()
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package amnesiadb
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -58,9 +59,9 @@ func TestTableLookupAndNames(t *testing.T) {
 	if _, ok := db.Table("zz"); ok {
 		t.Fatal("phantom table")
 	}
-	names := db.TableNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
+	rels := db.Relations()
+	if len(rels) != 2 || rels[0].Name != "a" || rels[1].Name != "b" {
+		t.Fatalf("relations = %v", rels)
 	}
 }
 
@@ -204,7 +205,7 @@ func TestPrecisionViaFacade(t *testing.T) {
 	if err := tbl.InsertColumn("a", seq(100)); err != nil {
 		t.Fatal(err)
 	}
-	rf, mf, pf, err := tbl.Precision("a", All())
+	rf, mf, pf, err := tbl.Precision(context.Background(), "a", All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,7 +601,7 @@ func TestJoinViaFacade(t *testing.T) {
 	if err := orders.InsertColumn("cust", []int64{1, 1, 2, 9}); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Join(orders, "cust", custs, "id", All())
+	rows, err := db.Join(context.Background(), orders, "cust", custs, "id", All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,7 +615,7 @@ func TestJoinViaFacade(t *testing.T) {
 	if err := custs.EnforceBudget(); err != nil {
 		t.Fatal(err)
 	}
-	rf, mf, pf, err := db.JoinPrecision(orders, "cust", custs, "id", All())
+	rf, mf, pf, err := db.JoinPrecision(context.Background(), orders, "cust", custs, "id", All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,7 +633,7 @@ func TestSelfJoin(t *testing.T) {
 	if err := tb.InsertColumn("a", []int64{1, 2, 2}); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Join(tb, "a", tb, "a", All())
+	rows, err := db.Join(context.Background(), tb, "a", tb, "a", All())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -60,7 +61,7 @@ func runSQLJoinBench(n, workers int) error {
 	}
 
 	directNs, directAllocs, err := measure(func() error {
-		rows, err := db.Join(probe, "k", build, "k", amnesiadb.All())
+		rows, err := db.Join(context.Background(), probe, "k", build, "k", amnesiadb.All())
 		if err != nil {
 			return err
 		}

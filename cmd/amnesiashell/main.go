@@ -17,6 +17,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -84,8 +85,8 @@ func (s *shell) dispatch(line string) error {
 .quit`)
 		return nil
 	case ".tables":
-		for _, n := range s.db.TableNames() {
-			fmt.Fprintln(s.out, n)
+		for _, r := range s.db.Relations() {
+			fmt.Fprintln(s.out, r.Name)
 		}
 		return nil
 	case ".stats":
@@ -138,7 +139,7 @@ func (s *shell) dispatch(line string) error {
 		if err1 != nil || err2 != nil {
 			return fmt.Errorf("bad bounds")
 		}
-		rf, mf, pf, err := t.Precision(t.Columns()[0], amnesiadb.Range(lo, hi))
+		rf, mf, pf, err := t.Precision(context.Background(), t.Columns()[0], amnesiadb.Range(lo, hi))
 		if err != nil {
 			return err
 		}

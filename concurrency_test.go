@@ -1,6 +1,7 @@
 package amnesiadb_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestConcurrentFacadeUse(t *testing.T) {
 						return
 					}
 				case 3:
-					if _, _, _, err := tb.Precision("a", amnesiadb.All()); err != nil {
+					if _, _, _, err := tb.Precision(context.Background(), "a", amnesiadb.All()); err != nil {
 						errs <- err
 						return
 					}
@@ -139,7 +140,7 @@ func TestParallelReaders(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, _, _, err := tb.Precision("a", pred); err != nil {
+				if _, _, _, err := tb.Precision(context.Background(), "a", pred); err != nil {
 					errs <- err
 					return
 				}
@@ -170,11 +171,11 @@ func TestConcurrentTableCreation(t *testing.T) {
 			if _, ok := db.Table(name); !ok {
 				t.Errorf("table %s vanished", name)
 			}
-			_ = db.TableNames()
+			_ = db.Relations()
 		}()
 	}
 	wg.Wait()
-	if len(db.TableNames()) != 16 {
-		t.Fatalf("tables = %v", db.TableNames())
+	if rels := db.Relations(); len(rels) != 16 {
+		t.Fatalf("relations = %v", rels)
 	}
 }

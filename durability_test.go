@@ -504,67 +504,6 @@ func TestDurableMidSegmentCorruptionRejectsGeneration(t *testing.T) {
 	}
 }
 
-// TestDroppedHandleMutationsFail pins the drop/mutate race fix: a
-// handle that outlived its relation's DropTable must refuse to mutate
-// (and so never log), or replay would see a mutation record after the
-// drop record and refuse to reopen the database.
-func TestDroppedHandleMutationsFail(t *testing.T) {
-	dir := t.TempDir()
-	db, err := amnesiadb.OpenDir(dir, amnesiadb.Options{Seed: 12, Fsync: "off"})
-	if err != nil {
-		t.Fatalf("OpenDir: %v", err)
-	}
-	tb, err := db.CreateTable("flat", "v")
-	if err != nil {
-		t.Fatalf("CreateTable: %v", err)
-	}
-	if err := tb.InsertColumn("v", []int64{1, 2}); err != nil {
-		t.Fatalf("insert: %v", err)
-	}
-	pt, err := db.CreatePartitionedTable("parted", "m", 100, 2, "uniform", 50)
-	if err != nil {
-		t.Fatalf("CreatePartitionedTable: %v", err)
-	}
-	if err := pt.Insert([]int64{3, 40, 80}); err != nil {
-		t.Fatalf("part insert: %v", err)
-	}
-	if err := db.DropTable("flat"); err != nil {
-		t.Fatalf("drop flat: %v", err)
-	}
-	if err := db.DropTable("parted"); err != nil {
-		t.Fatalf("drop parted: %v", err)
-	}
-
-	if err := tb.InsertColumn("v", []int64{99}); !errors.Is(err, amnesiadb.ErrUnknownTable) {
-		t.Fatalf("insert on dropped handle: got %v, want ErrUnknownTable", err)
-	}
-	if err := tb.SetPolicy(amnesiadb.Policy{Strategy: "uniform", Budget: 4}); !errors.Is(err, amnesiadb.ErrUnknownTable) {
-		t.Fatalf("setpolicy on dropped handle: got %v, want ErrUnknownTable", err)
-	}
-	if err := tb.Vacuum(); !errors.Is(err, amnesiadb.ErrUnknownTable) {
-		t.Fatalf("vacuum on dropped handle: got %v, want ErrUnknownTable", err)
-	}
-	if err := pt.Insert([]int64{5}); !errors.Is(err, amnesiadb.ErrUnknownTable) {
-		t.Fatalf("part insert on dropped handle: got %v, want ErrUnknownTable", err)
-	}
-	if err := pt.Adapt(); !errors.Is(err, amnesiadb.ErrUnknownTable) {
-		t.Fatalf("adapt on dropped handle: got %v, want ErrUnknownTable", err)
-	}
-
-	db.Close()
-	re, err := amnesiadb.OpenDir(dir, amnesiadb.Options{Seed: 12, Fsync: "off"})
-	if err != nil {
-		t.Fatalf("reopen after drops: %v", err)
-	}
-	defer re.Close()
-	if _, ok := re.Table("flat"); ok {
-		t.Fatal("dropped flat table resurrected")
-	}
-	if _, ok := re.Partitioned("parted"); ok {
-		t.Fatal("dropped partitioned table resurrected")
-	}
-}
-
 // TestDropConcurrentWithInsertStaysRecoverable races DropTable against
 // a mutator that already holds a handle: whatever interleaving wins,
 // the WAL must stay replayable (no insert record after the drop

@@ -5,16 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"amnesiadb/internal/durability"
 	"amnesiadb/internal/durability/failpoint"
-	"amnesiadb/internal/engine"
 	"amnesiadb/internal/engine/governor"
 	"amnesiadb/internal/partition"
 	"amnesiadb/internal/snapshot"
@@ -149,7 +149,7 @@ func OpenDir(dir string, opts Options) (*DB, error) {
 	// Snapshot the recovered state, paired with the fresh segment:
 	// recovery next time restores this snapshot and replays only the
 	// new segment, and everything older becomes prunable.
-	if err := db.writeSnapshot(nextSeq); err != nil {
+	if err := db.persistCatalog(nextSeq, nil); err != nil {
 		db.dur = nil
 		log.Close()
 		db.Close()
@@ -201,10 +201,11 @@ func (db *DB) degrade(err error) {
 }
 
 // logRecord enqueues one framed WAL record; nil-safe for in-memory
-// databases. Callers enqueue under the mutated relation's exclusive
-// lock (preserving per-relation log order) and Wait after unlocking.
+// databases and for a nil record (nothing to log). Callers enqueue
+// under the mutated relation's exclusive lock (preserving per-relation
+// log order) and Wait after unlocking.
 func (db *DB) logRecord(rec []byte) *durability.Pending {
-	if db.dur == nil {
+	if db.dur == nil || rec == nil {
 		return nil
 	}
 	return db.dur.log.Load().Enqueue(rec)
@@ -266,28 +267,17 @@ func (db *DB) Snapshot() error {
 	db.dur.snapMu.Lock()
 	defer db.dur.snapMu.Unlock()
 	seq := db.dur.seq + 1
-	unlock := db.lockCatalog()
-	if err := db.dur.log.Load().Rotate(db.dur.dir, seq); err != nil {
-		unlock()
-		db.degrade(err)
-		return fmt.Errorf("%w: %v", ErrReadOnly, err)
-	}
-	db.dur.seq = seq
-	var buf bytes.Buffer
-	encErr := snapshot.WriteCatalog(&buf, db.buildCatalogLocked())
-	unlock()
-	if encErr != nil {
-		db.degrade(encErr)
-		return fmt.Errorf("%w: %v", ErrReadOnly, encErr)
-	}
-	if err := durability.WriteSnapshot(db.dur.dir, seq, buf.Bytes()); err != nil {
-		// The rotation already happened, so recovery still works from
-		// the previous snapshot plus the full segment chain; an
-		// unwritable snapshot still means persistence is failing.
-		db.degrade(err)
-		return fmt.Errorf("%w: %v", ErrReadOnly, err)
-	}
-	if err := durability.RefreshManifest(db.dur.dir, seq); err != nil {
+	err := db.persistCatalog(seq, func() error {
+		if err := db.dur.log.Load().Rotate(db.dur.dir, seq); err != nil {
+			return err
+		}
+		db.dur.seq = seq
+		return nil
+	})
+	if err != nil {
+		// Past the rotation, recovery still works from the previous
+		// snapshot plus the full segment chain; a failure anywhere
+		// still means persistence is failing.
 		db.degrade(err)
 		return fmt.Errorf("%w: %v", ErrReadOnly, err)
 	}
@@ -295,13 +285,24 @@ func (db *DB) Snapshot() error {
 	return nil
 }
 
-// writeSnapshot writes catalog snapshot seq without rotating (OpenDir
-// pairs it with the just-created segment). Like Snapshot, the catalog
-// is encoded under the barrier and only file I/O runs outside it.
-func (db *DB) writeSnapshot(seq int) error {
-	unlock := db.lockCatalog()
+// persistCatalog writes catalog snapshot seq and points the manifest at
+// it. The catalog is encoded under the full barrier — after rotate,
+// when given, runs inside it — so the bytes are exactly the state at
+// that moment; only the file I/O runs after mutations resume.
+func (db *DB) persistCatalog(seq int, rotate func() error) error {
+	rels, unlock := db.lockCatalog()
+	var cat snapshot.Catalog
+	for _, r := range rels {
+		r.appendTo(&cat)
+	}
+	var err error
+	if rotate != nil {
+		err = rotate()
+	}
 	var buf bytes.Buffer
-	err := snapshot.WriteCatalog(&buf, db.buildCatalogLocked())
+	if err == nil {
+		err = snapshot.WriteCatalog(&buf, &cat)
+	}
 	unlock()
 	if err != nil {
 		return err
@@ -453,19 +454,7 @@ func (db *DB) tryHeal() error {
 		os.Remove(durability.SegmentPath(ds.dir, seq))
 		os.Remove(durability.SnapshotPath(ds.dir, seq))
 	}
-	unlock := db.lockCatalog()
-	var buf bytes.Buffer
-	encErr := snapshot.WriteCatalog(&buf, db.buildCatalogLocked())
-	unlock()
-	if encErr != nil {
-		abort()
-		return encErr
-	}
-	if err := durability.WriteSnapshot(ds.dir, seq, buf.Bytes()); err != nil {
-		abort()
-		return err
-	}
-	if err := durability.RefreshManifest(ds.dir, seq); err != nil {
+	if err := db.persistCatalog(seq, nil); err != nil {
 		abort()
 		return err
 	}
@@ -514,68 +503,22 @@ func probeDir(dir string) error {
 
 // lockCatalog takes db.mu plus every relation's exclusive lock in
 // name order (the same order QueryStreamCtx locks in) and returns the
-// matching unlock.
-func (db *DB) lockCatalog() func() {
+// relations in that order — which keeps snapshot sections name-sorted,
+// so snapshots stay byte-comparable — with the matching unlock.
+func (db *DB) lockCatalog() ([]relation, func()) {
 	db.mu.Lock()
-	names := make([]string, 0, len(db.tables)+len(db.parts))
-	for n := range db.tables {
-		names = append(names, n)
+	rels := make([]relation, 0, len(db.rels))
+	for _, n := range slices.Sorted(maps.Keys(db.rels)) {
+		r := db.rels[n]
+		r.base().mu.Lock()
+		rels = append(rels, r)
 	}
-	for n := range db.parts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var unlocks []func()
-	for _, n := range names {
-		if t, ok := db.tables[n]; ok {
-			t.mu.Lock()
-			unlocks = append(unlocks, t.mu.Unlock)
-		} else if p, ok := db.parts[n]; ok {
-			p.mu.Lock()
-			unlocks = append(unlocks, p.mu.Unlock)
-		}
-	}
-	return func() {
-		for i := len(unlocks) - 1; i >= 0; i-- {
-			unlocks[i]()
+	return rels, func() {
+		for i := len(rels) - 1; i >= 0; i-- {
+			rels[i].base().mu.Unlock()
 		}
 		db.mu.Unlock()
 	}
-}
-
-// buildCatalogLocked assembles the snapshot catalog; the caller holds
-// the full barrier from lockCatalog.
-func (db *DB) buildCatalogLocked() *snapshot.Catalog {
-	var cat snapshot.Catalog
-	for _, t := range db.tables {
-		cat.Tables = append(cat.Tables, snapshot.TableEntry{
-			Table: t.tbl,
-			Policy: snapshot.Policy{
-				Strategy:      t.policy.Strategy,
-				Budget:        t.policy.Budget,
-				Column:        t.policy.Column,
-				MaxAgeBatches: t.policy.MaxAgeBatches,
-			},
-		})
-	}
-	for name, p := range db.parts {
-		pe := snapshot.PartEntry{
-			Name:     name,
-			Column:   p.set.Column(),
-			Strategy: p.set.Strategy(),
-			Domain:   p.set.Domain(),
-		}
-		for _, sp := range p.set.Partitions() {
-			pe.Shards = append(pe.Shards, snapshot.ShardEntry{
-				Lo: sp.Lo, Hi: sp.Hi, Budget: sp.Budget(), Table: sp.Table(),
-			})
-		}
-		cat.Parts = append(cat.Parts, pe)
-	}
-	// Deterministic section order keeps snapshots byte-comparable.
-	sort.Slice(cat.Tables, func(i, j int) bool { return cat.Tables[i].Table.Name() < cat.Tables[j].Table.Name() })
-	sort.Slice(cat.Parts, func(i, j int) bool { return cat.Parts[i].Name < cat.Parts[j].Name })
-	return &cat
 }
 
 // restoreGeneration rebuilds the catalog from one recovery candidate:
@@ -599,12 +542,24 @@ func (db *DB) restoreGeneration(g durability.Generation) error {
 			return err
 		}
 		for _, te := range cat.Tables {
-			if err := db.registerRestoredTable(te); err != nil {
+			t := &Table{handle: handle{db: db, name: te.Table.Name()}, tbl: te.Table}
+			if err := t.applyPolicy(Policy(te.Policy)); err != nil {
+				return err
+			}
+			if err := db.register(t, nil); err != nil {
 				return err
 			}
 		}
 		for _, pe := range cat.Parts {
-			if err := db.registerRestoredPart(pe); err != nil {
+			shards := make([]partition.RestoredShard, len(pe.Shards))
+			for i, sh := range pe.Shards {
+				shards[i] = partition.RestoredShard(sh)
+			}
+			set, err := partition.Restore(pe.Column, pe.Domain, pe.Strategy, shards, db.splitSrc())
+			if err != nil {
+				return err
+			}
+			if err := db.register(&PartitionedTable{handle: handle{db: db, name: pe.Name}, set: set}, nil); err != nil {
 				return err
 			}
 		}
@@ -656,54 +611,6 @@ func (db *DB) restoreGeneration(g durability.Generation) error {
 	return nil
 }
 
-// registerRestoredTable installs a snapshotted flat table (and its
-// policy) into the catalog.
-func (db *DB) registerRestoredTable(te snapshot.TableEntry) error {
-	db.mu.Lock()
-	if db.taken(te.Table.Name()) {
-		db.mu.Unlock()
-		return fmt.Errorf("amnesiadb: snapshot names %q twice", te.Table.Name())
-	}
-	ex := engine.New(te.Table)
-	ex.SetParallelism(db.par)
-	ex.SetScheduler(db.pool)
-	t := &Table{db: db, tbl: te.Table, ex: ex}
-	te.Table.AdvanceEpoch(db.nextIncarnation())
-	db.tables[te.Table.Name()] = t
-	db.mu.Unlock()
-	if te.Policy.Budget != 0 || te.Policy.MaxAgeBatches != 0 {
-		return t.SetPolicy(Policy{
-			Strategy:      te.Policy.Strategy,
-			Budget:        te.Policy.Budget,
-			Column:        te.Policy.Column,
-			MaxAgeBatches: te.Policy.MaxAgeBatches,
-		})
-	}
-	return nil
-}
-
-// registerRestoredPart installs a snapshotted partition set.
-func (db *DB) registerRestoredPart(pe snapshot.PartEntry) error {
-	shards := make([]partition.RestoredShard, len(pe.Shards))
-	for i, sh := range pe.Shards {
-		shards[i] = partition.RestoredShard{Lo: sh.Lo, Hi: sh.Hi, Budget: sh.Budget, Table: sh.Table}
-	}
-	set, err := partition.Restore(pe.Column, pe.Domain, pe.Strategy, shards, db.splitSrc())
-	if err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.taken(pe.Name) {
-		return fmt.Errorf("amnesiadb: snapshot names %q twice", pe.Name)
-	}
-	set.SetParallelism(db.par)
-	set.SetScheduler(db.pool)
-	set.AdvanceEpoch(db.nextIncarnation())
-	db.parts[pe.Name] = &PartitionedTable{db: db, name: pe.Name, set: set}
-	return nil
-}
-
 // nextIncarnation returns an epoch advance that stamps a relation
 // incarnation into its own disjoint 2^32 epoch range, so a restored or
 // recreated same-named relation can never collide with a dropped
@@ -723,56 +630,35 @@ func (db *DB) DropTable(name string) error {
 		return err
 	}
 	db.mu.Lock()
-	t, okT := db.tables[name]
-	pt, okP := db.parts[name]
-	if !okT && !okP {
+	r, ok := db.rels[name]
+	if !ok {
 		db.mu.Unlock()
-		return fmt.Errorf("amnesiadb: %w %q", ErrUnknownTable, name)
+		return errUnknown(name)
 	}
-	var p *durability.Pending
-	if okT {
-		t.mu.Lock()
-		t.dropped = true
-		delete(db.tables, name)
-		p = db.logRecord(wal.RecordDrop(name))
-		t.mu.Unlock()
-	} else {
-		pt.mu.Lock()
-		pt.dropped = true
-		delete(db.parts, name)
-		p = db.logRecord(wal.RecordDrop(name))
-		pt.mu.Unlock()
-	}
+	p := db.unregisterLocked(r.base(), wal.RecordDrop(name))
 	db.mu.Unlock()
 	return db.commitWait(p)
+}
+
+// unregisterLocked kills h and removes its relation from the catalog
+// under h's exclusive lock, enqueueing rec (nil for LoadTable's
+// rollback) inside it so no mutation record can follow it. Callers
+// hold db.mu.
+func (db *DB) unregisterLocked(h *handle, rec []byte) *durability.Pending {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.dropped = true
+	delete(db.rels, h.name)
+	return db.logRecord(rec)
 }
 
 // recoveryApplier replays WAL records into the DB raw: appends without
 // budget enforcement, forgets by logged position — the log records
 // *what* was forgotten, never why, so replay reproduces state
-// bit-for-bit without re-running any stochastic strategy. db.dur is
-// nil during replay, so nothing re-logs.
+// bit-for-bit without re-running any stochastic strategy. Policy and
+// vacuum records run the same apply functions the live mutators do.
+// db.dur is nil during replay, so nothing re-logs.
 type recoveryApplier struct{ db *DB }
-
-func (a recoveryApplier) table(name string) (*Table, error) {
-	a.db.mu.RLock()
-	t, ok := a.db.tables[name]
-	a.db.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("replay references unknown table %q", name)
-	}
-	return t, nil
-}
-
-func (a recoveryApplier) part(name string) (*PartitionedTable, error) {
-	a.db.mu.RLock()
-	p, ok := a.db.parts[name]
-	a.db.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("replay references unknown partitioned table %q", name)
-	}
-	return p, nil
-}
 
 func (a recoveryApplier) CreateTable(name string, columns []string) error {
 	_, err := a.db.CreateTable(name, columns...)
@@ -787,18 +673,18 @@ func (a recoveryApplier) CreatePartitioned(name, column string, domain int64, pa
 func (a recoveryApplier) Drop(name string) error { return a.db.DropTable(name) }
 
 func (a recoveryApplier) Insert(name string, vals map[string][]int64) error {
-	t, err := a.table(name)
-	if err != nil {
-		return err
+	t, ok := lookup[*Table](a.db, name)
+	if !ok {
+		return errUnknown(name)
 	}
-	_, err = t.tbl.AppendBatch(vals)
+	_, err := t.tbl.AppendBatch(vals)
 	return err
 }
 
 func (a recoveryApplier) positions(name string, ps []int, remember bool) error {
-	t, err := a.table(name)
-	if err != nil {
-		return err
+	t, ok := lookup[*Table](a.db, name)
+	if !ok {
+		return errUnknown(name)
 	}
 	for _, p := range ps {
 		if p < 0 || p >= t.tbl.Len() {
@@ -824,21 +710,18 @@ func (a recoveryApplier) Remember(name string, ps []int) error {
 }
 
 func (a recoveryApplier) Vacuum(name string) error {
-	t, err := a.table(name)
-	if err != nil {
-		return err
+	t, ok := lookup[*Table](a.db, name)
+	if !ok {
+		return errUnknown(name)
 	}
-	t.tbl.Vacuum()
-	if t.book != nil {
-		t.book.Rebase()
-	}
+	t.vacuumLocked()
 	return nil
 }
 
 func (a recoveryApplier) PartInsert(name string, shards []wal.ShardMutation) error {
-	p, err := a.part(name)
-	if err != nil {
-		return err
+	p, ok := lookup[*PartitionedTable](a.db, name)
+	if !ok {
+		return errUnknown(name)
 	}
 	for _, s := range shards {
 		if err := p.set.ReplayShard(s.Shard, s.Values, s.Forgotten); err != nil {
@@ -849,9 +732,9 @@ func (a recoveryApplier) PartInsert(name string, shards []wal.ShardMutation) err
 }
 
 func (a recoveryApplier) PartAdapt(name string, shards []wal.ShardAdapt) error {
-	p, err := a.part(name)
-	if err != nil {
-		return err
+	p, ok := lookup[*PartitionedTable](a.db, name)
+	if !ok {
+		return errUnknown(name)
 	}
 	for _, s := range shards {
 		if err := p.set.SetShardBudget(s.Shard, s.Budget); err != nil {
@@ -865,16 +748,11 @@ func (a recoveryApplier) PartAdapt(name string, shards []wal.ShardAdapt) error {
 }
 
 func (a recoveryApplier) SetPolicy(name string, spec wal.PolicySpec) error {
-	t, err := a.table(name)
-	if err != nil {
-		return err
+	t, ok := lookup[*Table](a.db, name)
+	if !ok {
+		return errUnknown(name)
 	}
-	return t.SetPolicy(Policy{
-		Strategy:      spec.Strategy,
-		Budget:        spec.Budget,
-		Column:        spec.Column,
-		MaxAgeBatches: spec.MaxAgeBatches,
-	})
+	return t.applyPolicy(Policy(spec))
 }
 
 // closeDurable flushes and detaches the log. Deliberately no snapshot:

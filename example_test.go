@@ -1,6 +1,7 @@
 package amnesiadb_test
 
 import (
+	"context"
 	"fmt"
 
 	"amnesiadb"
@@ -102,7 +103,7 @@ func ExampleTable_Precision() {
 	_ = t.SetPolicy(amnesiadb.Policy{Strategy: "fifo", Budget: 2})
 	_ = t.InsertColumn("a", []int64{1, 2, 3, 4})
 
-	rf, mf, pf, _ := t.Precision("a", amnesiadb.All())
+	rf, mf, pf, _ := t.Precision(context.Background(), "a", amnesiadb.All())
 	fmt.Printf("returned %d, missed %d, precision %.2f\n", rf, mf, pf)
 	// Output:
 	// returned 2, missed 2, precision 0.50

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -129,9 +130,9 @@ func runWorkload(name string, query func(*amnesiadb.Advisor, int64) error) resul
 		// Final precision of the workload's own query shape.
 		var rf, mf int
 		if name == "dashboard-fresh" {
-			rf, mf, lastPF, err = t2.Precision("ts", amnesiadb.Range(n*95/100, n+1))
+			rf, mf, lastPF, err = t2.Precision(context.Background(), "ts", amnesiadb.Range(n*95/100, n+1))
 		} else {
-			rf, mf, lastPF, err = t2.Precision("ts", amnesiadb.Range(1000, 1200))
+			rf, mf, lastPF, err = t2.Precision(context.Background(), "ts", amnesiadb.Range(1000, 1200))
 		}
 		if err != nil {
 			log.Fatal(err)

@@ -3,10 +3,12 @@
 //
 //	go run ./examples/coldstorage
 //
-// An audit-log table forgets everything older than its budget (FIFO),
-// demotes the forgotten tuples to the simulated cold tier, and vacuums
-// the hot store. When an investigation needs one old value band back, the
-// example recovers exactly that band and prints the latency and the bill.
+// An audit-log table forgets everything older than its budget (FIFO) and
+// demotes the forgotten tuples to the simulated cold tier each month. It
+// deliberately never vacuums: the tier is in-memory and recovers in
+// place, so a Vacuum would reclaim the demoted tuples for good. When an
+// investigation needs one old value band back, the example recovers
+// exactly that band and prints the latency and the bill.
 package main
 
 import (

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,7 +51,7 @@ func main() {
 		if round%10 != 0 {
 			continue
 		}
-		rf, mf, pf, err := t.Precision("value", amnesiadb.Range(0, 100_000))
+		rf, mf, pf, err := t.Precision(context.Background(), "value", amnesiadb.Range(0, 100_000))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@ package amnesiadb_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -154,11 +155,65 @@ func TestFourFatesCompose(t *testing.T) {
 	if math.Abs(got-trueAvg) > 1e-9 {
 		t.Fatalf("approx avg %v, want %v", got, trueAvg)
 	}
-	// And the cold tier still serves recovery... of tuples that were
-	// vacuumed from the hot store, the snapshot lives on in the cold
-	// tier's ledger.
-	if tb.Stats().ColdTier != 900 {
-		t.Fatalf("cold tier = %d", tb.Stats().ColdTier)
+	// The cold tier recovers in place, so Vacuum reclaims the demoted
+	// tuples too: nothing is left in it, and the bill keeps its history.
+	if tb.Stats().ColdTier != 0 {
+		t.Fatalf("cold tier = %d after vacuum, want 0", tb.Stats().ColdTier)
+	}
+}
+
+// TestVacuumReclaimsColdTier pins the demote → vacuum → recover fix:
+// Vacuum used to leave the cold tier holding pre-vacuum positions, so
+// RecoverRange reactivated unrelated tuples or — here — panicked out of
+// range while holding the table's exclusive lock. Vacuum now reclaims
+// demoted tuples too, and replay agrees.
+func TestVacuumReclaimsColdTier(t *testing.T) {
+	dir := t.TempDir()
+	opts := amnesiadb.Options{Seed: 3, Fsync: "always"}
+	db, err := amnesiadb.OpenDir(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := db.CreateTable("v", "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.SetPolicy(amnesiadb.Policy{Strategy: "fifo", Budget: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.InsertColumn("v", []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := tb.DemoteForgotten(); err != nil || n != 6 {
+		t.Fatalf("demoted %d, %v; want 6", n, err)
+	}
+	if err := tb.Vacuum(); err != nil {
+		t.Fatal(err)
+	}
+	hits, _, err := tb.RecoverRange("v", 0, 6)
+	if err != nil || len(hits) != 0 {
+		t.Fatalf("RecoverRange after vacuum = %v, %v; want no hits and no error", hits, err)
+	}
+	if st := tb.Stats(); st.ColdTier != 0 || st.Tuples != 4 {
+		t.Fatalf("stats after vacuum = %+v, want 4 tuples and an empty cold tier", st)
+	}
+	const sum = "SELECT SUM(v) FROM v"
+	want, err := db.Query(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	re, err := amnesiadb.OpenDir(dir, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	got, err := re.Query(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Rows[0][0] != want.Rows[0][0] || want.Rows[0][0] != 30 {
+		t.Fatalf("SUM after reopen = %v, before = %v; want 30 both", got.Rows, want.Rows)
 	}
 }
 
@@ -195,11 +250,11 @@ func TestSnapshotMidExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf1, mf1, pf1, err := tb.Precision("a", amnesiadb.Range(0, 50000))
+	rf1, mf1, pf1, err := tb.Precision(context.Background(), "a", amnesiadb.Range(0, 50000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf2, mf2, pf2, err := back.Precision("a", amnesiadb.Range(0, 50000))
+	rf2, mf2, pf2, err := back.Precision(context.Background(), "a", amnesiadb.Range(0, 50000))
 	if err != nil {
 		t.Fatal(err)
 	}

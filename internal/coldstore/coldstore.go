@@ -5,6 +5,10 @@
 // $2.50-$30/TB retrieval, hours of latency). Recovery is explicit — cold
 // data "will never show up in query results, unless the user takes the
 // action and recovers" (§5).
+//
+// The tier is in-memory and recovers in place, by hot-table position: it
+// does not survive the hot table's Vacuum, which reclaims demoted tuples
+// with every other forgotten one (Reclaim), nor a restart.
 package coldstore
 
 import (
@@ -58,8 +62,8 @@ func New(t *table.Table, model CostModel) *Store {
 
 // Demote moves every currently forgotten, not-yet-demoted tuple into the
 // cold tier and returns how many were demoted. The hot table keeps the
-// tuples marked inactive; callers typically Vacuum afterwards to reclaim
-// the hot-tier space.
+// tuples marked inactive until its next Vacuum, which reclaims them for
+// good (see Reclaim).
 func (s *Store) Demote() int {
 	cols := s.t.Columns()
 	n := 0
@@ -136,6 +140,15 @@ func (s *Store) RecoverRange(col string, lo, hi int64) ([]int, time.Duration, er
 	sort.Ints(hits)
 	lat, err := s.Recover(hits)
 	return hits, lat, err
+}
+
+// Reclaim drops every resident: the hot table's Vacuum reclaimed their
+// positions along with every other forgotten tuple, so nothing is left
+// to recover in place. The retrieval history stays on the bill.
+func (s *Store) Reclaim() {
+	clear(s.frozen)
+	s.order = s.order[:0]
+	s.bytesStored = 0
 }
 
 // compactOrder drops recovered positions from the demotion order.

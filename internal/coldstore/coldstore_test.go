@@ -126,17 +126,29 @@ func TestBillTracksCosts(t *testing.T) {
 }
 
 func TestDemoteAfterVacuumIsSafe(t *testing.T) {
-	// Typical lifecycle: forget → demote → vacuum. Cold data keeps its
-	// snapshot even though the hot positions have been compacted away.
-	tb := tbl(t, 10, 20, 30)
+	// Lifecycle: forget → demote → recover one → vacuum. The hot Vacuum
+	// reclaims the demoted tuples too, so the tier drops its residents:
+	// recovering afterwards finds nothing (instead of reactivating
+	// whatever the compaction moved onto the old positions), and the
+	// bill keeps its retrieval history.
+	tb := tbl(t, 10, 20, 30, 40)
 	tb.Forget(1)
+	tb.Forget(2)
 	s := New(tb, Glacier2016)
 	s.Demote()
-	if s.Tuples() != 1 {
-		t.Fatalf("cold tuples = %d", s.Tuples())
+	if _, err := s.Recover([]int{1}); err != nil {
+		t.Fatal(err)
 	}
-	// The cold snapshot survives independent of the hot table's layout.
-	if got := s.frozen[1][0]; got != 20 {
-		t.Fatalf("frozen value = %d, want 20", got)
+	tb.Vacuum()
+	s.Reclaim()
+	if s.Tuples() != 0 || s.BytesStored() != 0 {
+		t.Fatalf("after reclaim: %d cold tuples, %d bytes", s.Tuples(), s.BytesStored())
+	}
+	hits, _, err := s.RecoverRange("a", 0, 100)
+	if err != nil || len(hits) != 0 {
+		t.Fatalf("recover after reclaim = %v, %v; want nothing", hits, err)
+	}
+	if b := s.Bill(); b.Retrievals != 1 || b.RetrievalTotal <= 0 || b.StoragePerYear != 0 {
+		t.Fatalf("bill after reclaim = %+v, want the one retrieval kept and no storage", b)
 	}
 }

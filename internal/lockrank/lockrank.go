@@ -11,10 +11,12 @@
 // Two protocols the assertions encode:
 //   - relation locks may nest with each other freely at rank level;
 //     their real order is the table-name order (docs/LOCKING.md).
-//   - a lock may be released on a different goroutine than the one
-//     that acquired it: QueryStream hands its relation read locks to a
-//     drain watcher. Release therefore searches all goroutines and
-//     ignores unmatched unlocks rather than panicking.
+//   - a relation read lock may be released on a different goroutine
+//     than the one that acquired it only through RUnlockFor, which
+//     names the acquirer (Self, taken where the lock was acquired):
+//     QueryStream hands its relation read locks to a drain watcher
+//     that way. Every other release must come from the acquirer; a
+//     release that matches no held rank panics.
 package lockrank
 
 // Ranks ascend the hierarchy: catalog → relation → shard. The sched

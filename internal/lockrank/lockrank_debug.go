@@ -56,59 +56,56 @@ func record(rank int) {
 	reg.Unlock()
 }
 
-// release pops one instance of rank: from this goroutine when present,
-// else from whichever goroutine holds it (QueryStream's watcher
-// releases relation locks its spawner acquired). An unmatched release
-// is ignored — the registry asserts order, not pairing.
-func release(rank int) {
-	g := gid()
+// release pops one instance of rank from owner's held stack. A release
+// that owner does not hold panics: it is either a double unlock or a
+// cross-goroutine release that did not name its acquirer.
+func release(owner uint64, rank int) {
 	reg.Lock()
 	defer reg.Unlock()
-	if popRank(g, rank) {
-		return
-	}
-	for other := range reg.held {
-		if popRank(other, rank) {
-			return
-		}
-	}
-}
-
-func popRank(g uint64, rank int) bool {
-	stack := reg.held[g]
+	stack := reg.held[owner]
 	for i := len(stack) - 1; i >= 0; i-- {
 		if stack[i] == rank {
 			stack = append(stack[:i], stack[i+1:]...)
 			if len(stack) == 0 {
-				delete(reg.held, g)
+				delete(reg.held, owner)
 			} else {
-				reg.held[g] = stack
+				reg.held[owner] = stack
 			}
-			return true
+			return
 		}
 	}
-	return false
+	panic(fmt.Sprintf("lockrank: goroutine %d releases a %s lock it does not hold (docs/LOCKING.md)", owner, rankNames[rank]))
 }
+
+// Owner identifies the goroutine that acquired a lock.
+type Owner struct{ g uint64 }
+
+// Self returns the calling goroutine's Owner.
+func Self() Owner { return Owner{gid()} }
 
 // Catalog is the database-wide catalog lock (rank 1).
 type Catalog struct{ mu sync.RWMutex }
 
 func (c *Catalog) Lock()    { acquire(rankCatalog); c.mu.Lock(); record(rankCatalog) }
-func (c *Catalog) Unlock()  { c.mu.Unlock(); release(rankCatalog) }
+func (c *Catalog) Unlock()  { release(gid(), rankCatalog); c.mu.Unlock() }
 func (c *Catalog) RLock()   { acquire(rankCatalog); c.mu.RLock(); record(rankCatalog) }
-func (c *Catalog) RUnlock() { c.mu.RUnlock(); release(rankCatalog) }
+func (c *Catalog) RUnlock() { release(gid(), rankCatalog); c.mu.RUnlock() }
 
 // Relation is a per-relation lock (rank 2); distinct relations nest in
 // table-name order.
 type Relation struct{ mu sync.RWMutex }
 
 func (r *Relation) Lock()    { acquire(rankRelation); r.mu.Lock(); record(rankRelation) }
-func (r *Relation) Unlock()  { r.mu.Unlock(); release(rankRelation) }
+func (r *Relation) Unlock()  { release(gid(), rankRelation); r.mu.Unlock() }
 func (r *Relation) RLock()   { acquire(rankRelation); r.mu.RLock(); record(rankRelation) }
-func (r *Relation) RUnlock() { r.mu.RUnlock(); release(rankRelation) }
+func (r *Relation) RUnlock() { release(gid(), rankRelation); r.mu.RUnlock() }
+
+// RUnlockFor releases a read lock on behalf of owner, the goroutine that
+// acquired it (the stream handoff).
+func (r *Relation) RUnlockFor(o Owner) { release(o.g, rankRelation); r.mu.RUnlock() }
 
 // Shard is a partition-shard lock (rank 3).
 type Shard struct{ mu sync.Mutex }
 
 func (s *Shard) Lock()   { acquire(rankShard); s.mu.Lock(); record(rankShard) }
-func (s *Shard) Unlock() { s.mu.Unlock(); release(rankShard) }
+func (s *Shard) Unlock() { release(gid(), rankShard); s.mu.Unlock() }

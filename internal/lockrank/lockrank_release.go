@@ -11,7 +11,18 @@ type Catalog struct{ sync.RWMutex }
 // table-name order.
 type Relation struct{ sync.RWMutex }
 
+// RUnlockFor releases a read lock on behalf of owner, the goroutine that
+// acquired it (the stream handoff).
+func (r *Relation) RUnlockFor(Owner) { r.RUnlock() }
+
 // Shard is a partition-shard lock (rank 3).
 type Shard struct{ sync.Mutex }
+
+// Owner identifies the goroutine that acquired a lock; the release
+// build tracks no holders, so it carries nothing.
+type Owner struct{}
+
+// Self returns the calling goroutine's Owner.
+func Self() Owner { return Owner{} }
 
 var _ = rankNames // referenced by the amnesiadebug build

@@ -651,7 +651,7 @@ func (s *Server) handlePrecision(w http.ResponseWriter, r *http.Request) {
 		if col == "" {
 			col = t.Columns()[0]
 		}
-		rf, mf, pf, err = t.Precision(col, amnesiadb.Range(lo, hi))
+		rf, mf, pf, err = t.Precision(r.Context(), col, amnesiadb.Range(lo, hi))
 	} else if p, ok := s.db.Partitioned(name); ok {
 		if col := q.Get("col"); col != "" && col != p.Column() {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("partitioned table %q has no column %q", name, col))

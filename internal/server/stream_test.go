@@ -126,7 +126,7 @@ func TestQueryJoin(t *testing.T) {
 	if err := b.Insert(map[string][]int64{"k": {2, 3, 3, 5}, "w": {200, 300, 301, 500}}); err != nil {
 		t.Fatal(err)
 	}
-	joined, err := db.Join(a, "k", b, "k", amnesiadb.All())
+	joined, err := db.Join(context.Background(), a, "k", b, "k", amnesiadb.All())
 	if err != nil {
 		t.Fatal(err)
 	}

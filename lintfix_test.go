@@ -1,69 +1,14 @@
 package amnesiadb_test
 
 // Regression tests for the behaviour-visible fixes that came out of the
-// amnesialint sweep (tools/amnesialint): auxiliary operations on a
-// dropped handle used to bypass the liveness check and operate on a
-// relation the catalog no longer knows.
+// amnesialint sweep (tools/amnesialint). The dropped-handle liveness
+// fixes are pinned by TestHandleContract (handle_test.go).
 
 import (
-	"errors"
-	"io"
 	"testing"
 
 	"amnesiadb"
 )
-
-// TestDroppedHandleAuxiliaryOpsFail pins the liveness fixes flagged by
-// the liveness analyzer: DemoteForgotten, Summarize, Save, NewAdvisor
-// and the Advisor methods all take the handle's exclusive lock, so they
-// must refuse a handle that outlived its relation's DropTable exactly
-// like the mutators do.
-func TestDroppedHandleAuxiliaryOpsFail(t *testing.T) {
-	dir := t.TempDir()
-	db, err := amnesiadb.OpenDir(dir, amnesiadb.Options{Seed: 21, Fsync: "off"})
-	if err != nil {
-		t.Fatalf("OpenDir: %v", err)
-	}
-	defer db.Close()
-	tb, err := db.CreateTable("aux", "v")
-	if err != nil {
-		t.Fatalf("CreateTable: %v", err)
-	}
-	if err := tb.InsertColumn("v", []int64{1, 2, 3}); err != nil {
-		t.Fatalf("insert: %v", err)
-	}
-	// An advisor created while the relation was live must also notice
-	// the drop: it holds the same handle.
-	adv, err := tb.NewAdvisor("v")
-	if err != nil {
-		t.Fatalf("NewAdvisor: %v", err)
-	}
-	if err := db.DropTable("aux"); err != nil {
-		t.Fatalf("DropTable: %v", err)
-	}
-
-	if _, err := tb.DemoteForgotten(); !errors.Is(err, amnesiadb.ErrUnknownTable) {
-		t.Errorf("DemoteForgotten on dropped handle: err = %v, want ErrUnknownTable", err)
-	}
-	if _, err := tb.Summarize("v"); !errors.Is(err, amnesiadb.ErrUnknownTable) {
-		t.Errorf("Summarize on dropped handle: err = %v, want ErrUnknownTable", err)
-	}
-	if err := tb.Save(io.Discard); !errors.Is(err, amnesiadb.ErrUnknownTable) {
-		t.Errorf("Save on dropped handle: err = %v, want ErrUnknownTable", err)
-	}
-	if _, err := tb.NewAdvisor("v"); !errors.Is(err, amnesiadb.ErrUnknownTable) {
-		t.Errorf("NewAdvisor on dropped handle: err = %v, want ErrUnknownTable", err)
-	}
-	if _, err := adv.Select(amnesiadb.Range(0, 10)); !errors.Is(err, amnesiadb.ErrUnknownTable) {
-		t.Errorf("Advisor.Select on dropped handle: err = %v, want ErrUnknownTable", err)
-	}
-	if _, err := adv.Aggregate(amnesiadb.Range(0, 10)); !errors.Is(err, amnesiadb.ErrUnknownTable) {
-		t.Errorf("Advisor.Aggregate on dropped handle: err = %v, want ErrUnknownTable", err)
-	}
-	if _, err := adv.Advise(0.5); !errors.Is(err, amnesiadb.ErrUnknownTable) {
-		t.Errorf("Advisor.Advise on dropped handle: err = %v, want ErrUnknownTable", err)
-	}
-}
 
 // TestQueryConcurrentSnapshotNoDeadlock pins the lockorder fix in
 // QueryStreamCtx: it used to re-enter db.mu inside its per-table loop

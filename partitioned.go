@@ -2,13 +2,13 @@ package amnesiadb
 
 import (
 	"context"
-	"fmt"
 	"slices"
 
 	"amnesiadb/internal/durability"
 	"amnesiadb/internal/expr"
-	"amnesiadb/internal/lockrank"
 	"amnesiadb/internal/partition"
+	"amnesiadb/internal/snapshot"
+	"amnesiadb/internal/sql"
 	"amnesiadb/internal/wal"
 )
 
@@ -31,56 +31,41 @@ import (
 // this facade's exclusive lock, because forgetting mutates the active
 // bitmap that lock-free scans read.
 type PartitionedTable struct {
-	mu   lockrank.Relation
-	db   *DB
-	name string
-	set  *partition.Set
-	// dropped (guarded by mu) marks a handle whose relation left the
-	// catalog; see Table.dropped.
-	dropped bool
+	handle
+	set *partition.Set
 }
 
-// liveLocked fails mutation through a handle that outlived its
-// relation's drop; callers hold p.mu exclusively.
-func (p *PartitionedTable) liveLocked() error {
-	if p.dropped {
-		return fmt.Errorf("amnesiadb: %w %q (dropped)", ErrUnknownTable, p.name)
-	}
-	return nil
+func (p *PartitionedTable) attach(inc uint64) {
+	p.set.SetParallelism(p.db.par)
+	p.set.SetScheduler(p.db.pool)
+	p.set.AdvanceEpoch(inc)
+	p.rel = sql.NewPartitionRelation(p.set)
 }
+
+func (p *PartitionedTable) appendTo(cat *snapshot.Catalog) {
+	pe := snapshot.PartEntry{Name: p.name, Column: p.set.Column(), Strategy: p.set.Strategy(), Domain: p.set.Domain()}
+	for _, sp := range p.set.Partitions() {
+		pe.Shards = append(pe.Shards, snapshot.ShardEntry{Lo: sp.Lo, Hi: sp.Hi, Budget: sp.Budget(), Table: sp.Table()})
+	}
+	cat.Parts = append(cat.Parts, pe)
+}
+
+func (p *PartitionedTable) shards() int { return len(p.set.Partitions()) }
 
 // CreatePartitionedTable creates a partitioned single-column table over
 // the value domain [0, domain), split into parts equal-width shards that
 // share totalBudget active tuples under the named strategy.
 func (db *DB) CreatePartitionedTable(name, column string, domain int64, parts int, strategy string, totalBudget int) (*PartitionedTable, error) {
-	if err := db.writable(); err != nil {
-		return nil, err
-	}
-	db.mu.Lock()
-	if db.taken(name) {
-		db.mu.Unlock()
-		return nil, fmt.Errorf("amnesiadb: table %q already exists", name)
-	}
 	set, err := partition.New(column, domain, parts, strategy, totalBudget, db.splitSrc())
 	if err != nil {
-		db.mu.Unlock()
 		return nil, err
 	}
-	set.SetParallelism(db.par)
-	set.SetScheduler(db.pool)
-	set.AdvanceEpoch(db.nextIncarnation())
-	pt := &PartitionedTable{db: db, name: name, set: set}
-	db.parts[name] = pt
-	pend := db.logRecord(wal.RecordCreatePart(name, column, domain, parts, strategy, totalBudget))
-	db.mu.Unlock()
-	if err := db.commitWait(pend); err != nil {
+	pt := &PartitionedTable{handle: handle{db: db, name: name}, set: set}
+	if err := db.register(pt, wal.RecordCreatePart(name, column, domain, parts, strategy, totalBudget)); err != nil {
 		return nil, err
 	}
 	return pt, nil
 }
-
-// Name returns the table name.
-func (p *PartitionedTable) Name() string { return p.name }
 
 // Column returns the name of the single stored attribute.
 func (p *PartitionedTable) Column() string { return p.set.Column() }
@@ -91,18 +76,9 @@ func (p *PartitionedTable) Column() string { return p.set.Column() }
 // replay reproduces the shard state without re-running the stochastic
 // strategies.
 func (p *PartitionedTable) Insert(vals []int64) error {
-	if err := p.db.writable(); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	if err := p.liveLocked(); err != nil {
-		p.mu.Unlock()
-		return err
-	}
-	var pend *durability.Pending
-	err := func() error {
+	return p.mutate(func() (*durability.Pending, error) {
 		if p.db.dur == nil {
-			return p.set.Insert(vals)
+			return nil, p.set.Insert(vals)
 		}
 		var shards []wal.ShardMutation
 		err := p.set.InsertObserved(vals, func(shard int, appended []int64, forgotten []int) {
@@ -113,19 +89,11 @@ func (p *PartitionedTable) Insert(vals []int64) error {
 				Forgotten: forgotten,
 			})
 		})
-		if err != nil {
-			return err
+		if err != nil || len(shards) == 0 {
+			return nil, err
 		}
-		if len(shards) > 0 {
-			pend = p.db.logRecord(wal.RecordPartInsert(p.name, shards))
-		}
-		return nil
-	}()
-	p.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return p.db.commitWait(pend)
+		return p.db.logRecord(wal.RecordPartInsert(p.name, shards)), nil
+	})
 }
 
 // Select returns active values in [lo, hi) across the relevant shards,
@@ -151,18 +119,11 @@ func (p *PartitionedTable) Precision(ctx context.Context, lo, hi int64) (rf, mf 
 // logged, so Adapt returns an error when the database is read-only or
 // the WAL append fails.
 func (p *PartitionedTable) Adapt() error {
-	if err := p.db.writable(); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	if err := p.liveLocked(); err != nil {
-		p.mu.Unlock()
-		return err
-	}
-	var pend *durability.Pending
-	if p.db.dur == nil {
-		p.set.Adapt()
-	} else {
+	return p.mutate(func() (*durability.Pending, error) {
+		if p.db.dur == nil {
+			p.set.Adapt()
+			return nil, nil
+		}
 		var shards []wal.ShardAdapt
 		p.set.AdaptObserved(func(shard, budget int, forgotten []int) {
 			slices.Sort(forgotten)
@@ -172,12 +133,11 @@ func (p *PartitionedTable) Adapt() error {
 				Forgotten: forgotten,
 			})
 		})
-		if len(shards) > 0 {
-			pend = p.db.logRecord(wal.RecordPartAdapt(p.name, shards))
+		if len(shards) == 0 {
+			return nil, nil
 		}
-	}
-	p.mu.Unlock()
-	return p.db.commitWait(pend)
+		return p.db.logRecord(wal.RecordPartAdapt(p.name, shards)), nil
+	})
 }
 
 // PartitionInfo describes one shard's state.

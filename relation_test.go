@@ -2,6 +2,8 @@ package amnesiadb_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -79,7 +81,7 @@ func TestSQLJoinMatchesDBJoin(t *testing.T) {
 		{"SELECT a.v, b.w FROM a JOIN b ON a.k = b.k WHERE a.k >= 3 AND a.k < 6", a, b, "v", "w", amnesiadb.Range(3, 6)},
 	}
 	for _, tc := range cases {
-		jr, err := db.Join(tc.left, "k", tc.right, "k", tc.pred)
+		jr, err := db.Join(context.Background(), tc.left, "k", tc.right, "k", tc.pred)
 		if err != nil {
 			t.Fatalf("%s: join: %v", tc.sql, err)
 		}
@@ -102,7 +104,7 @@ func TestSQLJoinMatchesDBJoin(t *testing.T) {
 // ORDER BY ... LIMIT is the top-k of the stably sorted pairs.
 func TestSQLJoinOrderLimitMatchesDBJoin(t *testing.T) {
 	db, a, b := joinDB(t)
-	jr, err := db.Join(a, "k", b, "k", amnesiadb.All())
+	jr, err := db.Join(context.Background(), a, "k", b, "k", amnesiadb.All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +178,36 @@ func TestSQLPartitionedMatchesSelect(t *testing.T) {
 	}
 	if int(res.Rows[0][0]) != pt.Stats().Active {
 		t.Fatalf("COUNT = %v, want %d", res.Rows[0][0], pt.Stats().Active)
+	}
+}
+
+// TestCancelledCtxStopsFlatReads pins the ctx on the facade's flat
+// reads: a done ctx makes Precision, Join and JoinPrecision return its
+// cause instead of scanning to completion (flat Precision used to run
+// on a Background ctx).
+func TestCancelledCtxStopsFlatReads(t *testing.T) {
+	db := amnesiadb.Open(amnesiadb.Options{Seed: 1})
+	tb, err := db.CreateTable("c", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]int64, 10_000)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	if err := tb.InsertColumn("k", vals); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, _, err := tb.Precision(ctx, "k", amnesiadb.All()); !errors.Is(err, context.Canceled) {
+		t.Errorf("Precision under a cancelled ctx: err = %v, want context.Canceled", err)
+	}
+	if _, err := db.Join(ctx, tb, "k", tb, "k", amnesiadb.All()); !errors.Is(err, context.Canceled) {
+		t.Errorf("Join under a cancelled ctx: err = %v, want context.Canceled", err)
+	}
+	if _, _, _, err := db.JoinPrecision(ctx, tb, "k", tb, "k", amnesiadb.All()); !errors.Is(err, context.Canceled) {
+		t.Errorf("JoinPrecision under a cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package amnesiadb_test
 
 import (
+	"context"
 	"testing"
 
 	"amnesiadb"
@@ -42,7 +43,7 @@ func TestScaleMillionTuples(t *testing.T) {
 			if s.Tuples != 1_000_000 || s.Active != 100_000 {
 				t.Fatalf("stats = %+v", s)
 			}
-			_, _, pf, err := tb.Precision("a", amnesiadb.Range(0, 1<<19))
+			_, _, pf, err := tb.Precision(context.Background(), "a", amnesiadb.Range(0, 1<<19))
 			if err != nil {
 				t.Fatal(err)
 			}

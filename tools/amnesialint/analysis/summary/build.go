@@ -134,11 +134,11 @@ func (b *pkgBuilder) summarize(fd *ast.FuncDecl, name string) *FuncSummary {
 	held := b.flowHeld(g, fd.Body, func(class ClassID, site Site, via []string) {
 		addAcq(fs, Acq{Class: class, Site: site, Via: via})
 	})
-	// A lock whose unlock method is captured as a value — `unlocks =
-	// append(unlocks, t.mu.RUnlock)` — is released through a dynamic
-	// call the flow cannot see. The capture is the release protocol's
-	// witness: treat those classes as handed off, not held at exit.
-	for class := range b.dynReleases(fd.Body) {
+	// A lock released on its owner's behalf — `h.mu.RUnlockFor(owner)`,
+	// typically inside a closure another goroutine runs — is handed
+	// off: the owner-keyed release is the stream handoff protocol's
+	// witness (docs/LOCKING.md), so those classes are not held at exit.
+	for class := range b.handoffs(fd.Body) {
 		delete(held, class)
 	}
 	for class := range held {
@@ -310,24 +310,13 @@ func (b *pkgBuilder) releaseBound(call *ast.CallExpr, held heldSet) bool {
 	return true
 }
 
-// dynReleases collects the lock classes whose Unlock/RUnlock method is
-// referenced as a value (not called) anywhere in body, including inside
-// nested closures: `unlocks = append(unlocks, t.mu.RUnlock)`.
-func (b *pkgBuilder) dynReleases(body ast.Node) map[ClassID]bool {
-	calledFuns := map[ast.Expr]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			calledFuns[call.Fun] = true
-		}
-		return true
-	})
+// handoffs collects the lock classes released by an owner-keyed
+// RUnlockFor anywhere in body, including nested closures.
+func (b *pkgBuilder) handoffs(body ast.Node) map[ClassID]bool {
 	out := map[ClassID]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || calledFuns[sel] {
-			return true
-		}
-		if sel.Sel.Name != "Unlock" && sel.Sel.Name != "RUnlock" {
+		if !ok || sel.Sel.Name != "RUnlockFor" {
 			return true
 		}
 		tv, ok := b.info.Types[sel.X]
@@ -416,7 +405,7 @@ func (b *pkgBuilder) lockOp(call *ast.CallExpr) (lockOp, bool) {
 	switch sel.Sel.Name {
 	case "Lock", "RLock":
 		acquire = true
-	case "Unlock", "RUnlock":
+	case "Unlock", "RUnlock", "RUnlockFor":
 		acquire = false
 	default:
 		return lockOp{}, false

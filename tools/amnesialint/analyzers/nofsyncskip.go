@@ -22,43 +22,58 @@ var NoFsyncSkip = &analysis.Analyzer{
 }
 
 func runNoFsyncSkip(pass *analysis.Pass) error {
-	info := pass.TypesInfo
 	funcDecls(pass.Files, pass.Fset, func(fd *ast.FuncDecl) {
-		var logCalls, waitCalls []*ast.CallExpr
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				switch sel.Sel.Name {
-				case "logRecord":
-					logCalls = append(logCalls, call)
-				case "commitWait":
-					waitCalls = append(waitCalls, call)
-				}
-			}
-			return true
-		})
-		if len(logCalls) > 0 && len(waitCalls) == 0 && !returnsPending(info, fd) {
-			pass.Reportf(logCalls[0].Pos(),
-				"%s enqueues a WAL record but neither awaits commitWait nor returns the Pending; callers would see success before the fsync ack",
-				fd.Name.Name)
+		obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+		var sig *types.Signature
+		if obj != nil {
+			sig, _ = obj.Type().(*types.Signature)
 		}
-		reportDiscardedWaits(pass, fd, waitCalls)
+		checkFsyncUnit(pass, fd.Name.Name, fd.Body, sig)
 	})
 	return nil
 }
 
-// returnsPending reports whether fd's results include a
+// checkFsyncUnit checks one ownership unit: a declaration, or a closure
+// whose results include a *durability.Pending — the fn a mutation
+// scaffold runs under the lock and awaits after it. Such closures are
+// their own units, the way govflow analyzes FuncLits independently, and
+// are skipped in the enclosing one.
+func checkFsyncUnit(pass *analysis.Pass, name string, body *ast.BlockStmt, sig *types.Signature) {
+	var logCalls, waitCalls []*ast.CallExpr
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			if lit, ok := pass.TypesInfo.Types[n].Type.(*types.Signature); ok && returnsPending(lit) {
+				checkFsyncUnit(pass, name+" (closure)", n.Body, lit)
+				return false
+			}
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+				switch sel.Sel.Name {
+				case "logRecord":
+					logCalls = append(logCalls, n)
+				case "commitWait":
+					waitCalls = append(waitCalls, n)
+				}
+			}
+		}
+		return true
+	})
+	if len(logCalls) > 0 && len(waitCalls) == 0 && !returnsPending(sig) {
+		pass.Reportf(logCalls[0].Pos(),
+			"%s enqueues a WAL record but neither awaits commitWait nor returns the Pending; callers would see success before the fsync ack",
+			name)
+	}
+	reportDiscardedWaits(pass, name, body, waitCalls)
+}
+
+// returnsPending reports whether sig's results include a
 // *durability.Pending (or a slice of them) — the ownership-transfer
-// signature of the *Locked helpers.
-func returnsPending(info *types.Info, fd *ast.FuncDecl) bool {
-	obj, _ := info.Defs[fd.Name].(*types.Func)
-	if obj == nil {
+// signature of the *Locked helpers and the scaffold closures.
+func returnsPending(sig *types.Signature) bool {
+	if sig == nil {
 		return false
 	}
-	sig := obj.Type().(*types.Signature)
 	for i := 0; i < sig.Results().Len(); i++ {
 		t := sig.Results().At(i).Type()
 		if s, ok := t.Underlying().(*types.Slice); ok {
@@ -74,12 +89,12 @@ func returnsPending(info *types.Info, fd *ast.FuncDecl) bool {
 
 // reportDiscardedWaits flags commitWait calls whose error result is
 // thrown away: bare expression statements, defers, and blank-assigns.
-func reportDiscardedWaits(pass *analysis.Pass, fd *ast.FuncDecl, waits []*ast.CallExpr) {
+func reportDiscardedWaits(pass *analysis.Pass, name string, body *ast.BlockStmt, waits []*ast.CallExpr) {
 	if len(waits) == 0 {
 		return
 	}
 	discarded := make(map[*ast.CallExpr]string)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.ExprStmt:
 			if call, ok := s.X.(*ast.CallExpr); ok {
@@ -101,7 +116,7 @@ func reportDiscardedWaits(pass *analysis.Pass, fd *ast.FuncDecl, waits []*ast.Ca
 	for _, w := range waits {
 		if how, ok := discarded[w]; ok {
 			pass.Reportf(w.Pos(),
-				"commitWait %s in %s; the mutator would report success before the group-commit ack reaches disk", how, fd.Name.Name)
+				"commitWait %s in %s; the mutator would report success before the group-commit ack reaches disk", how, name)
 		}
 	}
 }

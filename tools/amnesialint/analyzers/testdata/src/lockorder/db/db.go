@@ -4,7 +4,11 @@
 // engage the rank rules exactly like the real catalog types.
 package db
 
-import "sync"
+import (
+	"sync"
+
+	"fixture/lockrank"
+)
 
 // DB owns the catalog lock (structural rank: has Relations).
 type DB struct {
@@ -45,3 +49,6 @@ func (p *PTable) liveLocked() error { _ = p.dropped; return nil }
 
 func (p *PTable) Lock()   { p.mu.Lock() }
 func (p *PTable) Unlock() { p.mu.Unlock() }
+
+// Rel owns a lockrank relation lock, like the facade's relation handle.
+type Rel struct{ Mu lockrank.Relation }

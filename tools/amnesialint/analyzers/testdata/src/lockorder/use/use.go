@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"fixture/db"
+	"fixture/lockrank"
 	"fixture/partition"
 	"fixture/sched"
 )
@@ -105,6 +106,38 @@ func holdThenCatalog(d *db.DB, t *db.Table) {
 	unlock()
 }
 
+// openStream read-locks r and returns the release a drain watcher runs
+// on another goroutine, naming this one as the owner: the stream
+// handoff, so its summary does not return holding the relation.
+func openStream(r *db.Rel) func() {
+	owner := lockrank.Self()
+	r.Mu.RLock()
+	return func() { r.Mu.RUnlockFor(owner) }
+}
+
+// streamThenCatalog takes the catalog after opening a stream: clean,
+// the stream's relation lock was handed off.
+func streamThenCatalog(d *db.DB, r *db.Rel) {
+	release := openStream(r)
+	d.RLock()
+	d.RUnlock()
+	release()
+}
+
+// openStreamUnowned releases without naming an owner: no handoff, so
+// its summary returns holding the relation lock.
+func openStreamUnowned(r *db.Rel) func() {
+	r.Mu.RLock()
+	return func() { r.Mu.RUnlock() }
+}
+
+func unownedStreamThenCatalog(d *db.DB, r *db.Rel) {
+	release := openStreamUnowned(r)
+	d.RLock() // want lockorder "descending"
+	d.RUnlock()
+	release()
+}
+
 // aMu and bMu are unranked package-level locks: the hierarchy says
 // nothing about them, so only the cycle check watches them.
 var (
@@ -138,6 +171,8 @@ var (
 	_ = heldThenCatalog
 	_ = releaseBeforeCatalog
 	_ = holdThenCatalog
+	_ = streamThenCatalog
+	_ = unownedStreamThenCatalog
 	_ = cycleA
 	_ = cycleB
 )
