@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz FuzzInsertDecode -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -race -run '^$$' -fuzz FuzzAppendJSONFloat -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -race -run '^$$' -fuzz FuzzScanKernel -fuzztime $(FUZZTIME) ./internal/column
+	$(GO) test -race -run '^$$' -fuzz FuzzValueIndex -fuzztime $(FUZZTIME) ./internal/column
 
 # bench-test vets and tests the benchmark module. benchmarks/ is a
 # module of its own, so `./...` above never reaches it, yet it compiles

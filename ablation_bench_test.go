@@ -1,7 +1,7 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
 // anterograde recency bias, the rot high-water mark, the area mold count,
-// index pruning, and summary accuracy. Each reports a domain metric so a
-// parameter's effect is visible next to its cost.
+// and summary accuracy. Each reports a domain metric so a parameter's
+// effect is visible next to its cost.
 package amnesiadb_test
 
 import (
@@ -11,7 +11,6 @@ import (
 	"amnesiadb/internal/amnesia"
 	"amnesiadb/internal/dist"
 	"amnesiadb/internal/engine"
-	"amnesiadb/internal/index"
 	"amnesiadb/internal/summary"
 	"amnesiadb/internal/table"
 	"amnesiadb/internal/workload"
@@ -110,39 +109,6 @@ func BenchmarkAblationAreaK(b *testing.B) {
 			b.ReportMetric(runs, "forgotten-runs")
 		})
 	}
-}
-
-// BenchmarkIndexPruning measures the §4.4 claim that dropping forgotten
-// tuples from indexes reclaims space: it builds a sorted index over a
-// half-forgotten table, prunes, and reports the byte savings alongside
-// the prune cost.
-func BenchmarkIndexPruning(b *testing.B) {
-	src := xrand.New(1)
-	var saved float64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tb := table.New("t", "a")
-		vals := make([]int64, 100000)
-		for j := range vals {
-			vals[j] = src.Int63n(1 << 20)
-		}
-		if _, err := tb.AppendSingleColumn(vals); err != nil {
-			b.Fatal(err)
-		}
-		idx, err := index.NewSorted(tb, "a")
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < len(vals); j += 2 {
-			tb.Forget(j)
-		}
-		before := idx.SizeBytes()
-		b.StartTimer()
-		idx.PruneForgotten(tb)
-		b.StopTimer()
-		saved = float64(before - idx.SizeBytes())
-	}
-	b.ReportMetric(saved, "bytes-reclaimed")
 }
 
 // BenchmarkSummaryAccuracy measures the summary fate: absorb a forgotten

@@ -1102,6 +1102,10 @@ type Stats struct {
 	Batches   int // insert batches so far
 	ColdTier  int // tuples resident in cold storage
 	Segments  int // summary segments absorbed
+	// IndexBytes is the memory of the value-order indexes narrow
+	// queries built over the table's columns (4 bytes a stored row per
+	// indexed column; derived, never persisted).
+	IndexBytes int
 }
 
 // Stats returns current counters.
@@ -1109,7 +1113,7 @@ func (t *Table) Stats() Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	s := t.tbl.Stats()
-	out := Stats{Tuples: s.Tuples, Active: s.Active, Forgotten: s.Forgotten, Batches: s.Batches}
+	out := Stats{Tuples: s.Tuples, Active: s.Active, Forgotten: s.Forgotten, Batches: s.Batches, IndexBytes: s.IndexBytes}
 	if t.cold != nil {
 		out.ColdTier = t.cold.Tuples()
 	}

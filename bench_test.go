@@ -528,3 +528,57 @@ func BenchmarkForget(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNarrowQuery times hot_small's two statements uncached through
+// the facade — top-10 by score and COUNT(*), both over a 64-id range —
+// on a table of permuted ids with an eighth forgotten, at 1 Ki and
+// 256 Ki rows. A full scan makes the big table's queries several times
+// the small one's; the value-order index answers both sizes in about
+// the same time (the 1 Ki table is below one morsel and scans).
+func BenchmarkNarrowQuery(b *testing.B) {
+	for _, n := range []int{1 << 10, 256 << 10} {
+		src := xrand.New(benchSeed)
+		db := amnesiadb.Open(amnesiadb.Options{Seed: benchSeed})
+		tb, err := db.CreateTable("mem", "id", "score")
+		if err != nil {
+			b.Fatal(err)
+		}
+		cols := map[string][]int64{"id": make([]int64, n), "score": make([]int64, n)}
+		for _, c := range []string{"id", "score"} {
+			for i, v := range src.Perm(n) {
+				cols[c][i] = int64(v)
+			}
+		}
+		if err := tb.Insert(cols); err != nil {
+			b.Fatal(err)
+		}
+		if err := tb.SetPolicy(amnesiadb.Policy{Strategy: "fifo", Budget: n - n/8}); err != nil {
+			b.Fatal(err)
+		}
+		if err := tb.EnforceBudget(); err != nil {
+			b.Fatal(err)
+		}
+		for _, stmt := range []struct{ name, sql string }{
+			{"topk", "SELECT id, score FROM mem WHERE id >= %d AND id < %d ORDER BY score LIMIT 10"},
+			{"count", "SELECT COUNT(*) FROM mem WHERE id >= %d AND id < %d"},
+		} {
+			b.Run(fmt.Sprintf("%s/rows=%d", stmt.name, n), func(b *testing.B) {
+				stmts := make([]string, 64)
+				for i := range stmts {
+					k := src.Int63n(int64(n - 64))
+					stmts[i] = fmt.Sprintf(stmt.sql, k, k+64)
+				}
+				if _, err := db.Query(stmts[0]); err != nil { // builds any index
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := db.Query(stmts[i%len(stmts)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

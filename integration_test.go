@@ -8,11 +8,13 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"amnesiadb"
 	"amnesiadb/internal/amnesia"
-	"amnesiadb/internal/index"
+	"amnesiadb/internal/engine"
+	"amnesiadb/internal/expr"
 	"amnesiadb/internal/sim"
 	"amnesiadb/internal/table"
 	"amnesiadb/internal/xrand"
@@ -56,42 +58,54 @@ func TestSimulatorAndFacadeAgree(t *testing.T) {
 	}
 }
 
-// TestIndexConsistencyUnderChurn rebuilds and prunes the sorted index
-// across many amnesia rounds and checks it always agrees with the raw
-// scan.
+// TestIndexConsistencyUnderChurn runs narrow selects — the ones the
+// engine answers from a column's value-order index — across rounds of
+// appends, uniform forgetting and vacuums, and checks every answer
+// against the raw row-at-a-time scan: forgotten tuples filtered out of
+// the index at lookup, appended ones found in its tail or folded in,
+// vacuumed ones remapped out of it.
 func TestIndexConsistencyUnderChurn(t *testing.T) {
+	const budget, domain = engine.TaskMinRows, 1 << 20
 	src := xrand.New(3)
 	tb := table.New("t", "a")
 	strat := amnesia.NewUniform(src.Split())
+	ex := engine.New(tb)
 	for round := 0; round < 8; round++ {
-		vals := make([]int64, 500)
+		vals := make([]int64, budget/3)
+		if round == 0 {
+			vals = make([]int64, budget)
+		}
 		for i := range vals {
-			vals[i] = src.Int63n(10000)
+			vals[i] = src.Int63n(domain)
 		}
 		if _, err := tb.AppendSingleColumn(vals); err != nil {
 			t.Fatal(err)
 		}
-		if over := tb.ActiveCount() - 1000; over > 0 {
+		if over := tb.ActiveCount() - budget; over > 0 {
 			strat.Forget(tb, over)
 		}
-		sorted, err := index.NewSorted(tb, "a")
-		if err != nil {
-			t.Fatal(err)
+		if round%3 == 2 {
+			tb.Vacuum()
 		}
-		sorted.PruneForgotten(tb)
 		for q := 0; q < 20; q++ {
-			lo := src.Int63n(10000)
-			hi := lo + src.Int63n(2000)
-			sres := sorted.Scan(tb, lo, hi)
-			want := tb.MustColumn("a").ScanRangeActive(lo, hi, tb.Active(), nil)
-			if len(sres) != len(want) {
-				t.Fatalf("round %d [%d,%d): sorted=%d raw=%d", round, lo, hi, len(sres), len(want))
+			lo := src.Int63n(domain)
+			hi := lo + src.Int63n(4000)
+			res, err := ex.Select("a", expr.NewRange(lo, hi), engine.ScanActive)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range want {
-				if sres[i] != want[i] {
-					t.Fatalf("round %d: index row mismatch at %d", round, i)
+			want := tb.MustColumn("a").ScanRangeActive(lo, hi, tb.Active(), nil)
+			if !slices.Equal(res.Rows, want) {
+				t.Fatalf("round %d [%d,%d): index path returned %d rows, raw scan %d", round, lo, hi, len(res.Rows), len(want))
+			}
+			for i, r := range want {
+				if res.Values[i] != tb.MustColumn("a").Get(int(r)) {
+					t.Fatalf("round %d: row %d carries value %d", round, r, res.Values[i])
 				}
 			}
+		}
+		if tb.Stats().IndexBytes == 0 {
+			t.Fatalf("round %d: narrow selects over %d rows built no index", round, tb.Len())
 		}
 	}
 }

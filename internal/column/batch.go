@@ -8,22 +8,6 @@ import (
 	"amnesiadb/internal/bitvec"
 )
 
-// ScanBatch is the vectorized scan kernel: starting at row position start,
-// it fills the caller-provided parallel buffers sel (positions) and val
-// (values) with rows satisfying lo <= v < hi (hi == math.MaxInt64 means
-// no upper bound, per the expr.Bounds convention) — restricted to rows whose
-// bit is set in active when active is non-nil — until the buffers are
-// full or the column is exhausted. It returns the number of rows
-// produced and the position scanning should resume from (next == Len
-// when the column is exhausted). Zone maps skip whole blocks; the kernel
-// allocates nothing, so a tight caller loop reuses one batch for the
-// entire scan.
-//
-// sel and val must have equal length; that length is the batch size.
-func (c *Int64) ScanBatch(lo, hi int64, active *bitvec.Vector, start int, sel []int32, val []int64) (n, next int) {
-	return c.ScanBatchRange(lo, hi, active, start, len(c.data), sel, val)
-}
-
 // rangeMask is the scan kernel every consumer shares: bit j of the
 // result is set iff d[j] lies in the inclusive interval [lo, lo+span],
 // for up to 64 rows. One wrapping subtract and one unsigned compare
@@ -99,15 +83,22 @@ func (c *Int64) scanMasks(lo, hi int64, active *bitvec.Vector, start, end int, f
 	}
 }
 
-// ScanBatchRange is ScanBatch bounded to the row interval [start, end):
-// the morsel-driven parallel scan hands each worker a contiguous run of
-// blocks as [start, end) so workers share the column with no coordination
-// beyond their disjoint ranges. end is clamped to Len. Positions are
-// emitted from each word's qualifying mask by TrailingZeros64; a batch
-// that fills mid-word resumes at the lowest qualifying row still pending.
+// ScanBatchRange is the vectorized scan kernel: starting at row position
+// start, it fills the caller-provided parallel buffers sel (positions)
+// and val (values), of equal length, with rows of [start, end) (end
+// clamped to Len) satisfying lo <= v < hi (hi == math.MaxInt64 means no
+// upper bound, per the expr.Bounds convention) — restricted to rows
+// whose bit is set in active when active is non-nil — until the buffers
+// are full or the interval is exhausted. It returns the number of rows
+// produced and the position scanning should resume from (end once
+// exhausted). The kernel allocates nothing, so a tight caller loop
+// reuses one batch for the whole scan; morsel workers share a column by
+// their disjoint intervals. Positions are emitted from each word's
+// qualifying mask by TrailingZeros64; a batch that fills mid-word
+// resumes at the lowest qualifying row still pending.
 func (c *Int64) ScanBatchRange(lo, hi int64, active *bitvec.Vector, start, end int, sel []int32, val []int64) (n, next int) {
 	if len(sel) != len(val) {
-		panic(fmt.Sprintf("column: ScanBatch buffers disagree: %d positions, %d values", len(sel), len(val)))
+		panic(fmt.Sprintf("column: ScanBatchRange buffers disagree: %d positions, %d values", len(sel), len(val)))
 	}
 	next = max(start, min(end, len(c.data)))
 	c.scanMasks(lo, hi, active, start, end, func(base int, m uint64) bool {
@@ -128,10 +119,9 @@ func (c *Int64) ScanBatchRange(lo, hi int64, active *bitvec.Vector, start, end i
 }
 
 // CountRangeIn returns the number of rows in the row interval [start, end)
-// with lo <= v < hi, honouring active when non-nil. It is CountRange
-// bounded to a morsel's block range, so parallel counting queries
-// (COUNT(*), Precision ground truth) split a column the same way the
-// materializing kernel does. end is clamped to Len.
+// with lo <= v < hi, honouring active when non-nil: parallel counting
+// queries (COUNT(*), Precision ground truth) split a column into morsels
+// the same way the materializing kernel does. end is clamped to Len.
 func (c *Int64) CountRangeIn(lo, hi int64, active *bitvec.Vector, start, end int) int {
 	n := 0
 	c.scanMasks(lo, hi, active, start, end, func(_ int, m uint64) bool {

@@ -64,7 +64,7 @@ func TestScanBatchMatchesScanRange(t *testing.T) {
 			var gotVal []int64
 			for pos := 0; pos < c.Len(); {
 				var n int
-				n, pos = c.ScanBatch(tc.lo, tc.hi, act, pos, sel, val)
+				n, pos = c.ScanBatchRange(tc.lo, tc.hi, act, pos, c.Len(), sel, val)
 				gotSel = append(gotSel, sel[:n]...)
 				gotVal = append(gotVal, val[:n]...)
 			}
@@ -97,7 +97,7 @@ func TestScanBatchResume(t *testing.T) {
 	seen := map[int32]bool{}
 	for pos := 0; pos < c.Len(); {
 		var n int
-		n, pos = c.ScanBatch(2, 8, nil, pos, sel, val)
+		n, pos = c.ScanBatchRange(2, 8, nil, pos, c.Len(), sel, val)
 		for _, r := range sel[:n] {
 			if seen[r] {
 				t.Fatalf("position %d produced twice", r)
@@ -121,7 +121,7 @@ func TestScanBatchZoneSkip(t *testing.T) {
 	}
 	sel := make([]int32, 16)
 	val := make([]int64, 16)
-	n, next := c.ScanBatch(0, 10, nil, 0, sel, val)
+	n, next := c.ScanBatchRange(0, 10, nil, 0, c.Len(), sel, val)
 	if next != c.Len() {
 		t.Fatalf("next = %d, want %d", next, c.Len())
 	}
@@ -138,7 +138,7 @@ func TestScanBatchBufferMismatchPanics(t *testing.T) {
 	}()
 	c := New()
 	c.Append(1)
-	c.ScanBatch(0, 10, nil, 0, make([]int32, 4), make([]int64, 8))
+	c.ScanBatchRange(0, 10, nil, 0, c.Len(), make([]int32, 4), make([]int64, 8))
 }
 
 func TestGather(t *testing.T) {
@@ -213,7 +213,7 @@ func TestScanBatchRangePartition(t *testing.T) {
 func TestCountRangeInPartition(t *testing.T) {
 	c, active := buildColumn(t, 1000, 1000, 64, 13)
 	for _, act := range []*bitvec.Vector{nil, active} {
-		want := c.CountRange(200, 800, act)
+		want := c.CountRangeIn(200, 800, act, 0, c.Len())
 		for _, cuts := range [][]int{{0, 1000}, {0, 64, 500, 1000}, {0, 7, 77, 777, 1000}} {
 			got := 0
 			for i := 0; i+1 < len(cuts); i++ {

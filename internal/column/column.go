@@ -16,13 +16,16 @@
 // (Table.TouchMask). Because no compare is a branch, the kernel's cost
 // per row is the same at 0.1 % and at 50 % selectivity — about 1.3x a
 // plain sum over the same values; only the consumers' work scales with
-// the rows that qualify. ScanRange and ScanRangeActive stay
-// row-at-a-time: they are the oracle the kernels are tested against.
+// the rows that qualify. ScanRangeActive stays row-at-a-time: it is an
+// oracle the kernels are tested against. Zone maps prune blocks, not
+// rows; narrow ranges over spread values use the index (index.go).
 package column
 
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"amnesiadb/internal/bitvec"
 )
@@ -46,13 +49,26 @@ func (z ZoneMap) Contains(lo, hi int64) bool {
 	return z.Max >= lo && (z.Min < hi || hi == math.MaxInt64)
 }
 
+// emptyZone is the zone map of no values: it merges into any other
+// without a special case.
+var emptyZone = ZoneMap{Min: math.MaxInt64, Max: math.MinInt64}
+
 // Int64 is an append-only column of int64 values with per-block zone maps.
 // The zero value is not usable; construct with New or NewWithBlockSize.
-// Int64 is not safe for concurrent mutation.
+// Int64 is not safe for concurrent mutation: Append, AppendSlice and
+// Compact need the caller's exclusive lock, while any number of readers
+// — BuildIndex included — may run together under a shared one.
 type Int64 struct {
 	data      []int64
 	zones     []ZoneMap
 	blockSize int
+	// all is the zone map of the whole column.
+	all ZoneMap
+
+	// index is the value-order index, nil until a reader builds it;
+	// buildMu admits one builder at a time (see index.go).
+	index   atomic.Pointer[valueIndex]
+	buildMu sync.Mutex
 }
 
 // New returns an empty column with DefaultBlockSize.
@@ -64,7 +80,7 @@ func NewWithBlockSize(blockSize int) *Int64 {
 	if blockSize <= 0 {
 		panic("column: block size must be positive")
 	}
-	return &Int64{blockSize: blockSize}
+	return &Int64{blockSize: blockSize, all: emptyZone}
 }
 
 // Len returns the number of values stored.
@@ -73,48 +89,33 @@ func (c *Int64) Len() int { return len(c.data) }
 // BlockSize returns the configured block size.
 func (c *Int64) BlockSize() int { return c.blockSize }
 
-// Blocks returns the number of (possibly partial) blocks.
-func (c *Int64) Blocks() int {
-	return (len(c.data) + c.blockSize - 1) / c.blockSize
-}
-
-// Zone returns the zone map of block b. It panics if b is out of range.
-func (c *Int64) Zone(b int) ZoneMap {
-	if b < 0 || b >= len(c.zones) {
-		panic(fmt.Sprintf("column: zone %d out of range [0, %d)", b, len(c.zones)))
-	}
-	return c.zones[b]
-}
-
-// Append adds one value to the end of the column, updating the zone map of
-// the tail block.
-func (c *Int64) Append(v int64) {
-	if len(c.data)%c.blockSize == 0 {
-		c.zones = append(c.zones, ZoneMap{Min: math.MaxInt64, Max: math.MinInt64})
-	}
-	z := &c.zones[len(c.zones)-1]
-	if v < z.Min {
-		z.Min = v
-	}
-	if v > z.Max {
-		z.Max = v
-	}
-	c.data = append(c.data, v)
-}
+// Append adds one value to the end of the column.
+func (c *Int64) Append(v int64) { c.AppendSlice([]int64{v}) }
 
 // AppendSlice appends all values in vs with one data append and one
 // zone-map update per touched block: the values land first, then each
 // block's min/max is folded over its new rows in a tight slice loop —
-// the columnar bulk write that pairs with the batch read kernels.
+// the columnar bulk write that pairs with the batch read kernels. The
+// new rows join the value-order index's unindexed tail, which is folded
+// in once it outgrows the bound the index was built with.
 func (c *Int64) AppendSlice(vs []int64) {
 	if len(vs) == 0 {
 		return
 	}
 	start := len(c.data)
 	c.data = append(c.data, vs...)
+	c.extendZones(start)
+	if ix := c.index.Load(); ix != nil && len(c.data)-len(ix.perm) > ix.maxTail {
+		c.index.Store(&valueIndex{perm: c.foldTail(ix.perm), maxTail: ix.maxTail})
+	}
+}
+
+// extendZones folds rows [start, Len) into the zone maps of their blocks
+// and into the column's.
+func (c *Int64) extendZones(start int) {
 	for b := start / c.blockSize; b*c.blockSize < len(c.data); b++ {
 		if b == len(c.zones) {
-			c.zones = append(c.zones, ZoneMap{Min: math.MaxInt64, Max: math.MinInt64})
+			c.zones = append(c.zones, emptyZone)
 		}
 		lo := b * c.blockSize
 		if lo < start {
@@ -133,6 +134,7 @@ func (c *Int64) AppendSlice(vs []int64) {
 				z.Max = v
 			}
 		}
+		c.all = ZoneMap{Min: min(c.all.Min, z.Min), Max: max(c.all.Max, z.Max)}
 	}
 }
 
@@ -148,31 +150,10 @@ func (c *Int64) Get(i int) int64 {
 // mutating it would desynchronise the zone maps.
 func (c *Int64) Values() []int64 { return c.data }
 
-// ScanRange appends to sel the positions of all rows whose value v satisfies
-// lo <= v < hi, using zone maps to skip non-intersecting blocks, and returns
-// the extended slice.
-func (c *Int64) ScanRange(lo, hi int64, sel []int32) []int32 {
-	unbounded := hi == math.MaxInt64
-	for b := 0; b < len(c.zones); b++ {
-		if !c.zones[b].Contains(lo, hi) {
-			continue
-		}
-		start := b * c.blockSize
-		end := start + c.blockSize
-		if end > len(c.data) {
-			end = len(c.data)
-		}
-		for i := start; i < end; i++ {
-			if v := c.data[i]; v >= lo && (v < hi || unbounded) {
-				sel = append(sel, int32(i))
-			}
-		}
-	}
-	return sel
-}
-
-// ScanRangeActive is ScanRange restricted to rows whose bit is set in
-// active. active must be at least Len bits long.
+// ScanRangeActive appends to sel the positions of the rows with lo <= v <
+// hi (hi == math.MaxInt64 unbounded) whose bit is set in active, row at a
+// time behind the zone maps, and returns the extended slice. active must
+// be at least Len bits long.
 func (c *Int64) ScanRangeActive(lo, hi int64, active *bitvec.Vector, sel []int32) []int32 {
 	if active.Len() < len(c.data) {
 		panic(fmt.Sprintf("column: active bitmap %d bits for %d rows", active.Len(), len(c.data)))
@@ -196,60 +177,42 @@ func (c *Int64) ScanRangeActive(lo, hi int64, active *bitvec.Vector, sel []int32
 	return sel
 }
 
-// CountRange returns the number of rows with lo <= v < hi. If active is
-// non-nil only rows with their bit set are counted (word-parallel, via
-// the range-bounded counting kernel).
-func (c *Int64) CountRange(lo, hi int64, active *bitvec.Vector) int {
-	return c.CountRangeIn(lo, hi, active, 0, len(c.data))
-}
-
 // MaxValue returns the largest value stored so far and false when empty.
-// It consults only zone maps, so it is O(blocks).
-func (c *Int64) MaxValue() (int64, bool) {
-	if len(c.data) == 0 {
-		return 0, false
-	}
-	max := int64(math.MinInt64)
-	for _, z := range c.zones {
-		if z.Max > max {
-			max = z.Max
-		}
-	}
-	return max, true
-}
-
-// MinValue returns the smallest value stored so far and false when empty.
-func (c *Int64) MinValue() (int64, bool) {
-	if len(c.data) == 0 {
-		return 0, false
-	}
-	min := int64(math.MaxInt64)
-	for _, z := range c.zones {
-		if z.Min < min {
-			min = z.Min
-		}
-	}
-	return min, true
-}
+func (c *Int64) MaxValue() (int64, bool) { return c.all.Max, len(c.data) > 0 }
 
 // Compact rebuilds the column keeping only the rows whose bit is set in
 // keep, preserving order, and returns a mapping from old row positions to
 // new ones (-1 for dropped rows). This backs table vacuuming — the
-// "physically remove" fate of forgotten data.
+// "physically remove" fate of forgotten data. A value-order index is
+// remapped in O(n) rather than discarded: the dropped rows leave it here
+// and nowhere earlier, and its unindexed tail is folded in.
 func (c *Int64) Compact(keep *bitvec.Vector) []int32 {
 	if keep.Len() < len(c.data) {
 		panic(fmt.Sprintf("column: keep bitmap %d bits for %d rows", keep.Len(), len(c.data)))
 	}
 	remap := make([]int32, len(c.data))
-	nc := NewWithBlockSize(c.blockSize)
+	kept := make([]int64, 0, keep.Count())
 	for i, v := range c.data {
 		if keep.Test(i) {
-			remap[i] = int32(nc.Len())
-			nc.Append(v)
+			remap[i] = int32(len(kept))
+			kept = append(kept, v)
 		} else {
 			remap[i] = -1
 		}
 	}
-	c.data, c.zones = nc.data, nc.zones
+	c.data, c.zones, c.all = kept, c.zones[:0], emptyZone
+	c.extendZones(0)
+	if ix := c.index.Load(); ix != nil {
+		// remap is monotone, so the survivors keep their (value,
+		// position) order; they are exactly the new positions below
+		// len(perm), and the tail's survivors follow them.
+		perm := ix.perm[:0]
+		for _, p := range ix.perm {
+			if q := remap[p]; q >= 0 {
+				perm = append(perm, q)
+			}
+		}
+		c.index.Store(&valueIndex{perm: c.foldTail(perm), maxTail: ix.maxTail})
+	}
 	return remap
 }

@@ -1,6 +1,7 @@
 package column
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -26,18 +27,18 @@ func TestAppendGetLen(t *testing.T) {
 			t.Fatalf("Get(%d) = %d, want %d", i, got, w)
 		}
 	}
-	if c.Blocks() != 2 {
-		t.Fatalf("Blocks = %d, want 2", c.Blocks())
+	if len(c.zones) != 2 {
+		t.Fatalf("%d zone maps, want 2", len(c.zones))
 	}
 }
 
 func TestZoneMapsTrackMinMax(t *testing.T) {
 	c := NewWithBlockSize(3)
 	fill(c, 5, 3, 9, 1, 7)
-	if z := c.Zone(0); z.Min != 3 || z.Max != 9 {
+	if z := c.zones[0]; z.Min != 3 || z.Max != 9 {
 		t.Fatalf("zone 0 = %+v", z)
 	}
-	if z := c.Zone(1); z.Min != 1 || z.Max != 7 {
+	if z := c.zones[1]; z.Min != 1 || z.Max != 7 {
 		t.Fatalf("zone 1 = %+v", z)
 	}
 }
@@ -126,8 +127,8 @@ func TestScanMatchesNaive(t *testing.T) {
 				t.Fatalf("range [%d,%d): row %d = %d, want %d", lo, hi, i, got[i], want[i])
 			}
 		}
-		if cnt := c.CountRange(lo, hi, active); cnt != len(want) {
-			t.Fatalf("CountRange [%d,%d) = %d, want %d", lo, hi, cnt, len(want))
+		if cnt := c.CountRangeIn(lo, hi, active, 0, c.Len()); cnt != len(want) {
+			t.Fatalf("CountRangeIn [%d,%d) = %d, want %d", lo, hi, cnt, len(want))
 		}
 	}
 }
@@ -165,8 +166,8 @@ func TestMinMaxValue(t *testing.T) {
 	if v, ok := c.MaxValue(); !ok || v != 11 {
 		t.Fatalf("MaxValue = %d, %v", v, ok)
 	}
-	if v, ok := c.MinValue(); !ok || v != 2 {
-		t.Fatalf("MinValue = %d, %v", v, ok)
+	if c.all.Min != 2 {
+		t.Fatalf("column zone map = %+v, want min 2", c.all)
 	}
 }
 
@@ -299,12 +300,7 @@ func TestAppendSliceBulkZoneMaps(t *testing.T) {
 			t.Fatalf("value %d: bulk %d, serial %d", i, bulk.Get(i), serial.Get(i))
 		}
 	}
-	if bulk.Blocks() != serial.Blocks() {
-		t.Fatalf("bulk %d blocks, serial %d", bulk.Blocks(), serial.Blocks())
-	}
-	for b := 0; b < serial.Blocks(); b++ {
-		if bulk.Zone(b) != serial.Zone(b) {
-			t.Fatalf("zone %d: bulk %+v, serial %+v", b, bulk.Zone(b), serial.Zone(b))
-		}
+	if !slices.Equal(bulk.zones, serial.zones) || bulk.all != serial.all {
+		t.Fatalf("zone maps: bulk %+v %+v, serial %+v %+v", bulk.zones, bulk.all, serial.zones, serial.all)
 	}
 }

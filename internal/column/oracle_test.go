@@ -10,6 +10,29 @@ import (
 	"amnesiadb/internal/xrand"
 )
 
+// ScanRange appends to sel the positions of all rows whose value v satisfies
+// lo <= v < hi, using zone maps to skip non-intersecting blocks, and returns
+// the extended slice.
+func (c *Int64) ScanRange(lo, hi int64, sel []int32) []int32 {
+	unbounded := hi == math.MaxInt64
+	for b := 0; b < len(c.zones); b++ {
+		if !c.zones[b].Contains(lo, hi) {
+			continue
+		}
+		start := b * c.blockSize
+		end := start + c.blockSize
+		if end > len(c.data) {
+			end = len(c.data)
+		}
+		for i := start; i < end; i++ {
+			if v := c.data[i]; v >= lo && (v < hi || unbounded) {
+				sel = append(sel, int32(i))
+			}
+		}
+	}
+	return sel
+}
+
 // AggregateRange computes count, sum, min and max over rows with
 // lo <= v < hi, honouring active when non-nil. When no row qualifies,
 // ok is false and the other results are zero values.

@@ -24,7 +24,7 @@
 // Scans are morsel-driven in the Leis et al. sense: the column's block
 // range is carved into morsels of MorselBlocks zone-mapped blocks, and
 // steps pull morsel indices from a shared atomic counter, each running
-// the same ScanBatch/Filter pipeline over its morsel with worker-local
+// the same ScanBatchRange/Filter pipeline over its morsel with worker-local
 // pooled batches and worker-local partial states (chunk lists for
 // Select, partial aggregates for Aggregate, group tables for GroupBy,
 // tallies for counting). Partials merge deterministically — per-morsel
@@ -77,13 +77,19 @@
 // SQL's ORDER BY sorts morsel-sized runs through ForEachTask before a
 // k-way merge.
 //
+// Narrow ranges take a second access path (index.go): when a column's
+// value-order index (internal/column) puts a predicate's candidates at
+// one batch or less, Select, SelectChunkStream and Aggregate run the
+// scan as one unit of work through their usual dispatcher, with the
+// same rows, order and touches as the morsel scan.
+//
 // Executors are safe for concurrent readers: scans take no locks and
 // share no mutable state, and the access-frequency touches feeding
 // query-based amnesia (§3.2) go through the table's internally
-// synchronized flushes: selections accumulate their positions across
-// all of a query's workers and flush one TouchMany per query,
-// aggregates flush one TouchMask per morsel. The touch lock is never
-// held across a scan.
+// synchronized flushes: one TouchMany per Select or stream — a stream's
+// covers the rows its emitter handed over, so a LIMIT pushed down with
+// WithLimit touches exactly the rows returned — and one TouchMask per
+// aggregate morsel. The touch lock is never held across a scan.
 package engine
 
 import (
@@ -144,7 +150,7 @@ func (r *Result) Count() int { return len(r.Rows) }
 // unusable; construct with New. An Exec holds no per-query state beyond
 // that configuration, so one executor may serve any number of
 // concurrent read-only queries; a request derives its own cancellable
-// copy with WithContext.
+// copy with WithContext, and a streamed LIMIT its own with WithLimit.
 type Exec struct {
 	t     *table.Table
 	touch bool
@@ -155,6 +161,8 @@ type Exec struct {
 	sched *sched.Pool
 	// ctx stops the operators at morsel boundaries; see WithContext.
 	ctx context.Context
+	// limit caps SelectChunkStream's output; see WithLimit.
+	limit int
 }
 
 // New returns an executor for t that records access frequencies (Touch)
@@ -233,10 +241,10 @@ type SelChunk struct {
 // insertion order, byte-identical at every stride and worker count. A
 // cancelled scan hands its batches back to the pool.
 func (e *Exec) collectAll(c *column.Int64, pred expr.Expr, active *bitvec.Vector) ([]*Batch, error) {
-	cur := e.newMorsels(c)
+	cur, workers, short := e.newMorsels(c, pred)
 	var mu sync.Mutex
 	var slots [][]*Batch
-	err := run(e.ctx, e.sched, e.workersFor(c.Len()), shortScan(c.Len()), func(int) bool {
+	err := run(e.ctx, e.sched, workers, short, func(int) bool {
 		r, seq, ok := cur.claim()
 		if !ok {
 			return false
@@ -341,6 +349,15 @@ func (a *AggResult) fold(rows int, sum, lo, hi int64) {
 	a.Max = max(a.Max, hi)
 }
 
+// foldValues merges a non-empty batch of qualifying values into a.
+func (a *AggResult) foldValues(val []int64) {
+	var sum int64
+	for _, v := range val {
+		sum += v
+	}
+	a.fold(len(val), sum, slices.Min(val), slices.Max(val))
+}
+
 // Value returns the requested aggregate as a float64.
 func (a *AggResult) Value(k AggKind) float64 {
 	switch k {
@@ -368,8 +385,10 @@ func (a *AggResult) Value(k AggKind) float64 {
 // order-independent over int64, so per-worker partials merge to the
 // same aggregate at every parallelism. On the feedback path each morsel
 // flushes the masks of the rows it folded through Table.TouchMask: the
-// same rows a Select would touch, in O(morsel) memory. It returns
-// ErrNoRows when no tuple qualifies.
+// same rows a Select would touch, in O(morsel) memory. A narrow
+// predicate the column's value-order index answers (see planIndex) is
+// one task instead, folding the plan's batches and touching their
+// positions. It returns ErrNoRows when no tuple qualifies.
 func (e *Exec) Aggregate(col string, pred expr.Expr, mode ScanMode) (*AggResult, error) {
 	c, err := e.t.Column(col)
 	if err != nil {
@@ -379,9 +398,14 @@ func (e *Exec) Aggregate(col string, pred expr.Expr, mode ScanMode) (*AggResult,
 	if mode == ScanActive {
 		active = e.t.Active()
 	}
+	touching := e.touch && mode == ScanActive
 	lo, hi, exact := pred.Bounds()
 	rowsPer, nm := morselGeometry(c)
 	workers := e.workersFor(c.Len())
+	index, indexed := planIndex(c, pred)
+	if indexed {
+		workers, nm = 1, 1
+	}
 	partials := make([]AggResult, workers)
 	for i := range partials {
 		partials[i].Min, partials[i].Max = math.MaxInt64, math.MinInt64
@@ -390,11 +414,21 @@ func (e *Exec) Aggregate(col string, pred expr.Expr, mode ScanMode) (*AggResult,
 	// nil (no masks recorded) off the feedback path.
 	var scratch []uint64
 	wordsPer := (min(rowsPer, c.Len()) + 63) / 64
-	if e.touch && mode == ScanActive {
+	if touching && !indexed {
 		scratch = make([]uint64, workers*wordsPer)
 	}
 	err = ForEachTask(e.ctx, e.sched, workers, nm, func(w, m int) {
 		p := &partials[w]
+		if indexed {
+			for _, b := range index.scan(c, pred, active) {
+				p.foldValues(b.Val)
+				if touching {
+					e.t.TouchMany(b.Sel)
+				}
+				PutBatch(b)
+			}
+			return
+		}
 		start, end := m*rowsPer, min((m+1)*rowsPer, c.Len())
 		var masks []uint64
 		if scratch != nil {
@@ -410,11 +444,7 @@ func (e *Exec) Aggregate(col string, pred expr.Expr, mode ScanMode) (*AggResult,
 						masks[(int(r)-start)>>6] |= 1 << (uint(r) & 63)
 					}
 				}
-				var sum int64
-				for _, v := range val {
-					sum += v
-				}
-				p.fold(len(val), sum, slices.Min(val), slices.Max(val))
+				p.foldValues(val)
 			})
 		}
 		if masks != nil {

@@ -65,6 +65,16 @@ func (e *Exec) WithContext(ctx context.Context) *Exec {
 	return &c
 }
 
+// WithLimit returns a shallow copy of the executor whose
+// SelectChunkStream emits at most n rows and then ends cleanly — an
+// unordered LIMIT pushed into the scan — touching exactly the rows it
+// emitted. n <= 0 means no limit, the default.
+func (e *Exec) WithLimit(n int) *Exec {
+	c := *e
+	c.limit = n
+	return &c
+}
+
 // workersFor resolves the knob to a worker count for a scan of rows
 // tuples.
 func (e *Exec) workersFor(rows int) int { return Workers(e.sched, e.par, rows, parallelMinRows) }

@@ -33,6 +33,10 @@ import (
 // the pipeline down before the scan finished.
 var ErrStreamClosed = errors.New("engine: chunk stream closed")
 
+// errLimit is the stop cause of a pipeline whose emitter handed over its
+// row limit: a clean end, which Next reports as a drained stream.
+var errLimit = errors.New("engine: chunk stream limit reached")
+
 // pipelineChunkBuf is the bounded channel capacity between the emitter
 // and the consumer: a handful of batch-sized chunks, enough to keep the
 // consumer fed across scheduling hiccups, small enough that a stalled
@@ -67,6 +71,15 @@ type ChunkStream struct {
 	cause    error
 	scanDone chan struct{}
 	stride   func() int
+
+	// limit, when positive, is the most rows the emitter hands over: the
+	// chunk that reaches it is truncated and the pipeline stops after
+	// it. touch, when set, gets the positions of every row the emitter
+	// handed over, in one call before the consumer can see the stream
+	// end — before the last chunk under a limit, else before the drain —
+	// and before ScanDone. Both are set before the pipeline starts.
+	limit int
+	touch func(rows []int32)
 
 	// sp, when armed via DetachOnStall, is the stall monitor that
 	// drains a stalled consumer's remaining chunks to a governed heap
@@ -160,7 +173,8 @@ func (s *ChunkStream) Collect() ([]SelChunk, error) {
 // ChunkStream. claim hands out tasks with dense sequence numbers in
 // emission order; produce runs one task (safe for concurrent calls with
 // distinct tasks); finish, when non-nil, runs exactly once after every
-// producer has exited and before ScanDone closes — the touch-flush hook.
+// producer has exited and before ScanDone closes. The emitter applies
+// the stream's limit and touch hook, so both follow emission order.
 // ctx cancellation and Close are equivalent teardowns.
 //
 // Production is one sched query of the given width on sp (nil =
@@ -270,6 +284,16 @@ func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, wor
 	go func() { // emitter: drains slots in sequence order
 		defer wg.Done()
 		next := 0
+		// left counts the limit down; without one it only goes negative.
+		left := s.limit
+		var emitted []int32
+		flush := func() {
+			if len(emitted) > 0 {
+				s.touch(emitted)
+				emitted = nil
+			}
+		}
+		defer flush()
 		for {
 			mu.Lock()
 			chunks, have := ready[next]
@@ -286,10 +310,29 @@ func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, wor
 			}
 			if have {
 				for i, c := range chunks {
+					last := left > 0 && len(c.Values) >= left
+					if last {
+						c.Values = c.Values[:left]
+						if c.Rows != nil {
+							c.Rows = c.Rows[:left]
+						}
+					}
+					left -= len(c.Values)
+					if s.touch != nil {
+						emitted = append(emitted, c.Rows...)
+					}
+					if last {
+						flush()
+					}
 					select {
 					case s.ch <- c:
 					case <-s.stop:
 						recycleChunks(chunks[i:])
+						return
+					}
+					if last {
+						recycleChunks(chunks[i+1:])
+						s.closeWith(errLimit)
 						return
 					}
 				}
@@ -333,7 +376,9 @@ func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, wor
 		if s.err == nil {
 			select {
 			case <-s.stop:
-				s.err = s.cause
+				if s.cause != errLimit {
+					s.err = s.cause
+				}
 			default:
 			}
 		}
@@ -422,6 +467,8 @@ type rowRange struct{ start, end int }
 // contiguous ranges of the current stride with dense sequence numbers,
 // observe grows the stride while morsels qualify next to nothing. One mutex
 // guards both — a morsel is many thousands of rows, so the lock is cold.
+// A cursor carrying an index plan hands out the whole column as its one
+// task, answered from the index.
 type adaptiveMorsels struct {
 	mu        sync.Mutex
 	blockRows int
@@ -429,28 +476,39 @@ type adaptiveMorsels struct {
 	pos       int
 	seq       int
 	stride    int
+	index     *indexPlan
 }
 
 func newAdaptiveMorsels(c *column.Int64) *adaptiveMorsels {
 	return &adaptiveMorsels{blockRows: c.BlockSize(), total: c.Len(), stride: MorselBlocks}
 }
 
-// newMorsels builds the adaptive cursor for a scan of c, seeded from
-// the table's last recorded effective stride so steady-state scans
-// skip the warm-up doublings. A stale hint is self-correcting: observe
-// shrinks an oversized stride within a couple of morsels, and results
-// are stride-independent by construction.
-func (e *Exec) newMorsels(c *column.Int64) *adaptiveMorsels {
-	cur := newAdaptiveMorsels(c)
+// newMorsels builds the cursor for a scan of c under pred, with the
+// worker count and pool priority that go with it. When planIndex picks
+// the index the cursor is one task on one worker. Otherwise it is the
+// adaptive cursor, seeded from the table's last recorded effective
+// stride so steady-state scans skip the warm-up doublings. A stale hint
+// is self-correcting: observe shrinks an oversized stride within a
+// couple of morsels, and results are stride-independent by construction.
+func (e *Exec) newMorsels(c *column.Int64, pred expr.Expr) (cur *adaptiveMorsels, workers int, short bool) {
+	cur = newAdaptiveMorsels(c)
+	if p, ok := planIndex(c, pred); ok {
+		cur.index = &p
+		return cur, 1, true
+	}
 	if h := e.t.ScanStrideHint(); h >= MorselBlocks && h <= MaxMorselBlocks {
 		cur.stride = h
 	}
-	return cur
+	return cur, e.workersFor(c.Len()), shortScan(c.Len())
 }
 
-// recordStride stores a finished scan's effective stride as the
+// recordStride stores a finished morsel scan's effective stride as the
 // table's seed for the next one.
-func (e *Exec) recordStride(cur *adaptiveMorsels) { e.t.RecordScanStride(cur.Stride()) }
+func (e *Exec) recordStride(cur *adaptiveMorsels) {
+	if cur.index == nil {
+		e.t.RecordScanStride(cur.Stride())
+	}
+}
 
 func (a *adaptiveMorsels) claim() (rowRange, int, bool) {
 	a.mu.Lock()
@@ -459,7 +517,7 @@ func (a *adaptiveMorsels) claim() (rowRange, int, bool) {
 		return rowRange{}, 0, false
 	}
 	end := a.pos + a.stride*a.blockRows
-	if end > a.total {
+	if end > a.total || a.index != nil {
 		end = a.total
 	}
 	r := rowRange{start: a.pos, end: end}
@@ -471,8 +529,11 @@ func (a *adaptiveMorsels) claim() (rowRange, int, bool) {
 
 // scan runs the scan pipeline over one claimed range — the morsel body
 // of the barrier and the stream alike — and feeds what qualified back
-// into the stride.
+// into the stride; an index cursor's one task runs its plan instead.
 func (a *adaptiveMorsels) scan(c *column.Int64, pred expr.Expr, active *bitvec.Vector, r rowRange) []*Batch {
+	if a.index != nil {
+		return a.index.scan(c, pred, active)
+	}
 	batches := collectChunks(c, pred, active, r.start, r.end)
 	qual := 0
 	for _, b := range batches {
@@ -510,10 +571,12 @@ func (a *adaptiveMorsels) Stride() int {
 // SelectChunkStream is the pipelined form of Select: qualifying chunks
 // arrive over a bounded channel while morsel workers are still
 // scanning, in insertion order, byte-identical to Select's output when
-// concatenated. The access-frequency feedback is flushed in one
-// TouchMany once the scan side completes, whether or not the consumer
-// has drained. Cancelling ctx (or calling Close) stops the workers after
-// their current morsel; ScanDone reports when storage is no longer read.
+// concatenated. The access-frequency feedback is one TouchMany of
+// exactly the rows the stream emitted, complete before the consumer can
+// see the stream end. Under WithLimit the stream stops after its limit,
+// truncating the chunk that reaches it. Cancelling ctx (or calling Close) stops the
+// workers after their current morsel; ScanDone reports when storage is
+// no longer read.
 func (e *Exec) SelectChunkStream(ctx context.Context, col string, pred expr.Expr, mode ScanMode) (*ChunkStream, error) {
 	c, err := e.t.Column(col)
 	if err != nil {
@@ -523,16 +586,15 @@ func (e *Exec) SelectChunkStream(ctx context.Context, col string, pred expr.Expr
 	if mode == ScanActive {
 		active = e.t.Active()
 	}
-	workers := e.workersFor(c.Len())
-	touching := e.touch && mode == ScanActive
-
-	cur := e.newMorsels(c)
+	cur, workers, short := e.newMorsels(c, pred)
 	s := newChunkStream()
 	s.stride = cur.Stride
+	s.limit = e.limit
+	if e.touch && mode == ScanActive {
+		s.touch = e.t.TouchMany
+	}
 
 	quota := governor.FromContext(ctx)
-	var touchMu sync.Mutex
-	var touched []int32
 	produce := func(r rowRange) ([]SelChunk, error) {
 		batches := cur.scan(c, pred, active, r)
 		if len(batches) == 0 {
@@ -555,32 +617,8 @@ func (e *Exec) SelectChunkStream(ctx context.Context, col string, pred expr.Expr
 			}
 			chunks[i] = SelChunk{Rows: b.Sel, Values: b.Val, quota: quota}
 		}
-		if touching {
-			touchMu.Lock()
-			for _, ch := range chunks {
-				touched = append(touched, ch.Rows...)
-			}
-			touchMu.Unlock()
-		}
 		return chunks, nil
 	}
-	finish := func() {
-		e.recordStride(cur)
-		if !touching {
-			return
-		}
-		// One flush per query, like Select; TouchMany counts are
-		// order-independent, so the worker interleaving never shows.
-		// This runs before ScanDone closes, i.e. still under the
-		// caller's read lock.
-		touchMu.Lock()
-		rows := touched
-		touched = nil
-		touchMu.Unlock()
-		if len(rows) > 0 {
-			e.t.TouchMany(rows)
-		}
-	}
-	runPipeline(ctx, s, e.sched, workers, shortScan(c.Len()), cur.claim, produce, finish)
+	runPipeline(ctx, s, e.sched, workers, short, cur.claim, produce, func() { e.recordStride(cur) })
 	return s, nil
 }

@@ -29,19 +29,19 @@ func TestStrideHintSeedsCursor(t *testing.T) {
 	tb := strideTable(t, 10*MorselBlocks*128)
 	ex := NewSilent(tb)
 	c := tb.MustColumn("a")
-	if cur := ex.newMorsels(c); cur.stride != MorselBlocks {
+	if cur, _, _ := ex.newMorsels(c, expr.True{}); cur.stride != MorselBlocks {
 		t.Fatalf("fresh cursor stride = %d, want base %d", cur.stride, MorselBlocks)
 	}
 	tb.RecordScanStride(4 * MorselBlocks)
-	if cur := ex.newMorsels(c); cur.stride != 4*MorselBlocks {
+	if cur, _, _ := ex.newMorsels(c, expr.True{}); cur.stride != 4*MorselBlocks {
 		t.Fatalf("seeded stride = %d, want %d", cur.stride, 4*MorselBlocks)
 	}
 	tb.RecordScanStride(2 * MaxMorselBlocks) // bogus: above the cap
-	if cur := ex.newMorsels(c); cur.stride != MorselBlocks {
+	if cur, _, _ := ex.newMorsels(c, expr.True{}); cur.stride != MorselBlocks {
 		t.Fatalf("over-cap hint used: stride = %d", cur.stride)
 	}
 	tb.RecordScanStride(1) // bogus: below the base
-	if cur := ex.newMorsels(c); cur.stride != MorselBlocks {
+	if cur, _, _ := ex.newMorsels(c, expr.True{}); cur.stride != MorselBlocks {
 		t.Fatalf("under-base hint used: stride = %d", cur.stride)
 	}
 }

@@ -522,6 +522,7 @@ func (s *Set) Stats() table.Stats {
 		out.Active += st.Active
 		out.Forgotten += st.Forgotten
 		out.Batches += st.Batches
+		out.IndexBytes += st.IndexBytes
 	}
 	return out
 }

@@ -177,6 +177,37 @@ func TestStatsAndTables(t *testing.T) {
 	}
 }
 
+// TestStatsReportIndexBytes checks /stats shows the memory of the
+// value-order index a narrow query builds: none before, 4 bytes a row
+// after.
+func TestStatsReportIndexBytes(t *testing.T) {
+	ts, _ := newServer(t)
+	const n = 64 << 10
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	post(t, ts.URL+"/insert", map[string]any{
+		"table": "x", "create": []string{"a"},
+		"columns": map[string][]int64{"a": vals},
+	})
+	indexBytes := func() float64 {
+		_, body := get(t, ts.URL+"/stats?table=x")
+		var stats map[string]any
+		if err := json.Unmarshal(body, &stats); err != nil {
+			t.Fatal(err)
+		}
+		return stats["IndexBytes"].(float64)
+	}
+	if got := indexBytes(); got != 0 {
+		t.Fatalf("IndexBytes = %v before any query", got)
+	}
+	post(t, ts.URL+"/query", map[string]any{"sql": "SELECT COUNT(*) FROM x WHERE a >= 100 AND a < 164"})
+	if got := indexBytes(); got != 4*n {
+		t.Fatalf("IndexBytes = %v after a narrow query, want %d", got, 4*n)
+	}
+}
+
 func TestPrecisionEndpoint(t *testing.T) {
 	ts, _ := newServer(t)
 	vals := make([]int64, 100)

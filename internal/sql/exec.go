@@ -282,7 +282,13 @@ func execSelectStream(rel Relation, q *Query, o Opts) (*ResultStream, error) {
 			break
 		}
 	}
-	cs, err := rel.ScanChunkStream(o.context(), scanCol, pred, o.Parallelism)
+	// An unordered LIMIT goes down into the scan, so it touches exactly
+	// the rows returned; a sort reads every qualifying row.
+	scanLimit := limit
+	if orderCol != "" {
+		scanLimit = -1
+	}
+	cs, err := rel.ScanChunkStream(o.context(), scanCol, pred, o.Parallelism, scanLimit)
 	if err != nil {
 		return nil, err
 	}

@@ -25,10 +25,12 @@ type Relation interface {
 	// value order for partitioned sets) over a bounded channel, while
 	// producers are still scanning; its Collect is the materialized
 	// form. par is the engine's intra-query parallelism knob;
-	// relations with their own stamped knob may ignore it. Cancelling
-	// ctx tears the producers down; the stream's ScanDone reports when
-	// relation storage is no longer read.
-	ScanChunkStream(ctx context.Context, col string, pred expr.Expr, par int) (*engine.ChunkStream, error)
+	// relations with their own stamped knob may ignore it. limit, when
+	// positive, is an unordered LIMIT: a table's stream ends after that
+	// many rows and touches exactly those (partitioned sets ignore it).
+	// Cancelling ctx tears the producers down; the stream's ScanDone
+	// reports when relation storage is no longer read.
+	ScanChunkStream(ctx context.Context, col string, pred expr.Expr, par, limit int) (*engine.ChunkStream, error)
 	// Clustered reports that scan chunks arrive as disjoint, ascending
 	// value ranges (partitioned sets: one chunk per shard, in shard
 	// order). ORDER BY exploits it to sort shard-locally and merge
@@ -100,8 +102,8 @@ func (r *TableRelation) exec(par int) *engine.Exec {
 
 // ScanChunkStream implements Relation: the engine's pipelined morsel
 // scan, touching access frequencies like every catalog scan.
-func (r *TableRelation) ScanChunkStream(ctx context.Context, col string, pred expr.Expr, par int) (*engine.ChunkStream, error) {
-	return r.exec(par).SelectChunkStream(ctx, col, pred, engine.ScanActive)
+func (r *TableRelation) ScanChunkStream(ctx context.Context, col string, pred expr.Expr, par, limit int) (*engine.ChunkStream, error) {
+	return r.exec(par).WithLimit(limit).SelectChunkStream(ctx, col, pred, engine.ScanActive)
 }
 
 // Clustered implements Relation: table chunks are insertion-ordered,
@@ -159,8 +161,9 @@ func (r *PartitionRelation) checkCol(col string) error {
 
 // ScanChunkStream implements Relation: the set's pipelined shard
 // fan-out, one chunk per shard in value order. The set's own fan-out
-// knob governs concurrency, so par is ignored.
-func (r *PartitionRelation) ScanChunkStream(ctx context.Context, col string, pred expr.Expr, _ int) (*engine.ChunkStream, error) {
+// knob governs concurrency, so par is ignored, and a shard's scan is a
+// barrier that touches every row it qualifies, so limit is too.
+func (r *PartitionRelation) ScanChunkStream(ctx context.Context, col string, pred expr.Expr, _, _ int) (*engine.ChunkStream, error) {
 	if err := r.checkCol(col); err != nil {
 		return nil, err
 	}

@@ -34,8 +34,9 @@ import (
 // table's external lock is held shared, so any number of intra-query
 // worker goroutines may scan concurrently with zero coordination
 // through the table itself; only their touch flushes — one TouchMany
-// per select, one TouchMask per aggregate morsel — meet the internal
-// mutex.
+// per select or stream, one TouchMask per aggregate morsel —
+// meet the internal mutex. (A column's value-order index is built on
+// that read surface too; see column.Int64.BuildIndex.)
 type Table struct {
 	name    string
 	colName []string
@@ -339,12 +340,20 @@ type Stats struct {
 	Active    int
 	Forgotten int
 	Batches   int
+	// IndexBytes is the memory held by the columns' value-order
+	// indexes (column.Int64.IndexBytes): derived state, built by the
+	// first narrow query that wants one.
+	IndexBytes int
 }
 
 // Stats returns current counters.
 func (t *Table) Stats() Stats {
 	a := t.ActiveCount()
-	return Stats{Tuples: t.Len(), Active: a, Forgotten: t.Len() - a, Batches: t.batches}
+	ix := 0
+	for _, c := range t.cols {
+		ix += c.IndexBytes()
+	}
+	return Stats{Tuples: t.Len(), Active: a, Forgotten: t.Len() - a, Batches: t.batches, IndexBytes: ix}
 }
 
 // Vacuum physically removes forgotten tuples from every column and from the

@@ -166,5 +166,5 @@ func (p *PartitionedTable) Stats() Stats {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	st := p.set.Stats()
-	return Stats{Tuples: st.Tuples, Active: st.Active, Forgotten: st.Forgotten, Batches: st.Batches}
+	return Stats{Tuples: st.Tuples, Active: st.Active, Forgotten: st.Forgotten, Batches: st.Batches, IndexBytes: st.IndexBytes}
 }
