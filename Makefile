@@ -55,8 +55,11 @@ lint-audit-check:
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sql
+	$(GO) test -race -run '^$$' -fuzz FuzzNormalizeSQL -fuzztime $(FUZZTIME) ./internal/sql
 	$(GO) test -race -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -race -run '^$$' -fuzz FuzzInsertDecode -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -race -run '^$$' -fuzz FuzzQueryDecode -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -race -run '^$$' -fuzz FuzzQueryHeader -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -race -run '^$$' -fuzz FuzzAppendJSONFloat -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -race -run '^$$' -fuzz FuzzScanKernel -fuzztime $(FUZZTIME) ./internal/column
 	$(GO) test -race -run '^$$' -fuzz FuzzValueIndex -fuzztime $(FUZZTIME) ./internal/column

@@ -57,7 +57,7 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -579,12 +579,16 @@ type QueryStream struct {
 
 	st *sql.ResultStream
 
-	mu      sync.Mutex
-	release func()
+	// release drops the read locks; releaseOnce runs it exactly once and
+	// makes every other caller wait until it has returned.
+	release     func()
+	releaseOnce sync.Once
+
 	// finish runs once when the stream ends (Close, which Next calls on
 	// drain or error): it unregisters the query's resource quota,
 	// sweeping any residual charge from an abandoned stream out of the
-	// process ledger.
+	// process ledger. mu guards it.
+	mu     sync.Mutex
 	finish func()
 
 	// cached marks a stream replaying a result-cache hit; no relation
@@ -607,6 +611,14 @@ type QueryStream struct {
 // rather than a live scan. The HTTP layer surfaces it as a response
 // header.
 func (qs *QueryStream) Cached() bool { return qs.cached }
+
+// Pipelined reports whether producers may still be scanning while the
+// stream is consumed, so a consumer that flushes after each chunk gets
+// early rows to its client. A stream that is not pipelined — a cache
+// hit, an aggregate, a sorted or joined result, LIMIT 0 — has every row
+// computed before its first Next, and flushing between its chunks buys
+// no first-byte latency.
+func (qs *QueryStream) Pipelined() bool { return qs.st.ScanDone() != nil }
 
 // Next returns the next chunk of rows, nil once the stream is drained.
 func (qs *QueryStream) Next() ([][]float64, error) {
@@ -663,15 +675,15 @@ func (qs *QueryStream) finishQuota() {
 }
 
 // releaseLocks drops the stream's read locks exactly once. Both Close
-// and the scan-completion watcher funnel through here.
+// and the scan-completion watcher funnel through here, and neither
+// returns before the locks are gone: a Close that raced the watcher
+// must not hand its caller back while the watcher is still mid-release.
 func (qs *QueryStream) releaseLocks() {
-	qs.mu.Lock()
-	release := qs.release
-	qs.release = nil
-	qs.mu.Unlock()
-	if release != nil {
-		release()
-	}
+	qs.releaseOnce.Do(func() {
+		if qs.release != nil {
+			qs.release()
+		}
+	})
 }
 
 // QueryStream parses, validates and starts one SQL SELECT, returning the
@@ -738,11 +750,14 @@ func (db *DB) QueryStreamCtx(ctx context.Context, q string) (*QueryStream, error
 	// evict the stale entry).
 	var sig string
 	if db.results != nil {
-		var sb strings.Builder
+		sb := make([]byte, 0, 64)
 		for _, h := range hs {
-			fmt.Fprintf(&sb, "%s:%d;", h.name, h.rel.Epoch())
+			sb = append(sb, h.name...)
+			sb = append(sb, ':')
+			sb = strconv.AppendUint(sb, h.rel.Epoch(), 10)
+			sb = append(sb, ';')
 		}
-		sig = sb.String()
+		sig = string(sb)
 		if res, ok := db.results.Get(norm, sig); ok {
 			release()
 			st := sql.NewCachedStream(res)

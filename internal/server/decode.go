@@ -9,13 +9,44 @@ import (
 	"math"
 )
 
-// readInsert reads r to its end and decodes it as an insertRequest.
-func readInsert(r io.Reader) (insertRequest, error) {
-	body, err := io.ReadAll(r)
-	if err != nil {
-		return insertRequest{}, err
+// readBody reads r to its end into a pooled buffer and decodes it with
+// decode. The decoders copy out everything they keep, so the buffer
+// goes back to the pool as soon as decode returns.
+func readBody[T any](r io.Reader, decode func([]byte) (T, error)) (T, error) {
+	bufp := bufPool.Get().(*[]byte)
+	body := bytes.NewBuffer((*bufp)[:0])
+	_, err := body.ReadFrom(r)
+	var req T
+	if err == nil {
+		req, err = decode(body.Bytes())
 	}
-	return decodeInsert(body)
+	putBuf(bufp, body.Bytes())
+	return req, err
+}
+
+// decodeQuery is the hand-rolled decoder for the POST /query body. It
+// accepts exactly one JSON object whose only member is "sql" (a
+// string), and is as strict as decodeInsert: unknown, duplicate and
+// case-mismatched members, null, and data after the object are errors.
+func decodeQuery(body []byte) (queryRequest, error) {
+	d := bodyDecoder{b: body}
+	var req queryRequest
+	seen := false
+	err := d.list('{', '}', func() error {
+		key, err := d.key()
+		switch {
+		case err != nil:
+		case key != "sql":
+			err = fmt.Errorf("unknown member %q", key)
+		case seen:
+			err = fmt.Errorf("duplicate member %q", key)
+		default:
+			req.SQL, err = d.str()
+		}
+		seen = true
+		return err
+	})
+	return req, d.end(err)
 }
 
 // decodeInsert is the hand-rolled decoder for the POST /insert body,
@@ -30,7 +61,7 @@ func readInsert(r io.Reader) (insertRequest, error) {
 // ignored. Like encoding/json it rejects numbers that are not integers
 // (1.0, 1e3) or do not fit an int64.
 func decodeInsert(body []byte) (insertRequest, error) {
-	d := insertDecoder{b: body}
+	d := bodyDecoder{b: body}
 	var req insertRequest
 	seen := make(map[string]bool, 3)
 	err := d.list('{', '}', func() error {
@@ -65,33 +96,39 @@ func decodeInsert(body []byte) (insertRequest, error) {
 		seen[key] = true
 		return err
 	})
-	if d.space(); err == nil && d.i < len(d.b) {
-		err = d.errorf("unexpected %q after the request object", d.b[d.i])
-	}
-	return req, err
+	return req, d.end(err)
 }
 
-// insertDecoder is a cursor over a request body.
-type insertDecoder struct {
+// bodyDecoder is a cursor over a request body.
+type bodyDecoder struct {
 	b []byte
 	i int
 }
 
 var errBodyTruncated = errors.New("unexpected end of JSON input")
 
-func (d *insertDecoder) errorf(format string, args ...any) error {
+// end returns err, or, when the request object parsed, an error for
+// anything but whitespace after it.
+func (d *bodyDecoder) end(err error) error {
+	if d.space(); err == nil && d.i < len(d.b) {
+		return d.errorf("unexpected %q after the request object", d.b[d.i])
+	}
+	return err
+}
+
+func (d *bodyDecoder) errorf(format string, args ...any) error {
 	return fmt.Errorf("offset %d: %s", d.i, fmt.Sprintf(format, args...))
 }
 
 // space skips JSON whitespace.
-func (d *insertDecoder) space() {
+func (d *bodyDecoder) space() {
 	for d.i < len(d.b) && (d.b[d.i] == ' ' || d.b[d.i] == '\t' || d.b[d.i] == '\n' || d.b[d.i] == '\r') {
 		d.i++
 	}
 }
 
 // expect skips whitespace and consumes the byte c.
-func (d *insertDecoder) expect(c byte) error {
+func (d *bodyDecoder) expect(c byte) error {
 	if d.space(); d.i >= len(d.b) {
 		return errBodyTruncated
 	}
@@ -104,7 +141,7 @@ func (d *insertDecoder) expect(c byte) error {
 
 // list parses an object's or an array's brackets and commas, calling
 // elem with the cursor on each member or element.
-func (d *insertDecoder) list(open, close byte, elem func() error) error {
+func (d *bodyDecoder) list(open, close byte, elem func() error) error {
 	if err := d.expect(open); err != nil {
 		return err
 	}
@@ -127,7 +164,7 @@ func (d *insertDecoder) list(open, close byte, elem func() error) error {
 }
 
 // key parses an object member's name and colon.
-func (d *insertDecoder) key() (string, error) {
+func (d *bodyDecoder) key() (string, error) {
 	s, err := d.str()
 	if err != nil {
 		return "", err
@@ -138,7 +175,7 @@ func (d *insertDecoder) key() (string, error) {
 // str parses a JSON string. Plain ASCII without escapes is copied out
 // directly; anything else goes through encoding/json, so escapes,
 // surrogate pairs and invalid UTF-8 come out as they always did.
-func (d *insertDecoder) str() (string, error) {
+func (d *bodyDecoder) str() (string, error) {
 	if err := d.expect('"'); err != nil {
 		return "", err
 	}
@@ -169,7 +206,7 @@ func (d *insertDecoder) str() (string, error) {
 }
 
 // ints parses an array of int64 literals, sizing the slice once.
-func (d *insertDecoder) ints() (vals []int64, err error) {
+func (d *bodyDecoder) ints() (vals []int64, err error) {
 	err = d.list('[', ']', func() error {
 		if vals == nil {
 			end := max(bytes.IndexByte(d.b[d.i:], ']'), 0)
@@ -183,7 +220,7 @@ func (d *insertDecoder) ints() (vals []int64, err error) {
 }
 
 // int parses one JSON number that is an integer literal within int64.
-func (d *insertDecoder) int() (int64, error) {
+func (d *bodyDecoder) int() (int64, error) {
 	d.space()
 	start := d.i
 	neg := d.i < len(d.b) && d.b[d.i] == '-'

@@ -144,10 +144,11 @@ func insertJSON(table string, cols []string, n int) []byte {
 }
 
 // stricterThanJSON reports whether body, which encoding/json accepted
-// as an insertRequest, has one of the properties decodeInsert rejects
-// by design: a null, a duplicated member or column, or a member name
-// that matches its field only case-insensitively.
-func stricterThanJSON(body []byte) bool {
+// as a request with the given top-level members, has one of the
+// properties the body decoders reject by design: a null, a duplicated
+// member or column, or a member name that matches its field only
+// case-insensitively.
+func stricterThanJSON(body []byte, members ...string) bool {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	var keys []map[string]bool // one set per open object; nil for an array
 	expectKey := false
@@ -173,7 +174,7 @@ func stricterThanJSON(body []byte) bool {
 		case string:
 			if expectKey {
 				top := keys[len(keys)-1]
-				if top[v] || len(keys) == 1 && v != "table" && v != "create" && v != "columns" {
+				if top[v] || len(keys) == 1 && !slices.Contains(members, v) {
 					return true
 				}
 				top[v] = true
@@ -221,8 +222,125 @@ func FuzzInsertDecode(f *testing.F) {
 			t.Fatalf("decodeInsert accepted %q, encoding/json: %v", body, jsonErr)
 		case err == nil && !sameInsert(got, want):
 			t.Fatalf("decodeInsert(%q) = %+v, encoding/json %+v", body, got, want)
-		case err != nil && jsonErr == nil && !stricterThanJSON(body):
+		case err != nil && jsonErr == nil && !stricterThanJSON(body, "table", "create", "columns"):
 			t.Fatalf("decodeInsert rejected %q (%v), encoding/json accepted it as %+v", body, err, want)
+		}
+	})
+}
+
+func TestDecodeQuery(t *testing.T) {
+	accept := []struct{ body, want string }{
+		{`{}`, ""},
+		{`{"sql":"SELECT COUNT(*) FROM t"}`, "SELECT COUNT(*) FROM t"},
+		{" \n{ \"sql\" : \"SELECT  a\\tFROM t\" } \r\n", "SELECT  a\tFROM t"},
+		{`{"sql":"café \"q\" 😀"}`, `café "q" 😀`},
+	}
+	for _, c := range accept {
+		got, err := decodeQuery([]byte(c.body))
+		if err != nil || got.SQL != c.want {
+			t.Errorf("decodeQuery(%s) = %q, %v; want %q", c.body, got.SQL, err, c.want)
+		}
+	}
+	reject := []struct{ body, why string }{
+		{``, "unexpected end"},
+		{`null`, `want '{'`},
+		{`"SELECT 1"`, `want '{'`},
+		{`{"sql":"SELECT 1"`, "unexpected end"},
+		{`{"sql":null}`, `want '"'`},
+		{`{"sql":1}`, `want '"'`},
+		{`{"sql":"a","sql":"b"}`, `duplicate member "sql"`},
+		{`{"SQL":"SELECT 1"}`, `unknown member "SQL"`},
+		{`{"sql":"SELECT 1","limit":1}`, `unknown member "limit"`},
+		{`{"sql":"SELECT 1"} {}`, "after the request object"},
+		{`{"sql":"a` + "\n" + `b"}`, "control character"},
+		{`{"sql":"\q"}`, "invalid character"},
+	}
+	for _, c := range reject {
+		_, err := decodeQuery([]byte(c.body))
+		if err == nil || !strings.Contains(err.Error(), c.why) {
+			t.Errorf("decodeQuery(%s): error %v, want one containing %q", c.body, err, c.why)
+		}
+	}
+}
+
+// TestDecodersCopyOut pins what lets readBody recycle the body buffer:
+// nothing either decoder returns aliases the bytes it decoded.
+func TestDecodersCopyOut(t *testing.T) {
+	qBody := []byte(`{"sql":"SELECT a FROM t"}`)
+	q, err := decodeQuery(qBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insBody := []byte(`{"table":"t","create":["a","bé"],"columns":{"a":[1],"bé":[2]}}`)
+	ins, err := decodeInsert(insBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{qBody, insBody} {
+		for i := range b {
+			b[i] = 'x'
+		}
+	}
+	want := insertRequest{Table: "t", Create: []string{"a", "bé"}, Columns: map[string][]int64{"a": {1}, "bé": {2}}}
+	if q.SQL != "SELECT a FROM t" || !sameInsert(ins, want) {
+		t.Fatalf("after overwriting the bodies: query %q, insert %+v", q.SQL, ins)
+	}
+}
+
+// TestQueryBadBodyIs400 pins that /query now rejects what encoding/json
+// used to let through: a case-mismatched member and trailing data.
+func TestQueryBadBodyIs400(t *testing.T) {
+	db := amnesiadb.Open(amnesiadb.Options{Seed: 1})
+	defer db.Close()
+	srv := New(db)
+	for body, want := range map[string]string{
+		`{"SQL":"SELECT COUNT(*) FROM t"}`:    `{"error":"bad request body: unknown member \"SQL\""}`,
+		`{"sql":"SELECT COUNT(*) FROM t"} {}`: `{"error":"bad request body: offset 33: unexpected '{' after the request object"}`,
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		if got := strings.TrimSpace(rec.Body.String()); rec.Code != http.StatusBadRequest || got != want {
+			t.Errorf("%s: got %d %s, want 400 %s", body, rec.Code, got, want)
+		}
+	}
+}
+
+// FuzzQueryDecode holds decodeQuery to encoding/json as FuzzInsertDecode
+// holds decodeInsert: whatever it accepts, encoding/json (refusing
+// unknown members and trailing data) accepts with the same SQL;
+// whatever encoding/json accepts, it accepts too, unless the body is
+// one decodeQuery rejects by design (stricterThanJSON).
+func FuzzQueryDecode(f *testing.F) {
+	for _, seed := range []string{
+		`{"sql":"SELECT id, score FROM mem WHERE id >= 1 AND id < 65 ORDER BY score LIMIT 10"}`,
+		` { "sql" : "SELECT\tCOUNT(*)\nFROM t" } `,
+		`{"sql":"café \"q\" 😀"}`,
+		`{"sql":"\xff"}`,
+		`{"SQL":"x"}`, `{"Sql":"x","sql":"y"}`, `{"sql":"a","sql":"b"}`,
+		`{"sql":null}`, `{"sql":"a"} x`, `{"sql":"a","table":"t"}`,
+		`null`, `{}`, `{`, `{"sql":"a",}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, err := decodeQuery(body)
+
+		var want queryRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		jsonErr := dec.Decode(&want)
+		if jsonErr == nil {
+			if _, more := dec.Token(); more != io.EOF {
+				jsonErr = fmt.Errorf("data after the top-level value")
+			}
+		}
+		switch {
+		case err == nil && jsonErr != nil:
+			t.Fatalf("decodeQuery accepted %q, encoding/json: %v", body, jsonErr)
+		case err == nil && got.SQL != want.SQL:
+			t.Fatalf("decodeQuery(%q) = %q, encoding/json %q", body, got.SQL, want.SQL)
+		case err != nil && jsonErr == nil && !stricterThanJSON(body, "sql"):
+			t.Fatalf("decodeQuery rejected %q (%v), encoding/json accepted it as %+v", body, err, want)
 		}
 	})
 }
@@ -235,7 +353,7 @@ func BenchmarkInsertDecode(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := readInsert(bytes.NewReader(body)); err != nil {
+			if _, err := readBody(bytes.NewReader(body), decodeInsert); err != nil {
 				b.Fatal(err)
 			}
 		}

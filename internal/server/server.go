@@ -14,17 +14,23 @@
 // tables and two-table JOINs — and streams its response as a pipeline:
 // the engine's morsel workers push scan chunks into a bounded channel
 // while they are still scanning, projection to rows and JSON
-// serialization run chunk by chunk with incremental flushes
-// (http.Flusher), and the request context scopes the producers — so the
-// first response bytes leave after the first morsel, a slow client
+// serialization run chunk by chunk, and the request context scopes the
+// producers. A pipelined select flushes (http.Flusher) after each
+// chunk, so its first bytes leave after the first morsel, a slow client
 // exerts backpressure that bounds server-side memory to a few chunks,
-// and a disconnected client cancels the scan. A query rejected up front
-// still gets a clean 400/404/500; a failure after streaming has begun
-// cannot retract the 200, so the JSON body is terminated with a
-// trailing "error" member — clients must treat its presence (or a body
-// that fails to parse) as a failed query.
+// and a disconnected client cancels the scan. A materialized answer —
+// cache hit, aggregate, sort, join, LIMIT 0 — never flushes: one that
+// fits net/http's 2 KiB buffer leaves in one write with a
+// Content-Length, a larger one as the connection buffer fills. A query
+// rejected up front still gets a clean 400/404/500; a failure after
+// streaming has begun cannot retract the 200, so the JSON body is
+// terminated with a trailing "error" member — clients must treat its
+// presence (or a body that fails to parse) as a failed query.
 //
-// All responses are JSON; errors use HTTP status codes with a JSON body
+// Request bodies for /query and /insert are decoded strictly by one
+// hand-rolled decoder (decode.go): unknown, duplicate or
+// case-mismatched members, null, and trailing data are 400s. All
+// responses are JSON; errors use HTTP status codes with a JSON body
 // {"error": "..."}.
 package server
 
@@ -191,23 +197,32 @@ func (s *Server) writeMutErr(w http.ResponseWriter, fallback int, err error) {
 	writeErr(w, fallback, err)
 }
 
+// queryRequest is the POST /query body; decodeQuery parses it.
 type queryRequest struct {
 	SQL string `json:"sql"`
 }
 
-// rowBufPool recycles the per-request serialization buffer the stream
-// loop assembles each chunk's JSON into: one pooled buffer, one Write
-// and one flush per chunk, no per-row allocation. Buffers that grew
-// beyond rowBufMax are dropped instead of pooled so one giant row
-// cannot pin memory forever.
-var rowBufPool = sync.Pool{
+// bufPool recycles the per-request byte buffers: the request body
+// readBody decodes from, and the one the stream loop assembles each
+// chunk's JSON into — one pooled buffer and one Write per chunk, no
+// per-row allocation. Buffers that grew beyond bufMax are dropped
+// instead of pooled so one giant body or row cannot pin memory forever.
+var bufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 32<<10)
 		return &b
 	},
 }
 
-const rowBufMax = 1 << 20
+const bufMax = 1 << 20
+
+// putBuf returns buf, grown from the pooled *bufp, to bufPool.
+func putBuf(bufp *[]byte, buf []byte) {
+	if cap(buf) <= bufMax {
+		*bufp = buf[:0]
+		bufPool.Put(bufp)
+	}
+}
 
 // appendJSONFloat appends v exactly as encoding/json renders a float64
 // — 'f' formatting in the human range, 'e' with a trimmed exponent
@@ -256,13 +271,53 @@ func appendRowJSON(b []byte, row []float64) []byte {
 
 // queryHeader is the leading members of a streamed query response; the
 // rows array and the optional trailing error member are appended by
-// streamResult.
+// streamResult. appendQueryHeader renders it.
 type queryHeader struct {
 	Columns []string `json:"columns"`
 	// Ints is per-column type info: true when values are exact integers
 	// (projections, COUNT/SUM/MIN/MAX), false for AVG's floats — so
 	// clients can tell 2.0 from 2.
 	Ints []bool `json:"ints"`
+}
+
+// appendQueryHeader appends json.Marshal(queryHeader{columns, ints})
+// reopened with `,"rows":[`, byte for byte (pinned by FuzzQueryHeader).
+func appendQueryHeader(b []byte, columns []string, ints []bool) []byte {
+	b = appendJSONArray(append(b, `{"columns":`...), columns, appendJSONString)
+	b = appendJSONArray(append(b, `,"ints":`...), ints, strconv.AppendBool)
+	return append(b, `,"rows":[`...)
+}
+
+// appendJSONArray appends vs as a JSON array, each element through
+// elem; a nil slice is null, as encoding/json has it.
+func appendJSONArray[T any](b []byte, vs []T, elem func([]byte, T) []byte) []byte {
+	if vs == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = elem(b, v)
+	}
+	return append(b, ']')
+}
+
+// appendJSONString appends s as encoding/json renders a string. Plain
+// printable ASCII is quoted as it is; a string with anything
+// encoding/json escapes or rewrites — quotes, backslashes, <>&, control
+// bytes, any byte ≥ 0x80 — goes through json.Marshal whole.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // queryStatus maps a Query error to its HTTP status: malformed SQL is
@@ -334,8 +389,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := readBody(r.Body, decodeQuery)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -432,63 +487,54 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
-// rowSource yields result rows chunk by chunk; nil means drained. The
+// rowSource yields result rows chunk by chunk; nil means drained.
+// Pipelined reports whether producers may still be scanning. The
 // facade's QueryStream satisfies it.
 type rowSource interface {
 	Next() ([][]float64, error)
+	Pipelined() bool
 }
 
 // streamResult serializes one query result incrementally: the envelope
-// header first, then each chunk of rows followed by a flush, so
-// response bytes leave while the engine's pipelined producers are still
-// scanning later morsels. Each chunk is assembled into one pooled
-// buffer and written in a single Write — no per-row allocation, and the
-// engine batches the chunk was projected from have already been
-// returned to their pool by the SQL layer. A mid-stream failure cannot
-// retract the committed 200; instead the JSON object is closed with a
-// trailing "error" member, keeping the body well-formed and the failure
-// detectable (a body that does not parse at all means the connection
-// itself died mid-row).
+// header rides in the first chunk's buffer, then each chunk of rows is
+// assembled into one pooled buffer and written in a single Write — no
+// per-row allocation, and the engine batches the chunk was projected
+// from have already been returned to their pool by the SQL layer.
+//
+// Only a pipelined stream is flushed, after each chunk, so response
+// bytes leave while its producers are still scanning later morsels. A
+// materialized answer (cache hit, aggregate, sort, join, LIMIT 0) has
+// every row in hand before its first Next, so it is never flushed:
+// net/http sends one that fits its 2 KiB pre-chunking buffer with a
+// Content-Length in the single write that ends the request, and a
+// larger one as its 4 KiB connection buffer fills. Nothing is flushed
+// after the closing `]}` either; ending the request sends it.
+//
+// A mid-stream failure cannot retract the committed 200; instead the
+// JSON object is closed with a trailing "error" member, keeping the
+// body well-formed and the failure detectable (a body that does not
+// parse at all means the connection itself died mid-row).
 func streamResult(w http.ResponseWriter, columns []string, ints []bool, src rowSource) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
+	if !src.Pipelined() {
+		flusher = nil
 	}
-	head, err := json.Marshal(queryHeader{Columns: columns, Ints: ints})
-	if err != nil {
-		return
-	}
-	// Reopen the header object so the rows array (and on failure the
-	// error member) can be appended incrementally.
-	w.Write(head[:len(head)-1])
-	w.Write([]byte(`,"rows":[`))
-	bufp := rowBufPool.Get().(*[]byte)
-	defer func() {
-		if cap(*bufp) <= rowBufMax {
-			*bufp = (*bufp)[:0]
-			rowBufPool.Put(bufp)
-		}
-	}()
+	bufp := bufPool.Get().(*[]byte)
+	buf := appendQueryHeader((*bufp)[:0], columns, ints)
 	first := true
 	for {
 		rows, err := src.Next()
 		if err != nil {
-			msg, merr := json.Marshal(err.Error())
-			if merr != nil {
-				msg = []byte(`"query failed"`)
-			}
-			fmt.Fprintf(w, `],"error":%s}`, msg)
-			flush()
-			return
-		}
-		if rows == nil {
+			buf = append(buf, `],"error":`...)
+			buf = append(appendJSONString(buf, err.Error()), '}')
 			break
 		}
-		buf := (*bufp)[:0]
+		if rows == nil {
+			buf = append(buf, "]}"...)
+			break
+		}
 		for _, row := range rows {
 			if !first {
 				buf = append(buf, ',')
@@ -496,12 +542,14 @@ func streamResult(w http.ResponseWriter, columns []string, ints []bool, src rowS
 			first = false
 			buf = appendRowJSON(buf, row)
 		}
-		*bufp = buf
 		w.Write(buf)
-		flush()
+		buf = buf[:0]
+		if flusher != nil {
+			flusher.Flush()
+		}
 	}
-	w.Write([]byte("]}"))
-	flush()
+	w.Write(buf)
+	putBuf(bufp, buf)
 }
 
 // insertRequest is the POST /insert body; decodeInsert parses it.
@@ -513,7 +561,7 @@ type insertRequest struct {
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	req, err := readInsert(r.Body)
+	req, err := readBody(r.Body, decodeInsert)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return

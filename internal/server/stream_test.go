@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"amnesiadb"
+	"amnesiadb/internal/sql"
 )
 
 // TestTablesReportsKinds pins the /tables catalog listing: flat tables
@@ -215,6 +217,216 @@ func TestQueryStreamsInChunks(t *testing.T) {
 	}
 }
 
+// materializedDB holds big(a, b): n rows, a ascending, b descending —
+// and a small other(a, c) to join it with.
+func materializedDB(t testing.TB, n int) *amnesiadb.DB {
+	t.Helper()
+	db := amnesiadb.Open(amnesiadb.Options{Seed: 1, CacheEntries: 16})
+	t.Cleanup(func() { db.Close() })
+	a, b := make([]int64, n), make([]int64, n)
+	for i := range a {
+		a[i], b[i] = int64(i), int64(n-i)
+	}
+	big, err := db.CreateTable("big", "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := big.Insert(map[string][]int64{"a": a, "b": b}); err != nil {
+		t.Fatal(err)
+	}
+	other, err := db.CreateTable("other", "a", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Insert(map[string][]int64{"a": {3, 5, 5, 8}, "c": {30, 50, 51, 80}}); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// serveQuery answers one /query through the handler into a flushCounter.
+func serveQuery(t *testing.T, srv *Server, q string) *flushCounter {
+	t.Helper()
+	body, _ := json.Marshal(map[string]string{"sql": q})
+	fc := newFlushCounter()
+	srv.ServeHTTP(fc, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+	if fc.status != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", q, fc.status, fc.body.String())
+	}
+	return fc
+}
+
+// TestMaterializedAnswersNeverFlush pins the write contract of
+// streamResult: an answer whose rows are all in hand before the first
+// Next — a cache hit, an aggregate, a top-k, a join, LIMIT 0 — is never
+// flushed, so over a real connection it arrives with a Content-Length
+// instead of chunked encoding; the body is the same either way.
+func TestMaterializedAnswersNeverFlush(t *testing.T) {
+	cases := []struct {
+		name, sql string
+		hit       bool // answered from the result cache
+	}{
+		{"cache hit", "SELECT a FROM big WHERE a >= 100 AND a < 108", true},
+		{"count", "SELECT COUNT(*) FROM big WHERE a >= 100 AND a < 164", false},
+		{"top-k", "SELECT a, b FROM big WHERE a >= 100 AND a < 164 ORDER BY b LIMIT 10", false},
+		{"join", "SELECT big.b, other.c FROM big JOIN other ON big.a = other.a", false},
+		{"limit 0", "SELECT a FROM big LIMIT 0", false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			srv := New(materializedDB(t, 20000))
+			if c.hit {
+				if fc := serveQuery(t, srv, c.sql); fc.flushes == 0 {
+					t.Fatal("the live run of a pipelined select never flushed")
+				}
+			}
+			fc := serveQuery(t, srv, c.sql)
+			if fc.flushes != 0 {
+				t.Errorf("flushes = %d, want 0", fc.flushes)
+			}
+			if got, want := fc.header.Get("X-Amnesia-Cache") == "hit", c.hit; got != want {
+				t.Errorf("cache hit = %v, want %v", got, want)
+			}
+
+			ts := httptest.NewServer(New(materializedDB(t, 20000)))
+			defer ts.Close()
+			body, _ := json.Marshal(map[string]string{"sql": c.sql})
+			post := func() (*http.Response, []byte) {
+				resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				got, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp, got
+			}
+			if c.hit {
+				post() // the live run that fills the cache
+			}
+			resp, got := post()
+			if resp.ContentLength != int64(len(got)) || len(resp.TransferEncoding) != 0 {
+				t.Errorf("Content-Length %d, Transfer-Encoding %v; want %d and none",
+					resp.ContentLength, resp.TransferEncoding, len(got))
+			}
+			if !bytes.Equal(got, fc.body.Bytes()) {
+				t.Errorf("body over the wire %s, through the handler %s", got, fc.body.Bytes())
+			}
+		})
+	}
+}
+
+// TestLargeResultsFlushOnlyWhenPipelined drives 20k rows both ways: a
+// sort with no LIMIT has every row in hand before the first Next, so
+// it is never flushed (net/http writes it out as its buffer fills) and
+// its body is exactly the JSON of db.Query's result; the unordered
+// select is pipelined and flushes after every chunk.
+func TestLargeResultsFlushOnlyWhenPipelined(t *testing.T) {
+	const n = 20000
+	db := materializedDB(t, n)
+	srv := New(db)
+
+	const sorted = "SELECT a, b FROM big ORDER BY b"
+	fc := serveQuery(t, srv, sorted)
+	if fc.flushes != 0 {
+		t.Errorf("sorted: flushes = %d, want 0", fc.flushes)
+	}
+	res, err := db.Query(sorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(struct {
+		Columns []string    `json:"columns"`
+		Ints    []bool      `json:"ints"`
+		Rows    [][]float64 `json:"rows"`
+	}{res.Columns, res.Ints, res.Rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != n || !bytes.Equal(fc.body.Bytes(), want) {
+		t.Errorf("sorted body (%d bytes) differs from db.Query's %d rows (%d bytes)", fc.body.Len(), len(res.Rows), len(want))
+	}
+
+	fc = serveQuery(t, srv, "SELECT a FROM big")
+	if chunks := (n + sql.StreamChunkRows - 1) / sql.StreamChunkRows; fc.flushes < chunks {
+		t.Errorf("unordered: flushes = %d, want at least one per chunk (%d)", fc.flushes, chunks)
+	}
+}
+
+// FuzzQueryHeader holds appendQueryHeader to encoding/json, as
+// TestAppendRowJSONMatchesEncodingJSON holds the row encoder: for any
+// column names (names split on '|', so one input can hold several) and
+// any ints flags, it equals json.Marshal(queryHeader{…}) reopened with
+// `,"rows":[`.
+func FuzzQueryHeader(f *testing.F) {
+	for _, seed := range []string{
+		"id|score", "COUNT(*)", "big.a|other.c", "", "|", `a"b|c\d`, "<a>&b",
+		"café|😀", "\xff\xfe", "\x00\x1f\x7f", "  ", "tab\there",
+	} {
+		f.Add(seed, uint64(0b1010))
+	}
+	f.Fuzz(func(t *testing.T, names string, flags uint64) {
+		columns := strings.Split(names, "|")
+		ints := make([]bool, len(columns))
+		for i := range ints {
+			ints[i] = flags>>(i%64)&1 == 1
+		}
+		for _, h := range []queryHeader{{columns, ints}, {nil, nil}, {[]string{}, []bool{}}} {
+			want, err := json.Marshal(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want[:len(want)-1], `,"rows":[`...)
+			if got := appendQueryHeader(nil, h.Columns, h.Ints); !bytes.Equal(got, want) {
+				t.Fatalf("appendQueryHeader(%q, %v) = %s, want %s", h.Columns, h.Ints, got, want)
+			}
+		}
+	})
+}
+
+// BenchmarkServeCachedQuery prices a result-cache hit end to end — one
+// keep-alive client against an httptest.Server, request encoding,
+// handler, response framing and client read — on hot_small's two
+// statement shapes. allocs/op counts both sides of the connection.
+func BenchmarkServeCachedQuery(b *testing.B) {
+	for _, q := range []struct{ name, sql string }{
+		{"count", "SELECT COUNT(*) FROM big WHERE a >= 1000 AND a < 1064"},
+		{"top10", "SELECT a, b FROM big WHERE a >= 1000 AND a < 1064 ORDER BY b LIMIT 10"},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			ts := httptest.NewServer(New(materializedDB(b, 64<<10)))
+			defer ts.Close()
+			client := ts.Client()
+			// Unescaped, as the benchmark's load generator sends it
+			// (json.Marshal would escape the < and >).
+			body := []byte(`{"sql":"` + q.sql + `"}`)
+			// query answers one request and returns its cache header.
+			query := func() string {
+				resp, err := client.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					b.Fatalf("status %d, err %v", resp.StatusCode, err)
+				}
+				return resp.Header.Get("X-Amnesia-Cache")
+			}
+			query() // the miss that fills the cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if query() != "hit" {
+					b.Fatal("not a cache hit")
+				}
+			}
+		})
+	}
+}
+
 // errAfterSource yields one good chunk, then fails — the shape of a
 // mid-stream execution failure after the 200 is committed.
 type errAfterSource struct {
@@ -228,6 +440,8 @@ func (s *errAfterSource) Next() ([][]float64, error) {
 	s.sent = true
 	return [][]float64{{1}, {2}}, nil
 }
+
+func (s *errAfterSource) Pipelined() bool { return true }
 
 // TestMidStreamErrorSentinel pins the bugfix for silently truncated
 // streams: a failure after rows have been sent must close the JSON body

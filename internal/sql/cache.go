@@ -22,9 +22,32 @@ import (
 // NormalizeSQL canonicalizes a statement for cache keying: whitespace
 // runs collapse to single spaces and the ends are trimmed. The grammar
 // has no string literals, so whitespace is never significant and the
-// normalized text parses identically to the original.
+// normalized text parses identically to the original. A statement that
+// is already canonical comes back as it is, without allocating.
 func NormalizeSQL(query string) string {
+	if isCanonicalSQL(query) {
+		return query
+	}
 	return strings.Join(strings.Fields(query), " ")
+}
+
+// isCanonicalSQL reports whether query is its own normalization: ASCII
+// only (strings.Fields splits on U+0085 and U+00A0 too), and no
+// whitespace but single spaces between words.
+func isCanonicalSQL(query string) bool {
+	for i := 0; i < len(query); i++ {
+		switch c := query[i]; {
+		case c >= 0x80:
+			return false
+		case c == ' ':
+			if i == 0 || i == len(query)-1 || query[i-1] == ' ' {
+				return false
+			}
+		case c == '\t', c == '\n', c == '\v', c == '\f', c == '\r':
+			return false
+		}
+	}
+	return true
 }
 
 // MaxCachedResultRows bounds which results are cacheable: only small,

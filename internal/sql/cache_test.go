@@ -2,6 +2,7 @@ package sql
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -11,6 +12,28 @@ func TestNormalizeSQL(t *testing.T) {
 	if a != b {
 		t.Fatalf("normalization differs: %q vs %q", a, b)
 	}
+	if n := testing.AllocsPerRun(100, func() { NormalizeSQL(b) }); n != 0 {
+		t.Fatalf("a canonical statement allocates %v times", n)
+	}
+}
+
+// FuzzNormalizeSQL holds NormalizeSQL's canonical fast path to the
+// definition it short-cuts: for every input the result is
+// strings.Join(strings.Fields(q), " "). The seeds carry the spaces only
+// strings.Fields knows about — U+0085, U+00A0, \v and \f — which the
+// fast path must refuse.
+func FuzzNormalizeSQL(f *testing.F) {
+	for _, seed := range []string{
+		"SELECT a FROM t", "", " ", "a", " a", "a ", "a  b", "a\tb", "a\nb", "a\rb",
+		"a\vb", "a\fb", "a\u0085b", "a b", "a b", "café", "\xff", "a\x00b",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		if got, want := NormalizeSQL(q), strings.Join(strings.Fields(q), " "); got != want {
+			t.Fatalf("NormalizeSQL(%q) = %q, want %q", q, got, want)
+		}
+	})
 }
 
 // TestPlanCacheReuse pins that a hot statement parses once and the

@@ -1,8 +1,9 @@
 package sql
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"amnesiadb/internal/engine"
 	"amnesiadb/internal/engine/governor"
@@ -67,15 +68,14 @@ func orderPerm(ctx context.Context, keys []int64, desc bool, limit, par int, sp 
 		for i := range perm {
 			perm[i] = start + i
 		}
-		sort.Slice(perm, func(a, b int) bool {
-			ka, kb := keys[perm[a]], keys[perm[b]]
-			if ka != kb {
+		slices.SortFunc(perm, func(a, b int) int {
+			if c := cmp.Compare(keys[a], keys[b]); c != 0 {
 				if desc {
-					return ka > kb
+					return -c
 				}
-				return ka < kb
+				return c
 			}
-			return perm[a] < perm[b] // unique indices: stable and exact
+			return a - b // unique indices: stable and exact
 		})
 		if limit >= 0 && limit < len(perm) {
 			perm = perm[:limit]
