@@ -7,6 +7,7 @@
 package amnesiadb_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -581,4 +582,48 @@ func BenchmarkNarrowQuery(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkSQLJoin prices the SQL JOIN front-end against the direct
+// DB.Join over the same data: a probe side of 1 Mi rows and a build
+// side of 128 Ki, keys uniform over a 2^20 domain. The sql case pays for
+// parse, plan and float64 projection on top of the identical hash join,
+// so the difference of the two ns/op is the SQL surface's cost per join.
+func BenchmarkSQLJoin(b *testing.B) {
+	const n = 1 << 20
+	db := amnesiadb.Open(amnesiadb.Options{Seed: benchSeed})
+	src := xrand.New(benchSeed)
+	mk := func(name string, rows int) *amnesiadb.Table {
+		tb, err := db.CreateTable(name, "k")
+		if err != nil {
+			b.Fatal(err)
+		}
+		vals := make([]int64, rows)
+		for i := range vals {
+			vals[i] = src.Int63n(1 << 20)
+		}
+		if err := tb.InsertColumn("k", vals); err != nil {
+			b.Fatal(err)
+		}
+		return tb
+	}
+	probe, build := mk("probe", n), mk("build", n/8)
+	b.Run("direct", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rows, err := db.Join(context.Background(), probe, "k", build, "k", amnesiadb.All())
+			if err != nil || len(rows) == 0 {
+				b.Fatalf("direct join: %d rows, %v", len(rows), err)
+			}
+		}
+	})
+	b.Run("sql", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := db.Query("SELECT probe.k, build.k FROM probe JOIN build ON probe.k = build.k")
+			if err != nil || len(res.Rows) == 0 {
+				b.Fatalf("sql join: %v", err)
+			}
+		}
+	})
 }

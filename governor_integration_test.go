@@ -4,12 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"amnesiadb"
+	"amnesiadb/internal/server"
 	"amnesiadb/internal/xrand"
 )
 
@@ -146,6 +153,114 @@ func TestOverBudgetOrderByFails(t *testing.T) {
 	if _, err := db.Query("SELECT a FROM t WHERE a < 2048 ORDER BY a LIMIT 10"); err != nil {
 		t.Fatalf("small ORDER BY after kill: %v", err)
 	}
+}
+
+// TestOverloadShedsOverBudgetQueries is the overload soak: 64 HTTP
+// clients drive a 256 Ki-row table through the server under a 64 KiB
+// per-query budget. The unclustered sort's working set (~8 bytes per
+// qualifying row over half the domain) dwarfs the budget, so every sort
+// must answer 413 while every small statement around it answers 200,
+// and once the load stops the governor's ledger and the goroutine count
+// are back where they started. CI runs it under GOMEMLIMIT=512MiB: the
+// governor sheds over-budget work instead of the process growing.
+func TestOverloadShedsOverBudgetQueries(t *testing.T) {
+	const (
+		n        = 256 << 10
+		clients  = 64
+		requests = 4000
+	)
+	db := amnesiadb.Open(amnesiadb.Options{Seed: 1, CacheEntries: 256, MaxQueryBytes: 64 << 10})
+	defer db.Close()
+	tab, err := db.CreateTable("big", "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := xrand.New(7)
+	as := make([]int64, n)
+	bs := make([]int64, n)
+	for i := range as {
+		as[i] = src.Int63n(1 << 20)
+		bs[i] = int64(i)
+	}
+	if err := tab.Insert(map[string][]int64{"a": as, "b": bs}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Half the traffic is one hot aggregate, a quarter rotates through
+	// SUM variants, and the last quarter splits 3:1:1 between the sort
+	// and two selective projections that stream real rows.
+	const sortSQL = "SELECT a FROM big WHERE a < 524288 ORDER BY a LIMIT 100"
+	statement := func(i int) string {
+		switch {
+		case i%2 == 0:
+			return "SELECT AVG(a) FROM big WHERE a < 524288"
+		case i%4 == 1:
+			return fmt.Sprintf("SELECT SUM(a) FROM big WHERE a < %d", 1<<(10+i/4%8))
+		}
+		switch i / 4 % 5 {
+		case 3:
+			return "SELECT b FROM big WHERE a < 1024"
+		case 4:
+			return "SELECT a, b FROM big WHERE a < 1024 LIMIT 100"
+		default:
+			return sortSQL
+		}
+	}
+
+	baseline := runtime.NumGoroutine()
+	ts := httptest.NewServer(server.New(db))
+	tr := &http.Transport{MaxIdleConnsPerHost: clients}
+	client := &http.Client{Transport: tr}
+	var next, shed, served atomic.Int64
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < requests; i = int(next.Add(1) - 1) {
+				q := statement(i)
+				resp, err := client.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"sql":"`+q+`"}`))
+				if err != nil {
+					errs <- err
+					return
+				}
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					errs <- err
+					return
+				}
+				want, count := http.StatusOK, &served
+				if q == sortSQL {
+					want, count = http.StatusRequestEntityTooLarge, &shed
+				}
+				if resp.StatusCode != want {
+					errs <- fmt.Errorf("%q answered %d, want %d", q, resp.StatusCode, want)
+					return
+				}
+				count.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	ts.Close()
+	tr.CloseIdleConnections()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	t.Logf("%d sorts answered 413, %d other statements answered 200", shed.Load(), served.Load())
+	if shed.Load()+served.Load() != requests {
+		t.Fatalf("%d sorts + %d others answered, want %d requests", shed.Load(), served.Load(), requests)
+	}
+
+	st := db.GovernorStats()
+	if st.ActiveQueries != 0 || st.UsedBytes != 0 {
+		t.Fatalf("governor ledger not drained after the soak: %+v", st)
+	}
+	t.Logf("governor peak usage: %d bytes", st.PeakBytes)
+	waitGoroutines(t, baseline)
 }
 
 // TestQueryDeadlineExpires pins the per-query wall-clock bound: a query

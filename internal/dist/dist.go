@@ -33,7 +33,7 @@ const (
 // Kinds lists every distribution in the order the paper's figures use.
 var Kinds = []Kind{Serial, Uniform, Normal, Zipf}
 
-// String returns the name used in figures, CSV headers and flags.
+// String returns the name used in figures and CSV headers.
 func (k Kind) String() string {
 	switch k {
 	case Serial:
@@ -46,23 +46,6 @@ func (k Kind) String() string {
 		return "zipfian"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// ParseKind resolves a distribution name ("serial", "uniform", "normal",
-// "zipfian"; "zipf" is accepted as an alias).
-func ParseKind(name string) (Kind, error) {
-	switch name {
-	case "serial":
-		return Serial, nil
-	case "uniform":
-		return Uniform, nil
-	case "normal":
-		return Normal, nil
-	case "zipfian", "zipf":
-		return Zipf, nil
-	default:
-		return 0, fmt.Errorf("dist: unknown distribution %q", name)
 	}
 }
 

@@ -6,24 +6,6 @@ import (
 	"amnesiadb/internal/xrand"
 )
 
-func TestKindNamesRoundTrip(t *testing.T) {
-	for _, k := range Kinds {
-		got, err := ParseKind(k.String())
-		if err != nil {
-			t.Fatalf("ParseKind(%q): %v", k, err)
-		}
-		if got != k {
-			t.Fatalf("ParseKind(%q) = %v, want %v", k, got, k)
-		}
-	}
-	if k, err := ParseKind("zipf"); err != nil || k != Zipf {
-		t.Fatalf("zipf alias: %v, %v", k, err)
-	}
-	if _, err := ParseKind("pareto"); err == nil {
-		t.Fatal("unknown name accepted")
-	}
-}
-
 func TestKindsOrderMatchesPaperFigures(t *testing.T) {
 	want := []string{"serial", "uniform", "normal", "zipfian"}
 	if len(Kinds) != len(want) {

@@ -199,11 +199,11 @@ func HashJoin(ctx context.Context, sp *sched.Pool, left *table.Table, leftCol st
 
 	// Each probe morsel fills its own output slot (the hash table is
 	// read-only by now), and the slots concatenate in morsel order.
-	nm := (probe.Count() + ProbeMorselRows - 1) / ProbeMorselRows
+	nm := (probe.Count() + probeMorselRows - 1) / probeMorselRows
 	slots := make([][]JoinRow, nm)
 	err = ForEachTask(ctx, sp, workers, nm, func(_, m int) {
-		start := m * ProbeMorselRows
-		slots[m] = probeRange(ht, probe, start, min(start+ProbeMorselRows, probe.Count()), swap)
+		start := m * probeMorselRows
+		slots[m] = probeRange(ht, probe, start, min(start+probeMorselRows, probe.Count()), swap)
 	})
 	if err != nil {
 		return nil, err
@@ -281,12 +281,11 @@ func (s *radixScatter) table(ctx context.Context, sp *sched.Pool, workers int) (
 	return jt, err
 }
 
-// ProbeMorselRows is the probe-side morsel granularity of the parallel
+// probeMorselRows is the probe-side morsel granularity of the parallel
 // hash join. Probe input is the already-collected selection vector (not
 // the column), so morsels are counted in qualifying rows rather than
-// blocks. Exported so the bench CLI can report the worker count a probe
-// of a given size actually admits.
-const ProbeMorselRows = 64 * 1024
+// blocks.
+const probeMorselRows = 64 * 1024
 
 // joinTable is a hash table over the build side, radix-split by key so
 // independent workers can populate disjoint partitions without locks.

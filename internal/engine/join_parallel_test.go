@@ -52,7 +52,7 @@ func joinTestTables(t *testing.T, nl, nr int) (*table.Table, *table.Table) {
 func TestHashJoinParallelEquivalence(t *testing.T) {
 	pool := widePool(t)
 	l, r := joinTestTables(t, 40000, 9000)
-	// big's active probe side (~146K rows) spans multiple ProbeMorselRows
+	// big's active probe side (~146K rows) spans multiple probeMorselRows
 	// morsels, so the per-morsel output slot concatenation actually runs
 	// multi-slot.
 	big, bigR := joinTestTables(t, 220000, 9000)

@@ -70,7 +70,6 @@ type ChunkStream struct {
 	stopOnce sync.Once
 	cause    error
 	scanDone chan struct{}
-	stride   func() int
 
 	// limit, when positive, is the most rows the emitter hands over: the
 	// chunk that reaches it is truncated and the pipeline stops after
@@ -137,16 +136,6 @@ func (s *ChunkStream) closeWith(err error) {
 // finishes; it always closes eventually, including after Close or a
 // context cancellation.
 func (s *ChunkStream) ScanDone() <-chan struct{} { return s.scanDone }
-
-// Stride reports the scan's effective morsel stride in blocks — the
-// adaptive scheduler's final size, observable for benchmarks. Zero for
-// pipelines without a morsel cursor (shard fan-outs).
-func (s *ChunkStream) Stride() int {
-	if s.stride == nil {
-		return 0
-	}
-	return s.stride()
-}
 
 // Collect drains the stream into a flat chunk list — the materialized
 // form of a scan — recycling nothing (the caller owns the chunks).
@@ -588,7 +577,6 @@ func (e *Exec) SelectChunkStream(ctx context.Context, col string, pred expr.Expr
 	}
 	cur, workers, short := e.newMorsels(c, pred)
 	s := newChunkStream()
-	s.stride = cur.Stride
 	s.limit = e.limit
 	if e.touch && mode == ScanActive {
 		s.touch = e.t.TouchMany

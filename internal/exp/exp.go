@@ -54,6 +54,7 @@ func Registry() []Experiment {
 		{ID: "compress", Title: "Section 4.4 extension: compression ratios per distribution (postponing forgetting)", Run: CompressRatios},
 		{ID: "drift", Title: "Section 4.4 extension: distribution drift of the active set per strategy (TV distance)", Run: Drift},
 		{ID: "fig3e", Title: "Figure 3 with error bars: mean ± sd over 5 seeds, zipfian data", Run: Fig3ErrorBars},
+		{ID: "sweep", Title: "Beyond the paper: final and mean precision per strategy x distribution x volatility", Run: Sweep},
 	}
 }
 
@@ -286,6 +287,37 @@ func Fig3ErrorBars(w io.Writer, seed uint64) error {
 			fmt.Fprintf(w, ",%.4f,%.4f", st.Mean[bi], st.StdDev[bi])
 		}
 		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// Sweep walks every registered strategy across the four distributions
+// and four update volatilities — the parameter space beyond the paper's
+// fixed configurations — and reports each cell's final-batch and mean
+// precision, to show where strategies cross over.
+func Sweep(w io.Writer, seed uint64) error {
+	fmt.Fprintln(w, "strategy,distribution,volatility,final_precision,mean_precision")
+	for _, s := range amnesia.Names() {
+		for _, d := range dist.Kinds {
+			for _, v := range []float64{0.1, 0.2, 0.5, 0.8} {
+				cfg := baseConfig(seed)
+				cfg.QueriesPerBatch = 300
+				cfg.Strategy = s
+				cfg.Distribution = d
+				cfg.UpdatePerc = v
+				r, err := sim.Run(cfg)
+				if err != nil {
+					return err
+				}
+				ps := r.Series.Precisions()
+				var mean float64
+				for _, p := range ps {
+					mean += p
+				}
+				mean /= float64(len(ps))
+				fmt.Fprintf(w, "%s,%s,%.2f,%.4f,%.4f\n", s, d, v, ps[len(ps)-1], mean)
+			}
+		}
 	}
 	return nil
 }

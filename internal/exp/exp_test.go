@@ -18,7 +18,7 @@ func TestRegistryComplete(t *testing.T) {
 		}
 		ids[e.ID] = true
 	}
-	for _, want := range []string{"fig1", "fig2", "fig3a", "fig3b", "fig3x", "agg", "vol", "sel"} {
+	for _, want := range []string{"fig1", "fig2", "fig3a", "fig3b", "fig3x", "agg", "vol", "sel", "sweep"} {
 		if !ids[want] {
 			t.Fatalf("experiment %s missing", want)
 		}

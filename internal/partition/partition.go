@@ -199,12 +199,11 @@ func (s *Set) Epoch() uint64 {
 	return e
 }
 
-// FanWorkers resolves the parallelism knob to the worker count a
+// fanWorkers resolves the parallelism knob to the worker count a
 // fan-out over n shards actually runs with: the engine's one resolution
 // with no row threshold — a shard is a coarse unit of work, so any
 // multi-shard fan-out is worth spreading — capped at the shard count.
-// Exported so the bench CLI reports the same resolution the queries use.
-func (s *Set) FanWorkers(n int) int {
+func (s *Set) fanWorkers(n int) int {
 	return max(min(engine.Workers(s.sched, s.par, n, 0), n), 1)
 }
 
@@ -217,7 +216,7 @@ func (s *Set) FanWorkers(n int) int {
 // scaffold.
 func (s *Set) fanOut(ctx context.Context, hit []*Partition, fn func(i int, ex *engine.Exec) error) error {
 	errs := make([]error, len(hit))
-	w := s.FanWorkers(len(hit))
+	w := s.fanWorkers(len(hit))
 	if err := engine.ForEachTask(ctx, s.sched, w, len(hit), func(_, i int) {
 		errs[i] = fn(i, s.shardExec(ctx, hit[i], w))
 	}); err != nil {
@@ -401,7 +400,7 @@ func (s *Set) locateIdx(v int64) (int, error) {
 func (s *Set) ScanChunkStream(ctx context.Context, pred expr.Expr) (*engine.ChunkStream, error) {
 	lo, hi, _ := pred.Bounds()
 	hit := s.intersecting(lo, hi)
-	w := s.FanWorkers(len(hit))
+	w := s.fanWorkers(len(hit))
 	return engine.NewChunkPipeline(ctx, s.sched, w, len(hit), func(i int) ([]engine.SelChunk, error) {
 		hit[i].hits.Add(1)
 		res, err := s.shardExec(ctx, hit[i], w).Select(s.column, pred, engine.ScanActive)
