@@ -24,22 +24,20 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the repo's own go/analysis suite (tools/amnesialint) over
-# the whole tree twice, after stock go vet: once through the vettool
-# protocol (facts flow through .vetx files exactly as `go vet` users
-# see them) and once through the parallel standalone driver, which
-# prints packages analyzed, wall time and parallelism, and enforces
-# LINT_BUDGET (exit 3 past it). The suite enforces the engine's
-# cross-cutting invariants: the lock-order hierarchy and cycle freedom,
-# goroutine lifecycle accountability, path-sensitive pooled-batch
-# recycling, liveness checks under handle locks, WAL kind
-# exhaustiveness, context threading below the server layer, sentinel
-# error hygiene, and the group-commit fsync handshake. Suppress a
-# finding only with an audited `//lint:ignore <analyzer> <reason>`
-# comment (see `make lint-audit`).
+# the whole tree once, after stock go vet, through its parallel
+# standalone driver, which prints packages analyzed, wall time and
+# parallelism, and enforces LINT_BUDGET (exit 3 past it). The suite
+# holds the invariants no other mechanism enforces: goroutine lifecycle
+# accountability, path-sensitive pooled-batch recycling and governor
+# charge release (pairflow), WAL kind exhaustiveness, context threading
+# below the server layer and sentinel error hygiene. The lock hierarchy
+# is `make race`'s (internal/lockrank); drop safety and the fsync
+# handshake are the handle scaffold's, pinned by TestHandleContract.
+# Suppress a finding only with an audited `//lint:ignore <analyzer>
+# <reason>` comment (see `make lint-audit`).
 LINT_BUDGET ?= 120s
 lint: vet
 	$(GO) build -o $(BIN)/amnesialint ./tools/amnesialint/cmd
-	$(GO) vet -vettool=$(abspath $(BIN)/amnesialint) ./...
 	$(BIN)/amnesialint -budget $(LINT_BUDGET) ./...
 
 # lint-audit regenerates the //lint:ignore inventory; paste the output

@@ -416,22 +416,25 @@ func (h *handle) exclusive(fn func() error) error {
 }
 
 // mutate is exclusive for logged mutations: it refuses a read-only
-// database, runs fn — which applies the change and enqueues its WAL
-// record, so per-relation log order is lock order — and awaits the
-// returned Pending after unlocking. An error from fn is returned
-// without waiting.
-func (h *handle) mutate(fn func() (*durability.Pending, error)) error {
+// database, runs fn — which applies the change and returns its WAL
+// record (nil for none) — enqueues that record under the lock, so
+// per-relation log order is lock order, and awaits it after unlocking.
+// A record fn returns beside an error is logged and awaited too: the
+// change it describes was applied. fn's error wins over the wait's.
+func (h *handle) mutate(fn func() ([]byte, error)) error {
 	if err := h.db.writable(); err != nil {
 		return err
 	}
 	var p *durability.Pending
-	if err := h.exclusive(func() (err error) {
-		p, err = fn()
+	err := h.exclusive(func() error {
+		rec, err := fn()
+		p = h.db.logRecord(rec)
 		return err
-	}); err != nil {
-		return err
+	})
+	if werr := h.db.commitWait(p); err == nil {
+		err = werr
 	}
-	return h.db.commitWait(p)
+	return err
 }
 
 // register is the one way a relation enters the catalog — create, load
@@ -449,6 +452,7 @@ func (db *DB) register(r relation, rec []byte) error {
 		db.mu.Unlock()
 		return fmt.Errorf("amnesiadb: table %q already exists", h.name)
 	}
+	h.mu.SetName(h.name)
 	r.attach(db.nextIncarnation())
 	db.rels[h.name] = r
 	p := db.logRecord(rec)
@@ -872,11 +876,11 @@ func (t *Table) Columns() []string { return t.tbl.Columns() }
 
 // SetPolicy installs (or with a zero Policy removes) the amnesia policy.
 func (t *Table) SetPolicy(p Policy) error {
-	return t.mutate(func() (*durability.Pending, error) {
+	return t.mutate(func() ([]byte, error) {
 		if err := t.applyPolicy(p); err != nil {
 			return nil, err
 		}
-		return t.db.logRecord(wal.RecordPolicy(t.name, wal.PolicySpec(t.policy))), nil
+		return wal.RecordPolicy(t.name, wal.PolicySpec(t.policy)), nil
 	})
 }
 
@@ -923,14 +927,14 @@ func (t *Table) Policy() Policy {
 // the commit policy; a persistence failure degrades the database to
 // read-only and surfaces ErrReadOnly.
 func (t *Table) Insert(cols map[string][]int64) error {
-	return t.mutate(func() (*durability.Pending, error) { return t.insertLocked(cols) })
+	return t.mutate(func() ([]byte, error) { return t.insertLocked(cols) })
 }
 
-// insertLocked applies the batch and, on durable databases, logs the
-// outcome — the batch, and the positions enforcement reports forgotten
-// (what was forgotten, never why) — as two records under one Pending:
-// one write, one fsync, one wait.
-func (t *Table) insertLocked(cols map[string][]int64) (*durability.Pending, error) {
+// insertLocked applies the batch and, on durable databases, returns the
+// outcome to log — the batch, and the positions enforcement reports
+// forgotten (what was forgotten, never why) — as two records in one
+// buffer: one write, one fsync, one wait.
+func (t *Table) insertLocked(cols map[string][]int64) ([]byte, error) {
 	if _, err := t.tbl.AppendBatch(cols); err != nil {
 		return nil, err
 	}
@@ -942,7 +946,7 @@ func (t *Table) insertLocked(cols map[string][]int64) (*durability.Pending, erro
 	if err != nil {
 		return nil, err
 	}
-	return t.db.logRecord(append(rec, t.forgetRecord(forgotten)...)), enfErr
+	return append(rec, t.forgetRecord(forgotten)...), enfErr
 }
 
 // forgetRecord encodes the positions an enforcement forgot, sorting
@@ -966,9 +970,9 @@ func (t *Table) InsertColumn(col string, vals []int64) error {
 // until the active count is within budget. It is called automatically by
 // Insert; manual calls are useful after policy changes.
 func (t *Table) EnforceBudget() error {
-	return t.mutate(func() (*durability.Pending, error) {
+	return t.mutate(func() ([]byte, error) {
 		forgotten, err := t.enforceBudgetLocked()
-		return t.db.logRecord(t.forgetRecord(forgotten)), err
+		return t.forgetRecord(forgotten), err
 	})
 }
 
@@ -1156,9 +1160,9 @@ func (t *Table) ActivePerBatch() (active, total []int) {
 // itself a logged mutation, so Vacuum returns an error when the
 // database is read-only or the WAL append fails.
 func (t *Table) Vacuum() error {
-	return t.mutate(func() (*durability.Pending, error) {
+	return t.mutate(func() ([]byte, error) {
 		t.vacuumLocked()
-		return t.db.logRecord(wal.RecordVacuum(t.name)), nil
+		return wal.RecordVacuum(t.name), nil
 	})
 }
 
@@ -1194,7 +1198,7 @@ func (t *Table) DemoteForgotten() (n int, err error) {
 // in [lo, hi), reactivating them. It returns the recovered positions and
 // the simulated retrieval latency.
 func (t *Table) RecoverRange(col string, lo, hi int64) (hits []int, lat time.Duration, err error) {
-	err = t.mutate(func() (*durability.Pending, error) {
+	err = t.mutate(func() ([]byte, error) {
 		if t.cold == nil {
 			return nil, fmt.Errorf("amnesiadb: table %q has no cold tier", t.name)
 		}
@@ -1202,7 +1206,7 @@ func (t *Table) RecoverRange(col string, lo, hi int64) (hits []int, lat time.Dur
 		if hits, lat, err = t.cold.RecoverRange(col, lo, hi); err != nil || len(hits) == 0 {
 			return nil, err
 		}
-		return t.db.logRecord(wal.RecordRemember(t.name, hits)), nil
+		return wal.RecordRemember(t.name, hits), nil
 	})
 	if err != nil {
 		return nil, 0, err

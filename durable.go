@@ -201,9 +201,10 @@ func (db *DB) degrade(err error) {
 }
 
 // logRecord enqueues one framed WAL record; nil-safe for in-memory
-// databases and for a nil record (nothing to log). Callers enqueue
-// under the mutated relation's exclusive lock (preserving per-relation
-// log order) and Wait after unlocking.
+// databases and for a nil record (nothing to log). Its only callers
+// are handle.mutate, register and unregisterLocked: each enqueues under
+// the lock that orders the record and awaits commitWait once unlocked,
+// itself or in its direct caller.
 func (db *DB) logRecord(rec []byte) *durability.Pending {
 	if db.dur == nil || rec == nil {
 		return nil

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"amnesiadb"
@@ -23,6 +24,7 @@ type handles struct {
 
 // handleOps is every exported handle method that takes a relation's
 // exclusive lock, for both kinds. logged marks the WAL-logged mutators.
+// Methods of *Table go by their bare name, the others by Type.Method.
 var handleOps = []struct {
 	name   string
 	logged bool
@@ -43,6 +45,18 @@ var handleOps = []struct {
 	{"Advisor.Advise", false, func(h handles) error { _, err := h.adv.Advise(0.5); return err }},
 	{"PartitionedTable.Insert", true, func(h handles) error { return h.pt.Insert([]int64{5}) }},
 	{"PartitionedTable.Adapt", true, func(h handles) error { return h.pt.Adapt() }},
+}
+
+// handleReaders is every other exported handle method: each takes at
+// most the relation's read lock, so it mutates nothing a dropped handle
+// or a degraded database must refuse. TestHandleContract/exhaustive
+// fails on a method in neither list.
+var handleReaders = []string{
+	"ActivePerBatch", "Aggregate", "ApproxAvg", "ColdBill", "Columns",
+	"ForgottenQuantile", "GroupBy", "Name", "Policy", "Precision",
+	"Select", "SelectWithForgotten", "Stats",
+	"PartitionedTable.Column", "PartitionedTable.Name", "PartitionedTable.Partitions",
+	"PartitionedTable.Precision", "PartitionedTable.Select", "PartitionedTable.Stats",
 }
 
 // openHandles opens a durable database under dir with one relation of
@@ -86,14 +100,44 @@ func walBytes(t *testing.T, dir string) int64 {
 	return st.Size()
 }
 
-// TestHandleContract pins the two refusals every handle method owes:
+// TestHandleContract pins the two refusals every handle method owes,
+// and that no exported handle method escapes them unlisted:
 //
+//   - every exported method of *Table, *PartitionedTable and *Advisor
+//     is in handleOps or handleReaders, so a new mutator cannot skip
+//     the two checks below by being forgotten;
 //   - a handle that outlived its relation's DropTable fails with
 //     ErrUnknownTable and logs nothing, or replay would meet a mutation
 //     record after the drop record and refuse to reopen the database;
 //   - on a degraded database every logged mutator, and all DDL, fails
 //     with ErrReadOnly while reads keep answering.
 func TestHandleContract(t *testing.T) {
+	t.Run("exhaustive", func(t *testing.T) {
+		listed := map[string]bool{}
+		for _, op := range handleOps {
+			listed[op.name] = true
+		}
+		for _, name := range handleReaders {
+			listed[name] = true
+		}
+		for _, typ := range []struct {
+			prefix string
+			v      any
+		}{{"", (*amnesiadb.Table)(nil)}, {"PartitionedTable.", (*amnesiadb.PartitionedTable)(nil)}, {"Advisor.", (*amnesiadb.Advisor)(nil)}} {
+			rt := reflect.TypeOf(typ.v)
+			for i := 0; i < rt.NumMethod(); i++ {
+				name := typ.prefix + rt.Method(i).Name
+				if !listed[name] {
+					t.Errorf("%s is in neither handleOps (takes the exclusive lock) nor handleReaders", name)
+				}
+				delete(listed, name)
+			}
+		}
+		for name := range listed {
+			t.Errorf("%s is listed but is no exported handle method", name)
+		}
+	})
+
 	t.Run("dropped", func(t *testing.T) {
 		dir := t.TempDir()
 		db, h := openHandles(t, dir)

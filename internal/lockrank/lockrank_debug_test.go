@@ -3,28 +3,32 @@
 package lockrank
 
 import (
-	"sync"
+	"strings"
 	"testing"
 )
 
-func TestAscendingIsClean(t *testing.T) {
-	var c Catalog
-	var r Relation
-	var s Shard
-	c.RLock()
-	r.Lock()
-	s.Lock()
-	s.Unlock()
-	r.Unlock()
-	c.RUnlock()
-}
+// The assertions themselves: each case breaks the hierarchy and must
+// panic. The legal protocols, which must stay silent, are in
+// lockrank_test.go and run in both builds.
 
-func TestRelationNestingAllowed(t *testing.T) {
-	var a, b Relation
-	a.Lock()
-	b.Lock()
-	b.Unlock()
-	a.Unlock()
+// TestRelationOutOfOrderPanics pins the name-order assertion: taking a
+// relation whose name sorts at or before a held one panics, naming both.
+func TestRelationOutOfOrderPanics(t *testing.T) {
+	for _, order := range [][]string{{"b", "a"}, {"a", "a"}} {
+		rs := named(order...)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, `relation "`+order[1]+`" while holding relation "`+order[0]+`"`) {
+					t.Errorf("%v: recovered %q, want a name-order panic naming both", order, msg)
+				}
+			}()
+			rs[0].RLock()
+			defer rs[0].RUnlock()
+			rs[1].RLock()
+			rs[1].RUnlock()
+		}()
+	}
 }
 
 func TestDescendingPanics(t *testing.T) {
@@ -52,69 +56,6 @@ func TestSameRankShardPanics(t *testing.T) {
 	defer a.Unlock()
 	b.Lock()
 	b.Unlock()
-}
-
-// TestCrossGoroutineRelease pins the QueryStream handoff protocol: the
-// spawning goroutine acquires, a watcher releases on its behalf, and
-// the registry must neither panic nor leak the held rank (a later
-// catalog acquisition on the spawner would otherwise see a phantom
-// relation).
-func TestCrossGoroutineRelease(t *testing.T) {
-	var r Relation
-	var c Catalog
-	r.RLock()
-	owner := Self()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r.RUnlockFor(owner)
-	}()
-	wg.Wait()
-	// The relation rank must be gone from this goroutine's stack.
-	c.RLock()
-	c.RUnlock()
-}
-
-// TestHandoffReleasesOnlyTheOwner is the make-race regression: two
-// goroutines read-lock two different relations, a third releases the
-// first one's lock, and the first then takes the catalog. A release
-// that pops from whichever holder it finds first leaves a stale
-// relation on the first goroutine half the time, and its catalog
-// acquisition panics as a descent; keyed on the owner it never does.
-func TestHandoffReleasesOnlyTheOwner(t *testing.T) {
-	for i := 0; i < 64; i++ {
-		var a, b Relation
-		var c Catalog
-		bHeld, owner, released, done := make(chan struct{}), make(chan Owner), make(chan struct{}), make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			b.RLock()
-			close(bHeld)
-			<-done
-			b.RUnlock()
-		}()
-		go func() {
-			defer wg.Done()
-			defer close(done)
-			defer func() {
-				if r := recover(); r != nil {
-					t.Errorf("iteration %d: %v", i, r)
-				}
-			}()
-			<-bHeld
-			a.RLock()
-			owner <- Self()
-			<-released
-			c.RLock()
-			c.RUnlock()
-		}()
-		a.RUnlockFor(<-owner)
-		close(released)
-		wg.Wait()
-	}
 }
 
 // TestUnmatchedReleasePanics pins that a release from a goroutine that

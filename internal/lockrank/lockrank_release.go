@@ -8,8 +8,12 @@ import "sync"
 type Catalog struct{ sync.RWMutex }
 
 // Relation is a per-relation lock (rank 2); distinct relations nest in
-// table-name order.
+// ascending name order.
 type Relation struct{ sync.RWMutex }
+
+// SetName names the relation for the debug build's name-order
+// assertion; the release build keeps no name.
+func (r *Relation) SetName(string) {}
 
 // RUnlockFor releases a read lock on behalf of owner, the goroutine that
 // acquired it (the stream handoff).

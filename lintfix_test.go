@@ -1,8 +1,10 @@
 package amnesiadb_test
 
-// Regression tests for the behaviour-visible fixes that came out of the
-// amnesialint sweep (tools/amnesialint). The dropped-handle liveness
-// fixes are pinned by TestHandleContract (handle_test.go).
+// Regression tests for lock-order fixes. The hierarchy is checked at
+// run time by internal/lockrank under `make race`, so a fix is pinned
+// by a test that drives the fixed path there: a reintroduced descent
+// panics with both locks named. The dropped-handle fixes are pinned by
+// TestHandleContract (handle_test.go).
 
 import (
 	"testing"
@@ -10,7 +12,7 @@ import (
 	"amnesiadb"
 )
 
-// TestQueryConcurrentSnapshotNoDeadlock pins the lockorder fix in
+// TestQueryConcurrentSnapshotNoDeadlock pins the lock-order fix in
 // QueryStreamCtx: it used to re-enter db.mu inside its per-table loop
 // while already holding earlier relations' read locks, which inverts
 // the catalog → relation hierarchy and deadlocks against Snapshot's

@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 
-	"amnesiadb/internal/durability"
 	"amnesiadb/internal/expr"
 	"amnesiadb/internal/partition"
 	"amnesiadb/internal/snapshot"
@@ -76,7 +75,7 @@ func (p *PartitionedTable) Column() string { return p.set.Column() }
 // replay reproduces the shard state without re-running the stochastic
 // strategies.
 func (p *PartitionedTable) Insert(vals []int64) error {
-	return p.mutate(func() (*durability.Pending, error) {
+	return p.mutate(func() ([]byte, error) {
 		if p.db.dur == nil {
 			return nil, p.set.Insert(vals)
 		}
@@ -89,10 +88,12 @@ func (p *PartitionedTable) Insert(vals []int64) error {
 				Forgotten: forgotten,
 			})
 		})
-		if err != nil || len(shards) == 0 {
+		// Shards that committed before a failing one are logged with
+		// the error, so the log still matches memory.
+		if len(shards) == 0 {
 			return nil, err
 		}
-		return p.db.logRecord(wal.RecordPartInsert(p.name, shards)), nil
+		return wal.RecordPartInsert(p.name, shards), err
 	})
 }
 
@@ -119,7 +120,7 @@ func (p *PartitionedTable) Precision(ctx context.Context, lo, hi int64) (rf, mf 
 // logged, so Adapt returns an error when the database is read-only or
 // the WAL append fails.
 func (p *PartitionedTable) Adapt() error {
-	return p.mutate(func() (*durability.Pending, error) {
+	return p.mutate(func() ([]byte, error) {
 		if p.db.dur == nil {
 			p.set.Adapt()
 			return nil, nil
@@ -136,7 +137,7 @@ func (p *PartitionedTable) Adapt() error {
 		if len(shards) == 0 {
 			return nil, nil
 		}
-		return p.db.logRecord(wal.RecordPartAdapt(p.name, shards)), nil
+		return wal.RecordPartAdapt(p.name, shards), nil
 	})
 }
 

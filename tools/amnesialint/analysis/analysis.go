@@ -1,18 +1,15 @@
 // Package analysis is a minimal, dependency-free take on the
 // golang.org/x/tools/go/analysis vocabulary: an Analyzer inspects one
-// type-checked package and reports Diagnostics through its Pass. The
+// type-checked package and reports findings through its Pass. The
 // repo cannot vendor x/tools, so amnesialint carries just the slice of
 // the API its analyzers need; the shapes match upstream so the
 // analyzers could migrate to the real framework wholesale.
 //
 // Beyond the per-package shape, a Session threads cross-package state:
-// every analyzed package contributes a summary.Package (lock classes
-// acquired, lock-graph edges, goroutine/batch shape bits) to a shared
-// summary.Program, and analyzers with a Finalize hook get a
-// whole-program pass once every package has run — that is where
-// lockorder's cycle detection lives. Under `go vet -vettool` the same
-// flow happens per compilation unit, with dependency summaries read
-// back from .vetx facts files.
+// packages run in dependency order, and each one's function summaries
+// (goroutine and pooled-batch shape bits) join a shared
+// summary.Program before its analyzers run, so a check sees its
+// callees in other packages.
 package analysis
 
 import (
@@ -37,12 +34,6 @@ type Analyzer struct {
 	Doc string
 	// Run inspects the package and reports findings via pass.Reportf.
 	Run func(*Pass) error
-	// Finalize, if set, runs once after every package of the session has
-	// been summarized — the whole-program hook. Under go vet it runs per
-	// unit over that unit plus its dependencies' facts; OwnPkgs tells the
-	// hook which packages this process owns so diagnostics are not
-	// duplicated across units.
-	Finalize func(*FinalPass) error
 }
 
 // A Pass hands one type-checked package to an Analyzer.
@@ -53,48 +44,16 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Sum is the current package's flow summary; Local carries its CFGs.
-	Sum   *summary.Package
-	Local *summary.Local
-	// Prog holds every dependency summary visible to this run (plus, in
-	// standalone mode, all previously analyzed packages).
+	// Prog holds the summaries of this package and of every package
+	// analyzed before it.
 	Prog *summary.Program
 
-	report func(Diagnostic)
-}
-
-// A FinalPass hands the whole-program state to an Analyzer's Finalize.
-type FinalPass struct {
-	Analyzer *Analyzer
-	Prog     *summary.Program
-	// OwnPkgs is the set of import paths analyzed by this session (as
-	// opposed to loaded from dependency facts). Whole-program hooks
-	// attribute each diagnostic to exactly one owning package so `go vet`
-	// units do not multiply-report shared findings.
-	OwnPkgs map[string]bool
-
-	report func(Diagnostic)
-}
-
-// A Diagnostic is one finding, positioned at Pos.
-type Diagnostic struct {
-	Analyzer string
-	Pos      token.Pos
-	Message  string
-	// Site carries the position for whole-program diagnostics whose
-	// token.Pos is foreign (deserialized from facts); when File is
-	// non-empty it wins over Pos.
-	Site summary.Site
+	report func(analyzer string, pos token.Pos, msg string)
 }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{Analyzer: p.Analyzer.Name, Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// ReportSite records a whole-program finding at a serialized site.
-func (p *FinalPass) ReportSite(site summary.Site, format string, args ...any) {
-	p.report(Diagnostic{Analyzer: p.Analyzer.Name, Site: site, Message: fmt.Sprintf(format, args...)})
+	p.report(p.Analyzer.Name, pos, fmt.Sprintf(format, args...))
 }
 
 // InTestFile reports whether pos lies in a _test.go file. The
@@ -106,7 +65,7 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
 }
 
-// A Finding is a Diagnostic resolved to a printable position.
+// A Finding is one reported diagnostic, at a printable position.
 type Finding struct {
 	Analyzer string
 	Pos      token.Position
@@ -167,77 +126,46 @@ func matchesAnalyzer(list, name string) bool {
 	return false
 }
 
-// A Session runs the suite over many packages and accumulates the
-// whole-program state. Safe for concurrent RunPackage calls as long as
-// the caller respects dependency order (a package runs only after its
-// in-module dependencies have).
+// A Session runs the suite over many packages and accumulates their
+// findings. Safe for concurrent RunPackage calls as long as the caller
+// respects dependency order (a package runs only after its in-module
+// dependencies have).
 type Session struct {
 	Analyzers []*Analyzer
 	Prog      *summary.Program
 
 	mu       sync.Mutex
 	findings []Finding
-	sups     []Suppression
-	ownPkgs  map[string]bool
 }
 
 func NewSession(analyzers []*Analyzer) *Session {
-	return &Session{
-		Analyzers: analyzers,
-		Prog:      summary.NewProgram(),
-		ownPkgs:   map[string]bool{},
-	}
+	return &Session{Analyzers: analyzers, Prog: summary.NewProgram()}
 }
 
-// AddFacts registers a dependency package's deserialized summaries.
-func (s *Session) AddFacts(pkg *summary.Package) {
-	if pkg != nil {
-		s.Prog.Add(pkg)
-	}
+// Summarize registers a package's summaries without running the
+// analyzers: the driver's pass over in-module dependencies outside the
+// requested patterns.
+func (s *Session) Summarize(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) {
+	s.Prog.Add(summary.Build(fset, files, pkg, info, s.Prog))
 }
 
-// Summarize computes and registers a package's summary without running
-// the analyzers — the VetxOnly path, and the dependency pre-pass of the
-// standalone driver.
-func (s *Session) Summarize(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) *summary.Package {
-	sum, _ := summary.Build(fset, files, pkg, info, s.Prog)
-	s.Prog.Add(sum)
-	return sum
-}
-
-// RunPackage summarizes one type-checked package, runs every analyzer's
-// Run over it, and folds surviving findings into the session. Returns
-// the package summary (callers serialize it as vet facts).
-func (s *Session) RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) (*summary.Package, error) {
-	sum, local := summary.Build(fset, files, pkg, info, s.Prog)
+// RunPackage summarizes one type-checked package, runs every analyzer
+// over it, and folds the surviving findings into the session.
+func (s *Session) RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) error {
+	s.Summarize(fset, files, pkg, info)
 
 	sups := ScanSuppressions(fset, files)
 	var pkgFindings []Finding
-	add := func(d Diagnostic) {
-		pos := fset.Position(d.Pos)
-		if suppressed(sups, pos.Filename, pos.Line, d.Analyzer) {
-			return
+	add := func(analyzer string, p token.Pos, msg string) {
+		pos := fset.Position(p)
+		if !suppressed(sups, pos.Filename, pos.Line, analyzer) {
+			pkgFindings = append(pkgFindings, Finding{Analyzer: analyzer, Pos: pos, Message: msg})
 		}
-		pkgFindings = append(pkgFindings, Finding{Analyzer: d.Analyzer, Pos: pos, Message: d.Message})
 	}
-
 	for _, a := range s.Analyzers {
-		if a.Run == nil {
-			continue
-		}
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Sum:       sum,
-			Local:     local,
-			Prog:      s.Prog,
-			report:    add,
-		}
+		pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, Prog: s.Prog, report: add}
 		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %v", a.Name, err)
+			return fmt.Errorf("%s: %v", a.Name, err)
 		}
 	}
 
@@ -255,69 +183,16 @@ func (s *Session) RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.
 
 	s.mu.Lock()
 	s.findings = append(s.findings, pkgFindings...)
-	s.sups = append(s.sups, sups...)
-	s.ownPkgs[pkg.Path()] = true
 	s.mu.Unlock()
-
-	// Publish the summary only after analysis so a package never
-	// consumes its own half-built state.
-	s.Prog.Add(sum)
-	return sum, nil
+	return nil
 }
 
-// Finalize runs every analyzer's whole-program hook and returns all
-// session findings, sorted. Finalize diagnostics are filtered against
-// the union of suppressions seen across the session's packages.
-func (s *Session) Finalize() ([]Finding, error) {
+// Findings returns every session finding, sorted by position.
+func (s *Session) Findings() []Finding {
 	s.mu.Lock()
-	sups := append([]Suppression(nil), s.sups...)
-	own := make(map[string]bool, len(s.ownPkgs))
-	for k, v := range s.ownPkgs {
-		own[k] = v
-	}
-	s.mu.Unlock()
-
-	var finals []Finding
-	add := func(d Diagnostic) {
-		pos := token.Position{Filename: d.Site.File, Line: d.Site.Line}
-		if d.Site.File == "" {
-			pos = token.Position{}
-		}
-		if suppressed(sups, pos.Filename, pos.Line, d.Analyzer) {
-			return
-		}
-		finals = append(finals, Finding{Analyzer: d.Analyzer, Pos: pos, Message: d.Message})
-	}
-	for _, a := range s.Analyzers {
-		if a.Finalize == nil {
-			continue
-		}
-		fp := &FinalPass{Analyzer: a, Prog: s.Prog, OwnPkgs: own, report: add}
-		if err := a.Finalize(fp); err != nil {
-			return nil, fmt.Errorf("%s (finalize): %v", a.Name, err)
-		}
-	}
-
-	s.mu.Lock()
-	s.findings = append(s.findings, finals...)
 	out := append([]Finding(nil), s.findings...)
 	s.mu.Unlock()
 	sortFindings(out)
-	return out, nil
-}
-
-// Suppressions returns every //lint:ignore site seen across the
-// session's packages, in deterministic order.
-func (s *Session) Suppressions() []Suppression {
-	s.mu.Lock()
-	out := append([]Suppression(nil), s.sups...)
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
 	return out
 }
 
@@ -334,18 +209,6 @@ func suppressed(sups []Suppression, file string, line int, analyzer string) bool
 		}
 	}
 	return false
-}
-
-// Run applies analyzers to one package in a throwaway session — the
-// single-package convenience used by tests that do not need
-// whole-program state. Finalize hooks still run, over just this
-// package.
-func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Finding, error) {
-	s := NewSession(analyzers)
-	if _, err := s.RunPackage(fset, files, pkg, info); err != nil {
-		return nil, err
-	}
-	return s.Finalize()
 }
 
 func sortFindings(fs []Finding) {

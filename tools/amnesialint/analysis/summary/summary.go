@@ -1,201 +1,55 @@
 // Package summary computes cross-package function summaries for
-// amnesialint's flow-sensitive analyzers. For every function in a
-// package it records, bottom-up over the load graph:
+// amnesialint's analyzers. For every function in a package it records:
 //
-//   - which lock classes the function may acquire (directly or through
-//     callees), which it still holds when it returns, and every
-//     held-while-acquiring pair — the edges of the whole-program
-//     lock-acquisition graph that lockorder checks against the
-//     hierarchy in docs/LOCKING.md;
 //   - goroutine-lifecycle shape bits (joins a WaitGroup, closes a
 //     channel at exit, is purely channel-driven, contains an
 //     unstoppable loop) consumed by goroutinelife when a `go` statement
 //     spawns a function from another package;
 //   - pooled-batch wrapper shape (returns a fresh pooled batch,
-//     recycles a parameter) consumed by recycleflow so wrappers around
+//     recycles a parameter) consumed by pairflow so wrappers around
 //     GetBatch/PutBatch are tracked like the primitives.
 //
-// Summaries serialize to JSON: the standalone driver carries them
-// in-process in dependency order, and the `go vet -vettool` driver
-// writes them as the unit's .vetx facts file and reads dependencies'
-// facts back, so both drivers see the same whole program.
+// The driver builds packages in dependency order and shares their
+// summaries in-process through one Program.
 package summary
 
-import (
-	"encoding/json"
-	"fmt"
-	"go/token"
-	"sort"
-	"strings"
-	"sync"
-)
-
-// Rank is a lock class's position in the engine's documented hierarchy
-// (docs/LOCKING.md). Locks must be acquired in ascending rank order;
-// RankOther classes are outside the hierarchy and only participate in
-// cycle detection.
-type Rank int
-
-const (
-	RankOther Rank = iota
-	RankCatalog
-	RankRelation
-	RankShard
-	RankSched
-)
-
-func (r Rank) String() string {
-	switch r {
-	case RankCatalog:
-		return "catalog"
-	case RankRelation:
-		return "relation"
-	case RankShard:
-		return "shard"
-	case RankSched:
-		return "sched"
-	}
-	return "other"
-}
-
-// A ClassID names one lock class: "<rank>:<owner-pkg>|<Type>.<field>"
-// for struct-field mutexes, "<rank>:<owner-pkg>|<var>" for package-level
-// ones, "<rank>:<owner-pkg>|local.<var>@<file>:<line>" for locals. The
-// rank prefix makes hierarchy checks a string parse away from any
-// serialized form; the '|' keeps the owner package unambiguous.
-type ClassID string
-
-// RankOf extracts the class's hierarchy rank.
-func (c ClassID) RankOf() Rank {
-	s := string(c)
-	i := strings.IndexByte(s, ':')
-	if i < 0 {
-		return RankOther
-	}
-	switch s[:i] {
-	case "catalog":
-		return RankCatalog
-	case "relation":
-		return RankRelation
-	case "shard":
-		return RankShard
-	case "sched":
-		return RankSched
-	}
-	return RankOther
-}
-
-// OwnerPkg extracts the package path that declares the lock.
-func (c ClassID) OwnerPkg() string {
-	s := string(c)
-	if i := strings.IndexByte(s, ':'); i >= 0 {
-		s = s[i+1:]
-	}
-	if i := strings.LastIndexByte(s, '|'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
-// Short renders the class without its owner-package prefix for
-// diagnostics: "relation(Table.mu)".
-func (c ClassID) Short() string {
-	s := string(c)
-	rank := "other"
-	if i := strings.IndexByte(s, ':'); i >= 0 {
-		rank, s = s[:i], s[i+1:]
-	}
-	if i := strings.LastIndexByte(s, '|'); i >= 0 {
-		s = s[i+1:]
-	}
-	return fmt.Sprintf("%s(%s)", rank, s)
-}
-
-// A Site is a source position that survives serialization across
-// packages.
-type Site struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	// Pos is the in-process position; zero for foreign (deserialized)
-	// sites.
-	Pos token.Pos `json:"-"`
-}
-
-func (s Site) String() string {
-	return fmt.Sprintf("%s:%d", s.File, s.Line)
-}
-
-// An Acq records that a function may acquire a lock class, with the
-// witness chain that leads to the primitive Lock call.
-type Acq struct {
-	Class ClassID `json:"class"`
-	Site  Site    `json:"site"`
-	// Via is the call chain from the summarized function to the Lock
-	// call, outermost first; empty for a direct acquisition.
-	Via []string `json:"via,omitempty"`
-}
-
-// An Edge is one held-while-acquiring pair: while holding From
-// (locked at FromSite), control reached an acquisition of To at AtSite
-// inside Fn. Path is the human-readable witness chain.
-type Edge struct {
-	From     ClassID  `json:"from"`
-	To       ClassID  `json:"to"`
-	FromSite Site     `json:"fromSite"`
-	AtSite   Site     `json:"atSite"`
-	Fn       string   `json:"fn"`
-	Owner    string   `json:"owner"` // package that contributed the edge
-	Path     []string `json:"path"`
-}
+import "sync"
 
 // A FuncSummary is the cross-package abstract of one function.
 type FuncSummary struct {
-	Name       string    `json:"name"`
-	Acquires   []Acq     `json:"acquires,omitempty"`
-	HeldAtExit []ClassID `json:"heldAtExit,omitempty"`
+	Name string
 
 	// Goroutine lifecycle shape (see package goroutinelife rules).
-	Joins           bool `json:"joins,omitempty"`           // calls Done() on a sync.WaitGroup
-	ClosesChan      bool `json:"closesChan,omitempty"`      // closes a channel (possibly deferred)
-	ChannelDriven   bool `json:"channelDriven,omitempty"`   // loop-free body gated on channel receives
-	UnstoppableLoop bool `json:"unstoppableLoop,omitempty"` // cond-less loop with no exit or channel wait
-	HasLoop         bool `json:"hasLoop,omitempty"`         // contains any for/range loop
-	WaitsOnChan     bool `json:"waitsOnChan,omitempty"`     // contains a select or channel receive
-	RefsCtx         bool `json:"refsCtx,omitempty"`         // references a context.Context value
+	Joins           bool // calls Done() on a sync.WaitGroup
+	ClosesChan      bool // closes a channel (possibly deferred)
+	ChannelDriven   bool // loop-free body gated on channel receives
+	UnstoppableLoop bool // cond-less loop with no exit or channel wait
+	HasLoop         bool // contains any for/range loop
+	WaitsOnChan     bool // contains a select or channel receive
+	RefsCtx         bool // references a context.Context value
 
 	// Pooled-batch wrapper shape.
-	ReturnsBatch  bool  `json:"returnsBatch,omitempty"`  // returns engine.GetBatch's result
-	RecyclesParam []int `json:"recyclesParam,omitempty"` // param indices reaching PutBatch/RecycleChunk
+	ReturnsBatch  bool  // returns engine.GetBatch's result
+	RecyclesParam []int // param indices reaching PutBatch/RecycleChunk
 }
 
-// A Package is one package's summaries plus the lock-graph edges its
-// functions contribute.
-type Package struct {
-	Path  string                  `json:"path"`
-	Funcs map[string]*FuncSummary `json:"funcs,omitempty"`
-	Edges []Edge                  `json:"edges,omitempty"`
-}
-
-// A Program accumulates packages across one driver run (or, under go
-// vet, one unit plus its deps' facts). Safe for concurrent use by the
-// parallel driver.
+// A Program accumulates every analyzed package's summaries across one
+// driver run. Safe for concurrent use by the parallel driver.
 type Program struct {
-	mu   sync.RWMutex
-	pkgs map[string]*Package
+	mu sync.RWMutex
 	// funcs indexes every summary by full name for cross-package lookup.
 	funcs map[string]*FuncSummary
 }
 
 func NewProgram() *Program {
-	return &Program{pkgs: map[string]*Package{}, funcs: map[string]*FuncSummary{}}
+	return &Program{funcs: map[string]*FuncSummary{}}
 }
 
-// Add registers one package's summaries.
-func (p *Program) Add(pkg *Package) {
+// Add registers one package's summaries, keyed by full name.
+func (p *Program) Add(funcs map[string]*FuncSummary) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.pkgs[pkg.Path] = pkg
-	for name, fs := range pkg.Funcs {
+	for name, fs := range funcs {
 		p.funcs[name] = fs
 	}
 }
@@ -205,55 +59,4 @@ func (p *Program) Func(name string) *FuncSummary {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return p.funcs[name]
-}
-
-// Package returns a package's summaries, nil when absent.
-func (p *Program) Package(path string) *Package {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.pkgs[path]
-}
-
-// Edges returns every lock-graph edge across the program, deduplicated
-// by (From, To) with the first witness kept, in deterministic order.
-func (p *Program) Edges() []Edge {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var paths []string
-	for path := range p.pkgs {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	seen := map[[2]ClassID]bool{}
-	var out []Edge
-	for _, path := range paths {
-		for _, e := range p.pkgs[path].Edges {
-			k := [2]ClassID{e.From, e.To}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// EncodePackage serializes one package's summaries (the vetx facts
-// payload).
-func EncodePackage(pkg *Package) ([]byte, error) {
-	return json.Marshal(pkg)
-}
-
-// DecodePackage deserializes a facts payload; empty input yields nil
-// (dependencies built by tools without facts write empty files).
-func DecodePackage(data []byte) (*Package, error) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	pkg := new(Package)
-	if err := json.Unmarshal(data, pkg); err != nil {
-		return nil, err
-	}
-	return pkg, nil
 }

@@ -3,19 +3,16 @@ package analyzers
 import "amnesiadb/tools/amnesialint/analysis"
 
 // All returns the full amnesialint suite in the order findings are
-// reported. The flow-sensitive analyzers (lockorder, goroutinelife,
-// recycleflow) run alongside the syntactic ones; recycleflow subsumes
-// the retired batchlifecycle check.
+// reported: only the invariants nothing else enforces. The lock
+// hierarchy is internal/lockrank's runtime assertion under `make race`;
+// drop safety is the handle scaffold plus TestHandleContract; the
+// fsync handshake is handle.mutate's body (docs/LOCKING.md, README).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Liveness,
-		LockOrder,
 		GoroutineLife,
-		RecycleFlow,
-		GovFlow,
+		PairFlow,
 		WALExhaustive,
 		CtxFlow,
 		SentErr,
-		NoFsyncSkip,
 	}
 }

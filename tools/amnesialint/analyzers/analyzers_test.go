@@ -10,20 +10,16 @@ import (
 // positive cases (want comments) and negative cases (clean lines the
 // harness asserts stay silent).
 
-func TestLiveness(t *testing.T) {
-	linttest.Run(t, "testdata/src/liveness", Liveness)
+// PairFlow carries one spec per paired resource; each resource keeps
+// its own fixture, and running the whole analyzer over each also pins
+// that the other spec stays silent there.
+
+func TestGovFlow(t *testing.T) {
+	linttest.Run(t, "testdata/src/govflow", PairFlow)
 }
 
 func TestRecycleFlow(t *testing.T) {
-	linttest.Run(t, "testdata/src/recycleflow", RecycleFlow)
-}
-
-func TestGovFlow(t *testing.T) {
-	linttest.Run(t, "testdata/src/govflow", GovFlow)
-}
-
-func TestLockOrder(t *testing.T) {
-	linttest.Run(t, "testdata/src/lockorder", LockOrder)
+	linttest.Run(t, "testdata/src/recycleflow", PairFlow)
 }
 
 func TestGoroutineLife(t *testing.T) {
@@ -40,8 +36,4 @@ func TestCtxFlow(t *testing.T) {
 
 func TestSentErr(t *testing.T) {
 	linttest.Run(t, "testdata/src/senterr", SentErr)
-}
-
-func TestNoFsyncSkip(t *testing.T) {
-	linttest.Run(t, "testdata/src/nofsyncskip", NoFsyncSkip)
 }

@@ -1,4 +1,4 @@
-// Package governor stubs the quota surface the govflow rule tracks:
+// Package governor stubs the quota surface the pairflow rule tracks:
 // the method set and import-path shape match the real
 // internal/engine/governor.
 package governor

@@ -1,8 +1,8 @@
-// Package use exercises the governed-charge rules: release on every
+// Package quota exercises the governed-charge rules: release on every
 // path, deferred release, amount-matched pairing, ownership handoff
 // (struct stamp, closure capture, call argument), error-branch
 // exemption, and discarded Acquire errors.
-package use
+package quota
 
 import "fixture/internal/engine/governor"
 
@@ -39,7 +39,7 @@ func goodInline(q *governor.Quota, n int64) error {
 
 // leakEarlyReturn forgets the release on the early-return path.
 func leakEarlyReturn(q *governor.Quota, n int64, fast bool) error {
-	if err := q.Acquire(n); err != nil { // want govflow "without a matching Release"
+	if err := q.Acquire(n); err != nil { // want pairflow "without a matching Release"
 		return err
 	}
 	if fast {
@@ -51,7 +51,7 @@ func leakEarlyReturn(q *governor.Quota, n int64, fast bool) error {
 
 // leakNoRelease never settles the charge at all.
 func leakNoRelease(q *governor.Quota, n int64) error {
-	if err := q.Acquire(n); err != nil { // want govflow "without a matching Release"
+	if err := q.Acquire(n); err != nil { // want pairflow "without a matching Release"
 		return err
 	}
 	return work()
@@ -73,7 +73,7 @@ func branchedRelease(q *governor.Quota, n int64, fast bool) {
 // releasing outBytes does not settle flatBytes, and the second
 // acquire's error path returns with flatBytes still outstanding.
 func leakOneOfTwo(q *governor.Quota, flatBytes, outBytes int64) error {
-	if err := q.Acquire(flatBytes); err != nil { // want govflow "without a matching Release"
+	if err := q.Acquire(flatBytes); err != nil { // want pairflow "without a matching Release"
 		return err
 	}
 	if err := q.Acquire(outBytes); err != nil {
@@ -131,13 +131,13 @@ func settle(q *governor.Quota, n int64) { q.Release(n) }
 
 // discarded ignores Acquire's error: the kill latch is lost.
 func discarded(q *governor.Quota, n int64) {
-	q.Acquire(n) // want govflow "discarded"
+	q.Acquire(n) // want pairflow "discarded"
 	q.Release(n)
 }
 
 // discardedBlank is the underscore variant.
 func discardedBlank(q *governor.Quota, n int64) {
-	_ = q.Acquire(n) // want govflow "discarded"
+	_ = q.Acquire(n) // want pairflow "discarded"
 	q.Release(n)
 }
 
@@ -170,7 +170,7 @@ func loopCharge(q *governor.Quota, n int64, k int) error {
 // loopLeak continues past the release on the even iterations.
 func loopLeak(q *governor.Quota, n int64, k int) error {
 	for i := 0; i < k; i++ {
-		if err := q.Acquire(n); err != nil { // want govflow "without a matching Release"
+		if err := q.Acquire(n); err != nil { // want pairflow "without a matching Release"
 			return err
 		}
 		if i%2 == 0 {
@@ -200,7 +200,7 @@ func litCharge(q *governor.Quota, n int64, k int) func() ([]buf, error) {
 // litLeak is the closure variant of a missing release.
 func litLeak(q *governor.Quota, n int64) func() error {
 	return func() error {
-		if err := q.Acquire(n); err != nil { // want govflow "without a matching Release"
+		if err := q.Acquire(n); err != nil { // want pairflow "without a matching Release"
 			return err
 		}
 		return work()

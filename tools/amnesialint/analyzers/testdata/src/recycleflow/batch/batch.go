@@ -1,14 +1,14 @@
-// Package use exercises the path-sensitive batch rules: leaks, clean
+// Package batch exercises the path-sensitive batch rules: leaks, clean
 // releases, double recycles (including through aliases and loops),
 // use-after-recycle across branch merges, and ownership-transferring
 // escapes.
-package use
+package batch
 
 import "fixture/internal/engine"
 
 // leak never returns its batch to the pool and never escapes it.
 func leak(n int) int {
-	b := engine.GetBatch() // want recycleflow "never returned to the pool"
+	b := engine.GetBatch() // want pairflow "never returned to the pool"
 	if n > len(b.Sel) {
 		return 0
 	}
@@ -32,7 +32,7 @@ func recycled() {
 func double() {
 	b := engine.GetBatch()
 	engine.PutBatch(b)
-	engine.PutBatch(b) // want recycleflow "already be recycled"
+	engine.PutBatch(b) // want pairflow "already be recycled"
 }
 
 // escape hands ownership to the caller; the pool return is their job.
@@ -59,7 +59,7 @@ func branchThenUse(fast bool) int {
 	if fast {
 		engine.PutBatch(b)
 	}
-	return len(b.Sel) // want recycleflow "used after being recycled"
+	return len(b.Sel) // want pairflow "used after being recycled"
 }
 
 // branchReturnThenUse is the clean variant: the recycling branch
@@ -80,7 +80,7 @@ func aliasDouble() {
 	b := engine.GetBatch()
 	c := b
 	engine.PutBatch(b)
-	engine.PutBatch(c) // want recycleflow "already be recycled"
+	engine.PutBatch(c) // want pairflow "already be recycled"
 }
 
 // aliasUse reads through an alias after the original was recycled.
@@ -88,7 +88,7 @@ func aliasUse() int {
 	b := engine.GetBatch()
 	c := b
 	engine.PutBatch(b)
-	return len(c.Sel) // want recycleflow "used after being recycled"
+	return len(c.Sel) // want pairflow "used after being recycled"
 }
 
 // loopReacquire gets a fresh batch each iteration; the recycle at the
@@ -108,7 +108,7 @@ func loopReacquire(n int) int {
 func loopRecycleNoReacquire(n int) {
 	b := engine.GetBatch()
 	for i := 0; i < n; i++ {
-		engine.PutBatch(b) // want recycleflow "already be recycled"
+		engine.PutBatch(b) // want pairflow "already be recycled"
 	}
 }
 
@@ -116,7 +116,7 @@ func loopRecycleNoReacquire(n int) {
 // inline, once at exit through the defer.
 func deferPlusInline(done bool) {
 	b := engine.GetBatch()
-	defer engine.PutBatch(b) // want recycleflow "already be recycled"
+	defer engine.PutBatch(b) // want pairflow "already be recycled"
 	if done {
 		engine.PutBatch(b)
 	}
@@ -150,7 +150,7 @@ func viaWrappers(fast bool) int {
 	if fast {
 		return n
 	}
-	return len(b.Val) // want recycleflow "used after being recycled"
+	return len(b.Val) // want pairflow "used after being recycled"
 }
 
 // cleanWrappers balances the wrapper source with the wrapper sink.

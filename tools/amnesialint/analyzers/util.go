@@ -10,17 +10,23 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"amnesiadb/tools/amnesialint/analysis"
+	"amnesiadb/tools/amnesialint/analysis/summary"
 )
 
-// walkStack is ast.Inspect with an ancestor stack; stack excludes n.
-func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
+// walkStack is ast.Inspect with an ancestor stack; stack excludes n,
+// and fn returning false prunes n's children.
+func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	var stack []ast.Node
 	ast.Inspect(root, func(n ast.Node) bool {
 		if n == nil {
 			stack = stack[:len(stack)-1]
 			return true
 		}
-		fn(n, stack)
+		if !fn(n, stack) {
+			return false
+		}
 		stack = append(stack, n)
 		return true
 	})
@@ -39,6 +45,14 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
+}
+
+// calleeSummary is the called function's cross-package summary, or nil.
+func calleeSummary(pass *analysis.Pass, call *ast.CallExpr) *summary.FuncSummary {
+	if fn := calleeFunc(pass.TypesInfo, call); fn != nil {
+		return pass.Prog.Func(fn.FullName())
+	}
+	return nil
 }
 
 // isFuncNamed reports whether call invokes a function named name whose
@@ -85,22 +99,6 @@ func namedOf(t types.Type) *types.Named {
 	}
 	n, _ := t.(*types.Named)
 	return n
-}
-
-// hasMethod reports whether *T (or T) has a method named name,
-// including unexported methods from T's own package.
-func hasMethod(t types.Type, name string) bool {
-	n := namedOf(t)
-	if n == nil {
-		return false
-	}
-	ms := types.NewMethodSet(types.NewPointer(n))
-	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == name {
-			return true
-		}
-	}
-	return false
 }
 
 // isContextType reports whether t is context.Context.
@@ -185,40 +183,3 @@ func funcDecls(files []*ast.File, fset *token.FileSet, fn func(*ast.FuncDecl)) {
 		}
 	}
 }
-
-// exclusiveBranches reports whether two AST nodes, given their ancestor
-// stacks, sit in mutually exclusive branches (if/else arms or distinct
-// switch/select cases) so that at runtime only one executes.
-func exclusiveBranches(stackA, stackB []ast.Node) bool {
-	// Find the deepest common ancestor and the children through which
-	// each path continues.
-	common := -1
-	for i := 0; i < len(stackA) && i < len(stackB); i++ {
-		if stackA[i] != stackB[i] {
-			break
-		}
-		common = i
-	}
-	if common < 0 || common+1 >= len(stackA) || common+1 >= len(stackB) {
-		return false
-	}
-	childA, childB := stackA[common+1], stackB[common+1]
-	if childA == childB {
-		return false
-	}
-	switch stackA[common].(type) {
-	case *ast.IfStmt:
-		return true // body vs else
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		_, caseA := childA.(*ast.CaseClause)
-		_, caseB := childB.(*ast.CaseClause)
-		_, commA := childA.(*ast.CommClause)
-		_, commB := childB.(*ast.CommClause)
-		return (caseA && caseB) || (commA && commB)
-	}
-	return false
-}
-
-// enginePath is the import-path suffix of the engine package that owns
-// the pooled-batch primitives.
-const enginePath = "internal/engine"

@@ -1,38 +1,25 @@
-// Command amnesialint runs the repo's invariant analyzers. It speaks
-// two dialects:
+// Command amnesialint runs the repo's invariant analyzers over package
+// patterns: `go run ./tools/amnesialint/cmd ./...`. Packages are
+// analyzed in parallel (GOMAXPROCS workers), dependency-ordered, with
+// cross-package summaries shared in-process. Findings print as
+// `file:line:col: message (analyzer)`.
 //
-//   - the `go vet -vettool` protocol (-V=full, -flags, unit .cfg files),
-//     so CI runs it as `go vet -vettool=$(pwd)/amnesialint ./...` with
-//     go's per-package caching; cross-package summaries travel as the
-//     unit's .vetx facts file;
-//   - a standalone mode over package patterns for local use:
-//     `go run ./tools/amnesialint/cmd ./...`. Packages are analyzed in
-//     parallel, dependency-ordered, with summaries shared in-process.
+// Flags:
 //
-// Standalone flags:
-//
-//	-json           emit findings as a JSON array on stdout
 //	-audit          print the //lint:ignore inventory as a markdown table
 //	-auditcheck F   fail unless F's lint-audit section matches the tree
 //	-budget D       exit 3 when the run exceeds wall-time budget D
-//	-p N            analysis parallelism (default GOMAXPROCS)
 //
 // Exit status is 1 when any finding survives suppression (or the audit
 // drifted), 2 on internal error, 3 on budget breach, 0 otherwise.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/ast"
-	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -42,227 +29,16 @@ import (
 	"time"
 
 	"amnesiadb/tools/amnesialint/analysis"
-	"amnesiadb/tools/amnesialint/analysis/summary"
 	"amnesiadb/tools/amnesialint/analyzers"
 	"amnesiadb/tools/amnesialint/internal/load"
 )
 
-// modulePrefix gates fact computation under `go vet`: dependency units
-// outside the repo module (the standard library) get empty facts
-// instead of a from-source type-check.
-const modulePrefix = "amnesiadb"
-
 func main() {
-	args := os.Args[1:]
-	switch {
-	case len(args) >= 1 && strings.HasPrefix(args[0], "-V"):
-		printVersion()
-	case len(args) >= 1 && args[0] == "-flags":
-		// The build system asks which flags we support before it
-		// forwards user flags; amnesialint has none.
-		fmt.Println("[]")
-	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
-		runVetUnit(args[0])
-	default:
-		runStandalone(args)
-	}
-}
-
-// printVersion implements the -V=full handshake: the go command hashes
-// the tool binary into its build cache key so analysis reruns only when
-// the tool or the package changes.
-func printVersion() {
-	exe, err := os.Executable()
-	if err != nil {
-		fatal(err)
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fatal(err)
-	}
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fatal(err)
-	}
-	f.Close()
-	fmt.Printf("%s version devel comments-go-here buildID=%x\n", exe, h.Sum(nil))
-	os.Exit(0)
-}
-
-// vetConfig is the JSON compilation-unit description `go vet` hands a
-// vettool (the unitchecker *.cfg contract). PackageVetx maps each
-// dependency's import path to its facts file; VetxOutput is where this
-// unit's facts go.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func inModule(importPath string) bool {
-	return importPath == modulePrefix || strings.HasPrefix(importPath, modulePrefix+"/") ||
-		strings.HasPrefix(importPath, modulePrefix+" ") || strings.HasPrefix(importPath, modulePrefix+".")
-}
-
-func runVetUnit(cfgFile string) {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := new(vetConfig)
-	if err := json.Unmarshal(data, cfg); err != nil {
-		fatal(fmt.Errorf("cannot decode vet config %s: %v", cfgFile, err))
-	}
-	// Dependencies outside the module carry no summaries worth
-	// computing; satisfy the protocol's output-file contract and stop.
-	if cfg.VetxOnly && !inModule(cfg.ImportPath) {
-		writeVetx(cfg, nil)
-		os.Exit(0)
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				writeVetx(cfg, nil)
-				os.Exit(0)
-			}
-			fatal(err)
-		}
-		files = append(files, f)
-	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	conf := &types.Config{
-		Importer: importerFunc(func(importPath string) (*types.Package, error) {
-			path, ok := cfg.ImportMap[importPath]
-			if !ok {
-				return nil, fmt.Errorf("can't resolve import %q", importPath)
-			}
-			return imp.Import(path)
-		}),
-		Sizes:     types.SizesFor("gc", build.Default.GOARCH),
-		GoVersion: cfg.GoVersion,
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Instances:  make(map[*ast.Ident]types.Instance),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			writeVetx(cfg, nil)
-			os.Exit(0)
-		}
-		fatal(err)
-	}
-
-	session := analysis.NewSession(analyzers.All())
-	loadFacts(session, cfg.PackageVetx)
-
-	// Facts-only pass for module dependencies: summarize, serialize, done.
-	if cfg.VetxOnly {
-		sum := session.Summarize(fset, files, pkg, info)
-		facts, err := summary.EncodePackage(sum)
-		if err != nil {
-			fatal(err)
-		}
-		writeVetx(cfg, facts)
-		os.Exit(0)
-	}
-
-	sum, err := session.RunPackage(fset, files, pkg, info)
-	if err != nil {
-		fatal(err)
-	}
-	findings, err := session.Finalize()
-	if err != nil {
-		fatal(err)
-	}
-	facts, err := summary.EncodePackage(sum)
-	if err != nil {
-		fatal(err)
-	}
-	writeVetx(cfg, facts)
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(findings) > 0 {
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
-
-// loadFacts decodes dependency summaries from .vetx files; absent or
-// empty files (non-module deps, older tool runs) contribute nothing.
-func loadFacts(session *analysis.Session, vetx map[string]string) {
-	for _, file := range vetx {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			continue
-		}
-		p, err := summary.DecodePackage(data)
-		if err != nil || p == nil {
-			continue
-		}
-		session.AddFacts(p)
-	}
-}
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-func writeVetx(cfg *vetConfig, data []byte) {
-	if cfg.VetxOutput == "" {
-		return
-	}
-	if data == nil {
-		data = []byte{}
-	}
-	if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
-		fatal(err)
-	}
-}
-
-// runStandalone analyzes package patterns (default ./...) using
-// `go list` metadata, for local `make lint` runs and tests.
-func runStandalone(args []string) {
-	fs := flag.NewFlagSet("amnesialint", flag.ExitOnError)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	audit := fs.Bool("audit", false, "print the //lint:ignore inventory as a markdown table")
-	auditCheck := fs.String("auditcheck", "", "fail unless the file's lint-audit section matches the tree")
-	budget := fs.Duration("budget", 0, "exit 3 when the run exceeds this wall-time budget")
-	par := fs.Int("p", runtime.GOMAXPROCS(0), "analysis parallelism")
-	if err := fs.Parse(args); err != nil {
-		fatal(err)
-	}
-	patterns := fs.Args()
+	audit := flag.Bool("audit", false, "print the //lint:ignore inventory as a markdown table")
+	auditCheck := flag.String("auditcheck", "", "fail unless the file's lint-audit section matches the tree")
+	budget := flag.Duration("budget", 0, "exit 3 when the run exceeds this wall-time budget")
+	flag.Parse()
+	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -273,20 +49,16 @@ func runStandalone(args []string) {
 	}
 
 	start := time.Now()
-	findings, pkgs, err := check(".", patterns, *par)
+	findings, pkgs, err := check(".", patterns)
 	if err != nil {
 		fatal(err)
 	}
 	elapsed := time.Since(start)
-	if *jsonOut {
-		emitJSON(findings)
-	} else {
-		for _, f := range findings {
-			fmt.Fprintln(os.Stderr, f)
-		}
+	for _, f := range findings {
+		fmt.Fprintln(os.Stderr, f)
 	}
 	fmt.Fprintf(os.Stderr, "amnesialint: %d packages in %s (parallelism %d)\n",
-		pkgs, elapsed.Round(time.Millisecond), *par)
+		pkgs, elapsed.Round(time.Millisecond), runtime.GOMAXPROCS(0))
 	if *budget > 0 && elapsed > *budget {
 		fmt.Fprintf(os.Stderr, "amnesialint: run took %s, over the %s budget\n", elapsed.Round(time.Millisecond), *budget)
 		os.Exit(3)
@@ -296,40 +68,17 @@ func runStandalone(args []string) {
 	}
 }
 
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func emitJSON(findings []analysis.Finding) {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			File: f.Pos.Filename, Line: f.Pos.Line, Column: f.Pos.Column,
-			Analyzer: f.Analyzer, Message: f.Message,
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatal(err)
-	}
-}
-
 // Check runs the full suite over the patterns rooted at dir and returns
 // the surviving findings. Exposed for the tree-cleanliness test.
 func Check(dir string, patterns ...string) ([]analysis.Finding, error) {
-	findings, _, err := check(dir, patterns, runtime.GOMAXPROCS(0))
+	findings, _, err := check(dir, patterns)
 	return findings, err
 }
 
-// check loads the patterns, analyzes every target package (and
-// summarizes in-module dependencies) in parallel dependency order, and
-// finalizes the whole-program passes.
-func check(dir string, patterns []string, par int) ([]analysis.Finding, int, error) {
+// check loads the patterns and analyzes every target package (and
+// summarizes in-module dependencies) in parallel dependency order, one
+// worker per GOMAXPROCS.
+func check(dir string, patterns []string) ([]analysis.Finding, int, error) {
 	units, targets, err := load.List(dir, patterns...)
 	if err != nil {
 		return nil, 0, err
@@ -369,9 +118,7 @@ func check(dir string, patterns []string, par int) ([]analysis.Finding, int, err
 		waiting[path] = n
 	}
 
-	if par < 1 {
-		par = 1
-	}
+	par := runtime.GOMAXPROCS(0)
 	var (
 		mu       sync.Mutex
 		firstErr error
@@ -426,11 +173,7 @@ func check(dir string, patterns []string, par int) ([]analysis.Finding, int, err
 	if firstErr != nil {
 		return nil, 0, firstErr
 	}
-	findings, err := session.Finalize()
-	if err != nil {
-		return nil, 0, err
-	}
-	return findings, len(targets), nil
+	return session.Findings(), len(targets), nil
 }
 
 func analyzeUnit(session *analysis.Session, checker *load.Checker, u *load.Unit, target bool) error {
@@ -442,8 +185,7 @@ func analyzeUnit(session *analysis.Session, checker *load.Checker, u *load.Unit,
 		return err
 	}
 	if target {
-		_, err = session.RunPackage(checked.Fset, checked.Files, checked.Pkg, checked.Info)
-		return err
+		return session.RunPackage(checked.Fset, checked.Files, checked.Pkg, checked.Info)
 	}
 	session.Summarize(checked.Fset, checked.Files, checked.Pkg, checked.Info)
 	return nil

@@ -67,9 +67,9 @@ func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 }
 
 // analyze loads and checks every package of the fixture module and runs
-// the analyzers in one session (so cross-package summaries and
-// whole-program finalize passes behave exactly as in the drivers),
-// returning the findings plus the fixture's source files.
+// the analyzers in one session (so cross-package summaries behave
+// exactly as in the driver), returning the findings plus the fixture's
+// source files.
 func analyze(dir string, analyzers []*analysis.Analyzer) ([]analysis.Finding, []string, error) {
 	units, targets, err := load.List(dir, "./...")
 	if err != nil {
@@ -85,7 +85,7 @@ func analyze(dir string, analyzers []*analysis.Analyzer) ([]analysis.Finding, []
 		if err != nil {
 			return nil, nil, err
 		}
-		if _, err := session.RunPackage(checked.Fset, checked.Files, checked.Pkg, checked.Info); err != nil {
+		if err := session.RunPackage(checked.Fset, checked.Files, checked.Pkg, checked.Info); err != nil {
 			return nil, nil, err
 		}
 		for _, name := range u.GoFiles {
@@ -95,11 +95,7 @@ func analyze(dir string, analyzers []*analysis.Analyzer) ([]analysis.Finding, []
 			files = append(files, name)
 		}
 	}
-	findings, err := session.Finalize()
-	if err != nil {
-		return nil, nil, err
-	}
-	return findings, files, nil
+	return session.Findings(), files, nil
 }
 
 func parseWants(files []string) ([]*want, error) {
