@@ -927,37 +927,65 @@ func (t *Table) Policy() Policy {
 // the commit policy; a persistence failure degrades the database to
 // read-only and surfaces ErrReadOnly.
 func (t *Table) Insert(cols map[string][]int64) error {
-	return t.mutate(func() ([]byte, error) { return t.insertLocked(cols) })
+	rec := t.insertRecord(cols)
+	return t.mutate(func() ([]byte, error) { return t.insertLocked(cols, rec) })
+}
+
+// insertRecord encodes the batch's WAL record before Insert takes the
+// lock, since it depends only on the batch and the fixed schema: the
+// other writer need not wait for it. Its allocation keeps room for the
+// forget record enforcement appends under the lock: framing, name and
+// count in 32 bytes beside the name, and two bytes a row for the
+// positions (at a budget an insert of n rows forgets about n, each
+// delta mostly one byte). nil for an in-memory database, and for a
+// batch missing a schema column, which AppendBatch then rejects under
+// the lock with the table's own error.
+func (t *Table) insertRecord(cols map[string][]int64) []byte {
+	if t.db.dur == nil {
+		return nil
+	}
+	names := t.tbl.Columns()
+	rows := len(cols[names[0]])
+	rec, err := wal.RecordInsertRoom(t.name, names, cols, len(t.name)+32+2*rows)
+	if err != nil {
+		return nil
+	}
+	return rec
 }
 
 // insertLocked applies the batch and, on durable databases, returns the
-// outcome to log — the batch, and the positions enforcement reports
-// forgotten (what was forgotten, never why) — as two records in one
-// buffer: one write, one fsync, one wait.
-func (t *Table) insertLocked(cols map[string][]int64) ([]byte, error) {
+// outcome to log — rec, the batch's record encoded before the lock,
+// and the positions enforcement reports forgotten (what was forgotten,
+// never why) appended to it as a forget record: one buffer, one write,
+// one fsync, one wait. Under the lock run only the append, the
+// enforcement, and the encoding of the forgotten positions into the
+// room rec reserved.
+func (t *Table) insertLocked(cols map[string][]int64, rec []byte) ([]byte, error) {
 	if _, err := t.tbl.AppendBatch(cols); err != nil {
 		return nil, err
 	}
 	forgotten, enfErr := t.enforceBudgetLocked()
-	if t.db.dur == nil {
-		return nil, enfErr
-	}
-	rec, err := wal.RecordInsert(t.name, t.tbl.Columns(), cols)
-	if err != nil {
-		return nil, err
-	}
-	return append(rec, t.forgetRecord(forgotten)...), enfErr
+	return t.appendForget(rec, forgotten), enfErr
 }
 
-// forgetRecord encodes the positions an enforcement forgot, sorting
-// them in place first (the record delta-encodes them); nil for none or
-// for an in-memory database.
-func (t *Table) forgetRecord(forgotten []int) []byte {
+// appendForget appends the record of the positions an enforcement
+// forgot to rec; rec unchanged for none or for an in-memory database.
+func (t *Table) appendForget(rec []byte, forgotten []int) []byte {
 	if t.db.dur == nil || len(forgotten) == 0 {
-		return nil
+		return rec
 	}
-	slices.Sort(forgotten)
-	return wal.RecordForget(t.name, forgotten)
+	sortPositions(forgotten)
+	return wal.AppendForget(rec, t.name, forgotten)
+}
+
+// sortPositions puts positions a strategy forgot in ascending order, in
+// place, for a forget record to delta-encode. Only uniform and rot's
+// uniform fallback return them out of order, so a pass that finds them
+// ascending is all the rest cost.
+func sortPositions(ps []int) {
+	if !slices.IsSorted(ps) {
+		slices.Sort(ps)
+	}
 }
 
 // InsertColumn appends a batch to a table, providing values for the named
@@ -972,7 +1000,7 @@ func (t *Table) InsertColumn(col string, vals []int64) error {
 func (t *Table) EnforceBudget() error {
 	return t.mutate(func() ([]byte, error) {
 		forgotten, err := t.enforceBudgetLocked()
-		return t.forgetRecord(forgotten), err
+		return t.appendForget(nil, forgotten), err
 	})
 }
 

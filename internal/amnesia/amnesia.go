@@ -69,9 +69,14 @@ type Strategy interface {
 	Name() string
 	// Forget marks up to n active tuples of t inactive and returns
 	// their positions (fewer than n only when fewer than n tuples are
-	// active), in no particular order. The WAL logs that answer as it
-	// stands, so it must name exactly the tuples the call deactivated.
-	// The slice may be reused by the strategy's next Forget.
+	// active). fifo and the sampler-backed strategies — ante, frequent,
+	// decay, and rot while its high-water mark leaves enough candidates
+	// — return them ascending; uniform, rot's uniform fallback and the
+	// remaining strategies need not, so the callers that log them (the
+	// facade's forget records, which delta-encode positions) sort only
+	// a slice they find out of order. The WAL logs that answer, so it
+	// must name exactly the tuples the call deactivated. The slice may
+	// be reused by the strategy's next Forget.
 	// Implementations must not reactivate tuples.
 	Forget(t *table.Table, n int) []int
 }

@@ -41,7 +41,10 @@ type weigher interface {
 // subtraction leaves no drift, a variate below the total always lands
 // on a candidate, and the descent is a compare and a masked subtract
 // per level with no branch to mispredict. It works on a private copy
-// of the bitmap and keeps its arrays from one pass to the next.
+// of the bitmap, clearing each victim's bit, and at the end reads the
+// victims off as the candidates the copy lost: in position order, in
+// one pass over the words the fold read, so the callers that log them
+// need not sort. It keeps its arrays from one pass to the next.
 type sampler struct {
 	words []uint64 // candidates still undrawn
 	tree  []uint64 // node i has children 2i and 2i+1; root at 1; leaves at [len/2, len)
@@ -50,8 +53,8 @@ type sampler struct {
 
 // sample returns up to k of the positions set in active below hi, fewer
 // only when fewer are set. Zero-weight positions are drawn, in ascending
-// order, only once no positive weight remains. The result is in draw
-// order and valid until the next call.
+// order, only once no positive weight remains. The result ascends and
+// is valid until the next call.
 func (s *sampler) sample(src *xrand.Source, active *bitvec.Vector, hi int, w weigher, k int) []int {
 	s.out = s.out[:0]
 	nw := (hi + 63) / 64
@@ -69,10 +72,7 @@ func (s *sampler) sample(src *xrand.Source, active *bitvec.Vector, hi int, w wei
 	s.tree = s.tree[:2*leaves]
 	tree := s.tree
 	for wi := range s.words {
-		word := active.Word(wi)
-		if wi == nw-1 && hi%64 != 0 {
-			word &= 1<<(uint(hi)%64) - 1
-		}
+		word := candidates(active, hi, wi)
 		s.words[wi] = word
 		for l := 0; l < leavesInWord; l++ {
 			var sum uint64
@@ -87,7 +87,8 @@ func (s *sampler) sample(src *xrand.Source, active *bitvec.Vector, hi int, w wei
 		tree[i] = tree[2*i] + tree[2*i+1]
 	}
 
-	for len(s.out) < k && tree[1] > 0 {
+	drawn := 0
+	for drawn < k && tree[1] > 0 {
 		u := src.Uint64n(tree[1])
 		i := 1
 		for i < leaves {
@@ -105,15 +106,31 @@ func (s *sampler) sample(src *xrand.Source, active *bitvec.Vector, hi int, w wei
 		wi, shift := leaf/leavesInWord, uint(leaf%leavesInWord)*leafBits
 		victim, weight, _ := w.scan(leaf*leafBits, s.words[wi]>>shift&leafMask, u)
 		s.words[wi] &^= 1 << (shift + uint(victim))
-		s.out = append(s.out, leaf*leafBits+victim)
+		drawn++
 		for ; i >= 1; i /= 2 {
 			tree[i] -= weight
 		}
 	}
-	for wi := 0; len(s.out) < k && wi < nw; wi++ {
-		for m := s.words[wi]; m != 0 && len(s.out) < k; m &= m - 1 {
+	for wi := 0; drawn < k && wi < nw; wi++ {
+		for m := s.words[wi]; m != 0 && drawn < k; m &= m - 1 {
+			s.words[wi] &^= m & -m
+			drawn++
+		}
+	}
+	for wi, undrawn := range s.words {
+		for m := candidates(active, hi, wi) &^ undrawn; m != 0; m &= m - 1 {
 			s.out = append(s.out, wi*64+bits.TrailingZeros64(m))
 		}
 	}
 	return s.out
+}
+
+// candidates returns word wi of active with the positions from hi on
+// cleared.
+func candidates(active *bitvec.Vector, hi, wi int) uint64 {
+	word := active.Word(wi)
+	if wi == hi/64 {
+		word &= 1<<(uint(hi)%64) - 1
+	}
+	return word
 }

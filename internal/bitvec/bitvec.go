@@ -152,6 +152,47 @@ func (v *Vector) CountRange(lo, hi int) int {
 	return c
 }
 
+// Ranks returns the old-to-new position map of a compaction of n
+// positions that keeps v's set bits: entry i is the number of set bits
+// below i where bit i is set, -1 where it is clear. It walks v a word
+// at a time, with no branch per bit.
+func (v *Vector) Ranks(n int) []int32 {
+	out := make([]int32, n)
+	next := int32(0)
+	for base := 0; base < n; base += wordBits {
+		w := v.words[base/wordBits]
+		span := out[base:min(base+wordBits, n)]
+		for j := range span {
+			bit := int32(w >> uint(j) & 1)
+			span[j] = next&-bit | (bit - 1)
+			next += bit
+		}
+	}
+	return out
+}
+
+// Keep returns the elements s[i] whose bit i is set in v, in order, in
+// a slice of exactly that length; s may be shorter than v. It walks v a
+// word at a time: a full word copies its 64 elements at once, an empty
+// one costs nothing.
+func Keep[T any](v *Vector, s []T) []T {
+	out := make([]T, 0, v.CountRange(0, len(s)))
+	for base := 0; base < len(s); base += wordBits {
+		w := v.words[base/wordBits]
+		if rest := len(s) - base; rest < wordBits {
+			w &= 1<<uint(rest) - 1
+		}
+		if w == ^uint64(0) {
+			out = append(out, s[base:base+wordBits]...)
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			out = append(out, s[base+bits.TrailingZeros64(w)])
+		}
+	}
+	return out
+}
+
 // trim clears the spare bits beyond n in the last word so that Count and
 // word-level algebra remain exact.
 func (v *Vector) trim() {

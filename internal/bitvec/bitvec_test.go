@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -304,6 +305,49 @@ func TestPropertyCountComplement(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRanksAndKeepMatchNaive holds the word-at-a-time compaction
+// helpers to a bit-by-bit walk, over lengths that end mid-word and
+// bitmaps with full, empty and mixed words, and over an s shorter than
+// the vector.
+func TestRanksAndKeepMatchNaive(t *testing.T) {
+	src := xrand.New(9)
+	for _, n := range []int{0, 1, 63, 64, 65, 200, 1000} {
+		for _, p := range []float64{0, 0.5, 0.97, 1} {
+			v := New(n)
+			for i := 0; i < n; i++ {
+				// Whole words of one density, so full and empty ones occur.
+				if src.Bool(p) || (i/64)%3 == 1 {
+					v.Set(i)
+				}
+			}
+			ranks := v.Ranks(n)
+			var kept []int
+			for i := 0; i < n; i++ {
+				want := int32(-1)
+				if v.Test(i) {
+					want = int32(len(kept))
+					kept = append(kept, i)
+				}
+				if ranks[i] != want {
+					t.Fatalf("n=%d p=%g: Ranks[%d] = %d, want %d", n, p, i, ranks[i], want)
+				}
+			}
+			s := make([]int, n)
+			for i := range s {
+				s[i] = i
+			}
+			got := Keep(v, s)
+			if fmt.Sprint(got) != fmt.Sprint(kept) || cap(got) != len(got) {
+				t.Fatalf("n=%d p=%g: Keep = %v (cap %d), want %v", n, p, got, cap(got), kept)
+			}
+			short := Keep(v, s[:n/2])
+			if want := kept[:v.CountRange(0, n/2)]; fmt.Sprint(short) != fmt.Sprint(want) {
+				t.Fatalf("n=%d p=%g: Keep of %d = %v, want %v", n, p, n/2, short, want)
+			}
+		}
 	}
 }
 

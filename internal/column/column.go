@@ -181,26 +181,17 @@ func (c *Int64) ScanRangeActive(lo, hi int64, active *bitvec.Vector, sel []int32
 func (c *Int64) MaxValue() (int64, bool) { return c.all.Max, len(c.data) > 0 }
 
 // Compact rebuilds the column keeping only the rows whose bit is set in
-// keep, preserving order, and returns a mapping from old row positions to
-// new ones (-1 for dropped rows). This backs table vacuuming — the
-// "physically remove" fate of forgotten data. A value-order index is
-// remapped in O(n) rather than discarded: the dropped rows leave it here
-// and nowhere earlier, and its unindexed tail is folded in.
-func (c *Int64) Compact(keep *bitvec.Vector) []int32 {
-	if keep.Len() < len(c.data) {
-		panic(fmt.Sprintf("column: keep bitmap %d bits for %d rows", keep.Len(), len(c.data)))
+// keep, preserving order, into an array of exactly their number. remap
+// is keep.Ranks over at least the column's rows, the old-to-new map a
+// table builds once for all its columns. This backs table vacuuming —
+// the "physically remove" fate of forgotten data. A value-order index
+// is remapped in O(n) rather than discarded: the dropped rows leave it
+// here and nowhere earlier, and its unindexed tail is folded in.
+func (c *Int64) Compact(keep *bitvec.Vector, remap []int32) {
+	if keep.Len() < len(c.data) || len(remap) < len(c.data) {
+		panic(fmt.Sprintf("column: keep bitmap %d bits, remap %d entries for %d rows", keep.Len(), len(remap), len(c.data)))
 	}
-	remap := make([]int32, len(c.data))
-	kept := make([]int64, 0, keep.Count())
-	for i, v := range c.data {
-		if keep.Test(i) {
-			remap[i] = int32(len(kept))
-			kept = append(kept, v)
-		} else {
-			remap[i] = -1
-		}
-	}
-	c.data, c.zones, c.all = kept, c.zones[:0], emptyZone
+	c.data, c.zones, c.all = bitvec.Keep(keep, c.data), c.zones[:0], emptyZone
 	c.extendZones(0)
 	if ix := c.index.Load(); ix != nil {
 		// remap is monotone, so the survivors keep their (value,
@@ -214,5 +205,4 @@ func (c *Int64) Compact(keep *bitvec.Vector) []int32 {
 		}
 		c.index.Store(&valueIndex{perm: c.foldTail(perm), maxTail: ix.maxTail})
 	}
-	return remap
 }

@@ -178,7 +178,8 @@ func TestCompact(t *testing.T) {
 	keep.Set(0)
 	keep.Set(2)
 	keep.Set(4)
-	remap := c.Compact(keep)
+	remap := keep.Ranks(c.Len())
+	c.Compact(keep, remap)
 	if c.Len() != 3 {
 		t.Fatalf("post-compact Len = %d", c.Len())
 	}

@@ -103,7 +103,7 @@ func FuzzValueIndex(f *testing.F) {
 					keep.Set(i)
 				}
 			}
-			c.Compact(keep)
+			c.Compact(keep, keep.Ranks(c.Len()))
 			checkIndex(t, c, lo, hi, 0)
 			c.AppendSlice(gen(tail/2 + 1))
 			checkIndex(t, c, lo, hi, tail)

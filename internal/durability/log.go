@@ -70,6 +70,12 @@ type Log struct {
 	err    error // sticky: first write/sync failure
 	closed bool
 	done   chan struct{}
+
+	// buf concatenates a batch of several records for its one write.
+	// Only the committer touches it: it reuses it while batches come
+	// back to back and drops it when the queue runs dry, so an idle log
+	// holds no buffer.
+	buf []byte
 }
 
 // CreateLog opens (creating if absent) segment seq in dir, writes the
@@ -227,6 +233,7 @@ func (l *Log) run() {
 	l.mu.Lock()
 	for {
 		for len(l.queue) == 0 && !l.closed {
+			l.buf = nil
 			l.cond.Wait()
 		}
 		if len(l.queue) == 0 && l.closed {
@@ -239,7 +246,7 @@ func (l *Log) run() {
 		l.mu.Unlock()
 
 		if err == nil {
-			err = writeBatch(f, batch, l.opts.Policy)
+			err = writeBatch(f, l.concat(batch), l.opts.Policy)
 		}
 		if err != nil {
 			l.mu.Lock()
@@ -256,15 +263,25 @@ func (l *Log) run() {
 	}
 }
 
-// writeBatch concatenates the batch and lands it with one write, then
-// syncs per policy. The failpoint sites "wal.write" and "wal.fsync"
-// live here: an error directive fails the batch, a torn directive
-// writes only a prefix — the injected equivalent of dying mid-write.
-func writeBatch(f *os.File, batch []*Pending, policy FsyncPolicy) error {
-	var buf []byte
-	for _, p := range batch {
-		buf = append(buf, p.data...)
+// concat returns the batch's bytes for one write: a lone record's own
+// bytes, as most batches are (a sync in flight is what gathers more),
+// else the records copied back to back into the reused buffer.
+func (l *Log) concat(batch []*Pending) []byte {
+	if len(batch) == 1 {
+		return batch[0].data
 	}
+	l.buf = l.buf[:0]
+	for _, p := range batch {
+		l.buf = append(l.buf, p.data...)
+	}
+	return l.buf
+}
+
+// writeBatch lands a batch's bytes with one write, then syncs per
+// policy. The failpoint sites "wal.write" and "wal.fsync" live here: an
+// error directive fails the batch, a torn directive writes only a
+// prefix — the injected equivalent of dying mid-write.
+func writeBatch(f *os.File, buf []byte, policy FsyncPolicy) error {
 	if len(buf) > 0 {
 		if cut, ok := failpoint.TornAt("wal.write"); ok {
 			if cut > len(buf) {

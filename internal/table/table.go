@@ -357,27 +357,20 @@ func (t *Table) Stats() Stats {
 }
 
 // Vacuum physically removes forgotten tuples from every column and from the
-// metadata arrays, compacting storage. It returns the remapping from old to
-// new positions (-1 for removed tuples). This implements the paper's "as
-// radical as to delete all data being forgotten".
+// metadata arrays, compacting storage into arrays of exactly the active
+// count. It returns the remapping from old to new positions (-1 for
+// removed tuples), built once and shared by every column. This
+// implements the paper's "as radical as to delete all data being
+// forgotten".
 func (t *Table) Vacuum() []int32 {
 	keep := t.active
-	var remap []int32
+	remap := keep.Ranks(t.Len())
 	for _, c := range t.cols {
-		remap = c.Compact(keep)
+		c.Compact(keep, remap)
 	}
-	nActive := keep.Count()
-	newBatch := make([]int32, 0, nActive)
-	newAccess := make([]uint32, 0, nActive)
-	for i := 0; i < t.Len(); i++ {
-		if keep.Test(i) {
-			newBatch = append(newBatch, t.insertBatch[i])
-			newAccess = append(newAccess, t.accessCount[i])
-		}
-	}
-	t.insertBatch = newBatch
-	t.accessCount = newAccess
-	t.active = bitvec.NewSet(nActive)
+	t.insertBatch = bitvec.Keep(keep, t.insertBatch)
+	t.accessCount = bitvec.Keep(keep, t.accessCount)
+	t.active = bitvec.NewSet(len(t.insertBatch))
 	t.bumpEpoch()
 	return remap
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 )
 
 // Kind tags log records.
@@ -128,20 +129,24 @@ func AppendHeader(dst []byte) []byte {
 	return append(dst, h[:]...)
 }
 
-// frame appends one framed record — kind, length, payload, CRC-32 over
-// all three — to dst.
-func frame(dst []byte, kind Kind, payload []byte) []byte {
-	var hdr [5]byte
-	hdr[0] = byte(kind)
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	crc.Write(payload)
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	return append(dst, sum[:]...)
+// A record is a head — kind byte and payload length — then the
+// payload, then a CRC-32 over head and payload.
+const (
+	recordHead = 5
+	recordCRC  = 4
+)
+
+// beginRecord appends a record head for kind to dst, the length left
+// for endRecord to fill in, so the payload is encoded straight into dst.
+func beginRecord(dst []byte, kind Kind) []byte {
+	return append(dst, byte(kind), 0, 0, 0, 0)
+}
+
+// endRecord frames the record begun at dst[start:] in place: it sets the
+// payload length and appends the CRC-32 over kind, length and payload.
+func endRecord(dst []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(dst[start+1:], uint32(len(dst)-start-recordHead))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
 func appendString(b []byte, s string) []byte {
@@ -167,97 +172,131 @@ func appendValues(b []byte, vs []int64) []byte {
 	return b
 }
 
+// uvarintLen is the length of binary.AppendUvarint's encoding of v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// stringLen is the length of appendString's encoding of s.
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
 // RecordCreate encodes a flat-table CREATE.
 func RecordCreate(name string, columns []string) []byte {
-	b := appendString(nil, name)
+	b := appendString(beginRecord(nil, KindCreate), name)
 	b = binary.AppendUvarint(b, uint64(len(columns)))
 	for _, c := range columns {
 		b = appendString(b, c)
 	}
-	return frame(nil, KindCreate, b)
+	return endRecord(b, 0)
 }
 
 // RecordCreatePart encodes a partitioned-table CREATE.
 func RecordCreatePart(name, column string, domain int64, parts int, strategy string, totalBudget int) []byte {
-	b := appendString(nil, name)
+	b := appendString(beginRecord(nil, KindCreatePart), name)
 	b = appendString(b, column)
 	b = binary.AppendVarint(b, domain)
 	b = binary.AppendUvarint(b, uint64(parts))
 	b = appendString(b, strategy)
 	b = binary.AppendUvarint(b, uint64(totalBudget))
-	return frame(nil, KindCreatePart, b)
+	return endRecord(b, 0)
 }
 
 // RecordDrop encodes a DROP of either relation kind.
 func RecordDrop(name string) []byte {
-	return frame(nil, KindDrop, appendString(nil, name))
+	return endRecord(appendString(beginRecord(nil, KindDrop), name), 0)
 }
 
 // RecordInsert encodes one flat-table batch: per schema column (in
 // schema order), the values appended.
 func RecordInsert(name string, cols []string, vals map[string][]int64) ([]byte, error) {
-	b := appendString(nil, name)
-	b = binary.AppendUvarint(b, uint64(len(cols)))
+	return RecordInsertRoom(name, cols, vals, 0)
+}
+
+// RecordInsertRoom is RecordInsert into one allocation of exactly the
+// record's size plus room bytes of spare capacity, where the caller
+// appends what must follow the record without a copy: the facade
+// encodes an insert before taking the relation lock and appends its
+// enforcement's forget record under it.
+func RecordInsertRoom(name string, cols []string, vals map[string][]int64, room int) ([]byte, error) {
+	n := recordHead + stringLen(name) + uvarintLen(uint64(len(cols))) + recordCRC
 	for _, c := range cols {
 		vs, ok := vals[c]
 		if !ok {
 			return nil, fmt.Errorf("wal: insert missing column %q", c)
 		}
-		b = appendString(b, c)
-		b = appendValues(b, vs)
+		n += stringLen(c) + uvarintLen(uint64(len(vs)))
+		for _, v := range vs {
+			n += uvarintLen(uint64(v<<1) ^ uint64(v>>63))
+		}
 	}
-	return frame(nil, KindInsert, b), nil
+	b := appendString(beginRecord(make([]byte, 0, n+room), KindInsert), name)
+	b = binary.AppendUvarint(b, uint64(len(cols)))
+	for _, c := range cols {
+		b = appendString(b, c)
+		b = appendValues(b, vals[c])
+	}
+	return endRecord(b, 0), nil
 }
 
 // RecordForget encodes tuple positions marked inactive.
 func RecordForget(name string, positions []int) []byte {
-	return frame(nil, KindForget, appendPositions(appendString(nil, name), positions))
+	return appendPositionsRecord(nil, KindForget, name, positions)
+}
+
+// AppendForget appends RecordForget's record to dst.
+func AppendForget(dst []byte, name string, positions []int) []byte {
+	return appendPositionsRecord(dst, KindForget, name, positions)
 }
 
 // RecordRemember encodes tuple positions reactivated.
 func RecordRemember(name string, positions []int) []byte {
-	return frame(nil, KindRemember, appendPositions(appendString(nil, name), positions))
+	return appendPositionsRecord(nil, KindRemember, name, positions)
+}
+
+// appendPositionsRecord appends a record of kind naming a relation and
+// tuple positions to dst.
+func appendPositionsRecord(dst []byte, kind Kind, name string, positions []int) []byte {
+	start := len(dst)
+	return endRecord(appendPositions(appendString(beginRecord(dst, kind), name), positions), start)
 }
 
 // RecordVacuum encodes a physical compaction point.
 func RecordVacuum(name string) []byte {
-	return frame(nil, KindVacuum, appendString(nil, name))
+	return endRecord(appendString(beginRecord(nil, KindVacuum), name), 0)
 }
 
 // RecordPartInsert encodes a partition-set insert: per affected shard,
 // the values routed to it and the forgets its budget enforcement chose.
 func RecordPartInsert(name string, shards []ShardMutation) []byte {
-	b := appendString(nil, name)
+	b := appendString(beginRecord(nil, KindPartInsert), name)
 	b = binary.AppendUvarint(b, uint64(len(shards)))
 	for _, s := range shards {
 		b = binary.AppendUvarint(b, uint64(s.Shard))
 		b = appendValues(b, s.Values)
 		b = appendPositions(b, s.Forgotten)
 	}
-	return frame(nil, KindPartInsert, b)
+	return endRecord(b, 0)
 }
 
 // RecordPartAdapt encodes a partition-set Adapt: per shard, the new
 // budget and the forgets the re-enforcement chose.
 func RecordPartAdapt(name string, shards []ShardAdapt) []byte {
-	b := appendString(nil, name)
+	b := appendString(beginRecord(nil, KindPartAdapt), name)
 	b = binary.AppendUvarint(b, uint64(len(shards)))
 	for _, s := range shards {
 		b = binary.AppendUvarint(b, uint64(s.Shard))
 		b = binary.AppendUvarint(b, uint64(s.Budget))
 		b = appendPositions(b, s.Forgotten)
 	}
-	return frame(nil, KindPartAdapt, b)
+	return endRecord(b, 0)
 }
 
 // RecordPolicy encodes a flat-table policy change.
 func RecordPolicy(name string, p PolicySpec) []byte {
-	b := appendString(nil, name)
+	b := appendString(beginRecord(nil, KindPolicy), name)
 	b = appendString(b, p.Strategy)
 	b = binary.AppendUvarint(b, uint64(p.Budget))
 	b = appendString(b, p.Column)
 	b = binary.AppendUvarint(b, uint64(p.MaxAgeBatches))
-	return frame(nil, KindPolicy, b)
+	return endRecord(b, 0)
 }
 
 // Replay applies every record in r — which must start with the file
@@ -330,7 +369,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // quadratic in the worst case but only ever runs over the bytes past a
 // failed replay, which a genuine torn write keeps short.
 func ContainsRecord(data []byte) bool {
-	const overhead = 5 + 4 // kind + length prefix, CRC suffix
+	const overhead = recordHead + recordCRC
 	for i := 0; i+overhead <= len(data); i++ {
 		if data[i] == 0 || Kind(data[i]) >= kindMax {
 			continue
@@ -341,7 +380,7 @@ func ContainsRecord(data []byte) bool {
 			continue
 		}
 		crc := crc32.NewIEEE()
-		crc.Write(data[i : i+5+int(n)])
+		crc.Write(data[i : i+recordHead+int(n)])
 		if crc.Sum32() == binary.LittleEndian.Uint32(data[end-4:]) {
 			return true
 		}
@@ -350,7 +389,7 @@ func ContainsRecord(data []byte) bool {
 }
 
 func readRecord(br *bufio.Reader) (Kind, []byte, error) {
-	var hdr [5]byte
+	var hdr [recordHead]byte
 	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return 0, nil, io.EOF

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -302,5 +303,38 @@ func TestInsertEncodingIdentity(t *testing.T) {
 	got := cat.tables["t"].MustColumn("a").Values()
 	if !reflect.DeepEqual(got, vals["a"]) {
 		t.Fatalf("values corrupted: got %v want %v", got, vals["a"])
+	}
+}
+
+// TestRecordInsertRoom: an insert record fills its allocation exactly,
+// whatever its varint widths, and the room asked for stays spare for a
+// forget record appended in place, byte-identical to one encoded alone.
+func TestRecordInsertRoom(t *testing.T) {
+	cols := []string{"a", "b"}
+	vals := map[string][]int64{
+		"a": {0, -1, 63, -64, 64, -65, 1 << 40, math.MinInt64, math.MaxInt64},
+		"b": make([]int64, 9),
+	}
+	rec, err := RecordInsert("t", cols, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec) != cap(rec) {
+		t.Fatalf("record of %d bytes in an allocation of %d", len(rec), cap(rec))
+	}
+	roomy, err := RecordInsertRoom("t", cols, vals, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(roomy, rec) || cap(roomy) != len(rec)+32 {
+		t.Fatalf("with room: %d bytes, cap %d; want the %d-byte record, cap %d", len(roomy), cap(roomy), len(rec), len(rec)+32)
+	}
+	ps := []int{3, 9, 200, 201}
+	both := AppendForget(roomy, "t", ps)
+	if &both[0] != &roomy[0] {
+		t.Fatal("the forget record did not fit the room")
+	}
+	if want := append(append([]byte(nil), rec...), RecordForget("t", ps)...); !bytes.Equal(both, want) {
+		t.Fatalf("appended in place %x, encoded alone %x", both, want)
 	}
 }

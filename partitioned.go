@@ -2,7 +2,6 @@ package amnesiadb
 
 import (
 	"context"
-	"slices"
 
 	"amnesiadb/internal/expr"
 	"amnesiadb/internal/partition"
@@ -81,7 +80,7 @@ func (p *PartitionedTable) Insert(vals []int64) error {
 		}
 		var shards []wal.ShardMutation
 		err := p.set.InsertObserved(vals, func(shard int, appended []int64, forgotten []int) {
-			slices.Sort(forgotten) // the record delta-encodes positions
+			sortPositions(forgotten)
 			shards = append(shards, wal.ShardMutation{
 				Shard:     shard,
 				Values:    appended,
@@ -127,7 +126,7 @@ func (p *PartitionedTable) Adapt() error {
 		}
 		var shards []wal.ShardAdapt
 		p.set.AdaptObserved(func(shard, budget int, forgotten []int) {
-			slices.Sort(forgotten)
+			sortPositions(forgotten)
 			shards = append(shards, wal.ShardAdapt{
 				Shard:     shard,
 				Budget:    budget,
