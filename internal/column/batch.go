@@ -136,26 +136,27 @@ func (c *Int64) CountRangeIn(lo, hi int64, active *bitvec.Vector, start, end int
 // straight from the qualifying masks: no position or value batch is
 // materialized. An empty qualifying set reports count 0, min MaxInt64
 // and max MinInt64, so partial results merge without a special case.
-// When masks is non-nil, the mask of bitmap word w is OR-ed into
-// masks[w-start/64] — what Table.TouchMask consumes; it must cover the
-// interval and arrive zeroed.
-func (c *Int64) AggregateRangeIn(lo, hi int64, active *bitvec.Vector, start, end int, masks []uint64) (count int, sum, minV, maxV int64) {
+// When counts is non-nil, the same loop that folds a row increments
+// counts[row-start], saturating at the uint32 ceiling — the access
+// counts Table.TouchRange lends; it must cover the interval.
+func (c *Int64) AggregateRangeIn(lo, hi int64, active *bitvec.Vector, start, end int, counts []uint32) (count int, sum, minV, maxV int64) {
 	minV, maxV = math.MaxInt64, math.MinInt64
-	w0 := max(start, 0) >> 6
+	start = max(start, 0)
 	c.scanMasks(lo, hi, active, start, end, func(base int, m uint64) bool {
-		if masks != nil {
-			masks[base>>6-w0] |= m
-		}
 		count += bits.OnesCount64(m)
 		s, mn, mx, data := sum, minV, maxV, c.data
 		for ; m != 0; m &= m - 1 {
-			v := data[base+bits.TrailingZeros64(m)]
+			r := base + bits.TrailingZeros64(m)
+			v := data[r]
 			s += v
 			if v < mn {
 				mn = v
 			}
 			if v > mx {
 				mx = v
+			}
+			if counts != nil && counts[r-start] != ^uint32(0) {
+				counts[r-start]++
 			}
 		}
 		sum, minV, maxV = s, mn, mx

@@ -12,11 +12,12 @@
 // active bitmap's word (all ones when there is no bitmap). Every kernel
 // is a consumer of that mask: ScanBatchRange emits positions and values
 // by TrailingZeros64, CountRangeIn is OnesCount64, AggregateRangeIn
-// folds count/sum/min/max from the set bits and can hand the masks on
-// (Table.TouchMask). Because no compare is a branch, the kernel's cost
-// per row is the same at 0.1 % and at 50 % selectivity — about 1.3x a
-// plain sum over the same values; only the consumers' work scales with
-// the rows that qualify. ScanRangeActive stays row-at-a-time: it is an
+// folds count/sum/min/max from the set bits and, in the same loop,
+// can increment the access counts of the rows it folds (the counts
+// Table.TouchRange lends). Because no compare is a branch, the
+// kernel's cost per row is the same at 0.1 % and at 50 % selectivity —
+// about 1.3x a plain sum over the same values; only the consumers'
+// work scales with the rows that qualify. ScanRangeActive stays row-at-a-time: it is an
 // oracle the kernels are tested against. Zone maps prune blocks, not
 // rows; narrow ranges over spread values use the index (index.go).
 package column

@@ -2,7 +2,6 @@ package column
 
 import (
 	"math"
-	"math/bits"
 	"slices"
 	"testing"
 
@@ -140,19 +139,30 @@ func FuzzScanKernel(f *testing.F) {
 		if k := c.CountRangeIn(lo, hi, act, s, e); k != len(want) {
 			t.Fatalf("CountRangeIn = %d, want %d", k, len(want))
 		}
-		masks := make([]uint64, int(n)/64+1)
-		k, sum, mn, mx := c.AggregateRangeIn(lo, hi, act, s, e, masks)
+		// Access counts over [s, min(e, n)), some at the uint32 ceiling:
+		// the fold increments exactly the qualifying rows, once each.
+		counts := make([]uint32, max(0, min(e, int(n))-s))
+		for i := range counts {
+			if src.Bool(0.1) {
+				counts[i] = ^uint32(0)
+			} else {
+				counts[i] = uint32(src.Intn(1000))
+			}
+		}
+		before := slices.Clone(counts)
+		k, sum, mn, mx := c.AggregateRangeIn(lo, hi, act, s, e, counts)
 		if k != len(want) || sum != wantSum || mn != wantMin || mx != wantMax {
 			t.Fatalf("AggregateRangeIn = (%d, %d, %d, %d), want (%d, %d, %d, %d)", k, sum, mn, mx, len(want), wantSum, wantMin, wantMax)
 		}
-		var touched []int32
-		for w, m := range masks {
-			for ; m != 0; m &= m - 1 {
-				touched = append(touched, int32((s>>6+w)<<6+bits.TrailingZeros64(m)))
+		for _, r := range want {
+			if b := &before[int(r)-s]; *b != ^uint32(0) {
+				*b++
 			}
 		}
-		if !slices.Equal(touched, want) {
-			t.Fatalf("AggregateRangeIn masks name rows %v, want %v", touched, want)
+		for i := range counts {
+			if counts[i] != before[i] {
+				t.Fatalf("row %d: access count %d after the fold, want %d", s+i, counts[i], before[i])
+			}
 		}
 	})
 }

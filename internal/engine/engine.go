@@ -9,10 +9,11 @@
 // vector of tuple positions with the parallel value vector, and
 // expr.Filter compacts it in place for bounds-inexact predicates.
 // Counts are popcounts. Aggregates fold count/sum/min/max straight from
-// the masks with no batch in between and hand the same masks to
-// Table.TouchMask as their access-frequency feedback, one morsel at a
-// time. Scratch batches come from a pool, so steady-state scans
-// allocate only their output.
+// the masks with no batch in between and, in the same loop, increment
+// the access counts of the rows they fold — their access-frequency
+// feedback — one block at a time under Table.TouchRange. Scratch
+// batches come from a pool, so steady-state scans allocate only their
+// output.
 //
 // Two scan modes mirror the paper's §1 discussion of what happens to
 // forgotten data: ScanActive skips forgotten tuples (the "stop indexing"
@@ -88,8 +89,9 @@
 // query-based amnesia (§3.2) go through the table's internally
 // synchronized flushes: one TouchMany per Select or stream — a stream's
 // covers the rows its emitter handed over, so a LIMIT pushed down with
-// WithLimit touches exactly the rows returned — and one TouchMask per
-// aggregate morsel. The touch lock is never held across a scan.
+// WithLimit touches exactly the rows returned — and one TouchRange per
+// block an aggregate folds. A touch stripe is never held across a
+// morsel or a scan.
 package engine
 
 import (
@@ -383,9 +385,11 @@ func (a *AggResult) Value(k AggKind) float64 {
 // the column kernel's qualifying masks; inexact ones run the filter
 // pipeline and fold its batches. Sums, counts and min/max are
 // order-independent over int64, so per-worker partials merge to the
-// same aggregate at every parallelism. On the feedback path each morsel
-// flushes the masks of the rows it folded through Table.TouchMask: the
-// same rows a Select would touch, in O(morsel) memory. A narrow
+// same aggregate at every parallelism. On the feedback path a morsel
+// folds one TouchBlock-row block at a time inside Table.TouchRange, so
+// the kernel increments the access counts of exactly the rows a Select
+// would touch in the loop that folds them, holding one stripe for one
+// block; an inexact predicate's batches go through TouchMany. A narrow
 // predicate the column's value-order index answers (see planIndex) is
 // one task instead, folding the plan's batches and touching their
 // positions. It returns ErrNoRows when no tuple qualifies.
@@ -410,13 +414,6 @@ func (e *Exec) Aggregate(col string, pred expr.Expr, mode ScanMode) (*AggResult,
 	for i := range partials {
 		partials[i].Min, partials[i].Max = math.MaxInt64, math.MinInt64
 	}
-	// One mask scratch per worker, a morsel's worth of bitmap words;
-	// nil (no masks recorded) off the feedback path.
-	var scratch []uint64
-	wordsPer := (min(rowsPer, c.Len()) + 63) / 64
-	if touching && !indexed {
-		scratch = make([]uint64, workers*wordsPer)
-	}
 	err = ForEachTask(e.ctx, e.sched, workers, nm, func(w, m int) {
 		p := &partials[w]
 		if indexed {
@@ -430,25 +427,24 @@ func (e *Exec) Aggregate(col string, pred expr.Expr, mode ScanMode) (*AggResult,
 			return
 		}
 		start, end := m*rowsPer, min((m+1)*rowsPer, c.Len())
-		var masks []uint64
-		if scratch != nil {
-			masks = scratch[w*wordsPer:][:(end-start+63)/64]
-			clear(masks)
-		}
-		if exact {
-			p.fold(c.AggregateRangeIn(lo, hi, active, start, end, masks))
-		} else {
+		switch {
+		case !exact:
 			scanMorselBatches(c, lo, hi, exact, pred, active, start, end, func(sel []int32, val []int64) {
-				if masks != nil {
-					for _, r := range sel {
-						masks[(int(r)-start)>>6] |= 1 << (uint(r) & 63)
-					}
-				}
 				p.foldValues(val)
+				if touching {
+					e.t.TouchMany(sel)
+				}
 			})
-		}
-		if masks != nil {
-			e.t.TouchMask(start>>6, masks)
+		case touching:
+			for bs := start; bs < end; {
+				be := min((bs/table.TouchBlock+1)*table.TouchBlock, end)
+				e.t.TouchRange(bs, be, func(counts []uint32) {
+					p.fold(c.AggregateRangeIn(lo, hi, active, bs, be, counts))
+				})
+				bs = be
+			}
+		default:
+			p.fold(c.AggregateRangeIn(lo, hi, active, start, end, nil))
 		}
 	})
 	if err != nil {

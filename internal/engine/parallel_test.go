@@ -198,12 +198,21 @@ func TestAggregateMatchesSelectAtEverySize(t *testing.T) {
 }
 
 // TestConcurrentAggregatesAndSelectsTouchExactly races touching
-// aggregates (per-morsel TouchMask flushes) against touching selects
-// (per-query TouchMany) on one table: the final access counts are the
-// serial sum — each query adds one to every row it matched.
+// aggregates (one TouchRange per block folded), inexact-predicate
+// aggregates (TouchMany per batch) and touching selects (one TouchMany
+// per query) on one four-morsel table, at parallelism 1 to 4 on a
+// four-wide pool so that workers of different queries share stripes:
+// the final access counts are the serial sum — each query adds one to
+// every row it matched.
 func TestConcurrentAggregatesAndSelectsTouchExactly(t *testing.T) {
 	tb := parallelTable(t, "random")
+	pool := sched.New(4)
+	t.Cleanup(pool.Close)
 	pred := expr.NewRange(1<<14, 1<<16)
+	inexact := expr.Or{L: expr.NewRange(1<<14, 1<<15), R: expr.NewRange(3<<14, 1<<16)}
+	if _, _, exact := inexact.Bounds(); exact {
+		t.Fatal("the or-predicate's bounds are exact; the inexact path goes untested")
+	}
 	const goroutines, rounds = 8, 3
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -211,12 +220,16 @@ func TestConcurrentAggregatesAndSelectsTouchExactly(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			ex := New(tb)
-			ex.SetParallelism(1 + g%3)
+			ex.SetScheduler(pool)
+			ex.SetParallelism(1 + g%4)
 			for i := 0; i < rounds; i++ {
 				var err error
-				if (g+i)%2 == 0 {
+				switch (g + i) % 3 {
+				case 0:
 					_, err = ex.Aggregate("a", pred, ScanActive)
-				} else {
+				case 1:
+					_, err = ex.Aggregate("a", inexact, ScanActive)
+				default:
 					_, err = ex.Select("a", pred, ScanActive)
 				}
 				if err != nil {
@@ -226,10 +239,17 @@ func TestConcurrentAggregatesAndSelectsTouchExactly(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	matched := rowSelect(tb, "a", pred, ScanActive)
 	want := make([]uint32, tb.Len())
-	for _, r := range matched.Rows {
-		want[r] = goroutines * rounds
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < rounds; i++ {
+			p := expr.Expr(pred)
+			if (g+i)%3 == 1 {
+				p = inexact
+			}
+			for _, r := range rowSelect(tb, "a", p, ScanActive).Rows {
+				want[r]++
+			}
+		}
 	}
 	if !reflect.DeepEqual(accessCounts(tb), want) {
 		t.Fatal("concurrent touches lost or duplicated access counts")

@@ -268,10 +268,12 @@ func (s *Set) Insert(vals []int64) error { return s.InsertObserved(vals, nil) }
 // appended there, and the positions the shard's strategy reports
 // forgotten — unordered, valid until that shard is next mutated. The
 // durability layer turns one call into one WAL record that replays
-// bit-for-bit without re-running the strategy. A nil obs makes it
-// plain Insert.
+// bit-for-bit without re-running the strategy. Shards are visited in
+// ascending order, so a seeded run logs the same bytes every time and
+// a failing shard leaves exactly the lower ones committed. A nil obs
+// makes it plain Insert.
 func (s *Set) InsertObserved(vals []int64, obs func(shard int, appended []int64, forgotten []int)) error {
-	byShard := make(map[int][]int64)
+	byShard := make([][]int64, len(s.parts))
 	for _, v := range vals {
 		i, err := s.locateIdx(v)
 		if err != nil {
@@ -280,6 +282,9 @@ func (s *Set) InsertObserved(vals []int64, obs func(shard int, appended []int64,
 		byShard[i] = append(byShard[i], v)
 	}
 	for i, vs := range byShard {
+		if len(vs) == 0 {
+			continue
+		}
 		p := s.parts[i]
 		p.mu.Lock()
 		_, err := p.tbl.AppendSingleColumn(vs)

@@ -8,7 +8,6 @@ package table
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -24,19 +23,21 @@ import (
 // Concurrency contract: structural mutation (appends, forgetting,
 // vacuuming) requires external exclusive locking, but any number of
 // concurrent readers may scan the table — and those readers may call
-// Touch/TouchMany/TouchMask, which serialise the access-frequency
-// updates behind an internal mutex. That split is what lets the facade
-// run ScanActive queries under a shared read lock while preserving the
-// §3.2 query-based-amnesia feedback loop.
+// Touch/TouchMany/TouchRange, which serialise the access-frequency
+// updates behind internal stripe mutexes. That split is what lets the
+// facade run ScanActive queries under a shared read lock while
+// preserving the §3.2 query-based-amnesia feedback loop.
 //
 // The read surface the engine's morsel workers need — Column, Active,
 // Len — takes no locks and returns stable references while the
 // table's external lock is held shared, so any number of intra-query
 // worker goroutines may scan concurrently with zero coordination
-// through the table itself; only their touch flushes — one TouchMany
-// per select or stream, one TouchMask per aggregate morsel —
-// meet the internal mutex. (A column's value-order index is built on
-// that read surface too; see column.Int64.BuildIndex.)
+// through the table itself; only their touches — one TouchMany per
+// select or stream, one TouchRange per block an aggregate folds —
+// meet a stripe. A stripe guards the access counts of every
+// TouchBlock-row block it is mapped to, and a goroutine holds at most
+// one at a time. (A column's value-order index is built on that read
+// surface too; see column.Int64.BuildIndex.)
 type Table struct {
 	name    string
 	colName []string
@@ -47,11 +48,11 @@ type Table struct {
 	insertBatch []int32 // batch id each tuple arrived in
 	batches     int     // number of batches appended so far
 
-	// touchMu guards accessCount against concurrent readers flushing
-	// their touch buffers. Readers of accessCount (strategies, snapshots)
-	// run under the facade's exclusive lock, so they need no extra
-	// synchronisation here.
-	touchMu     sync.Mutex
+	// stripes guard accessCount against concurrent readers' touches,
+	// row i's under stripes[stripeOf(i)]. Readers of accessCount
+	// (strategies, snapshots) run under the facade's exclusive lock, so
+	// they need no extra synchronisation here.
+	stripes     [touchStripes]stripe
 	accessCount []uint32 // times the tuple appeared in a query result
 
 	// epoch counts result-changing mutations: appends, forgetting,
@@ -282,45 +283,99 @@ func (t *Table) Remember(i int) {
 // IsActive reports whether tuple i is active.
 func (t *Table) IsActive(i int) bool { return t.active.Test(i) }
 
+// TouchBlock is the number of rows whose access counts share one
+// stripe lock at a time: an aggregate holds a stripe for one block.
+const TouchBlock = 1024
+
+// touchStripes is the number of stripe mutexes per table. Block b maps
+// to stripe (b + b/64) mod 64, so the workers of one query, walking
+// different 64-block morsels in step, never share a stripe.
+const touchStripes = 64
+
+// stripe is one access-count mutex, padded to a cache line so that
+// workers on neighbouring stripes do not share one.
+type stripe struct {
+	sync.Mutex
+	_ [56]byte
+}
+
+// stripeOf returns the stripe guarding the access count of row i.
+func stripeOf(i int) int {
+	b := uint(i) / TouchBlock
+	return int((b + b/touchStripes) % touchStripes)
+}
+
 // Touch increments the access count of tuple i, saturating at the uint32
 // ceiling. It is safe to call from concurrent readers.
 func (t *Table) Touch(i int) {
-	t.touchMu.Lock()
+	mu := &t.stripes[stripeOf(i)]
+	mu.Lock()
 	t.touchOne(i)
-	t.touchMu.Unlock()
+	mu.Unlock()
 }
 
 // TouchMany increments the access count for each listed tuple. Query
 // execution accumulates the positions a query returned and flushes them
-// here in one call, so concurrent readers contend on the touch mutex
-// once per query instead of once per tuple.
+// here in one call. It holds one stripe at a time, for a run of
+// consecutive positions in one block. A run whose stripe is held — by
+// an aggregate folding a block under it — is set aside and touched
+// after the others, so a long flush does not queue behind every
+// aggregate block it meets.
 func (t *Table) TouchMany(idx []int32) {
-	if len(idx) == 0 {
-		return
+	var stack [16][]int32 // runs set aside; few, so kept off the heap
+	busy := stack[:0]
+	for len(idx) > 0 {
+		mu := &t.stripes[stripeOf(int(idx[0]))]
+		if mu.TryLock() {
+			idx = idx[t.blockRun(idx, true):]
+			mu.Unlock()
+			continue
+		}
+		n := t.blockRun(idx, false)
+		busy = append(busy, idx[:n])
+		idx = idx[n:]
 	}
-	t.touchMu.Lock()
-	for _, i := range idx {
-		t.touchOne(int(i))
+	for _, run := range busy {
+		mu := &t.stripes[stripeOf(int(run[0]))]
+		mu.Lock()
+		t.blockRun(run, true)
+		mu.Unlock()
 	}
-	t.touchMu.Unlock()
 }
 
-// TouchMask is TouchMany for rows given as bitmasks: bit b of masks[k]
-// names tuple (startWord+k)*64 + b. Aggregates flush each morsel's
-// qualifying masks here instead of materializing every contributing
-// position, so the lock is held for one morsel's rows at a time and the
-// feedback costs O(morsel) memory however many rows the query folds.
-func (t *Table) TouchMask(startWord int, masks []uint64) {
-	t.touchMu.Lock()
-	for k, m := range masks {
-		for base := (startWord + k) << 6; m != 0; m &= m - 1 {
-			t.touchOne(base + bits.TrailingZeros64(m))
+// blockRun returns how many leading positions of idx lie in idx[0]'s
+// block, touching them when touch is set; the caller then holds the
+// block's stripe.
+func (t *Table) blockRun(idx []int32, touch bool) int {
+	b := uint32(idx[0]) / TouchBlock
+	for n, i := range idx {
+		if uint32(i)/TouchBlock != b {
+			return n
+		}
+		if touch {
+			t.touchOne(int(i))
 		}
 	}
-	t.touchMu.Unlock()
+	return len(idx)
 }
 
-// touchOne is the lock-free core of Touch; callers hold touchMu.
+// TouchRange lends fn the access counts of rows [start, end) —
+// counts[k] is row start+k's — under the stripe of their block; the
+// interval must lie inside one TouchBlock-row block. fn increments the
+// counts of the rows it touches, saturating at the uint32 ceiling, and
+// must not retain counts or take another lock. Aggregates fold and
+// touch a block in one pass this way.
+func (t *Table) TouchRange(start, end int, fn func(counts []uint32)) {
+	if start < 0 || end > len(t.accessCount) || start > end || (start < end && start/TouchBlock != (end-1)/TouchBlock) {
+		panic(fmt.Sprintf("table: TouchRange [%d, %d) is not inside one %d-row block of a %d-row table", start, end, TouchBlock, len(t.accessCount)))
+	}
+	mu := &t.stripes[stripeOf(start)]
+	mu.Lock()
+	defer mu.Unlock()
+	fn(t.accessCount[start:end])
+}
+
+// touchOne is the lock-free core of Touch; callers hold row i's stripe.
 func (t *Table) touchOne(i int) {
 	if t.accessCount[i] != ^uint32(0) {
 		t.accessCount[i]++

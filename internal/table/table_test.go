@@ -1,9 +1,9 @@
 package table
 
 import (
-	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"amnesiadb/internal/xrand"
 )
@@ -113,24 +113,86 @@ func TestTouchSaturates(t *testing.T) {
 	}
 }
 
-// TestTouchMaskMatchesTouchMany checks the bitmask flush names the same
-// tuples as the position flush, from any start word, and that a count
-// already at the uint32 ceiling stays there.
-func TestTouchMaskMatchesTouchMany(t *testing.T) {
-	vals := make([]int64, 200)
-	byMask, byPos := single(t, vals), single(t, vals)
-	byMask.accessCount[70], byPos.accessCount[70] = ^uint32(0), ^uint32(0)
-	masks := []uint64{1<<6 | 1<<63, 0, 1 | 1<<7}
-	byMask.TouchMask(1, masks)
-	byPos.TouchMany([]int32{64 + 6, 64 + 63, 192, 192 + 7})
-	if !slices.Equal(byMask.accessCount, byPos.accessCount) {
-		t.Fatalf("TouchMask counts %v, TouchMany counts %v", byMask.accessCount, byPos.accessCount)
+// TestTouchRangeMatchesTouchMany checks that an aggregate kernel
+// folding inside TouchRange, a block at a time, leaves the same counts
+// as TouchMany over the rows it folded: on both sides of a block
+// boundary, in blocks past the 64-stripe wrap, and with a count already
+// at the uint32 ceiling staying there. A range spanning two blocks is
+// refused.
+func TestTouchRangeMatchesTouchMany(t *testing.T) {
+	const sat = TouchBlock - 2
+	ranges := []struct {
+		start, end int
+		rows       []int
+	}{
+		{TouchBlock - 40, TouchBlock, []int{TouchBlock - 40, sat, TouchBlock - 1}},
+		{TouchBlock, TouchBlock + 9, []int{TouchBlock, TouchBlock + 8}},
+		{64*TouchBlock + 5, 65 * TouchBlock, []int{64*TouchBlock + 5, 64*TouchBlock + 700, 65*TouchBlock - 1}},
+		{65 * TouchBlock, 65*TouchBlock + 3, []int{65 * TouchBlock}},
+		{66 * TouchBlock, 66*TouchBlock + 100, []int{66*TouchBlock + 99}},
+		{7, 7, nil},
 	}
-	if got := byMask.AccessCount(70); got != ^uint32(0) {
+	// The rows to touch hold 1, every other row 0; the kernel folds [1, 2).
+	vals := make([]int64, 66*TouchBlock+100)
+	var pos []int32
+	for _, r := range ranges {
+		for _, row := range r.rows {
+			vals[row] = 1
+			pos = append(pos, int32(row))
+		}
+	}
+	byRange, byPos := single(t, vals), single(t, vals)
+	byRange.accessCount[sat], byPos.accessCount[sat] = ^uint32(0), ^uint32(0)
+	c := byRange.MustColumn("a")
+	for _, r := range ranges {
+		byRange.TouchRange(r.start, r.end, func(counts []uint32) {
+			if len(counts) != r.end-r.start {
+				t.Fatalf("TouchRange(%d, %d) lent %d counts", r.start, r.end, len(counts))
+			}
+			if n, _, _, _ := c.AggregateRangeIn(1, 2, nil, r.start, r.end, counts); n != len(r.rows) {
+				t.Fatalf("[%d, %d) folded %d rows, want %d", r.start, r.end, n, len(r.rows))
+			}
+		})
+	}
+	byPos.TouchMany(pos)
+	for i, want := range byPos.accessCount {
+		if got := byRange.accessCount[i]; got != want {
+			t.Fatalf("row %d: TouchRange count %d, TouchMany count %d", i, got, want)
+		}
+	}
+	if got := byRange.AccessCount(sat); got != ^uint32(0) {
 		t.Fatalf("saturated count moved to %d", got)
 	}
-	if got := byMask.AccessCount(199); got != 1 {
-		t.Fatalf("row 199 touched %d times, want 1", got)
+	if got := byRange.AccessCount(65*TouchBlock - 1); got != 1 {
+		t.Fatalf("row %d touched %d times, want 1", 65*TouchBlock-1, got)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("TouchRange across a block boundary did not panic")
+			}
+		}()
+		byRange.TouchRange(TouchBlock-1, TouchBlock+1, func([]uint32) {})
+	}()
+}
+
+// TestStripesApartAcrossMorsels pins the stripe map: the workers of one
+// aggregate walk different 64-block morsels in step, block j of each,
+// and no two of them share a stripe; within a morsel, consecutive
+// blocks use consecutive stripes.
+func TestStripesApartAcrossMorsels(t *testing.T) {
+	for j := 0; j < touchStripes; j++ {
+		seen := map[int]int{}
+		for m := 0; m < touchStripes; m++ {
+			s := stripeOf((m*touchStripes + j) * TouchBlock)
+			if other, dup := seen[s]; dup {
+				t.Fatalf("block %d of morsels %d and %d share stripe %d", j, other, m, s)
+			}
+			seen[s] = m
+		}
+	}
+	if a, b := stripeOf(TouchBlock-1), stripeOf(TouchBlock); a == b {
+		t.Fatalf("blocks 0 and 1 share stripe %d", a)
 	}
 }
 
@@ -317,5 +379,47 @@ func TestBatchStart(t *testing.T) {
 	tb.Vacuum()
 	if got := tb.BatchStart(2); got != 2 {
 		t.Fatalf("BatchStart(2) after Vacuum = %d, want 2", got)
+	}
+}
+
+// TestTouchManySetsBusyRunsAside: while another reader holds one
+// block's stripe, TouchMany touches the runs in every other block
+// first, then waits for that stripe and touches the runs it set aside.
+// The list is unsorted and repeats rows, so runs of one block recur.
+func TestTouchManySetsBusyRunsAside(t *testing.T) {
+	tb := single(t, make([]int64, 3*TouchBlock))
+	rows := []int32{2*TouchBlock + 5, 5, TouchBlock + 3, 5, 2*TouchBlock + 5, TouchBlock + 3, 7}
+	want := map[int]uint32{5: 2, 7: 1, TouchBlock + 3: 2, 2*TouchBlock + 5: 2}
+	held := &tb.stripes[stripeOf(TouchBlock)]
+	held.Lock()
+	done := make(chan struct{})
+	go func() {
+		tb.TouchMany(rows)
+		close(done)
+	}()
+	count := func(row int) uint32 {
+		mu := &tb.stripes[stripeOf(row)]
+		mu.Lock()
+		defer mu.Unlock()
+		return tb.accessCount[row]
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, row := range []int{5, 7, 2*TouchBlock + 5} {
+		for count(row) != want[row] {
+			if time.Now().After(deadline) {
+				t.Fatalf("row %d not touched while block 1's stripe was held", row)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if got := tb.accessCount[TouchBlock+3]; got != 0 {
+		t.Fatalf("row %d touched %d times under a held stripe", TouchBlock+3, got)
+	}
+	held.Unlock()
+	<-done
+	for row, n := range want {
+		if got := tb.AccessCount(row); got != n {
+			t.Fatalf("row %d: access count %d, want %d", row, got, n)
+		}
 	}
 }

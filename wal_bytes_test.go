@@ -1,6 +1,7 @@
 package amnesiadb_test
 
 import (
+	"bytes"
 	"hash/crc64"
 	"os"
 	"path/filepath"
@@ -24,8 +25,8 @@ const pinnedWALCRC = 0x06fc2a44d2b63931
 // by reads, vacuumed halfway), under decay with a retention window, and
 // under uniform, whose positions the facade still sorts, and a
 // partitioned table with an Adapt. Each partitioned batch falls in one
-// shard: the partition layer visits a batch's shards in map order, so
-// a batch spanning several logs them in an order that varies by run.
+// shard; TestWALBytesMultiShardReproducible covers batches that span
+// shards.
 func walWorkload(t *testing.T, db *amnesiadb.DB) {
 	t.Helper()
 	check := func(err error) {
@@ -96,20 +97,66 @@ func TestWALBytesPinned(t *testing.T) {
 	}
 	walWorkload(t, db)
 	db.Close()
+	if got := crc64.Checksum(segmentBytes(t, dir), crc64.MakeTable(crc64.ECMA)); got != pinnedWALCRC {
+		t.Fatalf("segment CRC %#016x, pinned %#016x", got, pinnedWALCRC)
+	}
+}
+
+// segmentBytes returns the concatenated WAL segments of a closed
+// durable database's directory.
+func segmentBytes(t *testing.T, dir string) []byte {
+	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments %v: %v", segs, err)
 	}
-	crc := crc64.New(crc64.MakeTable(crc64.ECMA))
+	var all []byte
 	for _, s := range segs {
 		b, err := os.ReadFile(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		crc.Write(b)
+		all = append(all, b...)
 	}
-	if got := crc.Sum64(); got != pinnedWALCRC {
-		t.Fatalf("segment CRC %#016x over %d segments, pinned %#016x", got, len(segs), pinnedWALCRC)
+	return all
+}
+
+// TestWALBytesMultiShardReproducible: two identically seeded durable
+// runs whose partitioned batches each span every shard write the same
+// log bytes, because a batch's shards are logged in ascending order.
+func TestWALBytesMultiShardReproducible(t *testing.T) {
+	run := func() []byte {
+		dir := t.TempDir()
+		db, err := amnesiadb.OpenDir(dir, amnesiadb.Options{Seed: 9, Fsync: "off", SegmentBytes: 1 << 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := db.CreatePartitionedTable("p", "v", 100000, 8, "rot", 800)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < 16; b++ {
+			vals := make([]int64, 120+b)
+			for i := range vals {
+				vals[i] = int64((b*7919 + i*104729) % 100000)
+			}
+			if err := pt.Insert(vals); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pt.Select(int64(b*5000), int64(b*5000+30000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.Close()
+		return segmentBytes(t, dir)
+	}
+	a, b := run(), run()
+	if !bytes.Equal(a, b) {
+		n := 0
+		for n < min(len(a), len(b)) && a[n] == b[n] {
+			n++
+		}
+		t.Fatalf("two seeded runs wrote different logs (%d and %d bytes, first difference at byte %d)", len(a), len(b), n)
 	}
 }
 
