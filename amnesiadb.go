@@ -54,7 +54,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"strconv"
@@ -101,12 +100,6 @@ type Options struct {
 	// n workers (Close releases it). Results are identical at every
 	// setting.
 	PoolSize int
-	// MaxQueries is the advisory admission limit the serving layer
-	// reads via DB.MaxQueries: the number of queries allowed to execute
-	// concurrently before new arrivals queue (and, past the queue
-	// watermark, are shed with 429). Zero means unlimited; the library
-	// itself never blocks on it.
-	MaxQueries int
 	// CacheEntries bounds the result cache: up to this many small,
 	// fully-materialized results (at most one stream chunk of rows
 	// each) are kept, keyed by normalized SQL text and the mutation
@@ -134,7 +127,9 @@ type Options struct {
 	// the budget is cancelled alone with ErrResourceExhausted (HTTP 413
 	// through the server) at its next morsel boundary. Zero (default)
 	// disables per-query budgets; the governor still meters usage for
-	// the process high-water mark and /healthz.
+	// /healthz and for the process high-water mark: half of GOMEMLIMIT,
+	// past which it sheds the most expensive in-flight query (no
+	// GOMEMLIMIT, no shedding).
 	MaxQueryBytes int64
 	// MaxQueryDuration, when positive, is the per-query deadline:
 	// queries exceeding it are cancelled with ErrQueryDeadline (HTTP
@@ -142,13 +137,6 @@ type Options struct {
 	// cancellation and at morsel boundaries so teardown is prompt.
 	// Zero disables deadlines.
 	MaxQueryDuration time.Duration
-	// MemoryHighWater is the process-wide governed-bytes threshold past
-	// which the governor sheds the most expensive in-flight query
-	// instead of letting the process OOM. Zero (default) derives it
-	// from GOMEMLIMIT (half the runtime limit, headroom for the
-	// unmetered columns and caches; no GOMEMLIMIT means no shedding);
-	// negative disables shedding outright.
-	MemoryHighWater int64
 	// StallDetach is the spill-on-stall threshold for streaming
 	// value-only selects: a consumer idle past it has the pipeline's
 	// remaining chunks drained to a governed heap buffer, so producers
@@ -206,9 +194,8 @@ type DB struct {
 	// plans caches parsed statements by normalized SQL; results caches
 	// small materialized answers by (normalized SQL, relation epochs).
 	// results is nil when Options.CacheEntries is zero.
-	plans      *sql.PlanCache
-	results    *sql.ResultCache
-	maxQueries int
+	plans   *sql.PlanCache
+	results *sql.ResultCache
 
 	// gov is the process-side resource ledger; every non-cached query
 	// runs under one of its quotas. maxQueryBytes/maxQueryDur/stall are
@@ -251,10 +238,6 @@ func Open(opts Options) *DB {
 	if par < 0 {
 		par = 0
 	}
-	highWater := opts.MemoryHighWater
-	if highWater == 0 {
-		highWater = governor.HighWaterFromGOMEMLIMIT()
-	}
 	stall := opts.StallDetach
 	if stall == 0 {
 		stall = DefaultStallDetach
@@ -265,8 +248,7 @@ func Open(opts Options) *DB {
 		par:           par,
 		plans:         sql.NewPlanCache(planCacheSize),
 		results:       sql.NewResultCache(opts.CacheEntries),
-		maxQueries:    max(opts.MaxQueries, 0),
-		gov:           governor.New(highWater),
+		gov:           governor.New(governor.HighWaterFromGOMEMLIMIT()),
 		maxQueryBytes: max(opts.MaxQueryBytes, 0),
 		maxQueryDur:   max(opts.MaxQueryDuration, 0),
 		stallDetach:   max(stall, 0),
@@ -332,10 +314,6 @@ func (db *DB) CacheStats() CacheStats {
 		ResultEntries: db.results.Len(), ResultHits: rh, ResultMisses: rm,
 	}
 }
-
-// MaxQueries returns Options.MaxQueries: the advisory concurrent-query
-// admission limit the serving layer enforces. Zero means unlimited.
-func (db *DB) MaxQueries() int { return db.maxQueries }
 
 // GovernorStats snapshots the resource governor's live ledger: queries
 // with registered quotas, pooled bytes currently charged, the process
@@ -1394,46 +1372,6 @@ func unlockPair(a, b *Table) {
 	}
 	a.mu.RUnlock()
 	b.mu.RUnlock()
-}
-
-// Save serialises the table's full state — values, active bitmap, insert
-// batches, access frequencies — to w in a compact binary format. The
-// amnesia policy itself is configuration, not state, and is not saved.
-func (t *Table) Save(w io.Writer) error {
-	return t.exclusive(func() error { return snapshot.Write(w, t.tbl) })
-}
-
-// LoadTable restores a table previously written by Save into the
-// database under its saved name. The table arrives without a policy;
-// call SetPolicy to resume forgetting. The restored table gets a fresh
-// epoch incarnation so cached results from an earlier same-named table
-// (saved snapshots start at epoch 0, like freshly dropped-and-recreated
-// tables) can never be served against the new contents. On a durable
-// database the load is persisted by cutting a catalog snapshot, since a
-// table snapshot's batch and access state cannot be expressed as
-// insert records.
-func (db *DB) LoadTable(r io.Reader) (*Table, error) {
-	tbl, err := snapshot.Read(r)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{handle: handle{db: db, name: tbl.Name()}, tbl: tbl}
-	if err := db.register(t, nil); err != nil {
-		return nil, err
-	}
-	if db.dur != nil {
-		if err := db.Snapshot(); err != nil {
-			// Half-done load: the table is registered in memory but its
-			// state never reached disk. Deregister it so memory and
-			// disk stay in agreement — a caller that retries hits the
-			// normal "create or load again" path, not a phantom table.
-			db.mu.Lock()
-			db.unregisterLocked(&t.handle, nil)
-			db.mu.Unlock()
-			return nil, err
-		}
-	}
-	return t, nil
 }
 
 // ApproxAvg estimates AVG(col) over active tuples plus all summarised

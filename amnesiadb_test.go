@@ -1,7 +1,6 @@
 package amnesiadb
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -640,60 +639,6 @@ func TestSelfJoin(t *testing.T) {
 	// 1-1 once; 2s pair 2x2 = 4: total 5.
 	if len(rows) != 5 {
 		t.Fatalf("self-join pairs = %d, want 5", len(rows))
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	db := Open(Options{Seed: 8})
-	tb, err := db.CreateTable("t", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.SetPolicy(Policy{Strategy: "uniform", Budget: 60}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.InsertColumn("a", seq(100)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb.Select("a", Range(0, 50)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tb.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	db2 := Open(Options{Seed: 8})
-	back, err := db2.LoadTable(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name() != "t" {
-		t.Fatalf("name = %q", back.Name())
-	}
-	a, b := tb.Stats(), back.Stats()
-	if a.Tuples != b.Tuples || a.Active != b.Active || a.Batches != b.Batches {
-		t.Fatalf("stats differ: %+v vs %+v", a, b)
-	}
-	// The restored table answers queries identically.
-	r1, err := tb.Select("a", Range(0, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := back.Select("a", Range(0, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Count() != r2.Count() {
-		t.Fatalf("restored select %d rows, want %d", r2.Count(), r1.Count())
-	}
-	// Loading the same name twice fails.
-	var buf2 bytes.Buffer
-	if err := tb.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db2.LoadTable(&buf2); err == nil {
-		t.Fatal("duplicate load accepted")
 	}
 }
 

@@ -32,9 +32,10 @@
 // so engine concurrency stays bounded no matter how many clients
 // connect; -max-queries bounds concurrently executing queries, with a
 // bounded wait queue beyond which requests are shed with 429 and a
-// Retry-After header. SIGINT/SIGTERM starts a graceful drain: new
-// queries get 503, in-flight ones finish (up to -write-timeout), then
-// the process exits.
+// Retry-After header. It reaches only the server's admission control
+// (server.Config); the library itself never queues. SIGINT/SIGTERM
+// starts a graceful drain: new queries get 503, in-flight ones finish
+// (up to -write-timeout), then the process exits.
 package main
 
 import (
@@ -79,7 +80,6 @@ func main() {
 	opts := amnesiadb.Options{
 		Seed:             *seed,
 		PoolSize:         *poolSize,
-		MaxQueries:       *maxQueries,
 		CacheEntries:     *cacheEntries,
 		Fsync:            *fsync,
 		MaxQueryBytes:    *maxQueryB,

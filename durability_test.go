@@ -543,51 +543,6 @@ func TestDropConcurrentWithInsertStaysRecoverable(t *testing.T) {
 	re.Close()
 }
 
-// TestLoadTableSnapshotFailureUnregisters pins the half-loaded-table
-// fix: when persisting a LoadTable fails, the table must not stay
-// registered (and queryable) in a catalog that disk knows nothing
-// about.
-func TestLoadTableSnapshotFailureUnregisters(t *testing.T) {
-	other := amnesiadb.Open(amnesiadb.Options{Seed: 1})
-	otb, err := other.CreateTable("x", "v")
-	if err != nil {
-		t.Fatalf("other create: %v", err)
-	}
-	if err := otb.InsertColumn("v", []int64{7}); err != nil {
-		t.Fatalf("other insert: %v", err)
-	}
-	tmp := filepath.Join(t.TempDir(), "x.snap")
-	f, err := os.Create(tmp)
-	if err != nil {
-		t.Fatalf("create snap: %v", err)
-	}
-	if err := otb.Save(f); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	f.Close()
-	other.Close()
-
-	db, err := amnesiadb.OpenDir(t.TempDir(), amnesiadb.Options{Seed: 2, Fsync: "always"})
-	if err != nil {
-		t.Fatalf("OpenDir: %v", err)
-	}
-	defer db.Close()
-
-	failpoint.Enable("wal.fsync", failpoint.Error(failpoint.ErrInjected))
-	defer failpoint.DisableAll()
-	rf, err := os.Open(tmp)
-	if err != nil {
-		t.Fatalf("open snap: %v", err)
-	}
-	defer rf.Close()
-	if _, err := db.LoadTable(rf); err == nil {
-		t.Fatal("LoadTable succeeded despite failing snapshot")
-	}
-	if _, ok := db.Table("x"); ok {
-		t.Fatal("half-loaded table left registered after snapshot failure")
-	}
-}
-
 func TestDurableDropAndDDLReplay(t *testing.T) {
 	dir := t.TempDir()
 	db, err := amnesiadb.OpenDir(dir, amnesiadb.Options{Seed: 4, Fsync: "off"})
@@ -667,66 +622,6 @@ func TestDropRecreateInvalidatesResultCache(t *testing.T) {
 	}
 	if second.Rows[0][0] != 60 {
 		t.Fatalf("SUM after recreate = %v, want 60", second.Rows[0][0])
-	}
-}
-
-// TestLoadTableInvalidatesResultCache pins the same fix on the
-// Save/LoadTable path: a loaded snapshot starts at epoch zero too.
-func TestLoadTableInvalidatesResultCache(t *testing.T) {
-	db := amnesiadb.Open(amnesiadb.Options{Seed: 1})
-	defer db.Close()
-	tb, err := db.CreateTable("t", "v")
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	if err := tb.InsertColumn("v", []int64{5, 6}); err != nil {
-		t.Fatalf("insert: %v", err)
-	}
-
-	// Snapshot a DIFFERENT state to load under the same name later.
-	other := amnesiadb.Open(amnesiadb.Options{Seed: 1})
-	otb, err := other.CreateTable("t", "v")
-	if err != nil {
-		t.Fatalf("other create: %v", err)
-	}
-	if err := otb.InsertColumn("v", []int64{100}); err != nil {
-		t.Fatalf("other insert: %v", err)
-	}
-	tmp := filepath.Join(t.TempDir(), "t.snap")
-	f, err := os.Create(tmp)
-	if err != nil {
-		t.Fatalf("create snap: %v", err)
-	}
-	if err := otb.Save(f); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	f.Close()
-	other.Close()
-
-	const q = "SELECT COUNT(*) FROM t"
-	if _, err := db.Query(q); err != nil {
-		t.Fatalf("query: %v", err)
-	}
-	if _, err := db.Query(q); err != nil {
-		t.Fatalf("cache-filling query: %v", err)
-	}
-	if err := db.DropTable("t"); err != nil {
-		t.Fatalf("drop: %v", err)
-	}
-	rf, err := os.Open(tmp)
-	if err != nil {
-		t.Fatalf("open snap: %v", err)
-	}
-	if _, err := db.LoadTable(rf); err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	rf.Close()
-	res, err := db.Query(q)
-	if err != nil {
-		t.Fatalf("query after load: %v", err)
-	}
-	if res.Rows[0][0] != 1 {
-		t.Fatalf("COUNT after load = %v, want 1 (stale cache?)", res.Rows[0][0])
 	}
 }
 

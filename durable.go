@@ -642,9 +642,8 @@ func (db *DB) DropTable(name string) error {
 }
 
 // unregisterLocked kills h and removes its relation from the catalog
-// under h's exclusive lock, enqueueing rec (nil for LoadTable's
-// rollback) inside it so no mutation record can follow it. Callers
-// hold db.mu.
+// under h's exclusive lock, enqueueing rec inside it so no mutation
+// record can follow it. Callers hold db.mu.
 func (db *DB) unregisterLocked(h *handle, rec []byte) *durability.Pending {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -47,7 +47,8 @@ func main() {
 	}
 	fmt.Printf("range scan streamed %d readings\n", n)
 
-	// Shard-merge ORDER BY: per-shard sorts, no global sort.
+	// ORDER BY over the shards: an ascending sort streams shard by shard;
+	// this descending top-3 is one sort over the fan-out.
 	res, err := db.Query("SELECT reading FROM sensors ORDER BY reading DESC LIMIT 3")
 	if err != nil {
 		log.Fatal(err)

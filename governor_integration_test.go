@@ -375,20 +375,22 @@ func TestStalledStreamSpillsAndReleasesLocks(t *testing.T) {
 
 // TestStalledOrderedStreamSpills runs the same stall through the
 // clustered-ascending ORDER BY path — the other early-release stream
-// shape that arms spill-on-stall.
+// shape that arms spill-on-stall. The table is partitioned into more
+// shards (one chunk each) than a two-worker pipeline buffers, so the
+// producers stall with the relation's read lock held until the spill.
 func TestStalledOrderedStreamSpills(t *testing.T) {
-	db := amnesiadb.Open(amnesiadb.Options{Seed: 15, StallDetach: 50 * time.Millisecond})
+	db := amnesiadb.Open(amnesiadb.Options{Seed: 15, PoolSize: 2, StallDetach: 50 * time.Millisecond})
 	defer db.Close()
-	tab, err := db.CreateTable("big", "a")
+	const n, shards = 131_072, 64
+	tab, err := db.CreatePartitionedTable("big", "a", n, shards, "fifo", n+1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 131_072
 	av := make([]int64, n)
 	for i := range av {
-		av[i] = int64(i) // clustered ascending: ORDER BY streams without a sort
+		av[i] = int64(n - 1 - i) // descending: every shard needs its sort
 	}
-	if err := tab.InsertColumn("a", av); err != nil {
+	if err := tab.Insert(av); err != nil {
 		t.Fatal(err)
 	}
 	want, err := db.Query("SELECT a FROM big ORDER BY a")
@@ -405,7 +407,7 @@ func TestStalledOrderedStreamSpills(t *testing.T) {
 		t.Fatalf("first chunk: %v %v", first, err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- tab.InsertColumn("a", []int64{n}) }()
+	go func() { done <- tab.Insert([]int64{n / 2}) }()
 	select {
 	case err := <-done:
 		if err != nil {

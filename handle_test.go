@@ -1,9 +1,7 @@
 package amnesiadb_test
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -38,7 +36,6 @@ var handleOps = []struct {
 	{"RecoverRange", true, func(h handles) error { _, _, err := h.tb.RecoverRange("v", 0, 100); return err }},
 	{"DemoteForgotten", false, func(h handles) error { _, err := h.tb.DemoteForgotten(); return err }},
 	{"Summarize", false, func(h handles) error { _, err := h.tb.Summarize("v"); return err }},
-	{"Save", false, func(h handles) error { return h.tb.Save(io.Discard) }},
 	{"NewAdvisor", false, func(h handles) error { _, err := h.tb.NewAdvisor("v"); return err }},
 	{"Advisor.Select", false, func(h handles) error { _, err := h.adv.Select(amnesiadb.Range(0, 10)); return err }},
 	{"Advisor.Aggregate", false, func(h handles) error { _, err := h.adv.Aggregate(amnesiadb.Range(0, 10)); return err }},
@@ -170,17 +167,6 @@ func TestHandleContract(t *testing.T) {
 		dir := t.TempDir()
 		db, h := openHandles(t, dir)
 		defer db.Close()
-		var snap bytes.Buffer
-		other := amnesiadb.Open(amnesiadb.Options{Seed: 1})
-		ot, err := other.CreateTable("loaded", "v")
-		if err != nil {
-			t.Fatalf("other create: %v", err)
-		}
-		if err := ot.Save(&snap); err != nil {
-			t.Fatalf("save: %v", err)
-		}
-		other.Close()
-
 		// Block the healing probe so degradation stays latched.
 		failpoint.Enable(governor.FailpointProbe, failpoint.Error(failpoint.ErrInjected))
 		failpoint.Enable("wal.fsync", failpoint.Error(failpoint.ErrInjected))
@@ -205,7 +191,6 @@ func TestHandleContract(t *testing.T) {
 				return err
 			},
 			"DropTable": func() error { return db.DropTable("flat") },
-			"LoadTable": func() error { _, err := db.LoadTable(&snap); return err },
 		}
 		for name, run := range ddl {
 			if err := run(); !errors.Is(err, amnesiadb.ErrReadOnly) {
@@ -229,8 +214,8 @@ func TestHandleContract(t *testing.T) {
 }
 
 // TestNamespaceSpansBothKinds pins the one-namespace rule: a name held
-// by either kind is refused by CreateTable, CreatePartitionedTable and
-// LoadTable alike, and once dropped it can come back as the other kind
+// by either kind is refused by CreateTable and CreatePartitionedTable
+// alike, and once dropped it can come back as the other kind
 // — durably.
 func TestNamespaceSpansBothKinds(t *testing.T) {
 	dir := t.TempDir()
@@ -249,30 +234,12 @@ func TestNamespaceSpansBothKinds(t *testing.T) {
 	if _, err := db.CreatePartitionedTable("part", "m", 100, 2, "uniform", 50); err != nil {
 		t.Fatalf("CreatePartitionedTable: %v", err)
 	}
-	// Saved tables named like each existing relation.
-	snaps := map[string]*bytes.Buffer{}
-	other := amnesiadb.Open(amnesiadb.Options{Seed: 1})
-	for _, name := range []string{"flat", "part"} {
-		ot, err := other.CreateTable(name, "v")
-		if err != nil {
-			t.Fatalf("other create %s: %v", name, err)
-		}
-		snaps[name] = new(bytes.Buffer)
-		if err := ot.Save(snaps[name]); err != nil {
-			t.Fatalf("save %s: %v", name, err)
-		}
-	}
-	other.Close()
-
 	for _, name := range []string{"flat", "part"} {
 		if _, err := db.CreateTable(name, "v"); err == nil {
 			t.Errorf("CreateTable(%q) over an existing relation succeeded", name)
 		}
 		if _, err := db.CreatePartitionedTable(name, "m", 100, 2, "uniform", 50); err == nil {
 			t.Errorf("CreatePartitionedTable(%q) over an existing relation succeeded", name)
-		}
-		if _, err := db.LoadTable(snaps[name]); err == nil {
-			t.Errorf("LoadTable(%q) over an existing relation succeeded", name)
 		}
 	}
 	if _, ok := db.Table("flat"); !ok {

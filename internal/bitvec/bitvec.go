@@ -6,6 +6,7 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -36,6 +37,34 @@ func NewSet(n int) *Vector {
 	}
 	v.trim()
 	return v
+}
+
+// FromBytes returns an n-bit Vector whose bit i is bit i%8 of b[i/8],
+// the layout Bytes produces; bits of b at or beyond n are dropped. It
+// panics if b holds fewer than n bits.
+func FromBytes(b []byte, n int) *Vector {
+	if len(b) < (n+7)/8 {
+		panic(fmt.Sprintf("bitvec: %d bytes for %d bits", len(b), n))
+	}
+	v := New(n)
+	var w [8]byte
+	for i := range v.words {
+		clear(w[:])
+		copy(w[:], b[i*8:])
+		v.words[i] = binary.LittleEndian.Uint64(w[:])
+	}
+	v.trim()
+	return v
+}
+
+// Bytes returns the vector as (Len+7)/8 bytes, bit i in bit i%8 of
+// byte i/8.
+func (v *Vector) Bytes() []byte {
+	b := make([]byte, 0, len(v.words)*8)
+	for _, w := range v.words {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b[:(v.n+7)/8]
 }
 
 // Len returns the logical length in bits.

@@ -370,3 +370,31 @@ func BenchmarkForEachSet(b *testing.B) {
 		v.ForEachSet(func(j int) bool { sum += j; return true })
 	}
 }
+
+// TestBytesRoundTrip holds Bytes to the byte layout snapshots store —
+// bit i in bit i%8 of byte i/8, (n+7)/8 bytes — and FromBytes to its
+// inverse, dropping bits past n.
+func TestBytesRoundTrip(t *testing.T) {
+	src := xrand.New(4)
+	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 130} {
+		v := New(n)
+		want := make([]byte, (n+7)/8)
+		for i := 0; i < n; i++ {
+			if src.Int63n(2) == 1 {
+				v.Set(i)
+				want[i/8] |= 1 << (i % 8)
+			}
+		}
+		got := v.Bytes()
+		if string(got) != string(want) {
+			t.Fatalf("n=%d: Bytes = %08b, want %08b", n, got, want)
+		}
+		if len(got) > 0 && n%8 != 0 {
+			got[len(got)-1] |= 0x80 // a bit past n
+		}
+		back := FromBytes(got, n)
+		if back.String() != v.String() || back.Count() != v.Count() {
+			t.Fatalf("n=%d: FromBytes = %s, want %s", n, back, v)
+		}
+	}
+}

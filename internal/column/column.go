@@ -84,6 +84,15 @@ func NewWithBlockSize(blockSize int) *Int64 {
 	return &Int64{blockSize: blockSize, all: emptyZone}
 }
 
+// FromValues returns a column with DefaultBlockSize that adopts vs as
+// its storage, zone maps built; the caller must not touch vs after.
+func FromValues(vs []int64) *Int64 {
+	c := New()
+	c.data = vs
+	c.extendZones(0)
+	return c
+}
+
 // Len returns the number of values stored.
 func (c *Int64) Len() int { return len(c.data) }
 

@@ -31,7 +31,7 @@ func admissionServer(t *testing.T) (*httptest.Server, *Server, *amnesiadb.DB) {
 	if err := tab.InsertColumn("a", vals); err != nil {
 		t.Fatal(err)
 	}
-	h := NewConfigured(db, Config{MaxQueries: 1, QueueDepth: 1, RetryAfterSeconds: 2})
+	h := NewConfigured(db, Config{MaxQueries: 1, QueueDepth: 1})
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	return ts, h, db
@@ -138,8 +138,8 @@ func TestAdmissionShedsAndRecovers(t *testing.T) {
 	if shedRec.Code != http.StatusTooManyRequests {
 		t.Fatalf("overload status = %d, want 429", shedRec.Code)
 	}
-	if got := shedRec.Header().Get("Retry-After"); got != "2" {
-		t.Fatalf("Retry-After = %q, want \"2\"", got)
+	if got := shedRec.Header().Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", got)
 	}
 
 	// Unstick the holder: its handler finishes, releasing the slot to

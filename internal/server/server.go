@@ -52,12 +52,10 @@ import (
 )
 
 // Config tunes the serving layer's admission control. The zero value
-// defers to the database's Options.MaxQueries (and is unlimited when
-// that is zero too).
+// admits every query at once.
 type Config struct {
 	// MaxQueries bounds the queries executing concurrently; arrivals
-	// beyond it queue. Zero defers to db.MaxQueries(); if that is also
-	// zero, admission is unlimited.
+	// beyond it queue. Zero means unlimited.
 	MaxQueries int
 	// QueueDepth is the shed watermark: arrivals finding this many
 	// queries already waiting for a slot are rejected immediately with
@@ -65,10 +63,11 @@ type Config struct {
 	// keep overload latency bounded instead of unbounded. Zero means
 	// twice MaxQueries.
 	QueueDepth int
-	// RetryAfterSeconds is the Retry-After value sent with 429s;
-	// zero means 1.
-	RetryAfterSeconds int
 }
+
+// retryAfter is the Retry-After header, in seconds, sent with 429s and
+// with a degraded database's 503s.
+const retryAfter = "1"
 
 // Server routes HTTP requests to a DB.
 type Server struct {
@@ -81,37 +80,26 @@ type Server struct {
 	queueDepth int64
 	// queued counts requests waiting for a slot; past queueDepth new
 	// arrivals shed.
-	queued     atomic.Int64
-	retryAfter string
+	queued atomic.Int64
 	// draining flags graceful shutdown: new queries get 503 while
 	// in-flight ones finish.
 	draining atomic.Bool
 }
 
-// New returns a Server wrapping db with admission defaults taken from
-// the database's options.
+// New returns a Server wrapping db with unlimited admission.
 func New(db *amnesiadb.DB) *Server { return NewConfigured(db, Config{}) }
 
 // NewConfigured returns a Server wrapping db under the given admission
 // configuration.
 func NewConfigured(db *amnesiadb.DB, cfg Config) *Server {
 	s := &Server{db: db, mux: http.NewServeMux()}
-	maxQ := cfg.MaxQueries
-	if maxQ == 0 {
-		maxQ = db.MaxQueries()
-	}
-	if maxQ > 0 {
+	if maxQ := cfg.MaxQueries; maxQ > 0 {
 		s.slots = make(chan struct{}, maxQ)
 		s.queueDepth = int64(cfg.QueueDepth)
 		if s.queueDepth == 0 {
 			s.queueDepth = int64(2 * maxQ)
 		}
 	}
-	retry := cfg.RetryAfterSeconds
-	if retry <= 0 {
-		retry = 1
-	}
-	s.retryAfter = strconv.Itoa(retry)
 	s.mux.HandleFunc("POST /query", s.handleQuery)
 	s.mux.HandleFunc("POST /insert", s.handleInsert)
 	s.mux.HandleFunc("POST /policy", s.handlePolicy)
@@ -190,7 +178,7 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 // back off and retry against a restarted (recovered) instance.
 func (s *Server) writeMutErr(w http.ResponseWriter, fallback int, err error) {
 	if errors.Is(err, amnesiadb.ErrReadOnly) {
-		w.Header().Set("Retry-After", s.retryAfter)
+		w.Header().Set("Retry-After", retryAfter)
 		writeErr(w, http.StatusServiceUnavailable, err)
 		return
 	}
@@ -367,7 +355,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func()) 
 		// All slots busy: wait in the bounded queue or shed.
 		if s.queued.Add(1) > s.queueDepth {
 			s.queued.Add(-1)
-			w.Header().Set("Retry-After", s.retryAfter)
+			w.Header().Set("Retry-After", retryAfter)
 			writeErr(w, http.StatusTooManyRequests, errOverloaded)
 			return nil
 		}

@@ -74,10 +74,8 @@ type Catalog struct {
 // WriteCatalog serialises the catalog.
 func WriteCatalog(w io.Writer, c *Catalog) error {
 	bw := bufio.NewWriter(w)
-	for _, v := range []uint64{catalogMagic, catalogVersion, uint64(len(c.Tables) + len(c.Parts))} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
+	if err := binary.Write(bw, binary.LittleEndian, []uint64{catalogMagic, catalogVersion, uint64(len(c.Tables) + len(c.Parts))}); err != nil {
+		return err
 	}
 	var body bytes.Buffer
 	for _, te := range c.Tables {
@@ -121,16 +119,19 @@ func encodeTableSection(w io.Writer, te TableEntry) error {
 	if err := writeString(w, te.Policy.Column); err != nil {
 		return err
 	}
-	for _, v := range []uint64{uint64(te.Policy.Budget), uint64(te.Policy.MaxAgeBatches)} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	var tbl bytes.Buffer
-	if err := Write(&tbl, te.Table); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, []uint64{uint64(te.Policy.Budget), uint64(te.Policy.MaxAgeBatches)}); err != nil {
 		return err
 	}
-	return writeBytes(w, tbl.Bytes())
+	return writeTableField(w, te.Table)
+}
+
+// writeTableField writes t's table record as one length-prefixed field.
+func writeTableField(w io.Writer, t *table.Table) error {
+	var rec bytes.Buffer
+	if err := writeTable(&rec, t.State()); err != nil {
+		return err
+	}
+	return writeBytes(w, rec.Bytes())
 }
 
 func encodePartSection(w io.Writer, pe PartEntry) error {
@@ -139,22 +140,14 @@ func encodePartSection(w io.Writer, pe PartEntry) error {
 			return err
 		}
 	}
-	for _, v := range []uint64{uint64(pe.Domain), uint64(len(pe.Shards))} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
+	if err := binary.Write(w, binary.LittleEndian, []uint64{uint64(pe.Domain), uint64(len(pe.Shards))}); err != nil {
+		return err
 	}
 	for _, sh := range pe.Shards {
-		for _, v := range []uint64{uint64(sh.Lo), uint64(sh.Hi), uint64(sh.Budget)} {
-			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		var tbl bytes.Buffer
-		if err := Write(&tbl, sh.Table); err != nil {
+		if err := binary.Write(w, binary.LittleEndian, []uint64{uint64(sh.Lo), uint64(sh.Hi), uint64(sh.Budget)}); err != nil {
 			return err
 		}
-		if err := writeBytes(w, tbl.Bytes()); err != nil {
+		if err := writeTableField(w, sh.Table); err != nil {
 			return err
 		}
 	}
@@ -168,10 +161,8 @@ func encodePartSection(w io.Writer, pe PartEntry) error {
 func ReadCatalog(r io.Reader) (*Catalog, error) {
 	br := bufio.NewReader(r)
 	var hdr [3]uint64
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("%w: short header: %v", ErrCatalogCorrupt, err)
-		}
+	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+		return nil, fmt.Errorf("%w: short header: %v", ErrCatalogCorrupt, err)
 	}
 	if hdr[0] != catalogMagic {
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrCatalogCorrupt, hdr[0])
@@ -191,19 +182,18 @@ func ReadCatalog(r io.Reader) (*Catalog, error) {
 		}
 		switch kind {
 		case sectionTable:
-			te, err := decodeTableSection(bytes.NewReader(body))
-			if err != nil {
-				return nil, err
-			}
+			var te TableEntry
+			te, err = decodeTableSection(bytes.NewReader(body))
 			c.Tables = append(c.Tables, te)
 		case sectionPart:
-			pe, err := decodePartSection(bytes.NewReader(body))
-			if err != nil {
-				return nil, err
-			}
+			var pe PartEntry
+			pe, err = decodePartSection(bytes.NewReader(body))
 			c.Parts = append(c.Parts, pe)
 		default:
-			return nil, fmt.Errorf("%w: unknown section kind %d", ErrCatalogCorrupt, kind)
+			err = fmt.Errorf("unknown section kind %d", kind)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCatalogCorrupt, err)
 		}
 	}
 	return &c, nil
@@ -235,69 +225,57 @@ func readSection(r io.Reader) (byte, []byte, error) {
 	return kind[0], body, nil
 }
 
-func decodeTableSection(r io.Reader) (TableEntry, error) {
-	var te TableEntry
-	var err error
+func decodeTableSection(r io.Reader) (te TableEntry, err error) {
 	if te.Policy.Strategy, err = readString(r); err != nil {
-		return te, fmt.Errorf("%w: %v", ErrCatalogCorrupt, err)
+		return te, err
 	}
 	if te.Policy.Column, err = readString(r); err != nil {
-		return te, fmt.Errorf("%w: %v", ErrCatalogCorrupt, err)
+		return te, err
 	}
 	var nums [2]uint64
-	for i := range nums {
-		if err := binary.Read(r, binary.LittleEndian, &nums[i]); err != nil {
-			return te, fmt.Errorf("%w: short policy: %v", ErrCatalogCorrupt, err)
-		}
+	if err := binary.Read(r, binary.LittleEndian, &nums); err != nil {
+		return te, fmt.Errorf("short policy: %w", err)
 	}
 	te.Policy.Budget, te.Policy.MaxAgeBatches = int(nums[0]), int(nums[1])
-	tblBytes, err := readBytes(r)
-	if err != nil {
-		return te, fmt.Errorf("%w: %v", ErrCatalogCorrupt, err)
-	}
-	if te.Table, err = Read(bytes.NewReader(tblBytes)); err != nil {
-		return te, fmt.Errorf("%w: %v", ErrCatalogCorrupt, err)
-	}
-	return te, nil
+	te.Table, err = readTableField(r)
+	return te, err
 }
 
-func decodePartSection(r io.Reader) (PartEntry, error) {
-	var pe PartEntry
-	var err error
+func decodePartSection(r io.Reader) (pe PartEntry, err error) {
 	for _, dst := range []*string{&pe.Name, &pe.Column, &pe.Strategy} {
 		if *dst, err = readString(r); err != nil {
-			return pe, fmt.Errorf("%w: %v", ErrCatalogCorrupt, err)
+			return pe, err
 		}
 	}
 	var nums [2]uint64
-	for i := range nums {
-		if err := binary.Read(r, binary.LittleEndian, &nums[i]); err != nil {
-			return pe, fmt.Errorf("%w: short part header: %v", ErrCatalogCorrupt, err)
-		}
+	if err := binary.Read(r, binary.LittleEndian, &nums); err != nil {
+		return pe, fmt.Errorf("short part header: %w", err)
 	}
 	pe.Domain = int64(nums[0])
-	nShards := int(nums[1])
-	if nShards <= 0 || nShards > 1<<16 {
-		return pe, fmt.Errorf("%w: implausible shard count %d", ErrCatalogCorrupt, nShards)
+	if nums[1] == 0 || nums[1] > 1<<16 {
+		return pe, fmt.Errorf("implausible shard count %d", nums[1])
 	}
-	for s := 0; s < nShards; s++ {
+	for range nums[1] {
 		var hdr [3]uint64
-		for i := range hdr {
-			if err := binary.Read(r, binary.LittleEndian, &hdr[i]); err != nil {
-				return pe, fmt.Errorf("%w: short shard header: %v", ErrCatalogCorrupt, err)
-			}
+		if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
+			return pe, fmt.Errorf("short shard header: %w", err)
 		}
-		tblBytes, err := readBytes(r)
+		tbl, err := readTableField(r)
 		if err != nil {
-			return pe, fmt.Errorf("%w: %v", ErrCatalogCorrupt, err)
-		}
-		tbl, err := Read(bytes.NewReader(tblBytes))
-		if err != nil {
-			return pe, fmt.Errorf("%w: %v", ErrCatalogCorrupt, err)
+			return pe, err
 		}
 		pe.Shards = append(pe.Shards, ShardEntry{
 			Lo: int64(hdr[0]), Hi: int64(hdr[1]), Budget: int(hdr[2]), Table: tbl,
 		})
 	}
 	return pe, nil
+}
+
+// readTableField reads a table record written by writeTableField.
+func readTableField(r io.Reader) (*table.Table, error) {
+	rec, err := readBytes(r)
+	if err != nil {
+		return nil, err
+	}
+	return readTable(bytes.NewReader(rec))
 }

@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"amnesiadb/internal/table"
@@ -140,5 +142,55 @@ func TestCatalogCorruptionDetected(t *testing.T) {
 	bad[0] ^= 0xff
 	if _, err := ReadCatalog(bytes.NewReader(bad)); !errors.Is(err, ErrCatalogCorrupt) {
 		t.Fatalf("bad magic: got %v, want ErrCatalogCorrupt", err)
+	}
+}
+
+// tableCatalog returns catalog bytes holding one table section whose
+// table record encodes s as it is, however malformed.
+func tableCatalog(t *testing.T, s table.State) []byte {
+	t.Helper()
+	var body, rec, file bytes.Buffer
+	check := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(writeString(&body, "fifo"))
+	check(writeString(&body, "a"))
+	check(binary.Write(&body, binary.LittleEndian, [2]uint64{10, 0}))
+	check(writeTable(&rec, s))
+	check(writeBytes(&body, rec.Bytes()))
+	check(binary.Write(&file, binary.LittleEndian, [3]uint64{catalogMagic, catalogVersion, 1}))
+	check(writeSection(&file, sectionTable, body.Bytes()))
+	return file.Bytes()
+}
+
+// TestSnapshotRejectsCorruptTableSections: a table section that passes
+// its CRC but holds a state no history could produce is reported as
+// ErrCatalogCorrupt, never restored and never a panic.
+func TestSnapshotRejectsCorruptTableSections(t *testing.T) {
+	good := buildCatalog(t).Tables[0].Table
+	if _, err := ReadCatalog(bytes.NewReader(tableCatalog(t, good.State()))); err != nil {
+		t.Fatalf("intact section: %v", err)
+	}
+	for name, corrupt := range map[string]func(s *table.State){
+		"batch ids out of order":   func(s *table.State) { s.Batch[0], s.Batch[4] = 1, 0 },
+		"batch id at the count":    func(s *table.State) { s.Batch[4] = int64(s.Batches) },
+		"negative batch id":        func(s *table.State) { s.Batch[0] = -1 },
+		"negative access count":    func(s *table.State) { s.Access[2] = -1 },
+		"access count past uint32": func(s *table.State) { s.Access[2] = 1 << 32 },
+		"short active bitmap":      func(s *table.State) { s.Active = nil },
+		"short column":             func(s *table.State) { s.Values[1] = s.Values[1][:4] },
+		"long column":              func(s *table.State) { s.Values[0] = append(s.Values[0][:5:5], 6) },
+		"no columns":               func(s *table.State) { s.Columns, s.Values = nil, nil },
+		"duplicate column":         func(s *table.State) { s.Columns = []string{"v", "v"} },
+	} {
+		s := good.State()
+		s.Batch, s.Access = slices.Clone(s.Batch), slices.Clone(s.Access)
+		corrupt(&s)
+		if _, err := ReadCatalog(bytes.NewReader(tableCatalog(t, s))); !errors.Is(err, ErrCatalogCorrupt) {
+			t.Errorf("%s: got %v, want ErrCatalogCorrupt", name, err)
+		}
 	}
 }

@@ -1,13 +1,14 @@
-// Package snapshot persists table state to an io.Writer and restores it,
-// the mechanism behind §5's "recover a backup version of the database from
-// cold storage explicitly". The format is a versioned little-endian binary
-// layout: header, schema, per-column values (compressed with the Auto
-// codec), and the tuple metadata (active bitmap, insert batches, access
-// counts) — everything a strategy needs survives the round trip.
+// Package snapshot persists the catalog — every table's state plus the
+// policies and partition layouts around it — to an io.Writer and
+// restores it: the mechanism behind §5's "recover a backup version of
+// the database from cold storage explicitly". Each table is one
+// versioned little-endian record: header, schema, per-column values
+// (compressed with the Auto codec), and the tuple metadata (active
+// bitmap, insert batches, access counts) — everything a strategy needs
+// survives the round trip.
 package snapshot
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -16,63 +17,36 @@ import (
 	"amnesiadb/internal/table"
 )
 
-// magic identifies snapshot streams; version gates layout changes.
+// magic identifies table records; version gates layout changes.
 const (
 	magic   = 0x414d4e53 // "AMNS"
 	version = 1
 )
 
-// Write serialises t.
-func Write(w io.Writer, t *table.Table) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, t); err != nil {
+// writeTable serialises one table's state.
+func writeTable(w io.Writer, s table.State) error {
+	if err := binary.Write(w, binary.LittleEndian, []uint64{magic, version, uint64(len(s.Batch)), uint64(s.Batches), uint64(len(s.Columns))}); err != nil {
 		return err
 	}
-	cols := t.Columns()
+	if err := writeString(w, s.Name); err != nil {
+		return err
+	}
 	codec := compress.Auto{}
-	for _, name := range cols {
-		c := t.MustColumn(name)
-		if err := writeString(bw, name); err != nil {
+	for i, name := range s.Columns {
+		if err := writeString(w, name); err != nil {
 			return err
 		}
-		enc := codec.Compress(nil, c.Values())
-		if err := writeBytes(bw, enc); err != nil {
-			return err
-		}
-	}
-	// Tuple metadata.
-	n := t.Len()
-	activeBits := make([]byte, (n+7)/8)
-	for i := 0; i < n; i++ {
-		if t.IsActive(i) {
-			activeBits[i/8] |= 1 << (i % 8)
-		}
-	}
-	if err := writeBytes(bw, activeBits); err != nil {
-		return err
-	}
-	batches := make([]int64, n)
-	access := make([]int64, n)
-	for i := 0; i < n; i++ {
-		batches[i] = int64(t.InsertBatch(i))
-		access[i] = int64(t.AccessCount(i))
-	}
-	if err := writeBytes(bw, codec.Compress(nil, batches)); err != nil {
-		return err
-	}
-	if err := writeBytes(bw, codec.Compress(nil, access)); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func writeHeader(w io.Writer, t *table.Table) error {
-	for _, v := range []uint64{magic, version, uint64(t.Len()), uint64(t.Batches()), uint64(len(t.Columns()))} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+		if err := writeBytes(w, codec.Compress(nil, s.Values[i])); err != nil {
 			return err
 		}
 	}
-	return writeString(w, t.Name())
+	if err := writeBytes(w, s.Active); err != nil {
+		return err
+	}
+	if err := writeBytes(w, codec.Compress(nil, s.Batch)); err != nil {
+		return err
+	}
+	return writeBytes(w, codec.Compress(nil, s.Access))
 }
 
 func writeString(w io.Writer, s string) error { return writeBytes(w, []byte(s)) }
@@ -85,14 +59,12 @@ func writeBytes(w io.Writer, b []byte) error {
 	return err
 }
 
-// Read restores a table previously serialised by Write.
-func Read(r io.Reader) (*table.Table, error) {
-	br := bufio.NewReader(r)
+// readTable restores a table written by writeTable; table.Restore
+// validates the decoded state.
+func readTable(r io.Reader) (*table.Table, error) {
 	var hdr [5]uint64
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("snapshot: short header: %w", err)
-		}
+	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
+		return nil, fmt.Errorf("snapshot: short header: %w", err)
 	}
 	if hdr[0] != magic {
 		return nil, fmt.Errorf("snapshot: bad magic %#x", hdr[0])
@@ -100,89 +72,47 @@ func Read(r io.Reader) (*table.Table, error) {
 	if hdr[1] != version {
 		return nil, fmt.Errorf("snapshot: unsupported version %d", hdr[1])
 	}
-	n, nBatches, nCols := int(hdr[2]), int(hdr[3]), int(hdr[4])
-	name, err := readString(br)
-	if err != nil {
+	s := table.State{Batches: int(hdr[3])}
+	var err error
+	if s.Name, err = readString(r); err != nil {
 		return nil, err
 	}
-
 	codec := compress.Auto{}
-	colNames := make([]string, nCols)
-	colVals := make([][]int64, nCols)
-	for i := 0; i < nCols; i++ {
-		colNames[i], err = readString(br)
+	// Each column is read before the next is counted, so a corrupt
+	// column count fails on the first missing column, not on an
+	// allocation.
+	for range hdr[4] {
+		name, err := readString(r)
 		if err != nil {
 			return nil, err
 		}
-		enc, err := readBytes(br)
+		vals, err := readInts(r, codec)
 		if err != nil {
 			return nil, err
 		}
-		colVals[i], err = codec.Decompress(nil, enc)
-		if err != nil {
-			return nil, err
-		}
-		if len(colVals[i]) != n {
-			return nil, fmt.Errorf("snapshot: column %q has %d values, header says %d", colNames[i], len(colVals[i]), n)
-		}
+		s.Columns, s.Values = append(s.Columns, name), append(s.Values, vals)
 	}
-	activeBits, err := readBytes(br)
-	if err != nil {
+	if s.Active, err = readBytes(r); err != nil {
 		return nil, err
 	}
-	if len(activeBits) != (n+7)/8 {
-		return nil, fmt.Errorf("snapshot: active bitmap %d bytes for %d tuples", len(activeBits), n)
-	}
-	batchEnc, err := readBytes(br)
-	if err != nil {
+	if s.Batch, err = readInts(r, codec); err != nil {
 		return nil, err
 	}
-	batches, err := codec.Decompress(nil, batchEnc)
-	if err != nil {
+	if s.Access, err = readInts(r, codec); err != nil {
 		return nil, err
 	}
-	accessEnc, err := readBytes(br)
-	if err != nil {
-		return nil, err
+	if uint64(len(s.Batch)) != hdr[2] {
+		return nil, fmt.Errorf("snapshot: %d batch ids, header says %d tuples", len(s.Batch), hdr[2])
 	}
-	access, err := codec.Decompress(nil, accessEnc)
-	if err != nil {
-		return nil, err
-	}
-	if len(batches) != n || len(access) != n {
-		return nil, fmt.Errorf("snapshot: metadata length mismatch")
-	}
+	return table.Restore(s)
+}
 
-	// Rebuild: replay batch by batch so insert-batch ids and the batch
-	// counter come out identical.
-	t := table.New(name, colNames...)
-	start := 0
-	for b := 0; b < nBatches; b++ {
-		end := start
-		for end < n && batches[end] == int64(b) {
-			end++
-		}
-		vals := make(map[string][]int64, nCols)
-		for ci, cn := range colNames {
-			vals[cn] = colVals[ci][start:end]
-		}
-		if _, err := t.AppendBatch(vals); err != nil {
-			return nil, err
-		}
-		start = end
+func readInts(r io.Reader, codec compress.Auto) ([]int64, error) {
+	enc, err := readBytes(r)
+	if err != nil {
+		return nil, err
 	}
-	if start != n {
-		return nil, fmt.Errorf("snapshot: batch ids do not partition the tuples (replayed %d of %d)", start, n)
-	}
-	for i := 0; i < n; i++ {
-		if activeBits[i/8]&(1<<(i%8)) == 0 {
-			t.Forget(i)
-		}
-		for k := int64(0); k < access[i]; k++ {
-			t.Touch(i)
-		}
-	}
-	return t, nil
+	return codec.Decompress(nil, enc)
 }
 
 func readString(r io.Reader) (string, error) {

@@ -37,10 +37,10 @@ func buildTable(t *testing.T) *table.Table {
 func roundTrip(t *testing.T, tb *table.Table) *table.Table {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, tb); err != nil {
+	if err := writeTable(&buf, tb.State()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	back, err := readTable(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +114,10 @@ func TestRoundTripEmptyTable(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a snapshot at all........"))); err == nil {
+	if _, err := readTable(bytes.NewReader([]byte("not a snapshot at all........"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
+	if _, err := readTable(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream accepted")
 	}
 }
@@ -125,12 +125,12 @@ func TestReadRejectsGarbage(t *testing.T) {
 func TestReadRejectsTruncation(t *testing.T) {
 	tb := buildTable(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, tb); err != nil {
+	if err := writeTable(&buf, tb.State()); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{1, len(full) / 2, len(full) - 1} {
-		if _, err := Read(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := readTable(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -139,12 +139,12 @@ func TestReadRejectsTruncation(t *testing.T) {
 func TestReadRejectsWrongVersion(t *testing.T) {
 	tb := table.New("t", "a")
 	var buf bytes.Buffer
-	if err := Write(&buf, tb); err != nil {
+	if err := writeTable(&buf, tb.State()); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
 	b[8] = 99 // version field
-	if _, err := Read(bytes.NewReader(b)); err == nil {
+	if _, err := readTable(bytes.NewReader(b)); err == nil {
 		t.Fatal("wrong version accepted")
 	}
 }
@@ -154,7 +154,7 @@ func TestSnapshotIsCompact(t *testing.T) {
 	// thanks to the Auto codec.
 	tb := buildTable(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, tb); err != nil {
+	if err := writeTable(&buf, tb.State()); err != nil {
 		t.Fatal(err)
 	}
 	raw := tb.Len() * 16

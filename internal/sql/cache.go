@@ -56,22 +56,80 @@ func isCanonicalSQL(query string) bool {
 // hold resident. One stream chunk is the natural cut-off.
 const MaxCachedResultRows = StreamChunkRows
 
-// PlanCache is an LRU of parsed statements keyed by normalized SQL
-// text. Parsed Query values are never mutated after Parse, so one
-// cached plan may serve any number of concurrent executions.
-type PlanCache struct {
+// lru is the bounded map behind both caches: entries keyed by
+// normalized SQL, evicted least-recently-used first, with cumulative
+// hit and miss counters.
+type lru[V any] struct {
 	mu   sync.Mutex
 	cap  int
 	m    map[string]*list.Element
-	lru  list.List // front = most recent; values are *planEntry
+	ll   list.List // front = most recent; values are *lruEntry[V]
 	hits atomic.Uint64
 	miss atomic.Uint64
 }
 
-type planEntry struct {
+type lruEntry[V any] struct {
 	key string
-	q   *Query
+	val V
 }
+
+func newLRU[V any](capacity int) *lru[V] {
+	return &lru[V]{cap: capacity, m: make(map[string]*list.Element, capacity)}
+}
+
+// get returns key's value and marks it most recent. A present value
+// that valid (when non-nil) rejects is evicted on the spot and counts
+// as a miss, like an absent one.
+func (c *lru[V]) get(key string, valid func(V) bool) (v V, ok bool) {
+	c.mu.Lock()
+	if el, found := c.m[key]; found {
+		v = el.Value.(*lruEntry[V]).val
+		if ok = valid == nil || valid(v); ok {
+			c.ll.MoveToFront(el)
+		} else {
+			c.ll.Remove(el)
+			delete(c.m, key)
+		}
+	}
+	c.mu.Unlock()
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.miss.Add(1)
+	}
+	return v, ok
+}
+
+// put stores v under key as the most recent entry, replacing any
+// present one, and evicts the least recent entry past capacity.
+func (c *lru[V]) put(key string, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.m[key]; ok {
+		el.Value.(*lruEntry[V]).val = v
+		c.ll.MoveToFront(el)
+		return
+	}
+	c.m[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: v})
+	if c.ll.Len() > c.cap {
+		old := c.ll.Back()
+		c.ll.Remove(old)
+		delete(c.m, old.Value.(*lruEntry[V]).key)
+	}
+}
+
+func (c *lru[V]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}
+
+func (c *lru[V]) counters() (hits, misses uint64) { return c.hits.Load(), c.miss.Load() }
+
+// PlanCache is an LRU of parsed statements keyed by normalized SQL
+// text. Parsed Query values are never mutated after Parse, so one
+// cached plan may serve any number of concurrent executions.
+type PlanCache struct{ lru *lru[*Query] }
 
 // NewPlanCache builds a plan cache holding up to capacity statements;
 // capacity < 1 returns nil, and a nil cache parses straight through.
@@ -79,7 +137,7 @@ func NewPlanCache(capacity int) *PlanCache {
 	if capacity < 1 {
 		return nil
 	}
-	return &PlanCache{cap: capacity, m: make(map[string]*list.Element, capacity)}
+	return &PlanCache{newLRU[*Query](capacity)}
 }
 
 // Parse returns the parsed form of query, from cache when hot. Parse
@@ -89,30 +147,14 @@ func (c *PlanCache) Parse(query string) (*Query, error) {
 	if c == nil {
 		return Parse(query)
 	}
-	c.mu.Lock()
-	if el, ok := c.m[query]; ok {
-		c.lru.MoveToFront(el)
-		q := el.Value.(*planEntry).q
-		c.mu.Unlock()
-		c.hits.Add(1)
+	if q, ok := c.lru.get(query, nil); ok {
 		return q, nil
 	}
-	c.mu.Unlock()
-	c.miss.Add(1)
 	q, err := Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if _, ok := c.m[query]; !ok {
-		c.m[query] = c.lru.PushFront(&planEntry{key: query, q: q})
-		if c.lru.Len() > c.cap {
-			old := c.lru.Back()
-			c.lru.Remove(old)
-			delete(c.m, old.Value.(*planEntry).key)
-		}
-	}
-	c.mu.Unlock()
+	c.lru.put(query, q)
 	return q, nil
 }
 
@@ -121,9 +163,7 @@ func (c *PlanCache) Len() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
+	return c.lru.len()
 }
 
 // Counters returns cumulative hit/miss counts.
@@ -131,7 +171,7 @@ func (c *PlanCache) Counters() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	return c.hits.Load(), c.miss.Load()
+	return c.lru.counters()
 }
 
 // CachedResult is one fully-materialized query result as the stream
@@ -143,11 +183,10 @@ type CachedResult struct {
 	Rows    [][]float64
 }
 
-// resultEntry pairs a cached result with the epoch signature it was
+// signedResult pairs a cached result with the epoch signature it was
 // computed at.
-type resultEntry struct {
-	key string // normalized SQL
-	sig string // relation epoch signature at compute time
+type signedResult struct {
+	sig string
 	res *CachedResult
 }
 
@@ -156,14 +195,7 @@ type resultEntry struct {
 // relation the query read. A lookup whose current signature differs
 // finds the entry stale and evicts it on the spot — that eviction is
 // exactly how an Insert/Adapt/forget invalidates cached answers.
-type ResultCache struct {
-	mu   sync.Mutex
-	cap  int
-	m    map[string]*list.Element
-	lru  list.List // front = most recent; values are *resultEntry
-	hits atomic.Uint64
-	miss atomic.Uint64
-}
+type ResultCache struct{ lru *lru[signedResult] }
 
 // NewResultCache builds a result cache holding up to capacity results;
 // capacity < 1 returns nil, and a nil cache never hits.
@@ -171,7 +203,7 @@ func NewResultCache(capacity int) *ResultCache {
 	if capacity < 1 {
 		return nil
 	}
-	return &ResultCache{cap: capacity, m: make(map[string]*list.Element, capacity)}
+	return &ResultCache{newLRU[signedResult](capacity)}
 }
 
 // Get returns the cached result for key if present and computed at the
@@ -181,25 +213,8 @@ func (c *ResultCache) Get(key, sig string) (*CachedResult, bool) {
 	if c == nil {
 		return nil, false
 	}
-	c.mu.Lock()
-	el, ok := c.m[key]
-	if !ok {
-		c.mu.Unlock()
-		c.miss.Add(1)
-		return nil, false
-	}
-	ent := el.Value.(*resultEntry)
-	if ent.sig != sig {
-		c.lru.Remove(el)
-		delete(c.m, key)
-		c.mu.Unlock()
-		c.miss.Add(1)
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.mu.Unlock()
-	c.hits.Add(1)
-	return ent.res, true
+	e, ok := c.lru.get(key, func(e signedResult) bool { return e.sig == sig })
+	return e.res, ok
 }
 
 // Put stores a result computed at the given epoch signature,
@@ -211,20 +226,7 @@ func (c *ResultCache) Put(key, sig string, res *CachedResult) {
 	if c == nil || len(res.Rows) > MaxCachedResultRows {
 		return
 	}
-	c.mu.Lock()
-	if el, ok := c.m[key]; ok {
-		el.Value = &resultEntry{key: key, sig: sig, res: res}
-		c.lru.MoveToFront(el)
-		c.mu.Unlock()
-		return
-	}
-	c.m[key] = c.lru.PushFront(&resultEntry{key: key, sig: sig, res: res})
-	if c.lru.Len() > c.cap {
-		old := c.lru.Back()
-		c.lru.Remove(old)
-		delete(c.m, old.Value.(*resultEntry).key)
-	}
-	c.mu.Unlock()
+	c.lru.put(key, signedResult{sig: sig, res: res})
 }
 
 // Len returns the number of cached results.
@@ -232,9 +234,7 @@ func (c *ResultCache) Len() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
+	return c.lru.len()
 }
 
 // Counters returns cumulative hit/miss counts (stale evictions count
@@ -243,7 +243,7 @@ func (c *ResultCache) Counters() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	return c.hits.Load(), c.miss.Load()
+	return c.lru.counters()
 }
 
 // NewCachedStream replays a cached result as a detached ResultStream,

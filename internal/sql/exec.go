@@ -293,14 +293,14 @@ func execSelectStream(rel Relation, q *Query, o Opts) (*ResultStream, error) {
 		return nil, err
 	}
 	if orderCol != "" {
-		if rel.Clustered() && orderCol == scanCol && valueOnly {
-			if !q.OrderDesc && o.StallDetach > 0 {
+		if rel.Clustered() && orderCol == scanCol && valueOnly && !q.OrderDesc {
+			if o.StallDetach > 0 {
 				// The ascending clustered sort streams shard by shard and
 				// releases locks at scan completion — the same stall
 				// exposure as the unordered pipeline, same remedy.
 				cs.DetachOnStall(o.StallDetach)
 			}
-			return clusteredOrderedStream(o.context(), headers, ints, len(cols), cs, q.OrderDesc, limit, o.Parallelism, o.Sched)
+			return clusteredOrderedStream(headers, ints, len(cols), cs, limit), nil
 		}
 		// The sort is a barrier: drain the pipeline, then sort.
 		chunks, err := cs.Collect()
@@ -413,81 +413,34 @@ func (k *chunkCursor) next() ([][]float64, error) {
 	return out, nil
 }
 
-// clusteredOrderedStream serves ORDER BY over a clustered relation: the
-// fan-out's chunks arrive one per shard, in ascending shard order, and
-// shard value ranges are disjoint — so sorting each shard independently
-// and emitting shards in order (reverse order for DESC) reproduces the
+// clusteredOrderedStream serves ascending ORDER BY over a clustered
+// relation: the fan-out's chunks arrive one per shard, in ascending
+// shard order, and shard value ranges are disjoint — so sorting each
+// shard independently and emitting shards in order reproduces the
 // global stable sort exactly, without ever sorting the concatenation.
-// Ascending sorts stream: the first shard's sorted rows flush while
-// later shards are still scanning, so even ORDER BY has morsel-level
-// time-to-first-chunk. Descending needs the last shard first, so it
-// drains the fan-out, sorts the shards in parallel, and streams the
-// buffered output in reverse. Clustered relations are value-only (one
-// stored attribute), so every output cell is the sort key itself.
-func clusteredOrderedStream(ctx context.Context, headers []string, ints []bool, ncols int, cs *engine.ChunkStream, desc bool, limit, par int, sp *sched.Pool) (*ResultStream, error) {
-	emit := func(out [][]float64, v int64) [][]float64 {
-		row := make([]float64, ncols)
-		for i := range row {
-			row[i] = float64(v)
-		}
-		return append(out, row)
-	}
-	if !desc {
-		cursor := &chunkCursor{cs: cs, rem: limit,
-			onChunk: func(c engine.SelChunk) { slices.Sort(c.Values) },
-			emit: func(out [][]float64, c engine.SelChunk, off, end int) ([][]float64, error) {
-				for _, v := range c.Values[off:end] {
-					out = emit(out, v)
+// It streams: the first shard's sorted rows flush while later shards
+// are still scanning, so even ORDER BY has morsel-level
+// time-to-first-chunk. Clustered relations are value-only (one stored
+// attribute), so every output cell is the sort key itself.
+func clusteredOrderedStream(headers []string, ints []bool, ncols int, cs *engine.ChunkStream, limit int) *ResultStream {
+	cursor := &chunkCursor{cs: cs, rem: limit,
+		onChunk: func(c engine.SelChunk) { slices.Sort(c.Values) },
+		emit: func(out [][]float64, c engine.SelChunk, off, end int) ([][]float64, error) {
+			for _, v := range c.Values[off:end] {
+				row := make([]float64, ncols)
+				for i := range row {
+					row[i] = float64(v)
 				}
-				return out, nil
-			},
-		}
-		st := NewResultStream(headers, ints, cursor.next)
-		st.closeFn = cs.Close
-		st.scanDone = cs.ScanDone()
-		st.earlyRelease = true
-		return st, nil
-	}
-
-	// DESC: barrier on the fan-out, per-shard sorts in parallel, then
-	// stream shards in reverse, each walked back to front.
-	chunks, err := cs.Collect()
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, c := range chunks {
-		total += len(c.Values)
-	}
-	if err := engine.ForEachTask(ctx, sp, engine.Workers(sp, par, total, engine.TaskMinRows), len(chunks), func(_, i int) {
-		slices.Sort(chunks[i].Values)
-	}); err != nil {
-		for _, c := range chunks {
-			engine.RecycleChunk(c)
-		}
-		return nil, err
-	}
-	si := len(chunks) - 1
-	off, rem := 0, limit
-	next := func() ([][]float64, error) {
-		var out [][]float64
-		for len(out) < StreamChunkRows && rem != 0 && si >= 0 {
-			vals := chunks[si].Values
-			if off >= len(vals) {
-				si, off = si-1, 0
-				continue
+				out = append(out, row)
 			}
-			out = emit(out, vals[len(vals)-1-off])
-			off++
-			if rem > 0 {
-				rem--
-			}
-		}
-		return out, nil
+			return out, nil
+		},
 	}
-	st := NewResultStream(headers, ints, next)
-	st.Detached = true
-	return st, nil
+	st := NewResultStream(headers, ints, cursor.next)
+	st.closeFn = cs.Close
+	st.scanDone = cs.ScanDone()
+	st.earlyRelease = true
+	return st
 }
 
 // orderedSelectStream sorts the qualifying set and streams the sorted

@@ -203,10 +203,10 @@ func TestPartitionedStreamMatchesShardScans(t *testing.T) {
 	}
 }
 
-// TestClusteredOrderByMatchesGlobalSort pins the shard-merge ORDER BY:
-// per-shard sorts emitted in (reverse) shard order must equal the
-// global stable sort of the whole fan-out, across directions, limits
-// and parallelism.
+// TestClusteredOrderByMatchesGlobalSort pins ORDER BY over shards:
+// ascending per-shard sorts emitted in shard order, and the descending
+// sort barrier, must equal the global stable sort of the whole fan-out,
+// across directions, limits and parallelism.
 func TestClusteredOrderByMatchesGlobalSort(t *testing.T) {
 	set, cat := partFixture(t, 8)
 	// The reference order is computed directly: sort the unordered scan.

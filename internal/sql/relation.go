@@ -33,8 +33,8 @@ type Relation interface {
 	ScanChunkStream(ctx context.Context, col string, pred expr.Expr, par, limit int) (*engine.ChunkStream, error)
 	// Clustered reports that scan chunks arrive as disjoint, ascending
 	// value ranges (partitioned sets: one chunk per shard, in shard
-	// order). ORDER BY exploits it to sort shard-locally and merge
-	// instead of sorting the whole fan-out.
+	// order). Ascending ORDER BY exploits it to sort shard-locally and
+	// stream shard by shard instead of sorting the whole fan-out.
 	Clustered() bool
 	// Gather materializes col at the given scan positions. Relations
 	// without a global position space (partitioned sets) reject it;

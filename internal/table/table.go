@@ -8,6 +8,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -71,8 +72,16 @@ type Table struct {
 // New creates an empty table with the given column names. It panics on an
 // empty or duplicated column list.
 func New(name string, columns ...string) *Table {
+	t, err := newTable(name, columns)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+func newTable(name string, columns []string) (*Table, error) {
 	if len(columns) == 0 {
-		panic("table: New with no columns")
+		return nil, fmt.Errorf("table %s: no columns", name)
 	}
 	t := &Table{
 		name:    name,
@@ -82,12 +91,88 @@ func New(name string, columns ...string) *Table {
 	}
 	for i, c := range columns {
 		if _, dup := t.byName[c]; dup {
-			panic(fmt.Sprintf("table: duplicate column %q", c))
+			return nil, fmt.Errorf("table %s: duplicate column %q", name, c)
 		}
 		t.byName[c] = i
 		t.cols = append(t.cols, column.New())
 	}
-	return t
+	return t, nil
+}
+
+// State is a table's persisted form, one slice per tuple attribute, as
+// the snapshot format stores it.
+type State struct {
+	Name    string
+	Columns []string
+	// Values holds one slice per column, in Columns order.
+	Values [][]int64
+	// Batch is each tuple's insert batch id, ascending, below Batches:
+	// the number of batches appended, those Vacuum emptied included.
+	Batch   []int64
+	Batches int
+	// Active has bit i%8 of byte i/8 set when tuple i is active.
+	Active []byte
+	// Access is each tuple's access count.
+	Access []int64
+}
+
+// State returns t's persisted form. Values aliases the column storage
+// and must be treated as read-only.
+func (t *Table) State() State {
+	s := State{Name: t.name, Columns: t.Columns(), Batches: t.batches, Active: t.active.Bytes()}
+	for _, c := range t.cols {
+		s.Values = append(s.Values, c.Values())
+	}
+	s.Batch = make([]int64, t.Len())
+	s.Access = make([]int64, t.Len())
+	for i := range s.Batch {
+		s.Batch[i], s.Access[i] = int64(t.insertBatch[i]), int64(t.accessCount[i])
+	}
+	return s
+}
+
+// Restore rebuilds the table s describes in one validated pass,
+// adopting its Values: the inverse of State. A state no sequence of
+// appends, forgets and touches could have produced is an error.
+func Restore(s State) (*Table, error) {
+	t, err := newTable(s.Name, s.Columns)
+	if err != nil {
+		return nil, err
+	}
+	n := len(s.Batch)
+	if len(s.Values) != len(s.Columns) {
+		return nil, fmt.Errorf("table %s: %d value slices for %d columns", s.Name, len(s.Values), len(s.Columns))
+	}
+	for i, vs := range s.Values {
+		if len(vs) != n {
+			return nil, fmt.Errorf("table %s: column %q has %d values for %d tuples", s.Name, s.Columns[i], len(vs), n)
+		}
+	}
+	if len(s.Access) != n || len(s.Active) != (n+7)/8 {
+		return nil, fmt.Errorf("table %s: %d access counts and %d active-bitmap bytes for %d tuples", s.Name, len(s.Access), len(s.Active), n)
+	}
+	if s.Batches < 0 || s.Batches > math.MaxInt32 {
+		return nil, fmt.Errorf("table %s: batch count %d out of range", s.Name, s.Batches)
+	}
+	t.insertBatch = make([]int32, n)
+	t.accessCount = make([]uint32, n)
+	prev := int64(0)
+	for i, b := range s.Batch {
+		if b < prev || b >= int64(s.Batches) {
+			return nil, fmt.Errorf("table %s: tuple %d has batch id %d after %d, with %d batches", s.Name, i, b, prev, s.Batches)
+		}
+		a := s.Access[i]
+		if a < 0 || a > math.MaxUint32 {
+			return nil, fmt.Errorf("table %s: tuple %d has access count %d", s.Name, i, a)
+		}
+		t.insertBatch[i], t.accessCount[i], prev = int32(b), uint32(a), b
+	}
+	for i, vs := range s.Values {
+		t.cols[i] = column.FromValues(vs)
+	}
+	t.batches = s.Batches
+	t.active = bitvec.FromBytes(s.Active, n)
+	return t, nil
 }
 
 // Name returns the table name.
@@ -447,31 +532,3 @@ func (t *Table) ActivePerBatch() (active, total []int) {
 // OldestActive returns the position of the oldest (lowest index) active
 // tuple, or -1 when none are active.
 func (t *Table) OldestActive() int { return t.active.NextSet(0) }
-
-// ActiveValueQuantiles returns the q evenly spaced quantile values of the
-// named column over active tuples (q >= 1); used by distribution-aligned
-// amnesia. Returns nil when no tuples are active.
-func (t *Table) ActiveValueQuantiles(col string, q int) ([]int64, error) {
-	c, err := t.Column(col)
-	if err != nil {
-		return nil, err
-	}
-	idx := t.ActiveIndices()
-	if len(idx) == 0 {
-		return nil, nil
-	}
-	vals := make([]int64, len(idx))
-	for i, r := range idx {
-		vals[i] = c.Get(r)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	out := make([]int64, q)
-	for i := 0; i < q; i++ {
-		pos := (i + 1) * len(vals) / (q + 1)
-		if pos >= len(vals) {
-			pos = len(vals) - 1
-		}
-		out[i] = vals[pos]
-	}
-	return out, nil
-}

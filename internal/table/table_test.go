@@ -1,6 +1,8 @@
 package table
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -266,30 +268,6 @@ func TestOldestActive(t *testing.T) {
 	}
 }
 
-func TestActiveValueQuantiles(t *testing.T) {
-	tb := single(t, []int64{50, 10, 40, 20, 30})
-	qs, err := tb.ActiveValueQuantiles("a", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// sorted: 10 20 30 40 50; quartile positions 1, 2, 3 -> 20, 30, 40
-	if len(qs) != 3 || qs[0] != 20 || qs[1] != 30 || qs[2] != 40 {
-		t.Fatalf("quantiles = %v", qs)
-	}
-	if _, err := tb.ActiveValueQuantiles("nope", 2); err == nil {
-		t.Fatal("unknown column accepted")
-	}
-}
-
-func TestActiveValueQuantilesEmpty(t *testing.T) {
-	tb := single(t, []int64{1})
-	tb.Forget(0)
-	qs, err := tb.ActiveValueQuantiles("a", 4)
-	if err != nil || qs != nil {
-		t.Fatalf("empty quantiles = %v, %v", qs, err)
-	}
-}
-
 func TestPropertyForgetNeverChangesLen(t *testing.T) {
 	f := func(vals []int64, forget []uint8) bool {
 		if len(vals) == 0 {
@@ -421,5 +399,116 @@ func TestTouchManySetsBusyRunsAside(t *testing.T) {
 		if got := tb.AccessCount(row); got != n {
 			t.Fatalf("row %d: access count %d, want %d", row, got, n)
 		}
+	}
+}
+
+// detach returns a copy of s whose slices share nothing with the table
+// it came from, as a decoded snapshot does.
+func detach(s State) State {
+	d := s
+	d.Columns = append([]string(nil), s.Columns...)
+	d.Values = nil
+	for _, vs := range s.Values {
+		d.Values = append(d.Values, append([]int64(nil), vs...))
+	}
+	d.Batch = append([]int64(nil), s.Batch...)
+	d.Active = append([]byte(nil), s.Active...)
+	d.Access = append([]int64(nil), s.Access...)
+	return d
+}
+
+// TestStateRestoreRoundTrip: Restore(State()) rebuilds the same table,
+// a batch emptied by Vacuum and saturated access counts included, and
+// the restored table goes on exactly as the original does.
+func TestStateRestoreRoundTrip(t *testing.T) {
+	tb := New("t", "a", "b")
+	for _, n := range []int{5, 3, 70} {
+		a, b := make([]int64, n), make([]int64, n)
+		for i := range a {
+			a[i], b[i] = int64(tb.Len()+i), -int64(tb.Len()+i)
+		}
+		if _, err := tb.AppendBatch(map[string][]int64{"a": a, "b": b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.ForgetMany([]int{5, 6, 7, 8, 20, 71})
+	tb.Vacuum() // batch 1 is now empty
+	tb.Touch(3)
+	tb.Touch(3)
+	tb.TouchRange(10, 12, func(counts []uint32) {
+		for i := range counts {
+			counts[i] = ^uint32(0)
+		}
+	})
+	tb.Forget(0)
+
+	back, err := Restore(detach(tb.State()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.State(), tb.State()) {
+		t.Fatalf("restored state differs:\n got %+v\nwant %+v", back.State(), tb.State())
+	}
+	if back.Batches() != 3 || back.ActiveCount() != tb.ActiveCount() {
+		t.Fatalf("restored batches=%d active=%d, want 3 and %d", back.Batches(), back.ActiveCount(), tb.ActiveCount())
+	}
+
+	for _, x := range []*Table{tb, back} {
+		if _, err := x.AppendBatch(map[string][]int64{"a": {100, 101}, "b": {-100, -101}}); err != nil {
+			t.Fatal(err)
+		}
+		x.Touch(x.Len() - 1)
+		x.Touch(10) // saturated: stays at the ceiling
+		x.Forget(1)
+	}
+	if got := back.InsertBatch(back.Len() - 1); got != 3 {
+		t.Fatalf("batch appended after restore has id %d, want 3", got)
+	}
+	if !reflect.DeepEqual(back.State(), tb.State()) {
+		t.Fatalf("states diverge after the same appends, touches and forgets:\n got %+v\nwant %+v", back.State(), tb.State())
+	}
+}
+
+// TestRestoreRejectsInvalidState: a state no sequence of appends,
+// forgets and touches produces is an error, never a panic or a table.
+func TestRestoreRejectsInvalidState(t *testing.T) {
+	valid := func() State {
+		return State{
+			Name:    "t",
+			Columns: []string{"a", "b"},
+			Values:  [][]int64{{1, 2, 3}, {4, 5, 6}},
+			Batch:   []int64{0, 0, 2},
+			Batches: 3,
+			Active:  []byte{0b101},
+			Access:  []int64{0, 7, math.MaxUint32},
+		}
+	}
+	if _, err := Restore(valid()); err != nil {
+		t.Fatalf("valid state rejected: %v", err)
+	}
+	for name, corrupt := range map[string]func(*State){
+		"no columns":             func(s *State) { s.Columns, s.Values = nil, nil },
+		"duplicate column":       func(s *State) { s.Columns[1] = "a" },
+		"missing value slice":    func(s *State) { s.Values = s.Values[:1] },
+		"short column":           func(s *State) { s.Values[1] = s.Values[1][:2] },
+		"long column":            func(s *State) { s.Values[0] = append(s.Values[0], 9) },
+		"short access":           func(s *State) { s.Access = s.Access[:2] },
+		"nil bitmap":             func(s *State) { s.Active = nil },
+		"long bitmap":            func(s *State) { s.Active = append(s.Active, 0) },
+		"negative batch count":   func(s *State) { s.Batches = -1 },
+		"batch count over int32": func(s *State) { s.Batches = math.MaxInt32 + 1 },
+		"descending batch ids":   func(s *State) { s.Batch[1], s.Batch[2] = 2, 1 },
+		"batch id at count":      func(s *State) { s.Batch[2] = 3 },
+		"negative batch id":      func(s *State) { s.Batch[0] = -1 },
+		"negative access":        func(s *State) { s.Access[0] = -1 },
+		"access over uint32":     func(s *State) { s.Access[2] = math.MaxUint32 + 1 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := valid()
+			corrupt(&s)
+			if tb, err := Restore(s); err == nil {
+				t.Fatalf("Restore accepted the state, built a %d-tuple table", tb.Len())
+			}
+		})
 	}
 }

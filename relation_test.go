@@ -1,7 +1,6 @@
 package amnesiadb_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -208,30 +207,6 @@ func TestCancelledCtxStopsFlatReads(t *testing.T) {
 	}
 	if _, _, _, err := db.JoinPrecision(ctx, tb, "k", tb, "k", amnesiadb.All()); !errors.Is(err, context.Canceled) {
 		t.Errorf("JoinPrecision under a cancelled ctx: err = %v, want context.Canceled", err)
-	}
-}
-
-// TestLoadTableRejectsPartitionedName pins the unified namespace on the
-// snapshot path: a restore may not shadow a partitioned catalog entry.
-func TestLoadTableRejectsPartitionedName(t *testing.T) {
-	src := amnesiadb.Open(amnesiadb.Options{Seed: 1})
-	flat, err := src.CreateTable("x", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := flat.InsertColumn("a", []int64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := flat.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dst := amnesiadb.Open(amnesiadb.Options{Seed: 2})
-	if _, err := dst.CreatePartitionedTable("x", "v", 100, 2, "uniform", 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dst.LoadTable(&buf); err == nil {
-		t.Fatal("LoadTable shadowed a partitioned table's name")
 	}
 }
 
