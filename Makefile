@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz FuzzQueryDecode -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -race -run '^$$' -fuzz FuzzQueryHeader -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -race -run '^$$' -fuzz FuzzAppendJSONFloat -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -race -run '^$$' -fuzz FuzzAppendIntCell -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -race -run '^$$' -fuzz FuzzScanKernel -fuzztime $(FUZZTIME) ./internal/column
 	$(GO) test -race -run '^$$' -fuzz FuzzValueIndex -fuzztime $(FUZZTIME) ./internal/column
 

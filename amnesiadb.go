@@ -535,9 +535,11 @@ func (db *DB) Query(q string) (*QueryResult, error) {
 
 // QueryStream is a query result delivered as a pipeline: the engine's
 // morsel workers (or the partition layer's shard fan-out) push batches
-// into a bounded channel while they are still scanning, and Next
-// projects whatever has arrived — the first chunk is ready after the
-// first morsel, not the full scan. Streams whose later chunks never
+// into a bounded channel while they are still scanning, and NextChunk
+// projects whatever has arrived into a column-major chunk — the first
+// chunk is ready after the first morsel, not the full scan. A chunk is
+// valid until the next call; Next is the row adapter over NextChunk,
+// handing out rows the caller owns. Streams whose later chunks never
 // read table storage again — value-only projections, including every
 // partitioned-table select, and aggregates — release their relations'
 // read locks as soon as the scan side completes, even while the
@@ -549,8 +551,8 @@ func (db *DB) Query(q string) (*QueryResult, error) {
 // and small backlogs (selective queries) fit the pipeline's buffers
 // and always release at scan speed.
 // Streams that project lazily from table columns (multi-column selects,
-// joins) hold their read locks until Close, which Next calls
-// automatically once the stream drains or fails; callers abandoning a
+// joins) hold their read locks until Close, which Next and NextChunk
+// call automatically once the stream drains or fails; callers abandoning a
 // stream early must Close it themselves — Close also cancels any
 // still-running producers. Single-consumer, not safe for concurrent
 // use.
@@ -576,17 +578,17 @@ type QueryStream struct {
 	// cached marks a stream replaying a result-cache hit; no relation
 	// storage is read and no locks are held.
 	cached bool
-	// The recorder tees drained rows into the result cache: rows
-	// accumulate (as copies — consumers may scribble on theirs) until
-	// the stream drains cleanly, then commit under the epoch signature
-	// captured at query start. An error, or growth past the cacheable
-	// bound, drops the recording. Single-consumer like the stream
-	// itself, so these fields need no lock.
+	// The recorder tees drained chunks into the result cache: their
+	// columns accumulate in rec (a copy — the stream reuses its chunk
+	// arrays) until the stream drains cleanly, then commit under the
+	// epoch signature captured at query start. An error, or growth past
+	// the cacheable bound, drops the recording. Single-consumer like the
+	// stream itself, so these fields need no lock.
 	cache     *sql.ResultCache
 	cacheKey  string
 	cacheSig  string
 	recording bool
-	recRows   [][]float64
+	rec       *sql.Chunk
 }
 
 // Cached reports whether this stream is served from the result cache
@@ -602,30 +604,40 @@ func (qs *QueryStream) Cached() bool { return qs.cached }
 // no first-byte latency.
 func (qs *QueryStream) Pipelined() bool { return qs.st.ScanDone() != nil }
 
-// Next returns the next chunk of rows, nil once the stream is drained.
-func (qs *QueryStream) Next() ([][]float64, error) {
-	rows, err := qs.st.Next()
+// NextChunk returns the next column-major chunk of the result, nil
+// once the stream is drained. The chunk is valid until the next call
+// and must not be modified.
+func (qs *QueryStream) NextChunk() (*sql.Chunk, error) {
+	c, err := qs.st.NextChunk()
 	if qs.recording {
 		switch {
 		case err != nil:
-			qs.recording, qs.recRows = false, nil
-		case rows == nil:
+			qs.recording, qs.rec = false, nil
+		case c == nil:
 			qs.cache.Put(qs.cacheKey, qs.cacheSig, &sql.CachedResult{
-				Columns: qs.Columns, Ints: qs.Ints, Rows: qs.recRows,
+				Columns: qs.Columns, Ints: qs.Ints, Chunk: qs.rec,
 			})
-			qs.recording, qs.recRows = false, nil
-		case len(qs.recRows)+len(rows) > sql.MaxCachedResultRows:
-			qs.recording, qs.recRows = false, nil
+			qs.recording, qs.rec = false, nil
+		case qs.rec.Len+c.Len > sql.MaxCachedResultRows:
+			qs.recording, qs.rec = false, nil
 		default:
-			for _, r := range rows {
-				qs.recRows = append(qs.recRows, append([]float64(nil), r...))
-			}
+			qs.rec.Append(c)
 		}
 	}
-	if err != nil || rows == nil {
+	if err != nil || c == nil {
 		qs.Close()
 	}
-	return rows, err
+	return c, err
+}
+
+// Next is the row adapter over NextChunk: it returns the next chunk as
+// rows the caller owns, nil once the stream is drained.
+func (qs *QueryStream) Next() ([][]float64, error) {
+	c, err := qs.NextChunk()
+	if c == nil {
+		return nil, err
+	}
+	return c.Rows(), nil
 }
 
 // Close cancels any still-running producers and releases the relation
@@ -775,7 +787,7 @@ func (db *DB) QueryStreamCtx(ctx context.Context, q string) (*QueryStream, error
 	qs := &QueryStream{Columns: st.Columns, Ints: st.Ints, st: st, release: release,
 		finish: func() { db.gov.Remove(quota) }}
 	if db.results != nil {
-		qs.cache, qs.cacheKey, qs.cacheSig, qs.recording = db.results, norm, sig, true
+		qs.cache, qs.cacheKey, qs.cacheSig, qs.recording, qs.rec = db.results, norm, sig, true, &sql.Chunk{}
 	}
 	switch {
 	case st.Detached:

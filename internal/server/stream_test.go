@@ -433,12 +433,12 @@ type errAfterSource struct {
 	sent bool
 }
 
-func (s *errAfterSource) Next() ([][]float64, error) {
+func (s *errAfterSource) NextChunk() (*sql.Chunk, error) {
 	if s.sent {
 		return nil, errors.New("disk caught fire")
 	}
 	s.sent = true
-	return [][]float64{{1}, {2}}, nil
+	return &sql.Chunk{Len: 2, Cols: []sql.Col{{Ints: []int64{1, 2}}}}, nil
 }
 
 func (s *errAfterSource) Pipelined() bool { return true }
@@ -530,39 +530,48 @@ func TestJoinUnknownTableIs404AndBadJoinIs400(t *testing.T) {
 	}
 }
 
-// TestAppendRowJSONMatchesEncodingJSON pins the pooled serializer
-// against encoding/json byte for byte, across the float shapes query
-// results produce (integers, AVG fractions, extreme magnitudes,
-// exponent formatting) plus the NaN -> null translation.
-func TestAppendRowJSONMatchesEncodingJSON(t *testing.T) {
-	rows := [][]float64{
+// TestAppendChunkJSONMatchesEncodingJSON pins the chunk encoder
+// against encoding/json of the row form byte for byte, across the
+// float shapes query results produce (integral floats, AVG fractions,
+// extreme magnitudes, exponent formatting), the NaN -> null
+// translation, and integer cells either side of 2^53 next to them.
+func TestAppendChunkJSONMatchesEncodingJSON(t *testing.T) {
+	floats := [][]float64{
 		{0, 1, -1, 42},
 		{0.5, -2.25, 1.0 / 3.0},
 		{9.2e18, -9.2e18, 1e20, 1e21, 1.5e22},
 		{1e-6, 9.9e-7, 1e-9, -2.5e-8},
 		{123456789.123456, -0.000244140625},
 	}
-	for _, row := range rows {
-		got := string(appendRowJSON(nil, row))
-		want, err := json.Marshal(row)
+	for _, col := range floats {
+		ints := make([]int64, len(col))
+		rows := make([][]float64, len(col))
+		for i, v := range col {
+			ints[i] = (int64(i)-2)<<53 + int64(i) // −2^54, −2^53+1, 2, 2^53+3, 2^54+4
+			rows[i] = []float64{v, float64(ints[i])}
+		}
+		c := &sql.Chunk{Len: len(col), Cols: []sql.Col{{Floats: col}, {Ints: ints}}}
+		got := "[" + string(appendChunkJSON(nil, c, true)) + "]"
+		want, err := json.Marshal(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != string(want) {
-			t.Fatalf("appendRowJSON(%v) = %s, want %s", row, got, want)
+			t.Fatalf("appendChunkJSON(%v, %v) = %s, want %s", col, ints, got, want)
 		}
 	}
-	// NaN cells become nulls (encoding/json would reject them).
-	got := string(appendRowJSON(nil, []float64{1, math.NaN(), 3}))
-	if got != "[1,null,3]" {
-		t.Fatalf("NaN row = %s, want [1,null,3]", got)
+	// NaN cells become nulls (encoding/json would reject them), and a
+	// chunk that does not open the response leads with a comma.
+	c := &sql.Chunk{Len: 2, Cols: []sql.Col{{Floats: []float64{math.NaN(), 3}}, {Ints: []int64{1, math.MinInt64}}}}
+	if got := string(appendChunkJSON(nil, c, false)); got != ",[null,1],[3,-9223372036854776000]" {
+		t.Fatalf("NaN chunk = %s", got)
 	}
 }
 
-// FuzzAppendJSONFloat holds the cell encoder — integer fast path
+// FuzzAppendJSONFloat holds the float cell encoder — integral fast path
 // included — to encoding/json for every float64 it accepts; NaN takes
-// appendRowJSON's null path and infinities never reach the encoder
-// (no int64 column or aggregate of one produces them).
+// the null path and infinities never reach the encoder (no int64
+// column or aggregate of one produces them).
 func FuzzAppendJSONFloat(f *testing.F) {
 	for _, v := range []float64{
 		0, math.Copysign(0, -1), 1<<53 - 1, -(1<<53 - 1), 1 << 53, -(1 << 53), 1<<53 + 2,
@@ -574,17 +583,47 @@ func FuzzAppendJSONFloat(f *testing.F) {
 		if math.IsInf(v, 0) {
 			t.Skip()
 		}
-		got := string(appendRowJSON(nil, []float64{v}))
-		want := "[null]"
+		got := string(appendFloatCell(nil, v))
+		want := "null"
 		if !math.IsNaN(v) {
-			b, err := json.Marshal([]float64{v})
+			b, err := json.Marshal(v)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want = string(b)
 		}
 		if got != want {
-			t.Fatalf("appendRowJSON([%v]) = %s, want %s", v, got, want)
+			t.Fatalf("appendFloatCell(%v) = %s, want %s", v, got, want)
+		}
+	})
+}
+
+// FuzzAppendIntCell holds the integer cell encoder to the float row
+// form it replaced: for every int64, the bytes of float64(v) through
+// appendJSONFloat, whose digits come from strconv — so the hand-rolled
+// digit writer is held to strconv, and cells beyond 2^53 keep their
+// rounding.
+func FuzzAppendIntCell(f *testing.F) {
+	for _, v := range []int64{
+		0, 1, -1, 1<<53 - 1, -(1<<53 - 1), 1 << 53, -(1 << 53), 1<<53 + 1, -(1<<53 + 1),
+		1<<53 + 3, math.MaxInt64, math.MinInt64, math.MaxInt64 - 511, 1 << 62,
+	} {
+		f.Add(v)
+	}
+	// Every digit count, either side of each power of ten.
+	for p := int64(10); p <= 1e16; p *= 10 {
+		f.Add(p - 1)
+		f.Add(p)
+		f.Add(-p - 1)
+	}
+	f.Fuzz(func(t *testing.T, v int64) {
+		// The cell lands after a row's opening bracket, in a buffer
+		// with and without room for it.
+		want := appendJSONFloat([]byte("["), float64(v))
+		for _, b := range [][]byte{[]byte("["), append(make([]byte, 0, 32), '[')} {
+			if got := appendIntCell(b, v); !bytes.Equal(got, want) {
+				t.Fatalf("appendIntCell(%d) = %s, want %s", v, got, want)
+			}
 		}
 	})
 }
@@ -625,5 +664,24 @@ func TestQueryCancelledRequestContext(t *testing.T) {
 	}
 	if len(out.Rows) == len(vals) {
 		t.Fatal("cancelled request streamed the full result")
+	}
+}
+
+// BenchmarkAppendChunkJSON prices the cell encoder alone on one full
+// two-column integer chunk, the shape of scan_stream's selects.
+func BenchmarkAppendChunkJSON(b *testing.B) {
+	c := &sql.Chunk{Len: sql.StreamChunkRows, Cols: []sql.Col{
+		{Ints: make([]int64, sql.StreamChunkRows)}, {Ints: make([]int64, sql.StreamChunkRows)},
+	}}
+	for i := 0; i < c.Len; i++ {
+		c.Cols[0].Ints[i] = int64(i) * 977
+		c.Cols[1].Ints[i] = int64(i*7919) % (1 << 22)
+	}
+	buf := appendChunkJSON(nil, c, true)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = appendChunkJSON(buf[:0], c, true)
 	}
 }

@@ -175,12 +175,23 @@ func (c *PlanCache) Counters() (hits, misses uint64) {
 }
 
 // CachedResult is one fully-materialized query result as the stream
-// layer shapes it. Rows are shared between the cache and every hit;
-// consumers receive per-row copies so cached data stays immutable.
+// layer shapes it. Chunk holds it column-major, as the facade's
+// recorder tees it from a drained stream; it is shared between the
+// cache and every hit and is never modified. Rows is the row form, for
+// a result built by hand; it is read only when Chunk is nil.
 type CachedResult struct {
 	Columns []string
 	Ints    []bool
 	Rows    [][]float64
+	Chunk   *Chunk
+}
+
+// len returns the result's row count.
+func (r *CachedResult) len() int {
+	if r.Chunk != nil {
+		return r.Chunk.Len
+	}
+	return len(r.Rows)
 }
 
 // signedResult pairs a cached result with the epoch signature it was
@@ -223,7 +234,7 @@ func (c *ResultCache) Get(key, sig string) (*CachedResult, bool) {
 // the least-recently-used entry past capacity. Oversized results are
 // rejected — see MaxCachedResultRows.
 func (c *ResultCache) Put(key, sig string, res *CachedResult) {
-	if c == nil || len(res.Rows) > MaxCachedResultRows {
+	if c == nil || res.len() > MaxCachedResultRows {
 		return
 	}
 	c.lru.put(key, signedResult{sig: sig, res: res})
@@ -246,27 +257,31 @@ func (c *ResultCache) Counters() (hits, misses uint64) {
 	return c.lru.counters()
 }
 
-// NewCachedStream replays a cached result as a detached ResultStream,
-// chunked like a live one. Rows are copied per chunk so consumers that
-// mutate their rows (or hold them past the next query) cannot corrupt
-// the cache.
+// NewCachedStream replays a cached result as a detached ResultStream.
+// A cacheable result fits one stream chunk, so a hit replays its one
+// shared chunk as it is, with no copy: NextChunk's chunk is read-only,
+// and the row adapters hand out rows of their own.
 func NewCachedStream(res *CachedResult) *ResultStream {
-	pos := 0
-	st := NewResultStream(res.Columns, res.Ints, func() ([][]float64, error) {
-		if pos >= len(res.Rows) {
-			return nil, nil
+	c := res.Chunk
+	if c == nil {
+		c = floatChunk(res.Rows)
+	}
+	return oneChunkStream(res.Columns, res.Ints, c)
+}
+
+// floatChunk turns rows into a chunk of float columns.
+func floatChunk(rows [][]float64) *Chunk {
+	c := &Chunk{Len: len(rows)}
+	if len(rows) == 0 {
+		return c
+	}
+	c.Cols = make([]Col, len(rows[0]))
+	for j := range c.Cols {
+		col := make([]float64, len(rows))
+		for i, row := range rows {
+			col[i] = row[j]
 		}
-		end := pos + StreamChunkRows
-		if end > len(res.Rows) {
-			end = len(res.Rows)
-		}
-		out := make([][]float64, end-pos)
-		for i, row := range res.Rows[pos:end] {
-			out[i] = append([]float64(nil), row...)
-		}
-		pos = end
-		return out, nil
-	})
-	st.Detached = true
-	return st
+		c.Cols[j].Floats = col
+	}
+	return c
 }

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -121,7 +122,8 @@ func TestResultCacheRowCap(t *testing.T) {
 }
 
 // TestCachedStreamCopies pins that a cache hit's rows are copies: a
-// consumer scribbling on them must not corrupt later hits.
+// consumer scribbling on the row adapter's rows must not corrupt later
+// hits.
 func TestCachedStreamCopies(t *testing.T) {
 	res := &CachedResult{Columns: []string{"a"}, Ints: []bool{true}, Rows: [][]float64{{7}}}
 	st := NewCachedStream(res)
@@ -137,5 +139,21 @@ func TestCachedStreamCopies(t *testing.T) {
 	}
 	if !st2.Detached {
 		t.Fatal("cached stream not detached")
+	}
+}
+
+// TestCachedStreamReplaysSharedChunk pins that a hit costs no copy: the
+// stream hands out the cached chunk itself, and its row adapter builds
+// rows of the chunk's cells with integers and NULLs intact.
+func TestCachedStreamReplaysSharedChunk(t *testing.T) {
+	c := &Chunk{Len: 2, Cols: []Col{{Ints: []int64{1 << 40, -3}}, {Floats: []float64{0.5, math.NaN()}}}}
+	res := &CachedResult{Columns: []string{"a", "AVG(b)"}, Ints: []bool{true, false}, Chunk: c}
+	got, err := NewCachedStream(res).NextChunk()
+	if err != nil || got != c {
+		t.Fatalf("hit chunk = %p (err %v), want the cached %p", got, err, c)
+	}
+	rows, err := NewCachedStream(res).Next()
+	if err != nil || len(rows) != 2 || rows[0][0] != 1<<40 || rows[0][1] != 0.5 || rows[1][0] != -3 || !math.IsNaN(rows[1][1]) {
+		t.Fatalf("rows = %v (err %v)", rows, err)
 	}
 }

@@ -320,8 +320,8 @@ func execSelectStream(rel Relation, q *Query, o Opts) (*ResultStream, error) {
 		// regardless, so detaching their scan would buy nothing.
 		cs.DetachOnStall(o.StallDetach)
 	}
-	cursor := &chunkCursor{cs: cs, rem: limit,
-		emit: func(out [][]float64, c engine.SelChunk, off, end int) ([][]float64, error) {
+	cursor := &chunkCursor{cs: cs, rem: limit, out: intChunk(len(cols), 0),
+		emit: func(out *Chunk, c engine.SelChunk, off, end int) error {
 			// Relations without global positions (partitioned sets)
 			// carry nil Rows; they project by value only.
 			var span []int32
@@ -331,7 +331,7 @@ func execSelectStream(rel Relation, q *Query, o Opts) (*ResultStream, error) {
 			return projectSpan(rel, cols, scanCol, span, c.Values[off:end], out)
 		},
 	}
-	st := NewResultStream(headers, ints, cursor.next)
+	st := newResultStream(headers, ints, cursor.next)
 	st.closeFn = cs.Close
 	st.scanDone = cs.ScanDone()
 	st.earlyRelease = valueOnly
@@ -352,8 +352,11 @@ type chunkCursor struct {
 	// onChunk, when set, hooks each chunk as it arrives (the clustered
 	// path sorts shard values in place).
 	onChunk func(c engine.SelChunk)
-	// emit appends rows for c's [off, end) span to out.
-	emit func(out [][]float64, c engine.SelChunk, off, end int) ([][]float64, error)
+	// emit appends c's [off, end) span to out's columns.
+	emit func(out *Chunk, c engine.SelChunk, off, end int) error
+	// out is the output window, refilled by every next call: its
+	// column arrays grow to one window once and are reused after.
+	out *Chunk
 
 	cur     engine.SelChunk
 	off     int
@@ -361,12 +364,13 @@ type chunkCursor struct {
 	drained bool
 }
 
-func (k *chunkCursor) next() ([][]float64, error) {
+func (k *chunkCursor) next() (*Chunk, error) {
 	if k.drained {
 		return nil, nil
 	}
-	var out [][]float64
-	for len(out) < StreamChunkRows && k.rem != 0 {
+	out := k.out
+	out.reset()
+	for out.Len < StreamChunkRows && k.rem != 0 {
 		if k.off >= len(k.cur.Values) {
 			engine.RecycleChunk(k.cur)
 			k.cur, k.off = engine.SelChunk{}, 0
@@ -386,19 +390,18 @@ func (k *chunkCursor) next() ([][]float64, error) {
 			continue
 		}
 		take := len(k.cur.Values) - k.off
-		if n := StreamChunkRows - len(out); take > n {
+		if n := StreamChunkRows - out.Len; take > n {
 			take = n
 		}
 		if k.rem > 0 && take > k.rem {
 			take = k.rem
 		}
-		var err error
-		out, err = k.emit(out, k.cur, k.off, k.off+take)
-		if err != nil {
+		if err := k.emit(out, k.cur, k.off, k.off+take); err != nil {
 			k.drained = true
 			k.cs.Close()
 			return nil, err
 		}
+		out.Len += take
 		k.off += take
 		if k.rem > 0 {
 			k.rem -= take
@@ -423,20 +426,16 @@ func (k *chunkCursor) next() ([][]float64, error) {
 // time-to-first-chunk. Clustered relations are value-only (one stored
 // attribute), so every output cell is the sort key itself.
 func clusteredOrderedStream(headers []string, ints []bool, ncols int, cs *engine.ChunkStream, limit int) *ResultStream {
-	cursor := &chunkCursor{cs: cs, rem: limit,
+	cursor := &chunkCursor{cs: cs, rem: limit, out: intChunk(ncols, 0),
 		onChunk: func(c engine.SelChunk) { slices.Sort(c.Values) },
-		emit: func(out [][]float64, c engine.SelChunk, off, end int) ([][]float64, error) {
-			for _, v := range c.Values[off:end] {
-				row := make([]float64, ncols)
-				for i := range row {
-					row[i] = float64(v)
-				}
-				out = append(out, row)
+		emit: func(out *Chunk, c engine.SelChunk, off, end int) error {
+			for i := range out.Cols {
+				out.Cols[i].Ints = append(out.Cols[i].Ints, c.Values[off:end]...)
 			}
-			return out, nil
+			return nil
 		},
 	}
-	st := NewResultStream(headers, ints, cursor.next)
+	st := newResultStream(headers, ints, cursor.next)
 	st.closeFn = cs.Close
 	st.scanDone = cs.ScanDone()
 	st.earlyRelease = true
@@ -476,16 +475,15 @@ func orderedSelectStream(ctx context.Context, rel Relation, headers []string, in
 		return nil, err
 	}
 	pos := 0
-	wrows := make([]int32, 0, StreamChunkRows)
-	wvals := make([]int64, 0, StreamChunkRows)
-	next := func() ([][]float64, error) {
+	window := min(len(perm), StreamChunkRows)
+	wrows := make([]int32, 0, window)
+	wvals := make([]int64, 0, window)
+	out := intChunk(len(cols), window)
+	next := func() (*Chunk, error) {
 		if pos >= len(perm) {
 			return nil, nil
 		}
-		end := pos + StreamChunkRows
-		if end > len(perm) {
-			end = len(perm)
-		}
+		end := min(pos+StreamChunkRows, len(perm))
 		wrows, wvals = wrows[:0], wvals[:0]
 		for _, p := range perm[pos:end] {
 			if hasRows {
@@ -498,41 +496,52 @@ func orderedSelectStream(ctx context.Context, rel Relation, headers []string, in
 		if hasRows {
 			span = wrows
 		}
-		return projectSpan(rel, cols, scanCol, span, wvals, nil)
+		out.reset()
+		if err := projectSpan(rel, cols, scanCol, span, wvals, out); err != nil {
+			return nil, err
+		}
+		out.Len = len(wvals)
+		return out, nil
 	}
 	// The sort keys were gathered above, so after construction a
 	// value-only projection touches no relation storage.
-	st := NewResultStream(headers, ints, next)
+	st := newResultStream(headers, ints, next)
 	st.Detached = valueOnly
 	return st, nil
 }
 
-// projectSpan appends one span of qualifying tuples to out as projected
-// rows, column-at-a-time: the scan column's values are already in hand,
-// every other column is gathered over the span's positions.
-func projectSpan(rel Relation, cols []string, scanCol string, rows []int32, vals []int64, out [][]float64) ([][]float64, error) {
-	// One backing array per span; rows are fixed-capacity slices of it.
-	base := len(out)
-	cells := make([]float64, len(vals)*len(cols))
-	for i := range vals {
-		out = append(out, cells[i*len(cols):(i+1)*len(cols):(i+1)*len(cols)])
-	}
-	var buf []int64
+// projectSpan appends one span of qualifying tuples to out's columns,
+// column-at-a-time: the scan column's values are already in hand and
+// are copied, every other column is gathered over the span's
+// positions straight into its output array. The caller advances
+// out.Len.
+func projectSpan(rel Relation, cols []string, scanCol string, rows []int32, vals []int64, out *Chunk) error {
 	for ci, cn := range cols {
-		src := vals
-		if cn != scanCol {
-			var err error
-			buf, err = rel.Gather(cn, rows, buf)
-			if err != nil {
-				return nil, err
-			}
-			src = buf
+		col := &out.Cols[ci]
+		if cn == scanCol {
+			col.Ints = append(col.Ints, vals...)
+			continue
 		}
-		for i, v := range src {
-			out[base+i][ci] = float64(v)
+		var err error
+		if col.Ints, err = gatherAppend(rel, cn, rows, col.Ints); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// gatherAppend appends column cn's values at rows to dst, gathering in
+// place when dst has the room.
+func gatherAppend(rel Relation, cn string, rows []int32, dst []int64) ([]int64, error) {
+	n := len(dst)
+	g, err := rel.Gather(cn, rows, dst[n:])
+	if err != nil {
+		return dst, err
+	}
+	if cap(dst)-n >= len(rows) {
+		return dst[:n+len(rows)], nil
+	}
+	return append(dst, g...), nil
 }
 
 func execAggregateStream(rel Relation, q *Query, o Opts) (*ResultStream, error) {
@@ -577,15 +586,29 @@ func execAggregateStream(rel Relation, q *Query, o Opts) (*ResultStream, error) 
 	}
 	agg, err := rel.Aggregate(ctx, col, pred, o.Parallelism)
 	if errors.Is(err, engine.ErrNoRows) {
-		// SQL semantics over an empty qualifying set: COUNT is 0, every
-		// other aggregate is NULL (one row, NaN standing in for NULL).
-		if kind == engine.Count {
-			return oneChunkStream(headers, ints, [][]float64{{0}}), nil
-		}
-		return oneChunkStream(headers, ints, [][]float64{{math.NaN()}}), nil
+		// SQL semantics over an empty qualifying set; see aggChunk.
+		return oneChunkStream(headers, ints, aggChunk(kind, nil)), nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	return oneChunkStream(headers, ints, [][]float64{{agg.Value(kind)}}), nil
+	return oneChunkStream(headers, ints, aggChunk(kind, agg)), nil
+}
+
+// aggChunk is an aggregate's one-row result; a nil agg is the empty
+// qualifying set. COUNT is an exact integer cell, 0 over the empty set;
+// every other aggregate is a float cell, NaN (NULL) over the empty set.
+func aggChunk(kind engine.AggKind, agg *engine.AggResult) *Chunk {
+	if kind == engine.Count {
+		n := 0
+		if agg != nil {
+			n = agg.Rows
+		}
+		return &Chunk{Len: 1, Cols: []Col{{Ints: []int64{int64(n)}}}}
+	}
+	v := math.NaN()
+	if agg != nil {
+		v = agg.Value(kind)
+	}
+	return &Chunk{Len: 1, Cols: []Col{{Floats: []float64{v}}}}
 }

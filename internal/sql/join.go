@@ -148,21 +148,15 @@ func execJoinStream(cat Catalog, q *Query, o Opts) (*ResultStream, error) {
 
 	pos := 0
 	var posBuf [2][]int32
-	var valBuf []int64
-	next := func() ([][]float64, error) {
+	out := intChunk(len(proj), min(len(rows), StreamChunkRows))
+	next := func() (*Chunk, error) {
 		if pos >= len(rows) {
 			return nil, nil
 		}
-		end := pos + StreamChunkRows
-		if end > len(rows) {
-			end = len(rows)
-		}
+		end := min(pos+StreamChunkRows, len(rows))
 		window := rows[pos:end]
 		pos = end
-		out := make([][]float64, len(window))
-		for i := range out {
-			out[i] = make([]float64, len(proj))
-		}
+		out.reset()
 		// Gather each projected column from its side over the window's
 		// positions; the two position vectors are built at most once
 		// per window.
@@ -173,17 +167,15 @@ func execJoinStream(cat Catalog, q *Query, o Opts) (*ResultStream, error) {
 				havePos[jc.side] = true
 			}
 			var err error
-			valBuf, err = sides[jc.side].rel.Gather(jc.name, posBuf[jc.side], valBuf)
-			if err != nil {
+			col := &out.Cols[ci]
+			if col.Ints, err = gatherAppend(sides[jc.side].rel, jc.name, posBuf[jc.side], col.Ints); err != nil {
 				return nil, err
 			}
-			for i, v := range valBuf {
-				out[i][ci] = float64(v)
-			}
 		}
+		out.Len = len(window)
 		return out, nil
 	}
-	return NewResultStream(headers, ints, next), nil
+	return newResultStream(headers, ints, next), nil
 }
 
 // sidePositions extracts one side's tuple positions from joined rows.

@@ -2,34 +2,115 @@ package sql
 
 import "sync"
 
-// StreamChunkRows is the output granularity of a ResultStream: Next
-// assembles at most this many projected rows per call. Large enough to
-// amortise per-chunk serialization, small enough that the server's
-// incremental flushes keep first-byte latency and peak memory bounded
-// by a chunk rather than the whole result.
+// StreamChunkRows is the output granularity of a ResultStream:
+// NextChunk assembles at most this many projected rows per call. Large
+// enough to amortise per-chunk serialization, small enough that the
+// server's incremental flushes keep first-byte latency and peak memory
+// bounded by a chunk rather than the whole result.
 const StreamChunkRows = 4096
 
+// Chunk is one window of a result, column-major: Len rows and, per
+// output column, the cells of those rows. Projections, joins and
+// COUNT/SUM/MIN/MAX report exact integers, but a column only has Ints
+// when no cell can be NULL; AVG, and a single-row aggregate that may be
+// NULL over an empty qualifying set, has Floats, with NaN for NULL.
+type Chunk struct {
+	Len  int
+	Cols []Col
+}
+
+// Col is one output column of a Chunk: exactly one of Ints and Floats
+// is set, holding Len cells.
+type Col struct {
+	Ints   []int64
+	Floats []float64
+}
+
+// reset empties an integer chunk for the next window, keeping its
+// column arrays.
+func (c *Chunk) reset() {
+	c.Len = 0
+	for i := range c.Cols {
+		c.Cols[i].Ints = c.Cols[i].Ints[:0]
+	}
+}
+
+// intChunk returns an empty chunk of ncols integer columns, each with
+// room for size cells.
+func intChunk(ncols, size int) *Chunk {
+	c := &Chunk{Cols: make([]Col, ncols)}
+	for i := range c.Cols {
+		c.Cols[i].Ints = make([]int64, 0, size)
+	}
+	return c
+}
+
+// Append appends src's rows to c, column by column. An empty c takes
+// src's column kinds; otherwise both must have the same shape.
+func (c *Chunk) Append(src *Chunk) {
+	if c.Cols == nil {
+		c.Cols = make([]Col, len(src.Cols))
+		for i, col := range src.Cols {
+			if col.Floats != nil {
+				c.Cols[i].Floats = []float64{}
+			}
+		}
+	}
+	for i, col := range src.Cols {
+		if col.Floats != nil {
+			c.Cols[i].Floats = append(c.Cols[i].Floats, col.Floats[:src.Len]...)
+		} else {
+			c.Cols[i].Ints = append(c.Cols[i].Ints, col.Ints[:src.Len]...)
+		}
+	}
+	c.Len += src.Len
+}
+
+// Rows returns c in row form: one float64 slice per row, all cut from
+// one backing array the caller owns. Integers beyond 2^53 round to the
+// nearest float64.
+func (c *Chunk) Rows() [][]float64 {
+	ncols := len(c.Cols)
+	cells := make([]float64, c.Len*ncols)
+	rows := make([][]float64, c.Len)
+	for i := range rows {
+		rows[i] = cells[i*ncols : (i+1)*ncols : (i+1)*ncols]
+	}
+	for j, col := range c.Cols {
+		if col.Floats != nil {
+			for i, v := range col.Floats[:c.Len] {
+				cells[i*ncols+j] = v
+			}
+			continue
+		}
+		for i, v := range col.Ints[:c.Len] {
+			cells[i*ncols+j] = float64(v)
+		}
+	}
+	return rows
+}
+
 // ResultStream yields one SELECT's output incrementally: the header is
-// known up front, rows arrive in chunks handed from the engine's scan
-// (or join) through projection on demand. Streams are single-consumer
-// and not safe for concurrent use. Collect drains into the one-shot
-// Result for callers that want the old materialized form.
+// known up front, rows arrive in column-major chunks handed from the
+// engine's scan (or join) through projection on demand. NextChunk is
+// the stream; Next and Collect are its row-form adapters. Streams are
+// single-consumer and not safe for concurrent use.
 type ResultStream struct {
 	// Columns are the output column headers.
 	Columns []string
 	// Ints is true per column when values are exact integers (projection
 	// columns, COUNT/SUM/MIN/MAX); AVG reports a float.
 	Ints []bool
-	// Detached reports that every later Next call works off buffers the
-	// stream already owns — no relation storage is read again. The
-	// executor sets it for value-only projections (single scan-column
-	// results, including every partitioned-table select) and for
-	// already-computed aggregates; catalog holders can then drop their
-	// read locks as soon as the stream is built instead of pinning the
-	// relation for the consumer's lifetime.
+	// Detached reports that every later NextChunk call works off
+	// buffers the stream already owns — no relation storage is read
+	// again. The executor sets it for value-only projections (single
+	// scan-column results, including every partitioned-table select)
+	// and for already-computed aggregates; catalog holders can then
+	// drop their read locks as soon as the stream is built instead of
+	// pinning the relation for the consumer's lifetime.
 	Detached bool
 
-	next func() ([][]float64, error)
+	next func() (*Chunk, error)
 	done bool
 	err  error
 	// closeFn tears down the stream's pipelined producers (cancelling
@@ -40,7 +121,7 @@ type ResultStream struct {
 	// wait on it after Close before dropping read locks — a cancelled
 	// worker may still be mid-morsel.
 	scanDone <-chan struct{}
-	// earlyRelease reports that Next never reads relation storage —
+	// earlyRelease reports that NextChunk never reads relation storage —
 	// only buffers the stream owns — once scanDone closes: value-only
 	// projections. Lazily gathering streams (multi-column projections,
 	// joins) keep it false and pin their relations until Close.
@@ -87,55 +168,61 @@ func (s *ResultStream) ScanDone() <-chan struct{} { return s.scanDone }
 // locks mid-stream, even with a slow consumer still draining.
 func (s *ResultStream) EarlyRelease() bool { return s.earlyRelease }
 
-// NewResultStream builds a stream over a generator. next returns the
-// next non-empty chunk of rows, a nil slice once drained, or an error;
-// after an error or nil the generator is not called again. Exported so
-// servers and tests can stream from sources other than the executor.
-func NewResultStream(columns []string, ints []bool, next func() ([][]float64, error)) *ResultStream {
+// newResultStream builds a stream over a generator. next returns the
+// next non-empty chunk, nil once drained, or an error; after an error
+// or nil the generator is not called again. A returned chunk need only
+// stay valid until the following call.
+func newResultStream(columns []string, ints []bool, next func() (*Chunk, error)) *ResultStream {
 	return &ResultStream{Columns: columns, Ints: ints, next: next}
 }
 
 // emptyStream is a drained stream with just the header — LIMIT 0 and
 // friends.
 func emptyStream(columns []string, ints []bool) *ResultStream {
-	st := NewResultStream(columns, ints, func() ([][]float64, error) { return nil, nil })
-	st.Detached = true
-	return st
+	return oneChunkStream(columns, ints, nil)
 }
 
-// oneChunkStream yields rows as a single chunk, then drains. The rows
-// are already computed, so the stream is detached.
-func oneChunkStream(columns []string, ints []bool, rows [][]float64) *ResultStream {
-	sent := false
-	st := NewResultStream(columns, ints, func() ([][]float64, error) {
-		if sent || len(rows) == 0 {
-			return nil, nil
-		}
-		sent = true
-		return rows, nil
+// oneChunkStream yields c, then drains. The chunk is already computed,
+// so the stream is detached.
+func oneChunkStream(columns []string, ints []bool, c *Chunk) *ResultStream {
+	st := newResultStream(columns, ints, func() (*Chunk, error) {
+		next := c
+		c = nil
+		return next, nil
 	})
 	st.Detached = true
 	return st
 }
 
-// Next returns the next chunk of rows. A nil slice means the stream is
-// drained; an error ends the stream (subsequent calls repeat it).
-func (s *ResultStream) Next() ([][]float64, error) {
+// NextChunk returns the next chunk of the result, valid until the next
+// call and not to be modified. A nil chunk means the stream is drained;
+// an error ends the stream (subsequent calls repeat it).
+func (s *ResultStream) NextChunk() (*Chunk, error) {
 	if s.done {
 		return nil, s.err
 	}
-	rows, err := s.next()
+	c, err := s.next()
 	if err != nil {
 		s.done, s.err = true, err
 		s.runCleanup()
 		return nil, err
 	}
-	if len(rows) == 0 {
+	if c == nil || c.Len == 0 {
 		s.done = true
 		s.runCleanup()
 		return nil, nil
 	}
-	return rows, nil
+	return c, nil
+}
+
+// Next is the row adapter over NextChunk: it returns the next chunk as
+// rows the caller owns, nil once drained.
+func (s *ResultStream) Next() ([][]float64, error) {
+	c, err := s.NextChunk()
+	if c == nil {
+		return nil, err
+	}
+	return c.Rows(), nil
 }
 
 // Collect drains the stream into the one-shot Result form.
