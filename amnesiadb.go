@@ -137,12 +137,12 @@ type Options struct {
 	// cancellation and at morsel boundaries so teardown is prompt.
 	// Zero disables deadlines.
 	MaxQueryDuration time.Duration
-	// StallDetach is the spill-on-stall threshold for streaming
-	// value-only selects: a consumer idle past it has the pipeline's
-	// remaining chunks drained to a governed heap buffer, so producers
-	// exit and relation read locks release while the tail is served
-	// from the buffer, byte-identically. Zero (default) uses
-	// DefaultStallDetach; negative disables detaching.
+	// StallDetach is how long a stalled consumer of a streaming
+	// value-only select may hold the producers: once the pipeline's
+	// send has blocked this long, the rest of the stream goes to a heap
+	// buffer, so producers finish and relation read locks release while
+	// the tail is served from the buffer, byte-identically. Zero
+	// (default) uses DefaultStallDetach; negative disables detaching.
 	StallDetach time.Duration
 }
 
@@ -174,10 +174,11 @@ const planCacheSize = 256
 // split: inserts, policy changes and maintenance take a table's exclusive
 // lock, while queries run under a shared read lock, so concurrent
 // ScanActive readers proceed in parallel. Queries still update access
-// frequencies — the strategy-relevant feedback of §3.2 — but those
-// touches are accumulated per query by the vectorized engine and flushed
-// in one internally synchronized batch, keeping the read path contention
-// to one short critical section per query.
+// frequencies — the strategy-relevant feedback of §3.2 — under the
+// table's 64 striped count locks, one stripe per 1,024-row block held
+// at a time: selects flush the positions they returned in one call per
+// query, and aggregates touch each block while they fold it, so readers
+// contend only on the block they are counting.
 type DB struct {
 	mu lockrank.Catalog
 	// rels is the relation catalog: flat and partitioned tables in one

@@ -67,7 +67,7 @@ func main() {
 		poolSize     = flag.Int("pool", 0, "engine worker-pool width: 0 = shared GOMAXPROCS pool, n>0 = dedicated pool of n workers")
 		maxQueryB    = flag.Int64("max-query-bytes", 0, "per-query memory budget: pooled batches, join build tables and sort runs charge it; an over-budget query fails alone with 413 while its neighbors keep running; 0 = unlimited")
 		maxQueryMS   = flag.Int64("max-query-ms", 0, "per-query deadline in milliseconds, enforced at morsel boundaries (expired queries answer 408); 0 = none")
-		stallDetach  = flag.Duration("stall-detach", 0, "how long a streaming consumer may stall before its remaining chunks are spilled to a governed buffer and the query's table read locks are released; 0 = default (1s), negative = never")
+		stallDetach  = flag.Duration("stall-detach", 0, "how long a stalled streaming consumer may hold the scan: once a chunk waits this long for the consumer, the rest of the stream is buffered and the query's table read locks are released; 0 = default (1s), negative = never")
 	)
 	flag.Parse()
 

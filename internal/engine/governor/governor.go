@@ -46,8 +46,8 @@ var ErrResourceExhausted = errors.New("governor: query resource budget exhausted
 // ErrDeadlineExceeded is the typed error a query killed by its
 // per-query deadline reports. It is also installed as the cancellation
 // cause of the deadline context, so both the morsel-boundary check and
-// the context watcher surface the same error. The server maps it to
-// HTTP 408.
+// the pipeline's wait on the context surface the same error. The
+// server maps it to HTTP 408.
 var ErrDeadlineExceeded = errors.New("governor: query deadline exceeded")
 
 // Failpoint site names of the governor.* family.

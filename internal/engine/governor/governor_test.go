@@ -90,7 +90,7 @@ func TestRemoveSweepsResidual(t *testing.T) {
 	if got := g.Stats().UsedBytes; got != 0 {
 		t.Fatalf("usage after remove = %d, want 0", got)
 	}
-	q.Release(64) // late recycle from a janitor goroutine
+	q.Release(64) // late recycle from a pipeline teardown
 	if got := g.Stats().UsedBytes; got != 0 {
 		t.Fatalf("usage after late release = %d, want 0", got)
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"amnesiadb/internal/bitvec"
 	"amnesiadb/internal/column"
@@ -25,9 +27,18 @@ import (
 //
 // Chunks are emitted in task order — morsel ranges ascend, shard
 // fan-outs go in value order — via a reorder stage: workers deposit
-// completed tasks into a slot map and a dedicated emitter drains slots
-// in sequence, so workers never stall on ordering and the pipelined
-// output is byte-identical to the serial scan.
+// completed tasks into a slot map and the emitter, the pipeline's one
+// goroutine, drains slots in sequence, so workers never stall on
+// ordering and the pipelined output is byte-identical to the serial
+// scan. The emitter also watches every teardown signal (Close, the
+// context, the end of production) and tears the pipeline down itself.
+//
+// Spill-on-stall (DetachOnStall, docs/ROBUSTNESS.md): a consumer that
+// stops calling Next would park the producers on the bounded channel
+// with the relation read locks held. Once a send has blocked past the
+// threshold, that chunk and every later one go, in emit order, to a
+// heap buffer Next serves after the channel, so the producers finish
+// and the locks release while the output stays byte-identical.
 
 // ErrStreamClosed is the error a ChunkStream reports after Close tears
 // the pipeline down before the scan finished.
@@ -55,8 +66,8 @@ func pipelineInflight(w int) int { return 2*w + 2 }
 // quota: a full batch's selection vector (int32) plus value vector
 // (int64), the fixed footprint the pool hands out regardless of how few
 // rows qualified. Charged at produce time, released by RecycleChunk —
-// so reorder slots, the bounded channel, spill buffers and consumer-held
-// chunks are all covered by one charge per chunk.
+// so reorder slots, the bounded channel, the spill buffer and
+// consumer-held chunks are all covered by one charge per chunk.
 const ChunkQuotaBytes = BatchSize * (4 + 8)
 
 // ChunkStream is the consumer handle of a pipelined scan: Next yields
@@ -80,14 +91,22 @@ type ChunkStream struct {
 	limit int
 	touch func(rows []int32)
 
-	// sp, when armed via DetachOnStall, is the stall monitor that
-	// drains a stalled consumer's remaining chunks to a governed heap
-	// buffer so the producers can exit and release their locks.
-	sp *spillState
+	// stall is the DetachOnStall threshold in nanoseconds, stored once;
+	// armed closes when it is stored, so a send already blocked when it
+	// arrives still arms its timer.
+	stall atomic.Int64
+	armed chan struct{}
 
-	// err is written by the emitter or the janitor strictly before ch is
-	// closed; consumers read it only after observing the close, so the
-	// channel close is the publication barrier.
+	// spill holds the chunks emitted after a stall, in emit order; Next
+	// serves it once ch has closed. closed marks Close: the buffer is
+	// recycled and nothing more is appended.
+	spillMu sync.Mutex
+	spill   []SelChunk
+	closed  bool
+
+	// err is written by the emitter strictly before ch is closed;
+	// consumers read it only after observing the close, so the channel
+	// close is the publication barrier.
 	err error
 }
 
@@ -96,31 +115,48 @@ func newChunkStream() *ChunkStream {
 		ch:       make(chan SelChunk, pipelineChunkBuf),
 		stop:     make(chan struct{}),
 		scanDone: make(chan struct{}),
+		armed:    make(chan struct{}),
+	}
+}
+
+// DetachOnStall arms spill-on-stall: once a send to a consumer that
+// has not taken a chunk blocks for threshold, the rest of the stream
+// is buffered instead. Thresholds ≤ 0 and every call after the first
+// are ignored. Safe to call while the pipeline runs.
+func (s *ChunkStream) DetachOnStall(threshold time.Duration) {
+	if threshold > 0 && s.stall.CompareAndSwap(0, int64(threshold)) {
+		close(s.armed)
 	}
 }
 
 // Next returns the next chunk. ok is false once the stream is drained or
-// torn down; err then reports why (nil for a clean drain). With a stall
-// monitor armed, spilled chunks are served first, in emit order.
+// torn down; err then reports why (nil for a clean drain). Spilled
+// chunks follow the channel's, in emit order.
 func (s *ChunkStream) Next() (c SelChunk, ok bool, err error) {
-	if s.sp != nil {
-		return s.sp.next(s)
+	if c, ok = <-s.ch; ok {
+		return c, true, nil
 	}
-	c, ok = <-s.ch
-	if ok {
+	s.spillMu.Lock()
+	defer s.spillMu.Unlock()
+	if len(s.spill) > 0 {
+		c, s.spill = s.spill[0], s.spill[1:]
 		return c, true, nil
 	}
 	return SelChunk{}, false, s.err
 }
 
-// Close cancels the pipeline: producers stop claiming work, buffered
-// chunks are recycled, and Next reports ErrStreamClosed once the channel
+// Close cancels the pipeline: producers stop claiming work, and the
+// chunks the consumer will no longer take — buffered, spilled or still
+// to come — are recycled; Next reports ErrStreamClosed once the channel
 // drains. Idempotent; safe to call after the stream completed normally.
 func (s *ChunkStream) Close() {
 	s.closeWith(ErrStreamClosed)
-	if s.sp != nil {
-		s.sp.discard()
-	}
+	s.spillMu.Lock()
+	spill := s.spill
+	s.spill, s.closed = nil, true
+	s.spillMu.Unlock()
+	recycleChunks(spill)
+	s.recycleBuffered()
 }
 
 func (s *ChunkStream) closeWith(err error) {
@@ -128,6 +164,35 @@ func (s *ChunkStream) closeWith(err error) {
 		s.cause = err
 		close(s.stop)
 	})
+}
+
+// recycleBuffered recycles what sits in the channel without waiting for
+// more. Close and the emitter's teardown both call it, so chunks sent
+// before or after Close are recycled exactly once.
+func (s *ChunkStream) recycleBuffered() {
+	for {
+		select {
+		case c, ok := <-s.ch:
+			if !ok {
+				return
+			}
+			RecycleChunk(c)
+		default:
+			return
+		}
+	}
+}
+
+// spillChunk appends c to the spill buffer, or reports false when Close
+// already discarded the buffer.
+func (s *ChunkStream) spillChunk(c SelChunk) bool {
+	s.spillMu.Lock()
+	defer s.spillMu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.spill = append(s.spill, c)
+	return true
 }
 
 // ScanDone returns a channel closed once every producer has exited and
@@ -171,11 +236,14 @@ func (s *ChunkStream) Collect() ([]SelChunk, error) {
 // workers, the in-flight token budget is enforced by try-acquire (a
 // step that cannot take a token returns Blocked instead of holding a
 // pool worker hostage), and the emitter wakes the query every time
-// consuming a task returns a token. Teardown (Close, ctx, an error)
-// wakes a parked query so its next step observes stop and finishes.
-// Nobody Waits on the query — the consumer blocks on a channel, not on
-// the pool — which is why barrier operators running inside a pool step
-// use run instead of collecting a stream.
+// consuming a task returns a token. The emitter is the pipeline's only
+// goroutine: every wait it makes also watches Close, ctx and the
+// query's end, and when it stops it wakes a parked query so the next
+// step observes stop, waits for the query to finish, and only then
+// closes ScanDone and the channel. Nobody Waits on the query — the
+// consumer blocks on a channel, not on the pool — which is why barrier
+// operators running inside a pool step use run instead of collecting a
+// stream.
 func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, workers int, short bool,
 	claim func() (T, int, bool),
 	produce func(T) ([]SelChunk, error),
@@ -183,7 +251,7 @@ func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, wor
 
 	// An already-cancelled context must not start producing: check
 	// synchronously so pre-cancelled queries fail deterministically
-	// instead of racing the watcher goroutine.
+	// instead of racing the emitter.
 	if ctx.Err() != nil {
 		s.closeWith(context.Cause(ctx))
 	}
@@ -194,17 +262,10 @@ func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, wor
 	sem := make(chan struct{}, pipelineInflight(workers))
 	notify := make(chan struct{}, 1)
 	var (
-		mu        sync.Mutex
-		ready     = map[int][]SelChunk{}
-		perr      error
-		producing = true
+		mu    sync.Mutex
+		ready = map[int][]SelChunk{}
+		perr  error
 	)
-	wake := func() {
-		select {
-		case notify <- struct{}{}:
-		default:
-		}
-	}
 
 	// Steps never block — teardown and token exhaustion turn into
 	// Done/Blocked — so shared pool workers cannot deadlock across
@@ -237,7 +298,10 @@ func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, wor
 		}
 		ready[seq] = chunks
 		mu.Unlock()
-		wake()
+		select {
+		case notify <- struct{}{}:
+		default:
+		}
 		if err != nil {
 			// Fail fast; the recorded error wins over the close cause.
 			s.closeWith(err)
@@ -245,131 +309,157 @@ func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, wor
 		}
 		return sched.Ran
 	})
-	go func() { // teardown watcher: a parked query must observe stop
-		select {
-		case <-s.stop:
-			q.Wake()
-		case <-s.scanDone:
-		}
-	}()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // production ends when the pool query finishes
-		defer wg.Done()
-		<-q.Done()
-		// A panicking producer step is contained by the pool; turn it
-		// into a stream error so the consumer unblocks with a cause
-		// instead of hanging on a stream nobody will ever fill.
-		if pan, _ := q.Panicked(); pan != nil {
-			s.closeWith(fmt.Errorf("engine: producer panicked: %v", pan))
-		}
-		mu.Lock()
-		producing = false
-		mu.Unlock()
-		wake()
-	}()
 
-	wg.Add(1)
-	go func() { // emitter: drains slots in sequence order
-		defer wg.Done()
-		next := 0
-		// left counts the limit down; without one it only goes negative.
-		left := s.limit
-		var emitted []int32
-		flush := func() {
-			if len(emitted) > 0 {
-				s.touch(emitted)
-				emitted = nil
+	go func() { // the emitter: drains slots in sequence order
+		ctxDone, qDone := ctx.Done(), q.Done()
+		// ended handles the query finishing: production is over, and a
+		// panicking step — contained by the pool — becomes the stream
+		// error so the consumer unblocks with a cause instead of
+		// hanging on a stream nobody will ever fill.
+		ended := func() {
+			qDone = nil
+			if pan, _ := q.Panicked(); pan != nil {
+				s.closeWith(fmt.Errorf("engine: producer panicked: %v", pan))
 			}
 		}
-		defer flush()
-		for {
-			mu.Lock()
-			chunks, have := ready[next]
-			err := perr
-			done := !producing
-			if have {
+		spilling := false
+		// send hands c to the consumer. The fast path never blocks; a
+		// send that would block arms the stall timer once DetachOnStall
+		// has set a threshold, and when it fires c and every later
+		// chunk go to the spill buffer. false means the pipeline is
+		// stopping and c was not handed over.
+		send := func(c SelChunk) bool {
+			select {
+			case <-s.stop:
+				return false
+			case <-ctxDone:
+				s.closeWith(context.Cause(ctx))
+				return false
+			default:
+			}
+			if spilling {
+				return s.spillChunk(c)
+			}
+			select {
+			case s.ch <- c:
+				return true
+			default:
+			}
+			armed := s.armed
+			var stalled <-chan time.Time
+			for {
+				select {
+				case s.ch <- c:
+					return true
+				case <-armed:
+					armed, stalled = nil, time.After(time.Duration(s.stall.Load()))
+				case <-stalled:
+					spilling = true
+					return s.spillChunk(c)
+				case <-s.stop:
+					return false
+				case <-ctxDone:
+					s.closeWith(context.Cause(ctx))
+					return false
+				case <-qDone:
+					ended()
+				}
+			}
+		}
+
+		var emitted []int32
+		emit := func() error {
+			next := 0
+			// left counts the limit down; without one it only goes
+			// negative.
+			left := s.limit
+			for {
+				mu.Lock()
+				chunks, have := ready[next]
 				delete(ready, next)
-			}
-			mu.Unlock()
-			if err != nil {
-				s.err = err
-				recycleChunks(chunks)
-				return
-			}
-			if have {
-				for i, c := range chunks {
-					last := left > 0 && len(c.Values) >= left
-					if last {
-						c.Values = c.Values[:left]
-						if c.Rows != nil {
-							c.Rows = c.Rows[:left]
+				err := perr
+				mu.Unlock()
+				if err != nil {
+					recycleChunks(chunks)
+					return err
+				}
+				if have {
+					for i, c := range chunks {
+						last := left > 0 && len(c.Values) >= left
+						if last {
+							c.Values = c.Values[:left]
+							if c.Rows != nil {
+								c.Rows = c.Rows[:left]
+							}
+						}
+						left -= len(c.Values)
+						if s.touch != nil {
+							emitted = append(emitted, c.Rows...)
+							if last {
+								s.touch(emitted)
+								emitted = nil
+							}
+						}
+						if !send(c) {
+							recycleChunks(chunks[i:])
+							return nil
+						}
+						if last {
+							recycleChunks(chunks[i+1:])
+							s.closeWith(errLimit)
+							return nil
 						}
 					}
-					left -= len(c.Values)
-					if s.touch != nil {
-						emitted = append(emitted, c.Rows...)
-					}
-					if last {
-						flush()
-					}
-					select {
-					case s.ch <- c:
-					case <-s.stop:
-						recycleChunks(chunks[i:])
-						return
-					}
-					if last {
-						recycleChunks(chunks[i+1:])
-						s.closeWith(errLimit)
-						return
-					}
+					<-sem
+					q.Wake()
+					next++
+					continue
 				}
-				<-sem
-				q.Wake()
-				next++
-				continue
-			}
-			if done {
-				return // all tasks claimed, produced and emitted
-			}
-			select {
-			case <-notify:
-			case <-s.stop:
-				return
+				if qDone == nil {
+					return nil // all tasks claimed, produced and emitted
+				}
+				select {
+				case <-notify:
+				case <-s.stop:
+					return nil
+				case <-ctxDone:
+					s.closeWith(context.Cause(ctx))
+					return nil
+				case <-qDone:
+					ended()
+				}
 			}
 		}
-	}()
+		err := emit()
 
-	if ctx.Done() != nil {
-		go func() { // context watcher; exits with the pipeline
-			select {
-			case <-ctx.Done():
-				s.closeWith(context.Cause(ctx))
-			case <-s.scanDone:
-			}
-		}()
-	}
-
-	go func() { // janitor: final cleanup once workers and emitter exit
-		wg.Wait()
+		// Teardown: touches land before the consumer can see the end,
+		// and storage is released only after the last producer step.
+		if len(emitted) > 0 {
+			s.touch(emitted)
+		}
+		q.Wake() // a parked query must observe stop
+		<-q.Done()
 		if finish != nil {
 			finish()
 		}
-		mu.Lock()
-		for seq, chunks := range ready {
+		for _, chunks := range ready { // no producer runs any more
 			recycleChunks(chunks)
-			delete(ready, seq)
 		}
-		mu.Unlock()
-		if s.err == nil {
+		if err == nil {
 			select {
 			case <-s.stop:
 				if s.cause != errLimit {
-					s.err = s.cause
+					err = s.cause
 				}
 			default:
 			}
+		}
+		s.err = err
+		s.spillMu.Lock()
+		closed := s.closed
+		s.spillMu.Unlock()
+		if closed {
+			s.recycleBuffered()
 		}
 		close(s.scanDone)
 		close(s.ch)

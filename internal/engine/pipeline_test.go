@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"amnesiadb/internal/engine/governor"
 	"amnesiadb/internal/expr"
 )
 
@@ -390,4 +391,116 @@ func TestConcurrentChunkStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestChunkPipelineStallSpills pins spill-on-stall at the layer that
+// implements it. With the stall armed and a consumer that never calls
+// Next, every task is produced — far past the in-flight bound — and
+// ScanDone closes while the consumer is idle; the later drain is in
+// task order. On a scan, Close after a spill recycles every pooled
+// chunk and releases every quota charge.
+func TestChunkPipelineStallSpills(t *testing.T) {
+	const n, workers = 200, 4
+	var produced atomic.Int64
+	st := NewChunkPipeline(context.Background(), nil, workers, n, func(task int) ([]SelChunk, error) {
+		produced.Add(1)
+		return []SelChunk{{Values: []int64{int64(task)}}}, nil
+	})
+	st.DetachOnStall(20 * time.Millisecond)
+	select {
+	case <-st.ScanDone():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("ScanDone never closed under a stalled consumer: %d of %d tasks produced (bound %d)",
+			produced.Load(), n, pipelineInflight(workers)+pipelineChunkBuf)
+	}
+	if got := produced.Load(); got != n {
+		t.Fatalf("stalled consumer: %d of %d tasks produced", got, n)
+	}
+	_, vals := drainStream(t, st)
+	if len(vals) != n {
+		t.Fatalf("drained %d chunks after the spill, want %d", len(vals), n)
+	}
+	for i, v := range vals {
+		if v != int64(i) {
+			t.Fatalf("chunk %d = task %d after the spill", i, v)
+		}
+	}
+
+	tb := parallelTable(t, "all-active")
+	mark := markBatches()
+	quota := governor.New(0).NewQuota(0)
+	ex := NewSilent(tb)
+	ex.SetParallelism(2)
+	cs, err := ex.SelectChunkStream(governor.WithQuota(context.Background(), quota), "a", expr.True{}, ScanActive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.DetachOnStall(20 * time.Millisecond)
+	select {
+	case <-cs.ScanDone():
+	case <-time.After(10 * time.Second):
+		t.Fatal("scan never finished under a stalled consumer")
+	}
+	if want := int64(tb.Len()/BatchSize) * ChunkQuotaBytes; quota.Used() != want {
+		t.Fatalf("spilled scan holds %d governed bytes, want %d (one charge per chunk)", quota.Used(), want)
+	}
+	cs.Close()
+	if got := mark.outstanding(); got != 0 {
+		t.Fatalf("Close after a spill left %d pool batches outstanding", got)
+	}
+	if got := quota.Used(); got != 0 {
+		t.Fatalf("Close after a spill left %d governed bytes charged", got)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held steady
+// for a few polls, so goroutines of earlier tests that are still
+// exiting do not skew a baseline.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for same := 0; same < 5; {
+		time.Sleep(10 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
+// TestChunkStreamParkedGoroutines pins the pipeline's goroutine budget:
+// a parked stream — cancellable ctx, stall armed, consumer idle,
+// channel full — holds exactly one goroutine, the emitter, and none
+// once closed.
+func TestChunkStreamParkedGoroutines(t *testing.T) {
+	tb := parallelTable(t, "all-active")
+	baseline := settledGoroutines()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ex := NewSilent(tb)
+	ex.SetParallelism(2)
+	st, err := ex.SelectChunkStream(ctx, "a", expr.True{}, ScanActive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.DetachOnStall(time.Hour)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(st.ch) < pipelineChunkBuf {
+		if time.Now().After(deadline) {
+			t.Fatal("stream never filled its channel")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	got := runtime.NumGoroutine() - baseline
+	for got != 1 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		got = runtime.NumGoroutine() - baseline
+	}
+	if got != 1 {
+		t.Fatalf("parked stream holds %d goroutines, want 1 (the emitter)", got)
+	}
+	st.Close()
+	<-st.ScanDone()
+	waitGoroutines(t, baseline)
 }

@@ -419,15 +419,20 @@ func (s *Set) ScanChunkStream(ctx context.Context, pred expr.Expr) (*engine.Chun
 	}), nil
 }
 
-// Select returns matching active values across all shards intersecting
-// [lo, hi), recording per-shard workload hits for Adapt: the collected
-// form of ScanChunkStream, concatenated in value order. Like the flat
-// engine's scans, Select is safe for concurrent readers: hit counters
-// are atomic and the per-shard executors touch access frequencies
-// through the table's internal synchronisation.
+// Select is SelectWhere over [lo, hi); it panics if lo > hi.
 func (s *Set) Select(lo, hi int64) ([]int64, error) {
+	return s.SelectWhere(expr.NewRange(lo, hi))
+}
+
+// SelectWhere returns matching active values across all shards pred can
+// touch, recording per-shard workload hits for Adapt: the collected
+// form of ScanChunkStream, concatenated in value order. Like the flat
+// engine's scans, it is safe for concurrent readers: hit counters are
+// atomic and the per-shard executors touch access frequencies through
+// the table's internal synchronisation.
+func (s *Set) SelectWhere(pred expr.Expr) ([]int64, error) {
 	//lint:ignore ctxflow Select is the set's one ctx-less entry (library callers and the frozen benchmark); request paths stream with their own ctx.
-	cs, err := s.ScanChunkStream(context.Background(), expr.NewRange(lo, hi))
+	cs, err := s.ScanChunkStream(context.Background(), pred)
 	if err != nil {
 		return nil, err
 	}

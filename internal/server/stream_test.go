@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -683,5 +684,53 @@ func BenchmarkAppendChunkJSON(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = appendChunkJSON(buf[:0], c, true)
+	}
+}
+
+// TestPrecisionInvertedRangeBothKinds pins /precision's bound handling
+// across catalog kinds: lo > hi means the swapped range on a flat table
+// and on a partitioned one alike, answering 200 with the same body as
+// the ordered request instead of panicking in the shard fan-out.
+func TestPrecisionInvertedRangeBothKinds(t *testing.T) {
+	ts, db := newServer(t)
+	vals := []int64{1, 6, 7, 9, 10, 500}
+	flat, err := db.CreateTable("flat", "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := flat.InsertColumn("v", vals); err != nil {
+		t.Fatal(err)
+	}
+	pt, err := db.CreatePartitionedTable("sharded", "v", 1000, 4, "uniform", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Insert(vals); err != nil {
+		t.Fatal(err)
+	}
+	var bodies []string
+	for _, name := range []string{"flat", "sharded"} {
+		for _, q := range []string{"lo=5&hi=10", "lo=10&hi=5"} {
+			resp, body := get(t, ts.URL+"/precision?table="+name+"&"+q)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", name, q, resp.StatusCode, body)
+			}
+			bodies = append(bodies, string(body))
+		}
+	}
+	for _, b := range bodies[1:] {
+		if b != bodies[0] {
+			t.Fatalf("precision bodies differ across bound order and kind: %q", bodies)
+		}
+	}
+	if !strings.Contains(bodies[0], `"returned":3`) {
+		t.Fatalf("precision over [5, 10) = %s, want 3 returned (6, 7, 9)", bodies[0])
+	}
+	got, err := pt.Select(10, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{6, 7, 9}; !slices.Equal(got, want) {
+		t.Fatalf("partitioned Select(10, 5) = %v, want %v", got, want)
 	}
 }

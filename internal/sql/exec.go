@@ -59,10 +59,11 @@ type Opts struct {
 	// Quota so morsel-boundary checks fire even between channel waits.
 	MaxDuration time.Duration
 	// StallDetach, when positive, arms spill-on-stall on streaming
-	// value-only selects: a consumer idle past this threshold has the
-	// pipeline's remaining chunks drained to a governed heap buffer so
-	// the producers exit and relation read locks release, with the tail
-	// served from the buffer byte-identically.
+	// value-only selects: once the pipeline's send to a consumer that
+	// has not taken a chunk blocks this long, the rest of the stream
+	// goes to a heap buffer, so the producers finish and relation read
+	// locks release, and the tail is served from the buffer
+	// byte-identically.
 	StallDetach time.Duration
 }
 
@@ -294,12 +295,10 @@ func execSelectStream(rel Relation, q *Query, o Opts) (*ResultStream, error) {
 	}
 	if orderCol != "" {
 		if rel.Clustered() && orderCol == scanCol && valueOnly && !q.OrderDesc {
-			if o.StallDetach > 0 {
-				// The ascending clustered sort streams shard by shard and
-				// releases locks at scan completion — the same stall
-				// exposure as the unordered pipeline, same remedy.
-				cs.DetachOnStall(o.StallDetach)
-			}
+			// The ascending clustered sort streams shard by shard and
+			// releases locks at scan completion — the same stall
+			// exposure as the unordered pipeline, same remedy.
+			cs.DetachOnStall(o.StallDetach)
 			return clusteredOrderedStream(headers, ints, len(cols), cs, limit), nil
 		}
 		// The sort is a barrier: drain the pipeline, then sort.
@@ -313,7 +312,7 @@ func execSelectStream(rel Relation, q *Query, o Opts) (*ResultStream, error) {
 	// Unordered pipelined path: pull chunks off the bounded channel as
 	// the producers emit them, assembling up to StreamChunkRows projected
 	// rows per Next and counting the LIMIT down across chunks.
-	if valueOnly && o.StallDetach > 0 {
+	if valueOnly {
 		// Spill-on-stall applies exactly where early lock release does:
 		// a value-only stream whose locks drop at ScanDone. Lazily
 		// projecting streams must pin their relations until Close

@@ -3,7 +3,6 @@ package amnesiadb
 import (
 	"context"
 
-	"amnesiadb/internal/expr"
 	"amnesiadb/internal/partition"
 	"amnesiadb/internal/snapshot"
 	"amnesiadb/internal/sql"
@@ -96,21 +95,21 @@ func (p *PartitionedTable) Insert(vals []int64) error {
 	})
 }
 
-// Select returns active values in [lo, hi) across the relevant shards,
-// recording workload hits for Adapt.
+// Select returns active values in Range(lo, hi) across the relevant
+// shards, recording workload hits for Adapt.
 func (p *PartitionedTable) Select(lo, hi int64) ([]int64, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.set.Select(lo, hi)
+	return p.set.SelectWhere(Range(lo, hi).expr())
 }
 
-// Precision reports the §2.3 metrics over [lo, hi) across shards. A
-// done ctx stops the per-shard scans at their next morsel and returns
+// Precision reports the §2.3 metrics over Range(lo, hi) across shards.
+// A done ctx stops the per-shard scans at their next morsel and returns
 // the cause.
 func (p *PartitionedTable) Precision(ctx context.Context, lo, hi int64) (rf, mf int, pf float64, err error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.set.Precision(ctx, expr.NewRange(lo, hi))
+	return p.set.Precision(ctx, Range(lo, hi).expr())
 }
 
 // Adapt reallocates the total budget toward the shards the workload has
