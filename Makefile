@@ -49,7 +49,8 @@ lint-audit-check:
 	$(GO) run ./tools/amnesialint/cmd -auditcheck README.md ./...
 
 # fuzz-smoke runs the fuzzers briefly under the race detector with a
-# shared local corpus dir, mirroring the CI step.
+# shared local corpus dir; CI's fuzz step runs this target, so a new
+# fuzzer is added here only.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sql

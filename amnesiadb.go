@@ -1099,6 +1099,20 @@ func (t *Table) SelectWithForgotten(col string, p Pred) (*Result, error) {
 	return &Result{Rows: res.Rows, Values: res.Values}, nil
 }
 
+// ActiveValues returns col's active values in insertion order without
+// touching access frequencies, so reading it trains no strategy.
+func (t *Table) ActiveValues(col string) ([]int64, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	ex := engine.NewSilent(t.tbl)
+	ex.SetScheduler(t.db.pool)
+	res, err := ex.Select(col, expr.True{}, engine.ScanActive)
+	if err != nil {
+		return nil, err
+	}
+	return res.Values, nil
+}
+
 // Agg holds aggregate query output.
 type Agg struct {
 	Count int

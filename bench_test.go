@@ -1,15 +1,12 @@
-// Benchmarks regenerating every figure and table of the paper's
-// evaluation (§4). Each benchmark runs the corresponding experiment from
-// the internal/exp registry end to end and reports domain metrics
-// (final-batch precision, retention percentages) alongside timing, so
-// `go test -bench=.` both exercises the full pipeline and exposes whether
-// the reproduced shapes still hold. EXPERIMENTS.md records the series.
+// Micro-benchmarks of the serving code: vectorized scans and aggregates
+// against a row-at-a-time baseline, the kernel ledger beside the memory
+// roofline, forgetting, narrow queries and SQL joins. The paper's
+// figure benchmarks live with the simulator, under experiments/.
 package amnesiadb_test
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"testing"
 	"time"
 
@@ -17,186 +14,14 @@ import (
 	"amnesiadb/internal/amnesia"
 	"amnesiadb/internal/bitvec"
 	"amnesiadb/internal/column"
-	"amnesiadb/internal/dist"
 	"amnesiadb/internal/engine"
-	"amnesiadb/internal/exp"
 	"amnesiadb/internal/expr"
-	"amnesiadb/internal/sim"
 	"amnesiadb/internal/table"
 	"amnesiadb/internal/xrand"
 )
 
 // benchSeed keeps benchmark runs comparable across invocations.
 const benchSeed = 1
-
-// BenchmarkFig1AmnesiaMap regenerates Figure 1 (amnesia map after 10
-// update batches; dbsize=1000, upd-perc=0.20, strategies
-// fifo/uniform/ante/area) and reports the initial-batch retention of the
-// anterograde strategy — the feature the figure highlights.
-func BenchmarkFig1AmnesiaMap(b *testing.B) {
-	var anteBatch0 float64
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig()
-		cfg.Seed = benchSeed
-		cfg.UpdatePerc = 0.20
-		results, err := sim.RunAll(cfg, exp.MapStrategies)
-		if err != nil {
-			b.Fatal(err)
-		}
-		anteBatch0 = results[2].ActivePercent()[0]
-	}
-	b.ReportMetric(anteBatch0, "ante-batch0-%active")
-}
-
-// BenchmarkFig2RotMap regenerates Figure 2 (rot map per data
-// distribution) and reports how differently rot retains serial vs zipfian
-// data, the figure's headline contrast.
-func BenchmarkFig2RotMap(b *testing.B) {
-	var spread float64
-	for i := 0; i < b.N; i++ {
-		var batch0 []float64
-		for _, d := range dist.Kinds {
-			cfg := sim.DefaultConfig()
-			cfg.Seed = benchSeed
-			cfg.UpdatePerc = 0.20
-			cfg.Strategy = "rot"
-			cfg.Distribution = d
-			r, err := sim.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch0 = append(batch0, r.ActivePercent()[0])
-		}
-		min, max := batch0[0], batch0[0]
-		for _, v := range batch0 {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		spread = max - min
-	}
-	b.ReportMetric(spread, "batch0-retention-spread-pts")
-}
-
-// BenchmarkFig3RangePrecision regenerates both panels of Figure 3 (range
-// query precision under 80% volatility, normal and zipfian data, all five
-// strategies) and reports the final-batch precision of the best (area)
-// and worst (fifo) lines.
-func BenchmarkFig3RangePrecision(b *testing.B) {
-	for _, d := range []dist.Kind{dist.Normal, dist.Zipf} {
-		b.Run(d.String(), func(b *testing.B) {
-			var fifoLast, areaLast float64
-			for i := 0; i < b.N; i++ {
-				cfg := sim.DefaultConfig()
-				cfg.Seed = benchSeed
-				cfg.UpdatePerc = 0.80
-				cfg.Distribution = d
-				results, err := sim.RunAll(cfg, exp.PaperStrategies)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fp := results[0].Series.Precisions()
-				ap := results[4].Series.Precisions()
-				fifoLast, areaLast = fp[len(fp)-1], ap[len(ap)-1]
-			}
-			b.ReportMetric(fifoLast, "fifo-final-precision")
-			b.ReportMetric(areaLast, "area-final-precision")
-		})
-	}
-}
-
-// BenchmarkAggPrecision regenerates the §4.3 aggregate experiment
-// (SELECT AVG(a) FROM t, doubled run length) and reports the final mean
-// relative AVG error of the uniform baseline — the paper found it
-// "marginal", i.e. the curve mirrors Figure 3's envelope.
-func BenchmarkAggPrecision(b *testing.B) {
-	var avgErr float64
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig()
-		cfg.Seed = benchSeed
-		cfg.UpdatePerc = 0.80
-		cfg.Batches = 20
-		cfg.Queries = sim.AggQueries
-		cfg.QueriesPerBatch = 200
-		cfg.Strategy = "uniform"
-		r, err := sim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pts := r.Series.Points
-		avgErr = pts[len(pts)-1].AggregateErr
-	}
-	b.ReportMetric(avgErr, "uniform-final-avg-rel-err")
-}
-
-// BenchmarkVolatilitySweep regenerates the §4.2 volatility contrast and
-// reports the precision gap between 10% and 80% update volatility for the
-// uniform strategy at the final batch.
-func BenchmarkVolatilitySweep(b *testing.B) {
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		finals := map[float64]float64{}
-		for _, pct := range []float64{0.10, 0.80} {
-			cfg := sim.DefaultConfig()
-			cfg.Seed = benchSeed
-			cfg.UpdatePerc = pct
-			cfg.Strategy = "uniform"
-			cfg.QueriesPerBatch = 500
-			r, err := sim.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ps := r.Series.Precisions()
-			finals[pct] = ps[len(ps)-1]
-		}
-		gap = finals[0.10] - finals[0.80]
-	}
-	b.ReportMetric(gap, "low-vs-high-volatility-gap")
-}
-
-// BenchmarkSelectivitySweep regenerates the §4.2 selectivity claim and
-// reports the precision difference between S=0.01 and S=1.0 for uniform
-// amnesia (the paper: increasing S does not improve precision).
-func BenchmarkSelectivitySweep(b *testing.B) {
-	var delta float64
-	for i := 0; i < b.N; i++ {
-		finals := map[float64]float64{}
-		for _, s := range []float64{0.01, 1.0} {
-			cfg := sim.DefaultConfig()
-			cfg.Seed = benchSeed
-			cfg.UpdatePerc = 0.80
-			cfg.Strategy = "uniform"
-			cfg.Selectivity = s
-			cfg.QueriesPerBatch = 300
-			r, err := sim.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ps := r.Series.Precisions()
-			finals[s] = ps[len(ps)-1]
-		}
-		delta = finals[1.0] - finals[0.01]
-	}
-	b.ReportMetric(delta, "S1.0-minus-S0.01-precision")
-}
-
-// BenchmarkExperimentsEndToEnd runs every registered experiment through
-// its figure renderer, timing the complete regeneration path used by
-// cmd/amnesiasim.
-func BenchmarkExperimentsEndToEnd(b *testing.B) {
-	for _, e := range exp.Registry() {
-		b.Run(e.ID, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := e.Run(io.Discard, benchSeed); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // --- Vectorized execution benchmarks -----------------------------------
 //

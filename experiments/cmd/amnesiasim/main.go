@@ -7,17 +7,18 @@
 //	amnesiasim -exp all
 //
 // Each experiment prints its data as CSV followed by an ASCII rendering
-// of the figure. See DESIGN.md for the experiment index and EXPERIMENTS.md
-// for recorded output.
+// of the figure. exp.Registry is the experiment index, and
+// experiments/testdata/<id>.txt holds each one's output at seed 1.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"amnesiadb/internal/exp"
+	"amnesiadb/experiments/internal/exp"
 )
 
 func main() {
@@ -29,6 +30,7 @@ func main() {
 		list   = flag.Bool("list", false, "list available experiments")
 	)
 	flag.Parse()
+	ctx := context.Background()
 
 	if *pngOut != "" {
 		if *id == "" || *id == "all" {
@@ -38,7 +40,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := exp.RenderPNG(f, *id, *seed); err != nil {
+		if err := exp.RenderPNG(ctx, f, *id, *seed); err != nil {
 			f.Close()
 			fatal(err)
 		}
@@ -76,8 +78,7 @@ func main() {
 
 	if *id == "all" {
 		for _, e := range exp.Registry() {
-			fmt.Fprintf(w, "## %s — %s\n\n", e.ID, e.Title)
-			if err := e.Run(w, *seed); err != nil {
+			if err := exp.Write(ctx, w, e, *seed); err != nil {
 				fatal(err)
 			}
 			fmt.Fprintln(w)
@@ -88,8 +89,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(w, "## %s — %s\n\n", e.ID, e.Title)
-	if err := e.Run(w, *seed); err != nil {
+	if err := exp.Write(ctx, w, e, *seed); err != nil {
 		fatal(err)
 	}
 }

@@ -84,9 +84,6 @@ func NewGenerator(kind Kind, domain int64, src *xrand.Source) *Generator {
 	return g
 }
 
-// Kind returns the generator's distribution.
-func (g *Generator) Kind() Kind { return g.kind }
-
 // Next returns the next value of the stream.
 func (g *Generator) Next() int64 {
 	switch g.kind {

@@ -1,24 +1,25 @@
 // Package exp defines the paper's experiments as reproducible,
-// parameter-for-parameter configurations (see DESIGN.md's experiment
-// index). The CLI and the benchmark harness both run experiments from
-// this single registry so figures are regenerated from one source of
-// truth.
+// parameter-for-parameter configurations. Registry is the experiment
+// index: cmd/amnesiasim and the experiments tests both run it, and each
+// experiment's output at seed 1 is committed as
+// experiments/testdata/<id>.txt, so a change that moves a figure shows
+// up as a diff there.
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
-	"amnesiadb/internal/amnesia"
+	"amnesiadb"
+	"amnesiadb/experiments/internal/dist"
+	"amnesiadb/experiments/internal/histogram"
+	"amnesiadb/experiments/internal/metrics"
+	"amnesiadb/experiments/internal/report"
+	"amnesiadb/experiments/internal/sim"
 	"amnesiadb/internal/compress"
-	"amnesiadb/internal/dist"
-	"amnesiadb/internal/engine"
-	"amnesiadb/internal/histogram"
-	"amnesiadb/internal/metrics"
-	"amnesiadb/internal/report"
-	"amnesiadb/internal/sim"
-	"amnesiadb/internal/table"
-	"amnesiadb/internal/workload"
 	"amnesiadb/internal/xrand"
 )
 
@@ -37,7 +38,7 @@ type Experiment struct {
 	// Title is the paper's caption, abbreviated.
 	Title string
 	// Run executes the experiment and renders its data to w.
-	Run func(w io.Writer, seed uint64) error
+	Run func(ctx context.Context, w io.Writer, seed uint64) error
 }
 
 // Registry lists all experiments in paper order.
@@ -68,69 +69,136 @@ func Lookup(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("exp: unknown experiment %q", id)
 }
 
+// Write renders e at seed under a heading: what amnesiasim prints, and
+// what experiments/testdata holds at seed 1.
+func Write(ctx context.Context, w io.Writer, e Experiment, seed uint64) error {
+	fmt.Fprintf(w, "## %s — %s\n\n", e.ID, e.Title)
+	return e.Run(ctx, w, seed)
+}
+
 // baseConfig is the paper's shared parameter block: dbsize=1000, 10
-// batches, 1000 queries per batch.
+// batches, 1000 queries per batch, upd-perc=0.20.
 func baseConfig(seed uint64) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Seed = seed
 	return cfg
 }
 
-// Fig1 regenerates the Figure 1 amnesia map: dbsize=1000, upd-perc=0.20,
-// 10 batches, strategies fifo/uniform/ante/area, uniform data (the figure
-// notes data distribution plays no role for these four).
-func Fig1(w io.Writer, seed uint64) error {
-	cfg := baseConfig(seed)
-	cfg.UpdatePerc = 0.20
-	results, err := sim.RunAll(cfg, MapStrategies)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteMapCSV(w, results); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	return report.WriteHeatMap(w, results)
+// figure is a graphical experiment: the runs it draws, and whether it
+// draws them as an amnesia map (Figures 1-2) or as precision lines.
+type figure struct {
+	runs  func(ctx context.Context, seed uint64) ([]*sim.Result, error)
+	isMap bool
 }
 
-// Fig2 regenerates the Figure 2 rot map: the rot strategy under all four
+// figures holds the graphical experiments by ID; the text and PNG
+// renderings of one draw the same runs.
+var figures = map[string]figure{
+	"fig1":  {runs: fig1Runs, isMap: true},
+	"fig2":  {runs: fig2Runs, isMap: true},
+	"fig3a": {runs: fig3Runs(dist.Normal, PaperStrategies)},
+	"fig3b": {runs: fig3Runs(dist.Zipf, PaperStrategies)},
+	"fig3x": {runs: fig3Runs(dist.Zipf, []string{"uniform", "area", "areav", "pairwise", "distaligned"})},
+}
+
+// fig1Runs is the Figure 1 amnesia map: dbsize=1000, upd-perc=0.20, 10
+// batches, strategies fifo/uniform/ante/area, uniform data (the figure
+// notes data distribution plays no role for these four).
+func fig1Runs(ctx context.Context, seed uint64) ([]*sim.Result, error) {
+	return sim.RunAll(ctx, baseConfig(seed), MapStrategies)
+}
+
+// fig2Runs is the Figure 2 rot map: the rot strategy under all four
 // data distributions, same budget as Figure 1.
-func Fig2(w io.Writer, seed uint64) error {
+func fig2Runs(ctx context.Context, seed uint64) ([]*sim.Result, error) {
 	var results []*sim.Result
 	for _, d := range dist.Kinds {
 		cfg := baseConfig(seed)
-		cfg.UpdatePerc = 0.20
 		cfg.Strategy = "rot"
 		cfg.Distribution = d
-		r, err := sim.Run(cfg)
+		r, err := sim.Run(ctx, cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		r.Series.Name = d.String()
 		results = append(results, r)
 	}
-	if err := report.WriteMapCSV(w, results); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	return report.WriteHeatMap(w, results)
+	return results, nil
 }
 
-// fig3 runs the Figure 3 range-precision experiment for one distribution.
-func fig3(w io.Writer, seed uint64, d dist.Kind) error {
-	cfg := baseConfig(seed)
-	cfg.UpdatePerc = 0.80
-	cfg.Distribution = d
-	results, err := sim.RunAll(cfg, PaperStrategies)
+// fig3Runs is the Figure 3 range-precision experiment at upd-perc=0.80
+// for one distribution and set of strategies.
+func fig3Runs(d dist.Kind, strategies []string) func(context.Context, uint64) ([]*sim.Result, error) {
+	return func(ctx context.Context, seed uint64) ([]*sim.Result, error) {
+		cfg := baseConfig(seed)
+		cfg.UpdatePerc = 0.80
+		cfg.Distribution = d
+		return sim.RunAll(ctx, cfg, strategies)
+	}
+}
+
+// writeFigure renders figure id as CSV followed by an ASCII chart.
+func writeFigure(ctx context.Context, w io.Writer, id string, seed uint64) error {
+	f := figures[id]
+	results, err := f.runs(ctx, seed)
 	if err != nil {
 		return err
 	}
-	series := seriesOf(results)
+	if f.isMap {
+		if err := report.WriteMapCSV(w, results); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+		return report.WriteHeatMap(w, results)
+	}
+	return writeLines(w, seriesOf(results))
+}
+
+// writeLines renders precision series as CSV followed by an ASCII chart.
+func writeLines(w io.Writer, series []*metrics.Series) error {
 	if err := report.WriteSeriesCSV(w, series); err != nil {
 		return err
 	}
 	fmt.Fprintln(w)
 	return report.WriteChart(w, series, 12)
+}
+
+// RenderPNG renders one of the graphical experiments (fig1, fig2, fig3a,
+// fig3b, fig3x) as a PNG written to w. Non-graphical experiment ids are
+// rejected.
+func RenderPNG(ctx context.Context, w io.Writer, id string, seed uint64) error {
+	f, ok := figures[id]
+	if !ok {
+		return fmt.Errorf("exp: experiment %q has no PNG rendering", id)
+	}
+	results, err := f.runs(ctx, seed)
+	if err != nil {
+		return err
+	}
+	if f.isMap {
+		return report.WriteMapPNG(w, results, 0, 0)
+	}
+	return report.WriteSeriesPNG(w, seriesOf(results), 0, 0)
+}
+
+// Fig1 regenerates the Figure 1 amnesia map.
+func Fig1(ctx context.Context, w io.Writer, seed uint64) error {
+	return writeFigure(ctx, w, "fig1", seed)
+}
+
+// Fig2 regenerates the Figure 2 rot map.
+func Fig2(ctx context.Context, w io.Writer, seed uint64) error {
+	return writeFigure(ctx, w, "fig2", seed)
+}
+
+// Fig3Normal regenerates the top panel of Figure 3 (normal data).
+func Fig3Normal(ctx context.Context, w io.Writer, seed uint64) error {
+	return writeFigure(ctx, w, "fig3a", seed)
+}
+
+// Fig3Zipf regenerates the bottom panel of Figure 3 (zipfian data).
+func Fig3Zipf(ctx context.Context, w io.Writer, seed uint64) error {
+	return writeFigure(ctx, w, "fig3b", seed)
 }
 
 // Fig3Extensions reruns the Figure 3 pipeline on zipfian data with the
@@ -139,32 +207,14 @@ func fig3(w io.Writer, seed uint64, d dist.Kind) error {
 // paper's "area retains precision better" claim reproduces: forgetting
 // clusters in the value domain, so queries centred on retained data
 // rarely cross a hole.
-func Fig3Extensions(w io.Writer, seed uint64) error {
-	cfg := baseConfig(seed)
-	cfg.UpdatePerc = 0.80
-	cfg.Distribution = dist.Zipf
-	results, err := sim.RunAll(cfg, []string{"uniform", "area", "areav", "pairwise", "distaligned"})
-	if err != nil {
-		return err
-	}
-	series := seriesOf(results)
-	if err := report.WriteSeriesCSV(w, series); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	return report.WriteChart(w, series, 12)
+func Fig3Extensions(ctx context.Context, w io.Writer, seed uint64) error {
+	return writeFigure(ctx, w, "fig3x", seed)
 }
-
-// Fig3Normal regenerates the top panel of Figure 3 (normal data).
-func Fig3Normal(w io.Writer, seed uint64) error { return fig3(w, seed, dist.Normal) }
-
-// Fig3Zipf regenerates the bottom panel of Figure 3 (zipfian data).
-func Fig3Zipf(w io.Writer, seed uint64) error { return fig3(w, seed, dist.Zipf) }
 
 // AggPrecision regenerates the §4.3 aggregate experiment: SELECT AVG(a)
 // FROM t over a doubled run length, reporting per-batch tuple precision
 // and mean relative AVG error for every strategy.
-func AggPrecision(w io.Writer, seed uint64) error {
+func AggPrecision(ctx context.Context, w io.Writer, seed uint64) error {
 	var series []*metrics.Series
 	var aggSeries []*metrics.Series
 	for _, s := range PaperStrategies {
@@ -174,7 +224,7 @@ func AggPrecision(w io.Writer, seed uint64) error {
 		cfg.Strategy = s
 		cfg.Queries = sim.AggQueries
 		cfg.QueriesPerBatch = 200
-		r, err := sim.Run(cfg)
+		r, err := sim.Run(ctx, cfg)
 		if err != nil {
 			return err
 		}
@@ -184,7 +234,7 @@ func AggPrecision(w io.Writer, seed uint64) error {
 			// Re-plot 1-error so the chart shares the precision axis.
 			agg.Points = append(agg.Points, metrics.Point{
 				Batch:     p.Batch,
-				Precision: clamp01(1 - p.AggregateErr),
+				Precision: max(1-p.AggregateErr, 0),
 			})
 		}
 		aggSeries = append(aggSeries, agg)
@@ -203,7 +253,7 @@ func AggPrecision(w io.Writer, seed uint64) error {
 
 // Volatility regenerates the §4.2 volatility contrast: the uniform-range
 // experiment at 10% and 80% update volatility for every strategy.
-func Volatility(w io.Writer, seed uint64) error {
+func Volatility(ctx context.Context, w io.Writer, seed uint64) error {
 	var series []*metrics.Series
 	for _, pct := range []float64{0.10, 0.80} {
 		for _, s := range PaperStrategies {
@@ -211,7 +261,7 @@ func Volatility(w io.Writer, seed uint64) error {
 			cfg.UpdatePerc = pct
 			cfg.Strategy = s
 			cfg.QueriesPerBatch = 500
-			r, err := sim.Run(cfg)
+			r, err := sim.Run(ctx, cfg)
 			if err != nil {
 				return err
 			}
@@ -219,17 +269,13 @@ func Volatility(w io.Writer, seed uint64) error {
 			series = append(series, &r.Series)
 		}
 	}
-	if err := report.WriteSeriesCSV(w, series); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	return report.WriteChart(w, series, 12)
+	return writeLines(w, series)
 }
 
 // Selectivity regenerates the §4.2 claim that "increasing the selectivity
 // factor does not improve the precision": final-batch precision per
 // strategy across selectivity factors.
-func Selectivity(w io.Writer, seed uint64) error {
+func Selectivity(ctx context.Context, w io.Writer, seed uint64) error {
 	factors := []float64{0.01, 0.05, 0.20, 0.50, 1.0}
 	fmt.Fprint(w, "strategy")
 	for _, f := range factors {
@@ -244,7 +290,7 @@ func Selectivity(w io.Writer, seed uint64) error {
 			cfg.Strategy = s
 			cfg.Selectivity = f
 			cfg.QueriesPerBatch = 300
-			r, err := sim.Run(cfg)
+			r, err := sim.Run(ctx, cfg)
 			if err != nil {
 				return err
 			}
@@ -261,7 +307,7 @@ func Selectivity(w io.Writer, seed uint64) error {
 // paper plots single runs; the tiny deviations here (the precision is
 // dominated by the deterministic active/stored ratio) justify that
 // practice quantitatively.
-func Fig3ErrorBars(w io.Writer, seed uint64) error {
+func Fig3ErrorBars(ctx context.Context, w io.Writer, seed uint64) error {
 	const seeds = 5
 	fmt.Fprint(w, "batch")
 	for _, s := range PaperStrategies {
@@ -275,7 +321,7 @@ func Fig3ErrorBars(w io.Writer, seed uint64) error {
 		cfg.Distribution = dist.Zipf
 		cfg.Strategy = s
 		cfg.QueriesPerBatch = 300
-		st, err := sim.RunSeeds(cfg, seeds)
+		st, err := sim.RunSeeds(ctx, cfg, seeds)
 		if err != nil {
 			return err
 		}
@@ -295,9 +341,9 @@ func Fig3ErrorBars(w io.Writer, seed uint64) error {
 // and four update volatilities — the parameter space beyond the paper's
 // fixed configurations — and reports each cell's final-batch and mean
 // precision, to show where strategies cross over.
-func Sweep(w io.Writer, seed uint64) error {
+func Sweep(ctx context.Context, w io.Writer, seed uint64) error {
 	fmt.Fprintln(w, "strategy,distribution,volatility,final_precision,mean_precision")
-	for _, s := range amnesia.Names() {
+	for _, s := range amnesiadb.Strategies() {
 		for _, d := range dist.Kinds {
 			for _, v := range []float64{0.1, 0.2, 0.5, 0.8} {
 				cfg := baseConfig(seed)
@@ -305,7 +351,7 @@ func Sweep(w io.Writer, seed uint64) error {
 				cfg.Strategy = s
 				cfg.Distribution = d
 				cfg.UpdatePerc = v
-				r, err := sim.Run(cfg)
+				r, err := sim.Run(ctx, cfg)
 				if err != nil {
 					return err
 				}
@@ -322,65 +368,11 @@ func Sweep(w io.Writer, seed uint64) error {
 	return nil
 }
 
-// RenderPNG regenerates one of the graphical experiments (fig1, fig2,
-// fig3a, fig3b, fig3x) as a PNG written to w. Non-graphical experiment
-// ids are rejected.
-func RenderPNG(w io.Writer, id string, seed uint64) error {
-	switch id {
-	case "fig1":
-		cfg := baseConfig(seed)
-		cfg.UpdatePerc = 0.20
-		results, err := sim.RunAll(cfg, MapStrategies)
-		if err != nil {
-			return err
-		}
-		return report.WriteMapPNG(w, results, 0, 0)
-	case "fig2":
-		var results []*sim.Result
-		for _, d := range dist.Kinds {
-			cfg := baseConfig(seed)
-			cfg.UpdatePerc = 0.20
-			cfg.Strategy = "rot"
-			cfg.Distribution = d
-			r, err := sim.Run(cfg)
-			if err != nil {
-				return err
-			}
-			r.Series.Name = d.String()
-			results = append(results, r)
-		}
-		return report.WriteMapPNG(w, results, 0, 0)
-	case "fig3a", "fig3b":
-		d := dist.Normal
-		if id == "fig3b" {
-			d = dist.Zipf
-		}
-		cfg := baseConfig(seed)
-		cfg.UpdatePerc = 0.80
-		cfg.Distribution = d
-		results, err := sim.RunAll(cfg, PaperStrategies)
-		if err != nil {
-			return err
-		}
-		return report.WriteSeriesPNG(w, seriesOf(results), 0, 0)
-	case "fig3x":
-		cfg := baseConfig(seed)
-		cfg.UpdatePerc = 0.80
-		cfg.Distribution = dist.Zipf
-		results, err := sim.RunAll(cfg, []string{"uniform", "area", "areav", "pairwise", "distaligned"})
-		if err != nil {
-			return err
-		}
-		return report.WriteSeriesPNG(w, seriesOf(results), 0, 0)
-	}
-	return fmt.Errorf("exp: experiment %q has no PNG rendering", id)
-}
-
 // CompressRatios quantifies the §4.4 option of compressing cold data
 // instead of forgetting it: for each data distribution it freezes a
 // 100k-tuple column with each codec and reports the compression ratio —
 // how many batches of forgetting a freeze can postpone at equal budget.
-func CompressRatios(w io.Writer, seed uint64) error {
+func CompressRatios(_ context.Context, w io.Writer, seed uint64) error {
 	const n = 100000
 	codecs := []compress.Codec{compress.RLE{}, compress.Delta{}, compress.FOR{}, compress.Auto{}}
 	fmt.Fprint(w, "distribution")
@@ -406,71 +398,45 @@ func CompressRatios(w io.Writer, seed uint64) error {
 // inserted — the alignment §4.4's distribution-aware forgetting aims to
 // minimise. Run on zipfian data where careless forgetting distorts the
 // shape most visibly; distaligned should hold the lowest curve.
-func Drift(w io.Writer, seed uint64) error {
+func Drift(ctx context.Context, w io.Writer, seed uint64) error {
 	strategies := []string{"fifo", "uniform", "ante", "rot", "area", "pairwise", "distaligned"}
-	const (
-		dbsize  = 1000
-		batches = 10
-		bins    = 16
-	)
-	fmt.Fprint(w, "batch")
-	for _, s := range strategies {
-		fmt.Fprintf(w, ",%s", s)
-	}
-	fmt.Fprintln(w)
-	drift := make([][]float64, batches)
+	const bins = 16
+	cfg := baseConfig(seed)
+	cfg.Distribution = dist.Zipf
+	cfg.QueriesPerBatch = 100
+	drift := make([][]float64, cfg.Batches) // [batch-1][strategy]
 	for i := range drift {
 		drift[i] = make([]float64, len(strategies))
 	}
-	for si, stratName := range strategies {
-		root := xrand.New(seed)
-		gen := dist.NewGenerator(dist.Zipf, 100000, root.Split())
-		strat, err := amnesia.New(stratName, "a", root.Split())
-		if err != nil {
-			return err
-		}
-		tb := table.New("t", "a")
-		querySrc := root.Split()
-		ex := engine.New(tb)
-		rg := workload.NewRangeGen(querySrc, "a")
-		if _, err := tb.AppendSingleColumn(gen.Batch(nil, dbsize)); err != nil {
-			return err
-		}
-		for b := 0; b < batches; b++ {
-			if _, err := workload.RunRangeBatch(ex, rg, 100); err != nil {
+	for si, s := range strategies {
+		cfg.Strategy = s
+		cfg.Observe = func(b int, tb *amnesiadb.Table) error {
+			col := tb.Columns()[0]
+			all, err := tb.SelectWithForgotten(col, amnesiadb.All())
+			if err != nil {
 				return err
 			}
-			if _, err := tb.AppendSingleColumn(gen.Batch(nil, dbsize/5)); err != nil {
+			active, err := tb.ActiveValues(col)
+			if err != nil {
 				return err
 			}
-			strat.Forget(tb, tb.ActiveCount()-dbsize)
-			c := tb.MustColumn("a")
-			all := histogram.FromValues(c.Values(), bins)
-			active := histogram.New(bins, maxOf(c.Values()))
-			for _, i := range tb.ActiveIndices() {
-				active.Add(c.Get(i))
-			}
-			drift[b][si] = all.TVDistance(active)
+			top := slices.Max(all.Values)
+			drift[b-1][si] = histogram.FromValues(all.Values, bins, top).TVDistance(histogram.FromValues(active, bins, top))
+			return nil
+		}
+		if _, err := sim.Run(ctx, cfg); err != nil {
+			return err
 		}
 	}
-	for b := 0; b < batches; b++ {
+	fmt.Fprintf(w, "batch,%s\n", strings.Join(strategies, ","))
+	for b, row := range drift {
 		fmt.Fprintf(w, "%d", b+1)
-		for si := range strategies {
-			fmt.Fprintf(w, ",%.4f", drift[b][si])
+		for _, d := range row {
+			fmt.Fprintf(w, ",%.4f", d)
 		}
 		fmt.Fprintln(w)
 	}
 	return nil
-}
-
-func maxOf(vals []int64) int64 {
-	var max int64
-	for _, v := range vals {
-		if v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 func seriesOf(results []*sim.Result) []*metrics.Series {
@@ -479,14 +445,4 @@ func seriesOf(results []*sim.Result) []*metrics.Series {
 		out[i] = &r.Series
 	}
 	return out
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }

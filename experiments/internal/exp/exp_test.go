@@ -37,7 +37,7 @@ func TestLookup(t *testing.T) {
 
 func TestFig1Shape(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Fig1(&buf, 1); err != nil {
+	if err := Fig1(t.Context(), &buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -66,7 +66,7 @@ func TestFig1Shape(t *testing.T) {
 
 func TestFig2CoversDistributions(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Fig2(&buf, 1); err != nil {
+	if err := Fig2(t.Context(), &buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	head := strings.SplitN(buf.String(), "\n", 2)[0]
@@ -77,7 +77,7 @@ func TestFig2CoversDistributions(t *testing.T) {
 
 func TestFig3HasAllStrategies(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Fig3Normal(&buf, 1); err != nil {
+	if err := Fig3Normal(t.Context(), &buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	head := strings.SplitN(buf.String(), "\n", 2)[0]
@@ -91,7 +91,7 @@ func TestFig3HasAllStrategies(t *testing.T) {
 
 func TestCompressRatiosTable(t *testing.T) {
 	var buf bytes.Buffer
-	if err := CompressRatios(&buf, 1); err != nil {
+	if err := CompressRatios(t.Context(), &buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -106,7 +106,7 @@ func TestCompressRatiosTable(t *testing.T) {
 
 func TestDriftDistalignedWins(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Drift(&buf, 1); err != nil {
+	if err := Drift(t.Context(), &buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -135,21 +135,21 @@ func parseF(t *testing.T, s string) float64 {
 func TestRenderPNG(t *testing.T) {
 	for _, id := range []string{"fig1", "fig3a"} {
 		var buf bytes.Buffer
-		if err := RenderPNG(&buf, id, 1); err != nil {
+		if err := RenderPNG(t.Context(), &buf, id, 1); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		if buf.Len() < 100 || !bytes.HasPrefix(buf.Bytes(), []byte("\x89PNG")) {
 			t.Fatalf("%s: not a PNG (%d bytes)", id, buf.Len())
 		}
 	}
-	if err := RenderPNG(&bytes.Buffer{}, "sel", 1); err == nil {
+	if err := RenderPNG(t.Context(), &bytes.Buffer{}, "sel", 1); err == nil {
 		t.Fatal("non-graphical experiment rendered")
 	}
 }
 
 func TestSelectivityTable(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Selectivity(&buf, 1); err != nil {
+	if err := Selectivity(t.Context(), &buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -161,36 +161,12 @@ func TestSelectivityTable(t *testing.T) {
 	}
 }
 
-func TestHeavyExperimentsRun(t *testing.T) {
-	// The remaining registry entries at full paper parameters; each just
-	// has to complete and emit a plausible table. Skipped in -short.
-	if testing.Short() {
-		t.Skip("heavy experiments skipped in -short mode")
-	}
-	for _, id := range []string{"fig3b", "fig3x", "agg", "vol", "fig3e"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			e, err := Lookup(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := e.Run(&buf, 1); err != nil {
-				t.Fatal(err)
-			}
-			if buf.Len() < 100 {
-				t.Fatalf("%s produced only %d bytes", id, buf.Len())
-			}
-		})
-	}
-}
-
 func TestVolatilityOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment skipped in -short mode")
 	}
 	var buf bytes.Buffer
-	if err := Volatility(&buf, 1); err != nil {
+	if err := Volatility(t.Context(), &buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Final batch: every 10% column must beat its 80% counterpart.

@@ -8,20 +8,16 @@ import (
 	"amnesiadb/internal/xrand"
 )
 
-func TestAddCountFraction(t *testing.T) {
+func TestAddFraction(t *testing.T) {
 	h := New(4, 99) // buckets of width 25
 	h.Add(0)
 	h.Add(24)
 	h.Add(25)
 	h.Add(99)
-	if h.Total() != 4 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Count(0) != 2 || h.Count(1) != 1 || h.Count(3) != 1 {
-		t.Fatalf("counts = %d %d %d %d", h.Count(0), h.Count(1), h.Count(2), h.Count(3))
-	}
-	if h.Fraction(0) != 0.5 {
-		t.Fatalf("fraction = %v", h.Fraction(0))
+	for b, want := range []float64{0.5, 0.25, 0, 0.25} {
+		if got := h.Fraction(b); got != want {
+			t.Fatalf("fraction(%d) = %v, want %v", b, got, want)
+		}
 	}
 }
 
@@ -29,24 +25,9 @@ func TestClamping(t *testing.T) {
 	h := New(4, 99)
 	h.Add(-5)
 	h.Add(1000)
-	if h.Count(0) != 1 || h.Count(3) != 1 {
+	if h.Fraction(0) != 0.5 || h.Fraction(3) != 0.5 {
 		t.Fatal("clamping wrong")
 	}
-}
-
-func TestRemove(t *testing.T) {
-	h := New(2, 9)
-	h.Add(3)
-	h.Remove(3)
-	if h.Total() != 0 || h.Count(0) != 0 {
-		t.Fatal("remove failed")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("removing from empty bin did not panic")
-		}
-	}()
-	h.Remove(3)
 }
 
 func TestConstructorPanics(t *testing.T) {
@@ -68,16 +49,12 @@ func TestConstructorPanics(t *testing.T) {
 
 func TestDistancesIdentical(t *testing.T) {
 	src := xrand.New(1)
-	h := New(16, 999)
-	for i := 0; i < 10000; i++ {
-		h.Add(src.Int63n(1000))
+	vals := make([]int64, 10000)
+	for i := range vals {
+		vals[i] = src.Int63n(1000)
 	}
-	o := h.Clone()
-	if d := h.TVDistance(o); d != 0 {
+	if d := FromValues(vals, 16, 999).TVDistance(FromValues(vals, 16, 999)); d != 0 {
 		t.Fatalf("TV distance of identical = %v", d)
-	}
-	if d := h.KSStatistic(o); d != 0 {
-		t.Fatalf("KS of identical = %v", d)
 	}
 }
 
@@ -87,9 +64,6 @@ func TestDistancesDisjoint(t *testing.T) {
 	b.Add(99)
 	if d := a.TVDistance(b); math.Abs(d-1) > 1e-12 {
 		t.Fatalf("TV of disjoint = %v", d)
-	}
-	if d := a.KSStatistic(b); math.Abs(d-1) > 1e-12 {
-		t.Fatalf("KS of disjoint = %v", d)
 	}
 }
 
@@ -117,26 +91,14 @@ func TestTVDistanceOrdersDrift(t *testing.T) {
 	}
 }
 
-func TestChiSquareZeroForProportionalSample(t *testing.T) {
-	truth := New(4, 99)
-	sample := New(4, 99)
-	for b := 0; b < 100; b++ {
-		truth.Add(int64(b))
-		truth.Add(int64(b))
-		sample.Add(int64(b)) // exactly half of every bucket
-	}
-	if x := sample.ChiSquare(truth); x > 1e-9 {
-		t.Fatalf("proportional sample chi2 = %v", x)
-	}
-}
-
 func TestFromValues(t *testing.T) {
-	h := FromValues([]int64{0, 10, 20, 30}, 4)
-	if h.Total() != 4 || h.Bins() != 4 {
-		t.Fatalf("h = %+v", h)
+	h := FromValues([]int64{0, 10, 20, 30}, 4, 30)
+	for b := 0; b < 4; b++ {
+		if h.Fraction(b) != 0.25 {
+			t.Fatalf("fraction(%d) = %v", b, h.Fraction(b))
+		}
 	}
-	empty := FromValues(nil, 4)
-	if empty.Total() != 0 {
+	if FromValues(nil, 4, 0).Fraction(0) != 0 {
 		t.Fatal("empty FromValues wrong")
 	}
 }
@@ -150,12 +112,8 @@ func TestPropertyDistanceBoundsAndSymmetry(t *testing.T) {
 		for _, v := range bRaw {
 			b.Add(int64(v))
 		}
-		tv, ks := a.TVDistance(b), a.KSStatistic(b)
-		if tv < 0 || tv > 1+1e-12 || ks < 0 || ks > 1+1e-12 {
-			return false
-		}
-		return math.Abs(tv-b.TVDistance(a)) < 1e-12 &&
-			math.Abs(ks-b.KSStatistic(a)) < 1e-12
+		tv := a.TVDistance(b)
+		return tv >= 0 && tv <= 1+1e-12 && math.Abs(tv-b.TVDistance(a)) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -7,8 +7,8 @@ import (
 	"image/png"
 	"io"
 
-	"amnesiadb/internal/metrics"
-	"amnesiadb/internal/sim"
+	"amnesiadb/experiments/internal/metrics"
+	"amnesiadb/experiments/internal/sim"
 )
 
 // palette gives each figure line a distinct colour, in legend order

@@ -5,8 +5,8 @@ import (
 	"image/png"
 	"testing"
 
-	"amnesiadb/internal/metrics"
-	"amnesiadb/internal/sim"
+	"amnesiadb/experiments/internal/metrics"
+	"amnesiadb/experiments/internal/sim"
 )
 
 func TestWriteSeriesPNG(t *testing.T) {

@@ -8,8 +8,8 @@ import (
 	"io"
 	"strings"
 
-	"amnesiadb/internal/metrics"
-	"amnesiadb/internal/sim"
+	"amnesiadb/experiments/internal/metrics"
+	"amnesiadb/experiments/internal/sim"
 )
 
 // WriteSeriesCSV emits one row per batch with a column per series, matching

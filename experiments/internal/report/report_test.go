@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"amnesiadb/internal/metrics"
-	"amnesiadb/internal/sim"
+	"amnesiadb/experiments/internal/metrics"
+	"amnesiadb/experiments/internal/sim"
 )
 
 func mkSeries(name string, ps ...float64) *metrics.Series {

@@ -1,20 +1,29 @@
-// Package sim is the Data Amnesia Simulator of §2: it drives a columnar
-// table through the paper's query-dominant loop — a batch of queries, a
-// batch of inserts, then an amnesia step that restores the storage budget
-// — while collecting the precision metrics and amnesia maps of the
-// evaluation section.
+// Package sim is the Data Amnesia Simulator of §2: it drives a served
+// amnesiadb.DB through the paper's query-dominant loop — a batch of
+// queries, then a batch of inserts whose budget enforcement is the
+// amnesia step — while collecting the precision metrics and amnesia maps
+// of the evaluation section.
+//
+// A figure exercises exactly these facade calls: Open, CreateTable,
+// SetPolicy{Strategy, Budget: DBSize}, InsertColumn (its enforcement is
+// the only forgetting), Table.ActiveValues once per query batch for
+// active-candidate draws, Table.Precision for range queries,
+// Table.Aggregate beside SelectWithForgotten for §4.3's AVG, and
+// ActivePerBatch and Stats at the end. Simulator tables hold at most 20k
+// rows, below the engine's parallel threshold, so every scan is serial
+// and a Parallelism 1-vs-n comparison would compare serial with serial.
 package sim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 
-	"amnesiadb/internal/amnesia"
-	"amnesiadb/internal/dist"
-	"amnesiadb/internal/engine"
-	"amnesiadb/internal/metrics"
-	"amnesiadb/internal/table"
-	"amnesiadb/internal/workload"
+	"amnesiadb"
+	"amnesiadb/experiments/internal/dist"
+	"amnesiadb/experiments/internal/metrics"
+	"amnesiadb/experiments/internal/workload"
 	"amnesiadb/internal/xrand"
 )
 
@@ -62,7 +71,7 @@ type Config struct {
 	Distribution dist.Kind
 	// Domain is the exclusive upper bound of generated values.
 	Domain int64
-	// Strategy names the amnesia algorithm (see amnesia.Names).
+	// Strategy names the amnesia algorithm (see amnesiadb.Strategies).
 	Strategy string
 	// Queries selects the workload template.
 	Queries QueryKind
@@ -73,6 +82,9 @@ type Config struct {
 	Candidates workload.CandidateMode
 	// Seed makes the run reproducible.
 	Seed uint64
+	// Observe, when set, is called after each update batch's amnesia
+	// step with the batch index and the simulated table.
+	Observe func(batch int, t *amnesiadb.Table) error
 }
 
 // DefaultConfig returns the paper's base parameters: dbsize 1000, 10
@@ -106,6 +118,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: Domain %d must be positive", c.Domain)
 	case c.Selectivity < 0 || c.Selectivity > 1:
 		return fmt.Errorf("sim: Selectivity %v outside [0, 1]", c.Selectivity)
+	case c.Queries < RangeQueries || c.Queries > AggRangeQueries:
+		return fmt.Errorf("sim: invalid query kind %d", int(c.Queries))
 	}
 	return nil
 }
@@ -122,7 +136,7 @@ type Result struct {
 	MapActive []int
 	MapTotal  []int
 	// Final table statistics.
-	Stats table.Stats
+	Stats amnesiadb.Stats
 }
 
 // ActivePercent returns the amnesia-map y-axis: the percentage of each
@@ -137,85 +151,70 @@ func (r *Result) ActivePercent() []float64 {
 	return out
 }
 
-// Runner executes simulation runs. It holds no cross-run state.
-type Runner struct{}
+// col is the simulated table's one attribute.
+const col = "a"
 
-// Run executes one simulation described by cfg.
-func (Runner) Run(cfg Config) (*Result, error) {
-	return Run(cfg)
+// open makes the database a run drives from its seed; a test swaps in
+// a durable one.
+var open = func(seed uint64) (*amnesiadb.DB, error) {
+	return amnesiadb.Open(amnesiadb.Options{Seed: seed}), nil
 }
 
 // Run executes one simulation described by cfg and returns its metrics.
-func Run(cfg Config) (*Result, error) {
+func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// The data, the queries and the database (whose strategies split
+	// their streams from its seed) each get their own stream of root.
 	root := xrand.New(cfg.Seed)
-	dataSrc := root.Split()
-	strategySrc := root.Split()
-	querySrc := root.Split()
-
-	const col = "a"
-	tb := table.New("t", col)
-	gen := dist.NewGenerator(cfg.Distribution, cfg.Domain, dataSrc)
-	strat, err := amnesia.New(cfg.Strategy, col, strategySrc)
+	gen := dist.NewGenerator(cfg.Distribution, cfg.Domain, root.Split())
+	queries := workload.NewRangeGen(root.Split())
+	queries.Candidates = cfg.Candidates
+	if cfg.Selectivity > 0 {
+		queries.Selectivity = cfg.Selectivity
+	}
+	db, err := open(root.Uint64())
 	if err != nil {
 		return nil, err
 	}
-	ex := engine.New(tb)
-
-	rangeGen := workload.NewRangeGen(querySrc, col)
-	rangeGen.Candidates = cfg.Candidates
-	if cfg.Selectivity > 0 {
-		rangeGen.Selectivity = cfg.Selectivity
+	defer db.Close()
+	tb, err := db.CreateTable("t", col)
+	if err != nil {
+		return nil, err
 	}
-	aggGen := workload.NewAggGen(querySrc, col, cfg.Queries == AggRangeQueries)
-	aggGen.RangeGen().Candidates = cfg.Candidates
-	if cfg.Selectivity > 0 {
-		aggGen.RangeGen().Selectivity = cfg.Selectivity
+	if err := tb.SetPolicy(amnesiadb.Policy{Strategy: cfg.Strategy, Budget: cfg.DBSize}); err != nil {
+		return nil, err
+	}
+	insert := func(n int) error {
+		vals := gen.Batch(nil, n)
+		queries.Insert(vals)
+		return tb.InsertColumn(col, vals)
 	}
 
 	// Initial load: the database starts full at DBSIZE (timeline point 0).
-	if _, err := tb.AppendSingleColumn(gen.Batch(nil, cfg.DBSize)); err != nil {
+	if err := insert(cfg.DBSize); err != nil {
 		return nil, err
 	}
-
 	res := &Result{Config: cfg, Series: metrics.Series{Name: cfg.Strategy}}
-	updateSize := int(cfg.UpdatePerc * float64(cfg.DBSize))
-	if updateSize < 1 {
-		updateSize = 1
-	}
-
+	updateSize := max(int(cfg.UpdatePerc*float64(cfg.DBSize)), 1)
 	for b := 1; b <= cfg.Batches; b++ {
 		// 1. Query batch (feeds access frequencies and metrics).
 		if cfg.QueriesPerBatch > 0 {
-			var batch *metrics.Batch
-			switch cfg.Queries {
-			case RangeQueries:
-				batch, err = workload.RunRangeBatch(ex, rangeGen, cfg.QueriesPerBatch)
-			case AggQueries, AggRangeQueries:
-				batch, err = workload.RunAggBatch(ex, aggGen, cfg.QueriesPerBatch)
-			default:
-				err = fmt.Errorf("sim: invalid query kind %d", int(cfg.Queries))
-			}
+			batch, err := queryBatch(ctx, tb, cfg, queries)
 			if err != nil {
 				return nil, err
 			}
 			res.Series.Add(b, batch)
 		}
-
-		// 2. Update batch: insert F fresh tuples.
-		if _, err := tb.AppendSingleColumn(gen.Batch(nil, updateSize)); err != nil {
+		// 2. Update batch; its enforcement restores the budget exactly.
+		if err := insert(updateSize); err != nil {
 			return nil, err
 		}
-
-		// 3. Amnesia: restore the storage budget exactly.
-		over := tb.ActiveCount() - cfg.DBSize
-		if over > 0 {
-			strat.Forget(tb, over)
-		}
-		if got := tb.ActiveCount(); got != cfg.DBSize {
-			return nil, fmt.Errorf("sim: budget invariant broken after batch %d: active %d != dbsize %d", b, got, cfg.DBSize)
+		if cfg.Observe != nil {
+			if err := cfg.Observe(b, tb); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -227,15 +226,81 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// queryBatch fires one batch of cfg's queries at tb and folds their
+// precision into a batch summary. Active scans feed access frequencies
+// (training rot-style strategies); ground truth is collected silently.
+func queryBatch(ctx context.Context, tb *amnesiadb.Table, cfg Config, g *workload.RangeGen) (*metrics.Batch, error) {
+	// Queries do not change which tuples are active, so one silent read
+	// serves the whole batch's candidate draws.
+	var active []int64
+	if g.Candidates == workload.CandidateActive {
+		var err error
+		if active, err = tb.ActiveValues(col); err != nil {
+			return nil, err
+		}
+	}
+	b := &metrics.Batch{}
+	for i := 0; i < cfg.QueriesPerBatch; i++ {
+		p := amnesiadb.All()
+		if cfg.Queries != AggQueries {
+			lo, hi, ok := g.Next(active)
+			if !ok {
+				return nil, errors.New("sim: no data to draw a query from")
+			}
+			p = amnesiadb.Range(lo, hi)
+		}
+		if cfg.Queries == RangeQueries {
+			rf, mf, _, err := tb.Precision(ctx, col, p)
+			if err != nil {
+				return nil, err
+			}
+			b.Observe(metrics.Query{RF: rf, MF: mf})
+			continue
+		}
+		if err := observeAvg(b, tb, p); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// observeAvg fires one AVG query, recording its tuple-level precision
+// and its relative error against the exact average over every stored
+// tuple, folded from the complete scan.
+func observeAvg(b *metrics.Batch, tb *amnesiadb.Table, p amnesiadb.Pred) error {
+	// An empty active match is a zero Agg: everything in range was
+	// forgotten.
+	approx, err := tb.Aggregate(col, p)
+	if err != nil && !errors.Is(err, amnesiadb.ErrNoRows) {
+		return err
+	}
+	all, err := tb.SelectWithForgotten(col, p)
+	if err != nil {
+		return err
+	}
+	if all.Count() == 0 {
+		// Nothing qualifies anywhere: vacuously precise.
+		b.Observe(metrics.Query{})
+		return nil
+	}
+	var sum int64
+	for _, v := range all.Values {
+		sum += v
+	}
+	b.Observe(metrics.Query{RF: approx.Count, MF: all.Count() - approx.Count})
+	b.ObserveAggregate(approx.Avg, float64(sum)/float64(all.Count()))
+	return nil
+}
+
 // RunAll executes the same configuration once per strategy name, returning
 // results in the given order. It is the engine behind the multi-line
 // figures.
-func RunAll(cfg Config, strategies []string) ([]*Result, error) {
+func RunAll(ctx context.Context, cfg Config, strategies []string) ([]*Result, error) {
 	out := make([]*Result, 0, len(strategies))
 	for _, s := range strategies {
 		c := cfg
 		c.Strategy = s
-		r, err := Run(c)
+		r, err := Run(ctx, c)
 		if err != nil {
 			return nil, fmt.Errorf("sim: strategy %s: %w", s, err)
 		}
@@ -259,7 +324,7 @@ type SeedStats struct {
 // RunSeeds executes cfg with seeds cfg.Seed, cfg.Seed+1, ...,
 // cfg.Seed+n-1 and aggregates the precision series. It requires n >= 1
 // and a workload (QueriesPerBatch > 0).
-func RunSeeds(cfg Config, n int) (*SeedStats, error) {
+func RunSeeds(ctx context.Context, cfg Config, n int) (*SeedStats, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("sim: RunSeeds needs at least one seed, got %d", n)
 	}
@@ -271,7 +336,7 @@ func RunSeeds(cfg Config, n int) (*SeedStats, error) {
 	for s := 0; s < n; s++ {
 		c := cfg
 		c.Seed = cfg.Seed + uint64(s)
-		r, err := Run(c)
+		r, err := Run(ctx, c)
 		if err != nil {
 			return nil, err
 		}
@@ -295,10 +360,7 @@ func RunSeeds(cfg Config, n int) (*SeedStats, error) {
 		st.Mean[i] = m
 		if n > 1 {
 			variance := (sumSq[i] - float64(n)*m*m) / float64(n-1)
-			if variance < 0 {
-				variance = 0
-			}
-			st.StdDev[i] = math.Sqrt(variance)
+			st.StdDev[i] = math.Sqrt(max(variance, 0))
 		}
 	}
 	return st, nil

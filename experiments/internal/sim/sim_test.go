@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
-	"amnesiadb/internal/amnesia"
-	"amnesiadb/internal/dist"
-	"amnesiadb/internal/workload"
+	"amnesiadb"
+	"amnesiadb/experiments/internal/dist"
+	"amnesiadb/experiments/internal/metrics"
+	"amnesiadb/experiments/internal/workload"
+	"amnesiadb/internal/xrand"
 )
 
 func fastConfig() Config {
@@ -39,10 +43,10 @@ func TestValidate(t *testing.T) {
 }
 
 func TestRunBudgetInvariant(t *testing.T) {
-	for _, s := range amnesia.Names() {
+	for _, s := range amnesiadb.Strategies() {
 		cfg := fastConfig()
 		cfg.Strategy = s
-		res, err := Run(cfg)
+		res, err := Run(t.Context(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -58,7 +62,7 @@ func TestRunBudgetInvariant(t *testing.T) {
 
 func TestRunSeriesShape(t *testing.T) {
 	cfg := fastConfig()
-	res, err := Run(cfg)
+	res, err := Run(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +76,11 @@ func TestRunSeriesShape(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	cfg := fastConfig()
-	a, err := Run(cfg)
+	a, err := Run(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := Run(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +98,9 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunSeedChangesOutcome(t *testing.T) {
 	cfg := fastConfig()
-	a, _ := Run(cfg)
+	a, _ := Run(t.Context(), cfg)
 	cfg.Seed = 999
-	b, _ := Run(cfg)
+	b, _ := Run(t.Context(), cfg)
 	same := true
 	for i := range a.MapActive {
 		if a.MapActive[i] != b.MapActive[i] {
@@ -114,7 +118,7 @@ func TestAmnesiaMapFIFOShape(t *testing.T) {
 	// final stretch fully bright.
 	cfg := fastConfig()
 	cfg.Strategy = "fifo"
-	res, err := Run(cfg)
+	res, err := Run(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +135,7 @@ func TestAmnesiaMapAnteShape(t *testing.T) {
 	// Anterograde protects history: batch 0 bright, updates dark.
 	cfg := fastConfig()
 	cfg.Strategy = "ante"
-	res, err := Run(cfg)
+	res, err := Run(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +158,7 @@ func TestAmnesiaMapUniformMonotoneTrend(t *testing.T) {
 	// so activity should trend upward along the timeline.
 	cfg := fastConfig()
 	cfg.Strategy = "uniform"
-	res, err := Run(cfg)
+	res, err := Run(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +174,7 @@ func TestQueryKindsRun(t *testing.T) {
 		cfg := fastConfig()
 		cfg.Queries = k
 		cfg.QueriesPerBatch = 20
-		if _, err := Run(cfg); err != nil {
+		if _, err := Run(t.Context(), cfg); err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
 	}
@@ -190,7 +194,7 @@ func TestRunAllOrders(t *testing.T) {
 	cfg := fastConfig()
 	cfg.QueriesPerBatch = 10
 	names := []string{"fifo", "uniform"}
-	out, err := RunAll(cfg, names)
+	out, err := RunAll(t.Context(), cfg, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +204,7 @@ func TestRunAllOrders(t *testing.T) {
 }
 
 func TestRunAllUnknownStrategy(t *testing.T) {
-	if _, err := RunAll(fastConfig(), []string{"nope"}); err == nil {
+	if _, err := RunAll(t.Context(), fastConfig(), []string{"nope"}); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }
@@ -211,7 +215,7 @@ func TestAllDistributionsRun(t *testing.T) {
 		cfg.Distribution = d
 		cfg.Strategy = "rot"
 		cfg.QueriesPerBatch = 30
-		if _, err := Run(cfg); err != nil {
+		if _, err := Run(t.Context(), cfg); err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
 	}
@@ -225,7 +229,7 @@ func TestPrecisionDecaysOverTime(t *testing.T) {
 	cfg.UpdatePerc = 0.8
 	cfg.Strategy = "uniform"
 	cfg.QueriesPerBatch = 200
-	res, err := Run(cfg)
+	res, err := Run(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +253,7 @@ func TestCandidateModesChangeWorkload(t *testing.T) {
 		cfg.UpdatePerc = 0.8
 		cfg.QueriesPerBatch = 200
 		cfg.Candidates = m
-		res, err := Run(cfg)
+		res, err := Run(t.Context(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +270,7 @@ func TestCandidateModesChangeWorkload(t *testing.T) {
 func TestRunSeedsStats(t *testing.T) {
 	cfg := fastConfig()
 	cfg.QueriesPerBatch = 100
-	st, err := RunSeeds(cfg, 5)
+	st, err := RunSeeds(t.Context(), cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +298,11 @@ func TestRunSeedsStats(t *testing.T) {
 
 func TestRunSeedsValidation(t *testing.T) {
 	cfg := fastConfig()
-	if _, err := RunSeeds(cfg, 0); err == nil {
+	if _, err := RunSeeds(t.Context(), cfg, 0); err == nil {
 		t.Fatal("zero seeds accepted")
 	}
 	cfg.QueriesPerBatch = 0
-	if _, err := RunSeeds(cfg, 2); err == nil {
+	if _, err := RunSeeds(t.Context(), cfg, 2); err == nil {
 		t.Fatal("workload-free RunSeeds accepted")
 	}
 }
@@ -306,11 +310,142 @@ func TestRunSeedsValidation(t *testing.T) {
 func TestZeroBatchesJustLoads(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Batches = 0
-	res, err := Run(cfg)
+	res, err := Run(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Series.Points) != 0 || res.Stats.Active != cfg.DBSize {
 		t.Fatalf("zero-batch run wrong: %+v", res.Stats)
+	}
+}
+
+// TestDurableRunMatchesInMemory runs every strategy under every query
+// kind on an in-memory database and on a durable one, whose inserts also
+// log their batches and forgotten positions through the WAL, and
+// requires identical results.
+func TestDurableRunMatchesInMemory(t *testing.T) {
+	inMemory := open
+	t.Cleanup(func() { open = inMemory })
+	for _, s := range amnesiadb.Strategies() {
+		for _, k := range []QueryKind{RangeQueries, AggQueries, AggRangeQueries} {
+			t.Run(s+"/"+k.String(), func(t *testing.T) {
+				cfg := fastConfig()
+				cfg.Strategy, cfg.Queries, cfg.QueriesPerBatch = s, k, 20
+				open = inMemory
+				mem, err := Run(t.Context(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dir := t.TempDir()
+				open = func(seed uint64) (*amnesiadb.DB, error) {
+					return amnesiadb.OpenDir(dir, amnesiadb.Options{Seed: seed})
+				}
+				dur, err := Run(t.Context(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(mem, dur) {
+					t.Fatalf("durable run differs:\nmemory  %+v\ndurable %+v", mem, dur)
+				}
+			})
+		}
+	}
+}
+
+// loaded returns a table holding vals under policy p, and a range
+// generator that has seen them.
+func loaded(t *testing.T, p amnesiadb.Policy, vals []int64) (*amnesiadb.Table, *workload.RangeGen) {
+	t.Helper()
+	db := amnesiadb.Open(amnesiadb.Options{Seed: 1})
+	t.Cleanup(db.Close)
+	tb, err := db.CreateTable("t", col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.SetPolicy(p); err != nil {
+		t.Fatal(err)
+	}
+	g := workload.NewRangeGen(xrand.New(7))
+	if len(vals) > 0 {
+		g.Insert(vals)
+		if err := tb.InsertColumn(col, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tb, g
+}
+
+func seq(n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(i)
+	}
+	return out
+}
+
+// batchOf fires n queries of kind k at tb.
+func batchOf(t *testing.T, tb *amnesiadb.Table, g *workload.RangeGen, k QueryKind, n int) *metrics.Batch {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Queries, cfg.QueriesPerBatch = k, n
+	b, err := queryBatch(t.Context(), tb, cfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Queries() != n {
+		t.Fatalf("observed %d queries, want %d", b.Queries(), n)
+	}
+	return b
+}
+
+func TestQueryBatchFullDatabasePerfect(t *testing.T) {
+	tb, g := loaded(t, amnesiadb.Policy{}, seq(500))
+	if p := batchOf(t, tb, g, RangeQueries, 200).MeanPrecision(); p != 1 {
+		t.Fatalf("precision with no amnesia = %v", p)
+	}
+}
+
+func TestQueryBatchDetectsAmnesia(t *testing.T) {
+	tb, g := loaded(t, amnesiadb.Policy{Strategy: "uniform", Budget: 250}, seq(500))
+	if p := batchOf(t, tb, g, RangeQueries, 300).MeanPrecision(); p < 0.3 || p > 0.7 {
+		t.Fatalf("half-forgotten precision = %v, want ~0.5", p)
+	}
+}
+
+func TestQueryBatchEmptyTableErrors(t *testing.T) {
+	tb, g := loaded(t, amnesiadb.Policy{}, nil)
+	cfg := DefaultConfig()
+	cfg.QueriesPerBatch = 1
+	if _, err := queryBatch(t.Context(), tb, cfg, g); err == nil {
+		t.Fatal("empty table accepted")
+	}
+}
+
+func TestAvgBatchNoAmnesiaZeroError(t *testing.T) {
+	tb, g := loaded(t, amnesiadb.Policy{}, seq(300))
+	b := batchOf(t, tb, g, AggQueries, 50)
+	if b.MeanAggregateError() != 0 || b.MeanPrecision() != 1 {
+		t.Fatalf("no-amnesia agg: err=%v pf=%v", b.MeanAggregateError(), b.MeanPrecision())
+	}
+}
+
+func TestAvgBatchSkewedForgettingShiftsAvg(t *testing.T) {
+	// FIFO forgets the high values inserted first: AVG over active must
+	// drift and the batch must report a nonzero aggregate error.
+	desc := seq(1000)
+	slices.Reverse(desc)
+	tb, g := loaded(t, amnesiadb.Policy{Strategy: "fifo", Budget: 500}, desc)
+	if e := batchOf(t, tb, g, AggQueries, 20).MeanAggregateError(); e < 0.3 {
+		t.Fatalf("aggregate error %v too small for half-forgotten data", e)
+	}
+}
+
+func TestAvgBatchAllForgottenRange(t *testing.T) {
+	// Predicated AVG where ranges are fully forgotten must not error
+	// out; it reports a full miss instead.
+	tb, g := loaded(t, amnesiadb.Policy{Strategy: "fifo", Budget: 1}, seq(1000))
+	g.Candidates = workload.CandidateStored
+	if p := batchOf(t, tb, g, AggRangeQueries, 50).MeanPrecision(); p > 0.01 {
+		t.Fatalf("nearly fully forgotten table precision = %v", p)
 	}
 }

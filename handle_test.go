@@ -49,7 +49,7 @@ var handleOps = []struct {
 // or a degraded database must refuse. TestHandleContract/exhaustive
 // fails on a method in neither list.
 var handleReaders = []string{
-	"ActivePerBatch", "Aggregate", "ApproxAvg", "ColdBill", "Columns",
+	"ActivePerBatch", "ActiveValues", "Aggregate", "ApproxAvg", "ColdBill", "Columns",
 	"ForgottenQuantile", "GroupBy", "Name", "Policy", "Precision",
 	"Select", "SelectWithForgotten", "Stats",
 	"PartitionedTable.Column", "PartitionedTable.Name", "PartitionedTable.Partitions",

@@ -1,5 +1,4 @@
-// Integration tests exercising flows that cross module boundaries: the
-// full simulator pipeline against facade-level behaviour, index
+// Integration tests exercising flows that cross module boundaries: index
 // consistency under amnesia churn, the four fates of forgotten data
 // working together on one table, and SQL over an amnesiac store.
 package amnesiadb_test
@@ -14,48 +13,9 @@ import (
 	"amnesiadb/internal/amnesia"
 	"amnesiadb/internal/engine"
 	"amnesiadb/internal/expr"
-	"amnesiadb/internal/sim"
 	"amnesiadb/internal/table"
 	"amnesiadb/internal/xrand"
 )
-
-// TestSimulatorAndFacadeAgree drives the same FIFO workload through the
-// low-level simulator and through the public facade and checks they
-// forget identically (the facade is a veneer, not a fork).
-func TestSimulatorAndFacadeAgree(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.Strategy = "fifo"
-	cfg.QueriesPerBatch = 0
-	res, err := sim.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	db := amnesiadb.Open(amnesiadb.Options{Seed: cfg.Seed})
-	tb, err := db.CreateTable("t", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.SetPolicy(amnesiadb.Policy{Strategy: "fifo", Budget: cfg.DBSize}); err != nil {
-		t.Fatal(err)
-	}
-	// Replay the same insert sizes (values differ; FIFO ignores them).
-	if err := tb.InsertColumn("a", make([]int64, cfg.DBSize)); err != nil {
-		t.Fatal(err)
-	}
-	step := int(cfg.UpdatePerc * float64(cfg.DBSize))
-	for b := 0; b < cfg.Batches; b++ {
-		if err := tb.InsertColumn("a", make([]int64, step)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fa, _ := tb.ActivePerBatch()
-	for i := range fa {
-		if fa[i] != res.MapActive[i] {
-			t.Fatalf("facade and simulator maps diverge at batch %d: %d vs %d", i, fa[i], res.MapActive[i])
-		}
-	}
-}
 
 // TestIndexConsistencyUnderChurn runs narrow selects — the ones the
 // engine answers from a column's value-order index — across rounds of
