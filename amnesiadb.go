@@ -1106,6 +1106,7 @@ func (t *Table) ActiveValues(col string) ([]int64, error) {
 	defer t.mu.RUnlock()
 	ex := engine.NewSilent(t.tbl)
 	ex.SetScheduler(t.db.pool)
+	ex.SetParallelism(t.db.par)
 	res, err := ex.Select(col, expr.True{}, engine.ScanActive)
 	if err != nil {
 		return nil, err

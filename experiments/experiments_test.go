@@ -58,6 +58,31 @@ func TestCommittedOutputs(t *testing.T) {
 	}
 }
 
+// TestHeavyExperimentsRun keeps the heaviest experiments under the race
+// detector, where TestCommittedOutputs skips: each has to complete and
+// emit a plausible table. Without the detector TestCommittedOutputs
+// checks every byte of them.
+func TestHeavyExperimentsRun(t *testing.T) {
+	if !raceEnabled || testing.Short() {
+		t.Skip("run byte for byte by TestCommittedOutputs")
+	}
+	for _, id := range []string{"fig3b", "fig3x", "agg", "vol", "fig3e"} {
+		t.Run(id, func(t *testing.T) {
+			e, err := exp.Lookup(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := e.Run(t.Context(), &buf, 1); err != nil {
+				t.Fatal(err)
+			}
+			if buf.Len() < 100 {
+				t.Fatalf("%s produced only %d bytes", id, buf.Len())
+			}
+		})
+	}
+}
+
 func line(lines []string, i int) string {
 	if i < len(lines) {
 		return lines[i]

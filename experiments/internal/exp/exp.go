@@ -41,22 +41,22 @@ type Experiment struct {
 	Run func(ctx context.Context, w io.Writer, seed uint64) error
 }
 
-// Registry lists all experiments in paper order.
+// Registry lists all experiments in paper order, the graphical figures
+// first.
 func Registry() []Experiment {
-	return []Experiment{
-		{ID: "fig1", Title: "Figure 1: database amnesia map after 10 batches of updates", Run: Fig1},
-		{ID: "fig2", Title: "Figure 2: database rot map after 10 batches of updates", Run: Fig2},
-		{ID: "fig3a", Title: "Figure 3 (top): range query precision, normal data, upd-perc=0.80", Run: Fig3Normal},
-		{ID: "fig3b", Title: "Figure 3 (bottom): range query precision, zipfian data, upd-perc=0.80", Run: Fig3Zipf},
-		{ID: "fig3x", Title: "Figure 3 ablation: extension strategies (areav/pairwise/distaligned), zipfian data", Run: Fig3Extensions},
-		{ID: "agg", Title: "Section 4.3: aggregate (AVG) query precision, long run", Run: AggPrecision},
-		{ID: "vol", Title: "Section 4.2: volatility contrast (10% vs 80% updates)", Run: Volatility},
-		{ID: "sel", Title: "Section 4.2: selectivity sweep (precision vs selectivity factor)", Run: Selectivity},
-		{ID: "compress", Title: "Section 4.4 extension: compression ratios per distribution (postponing forgetting)", Run: CompressRatios},
-		{ID: "drift", Title: "Section 4.4 extension: distribution drift of the active set per strategy (TV distance)", Run: Drift},
-		{ID: "fig3e", Title: "Figure 3 with error bars: mean ± sd over 5 seeds, zipfian data", Run: Fig3ErrorBars},
-		{ID: "sweep", Title: "Beyond the paper: final and mean precision per strategy x distribution x volatility", Run: Sweep},
+	var out []Experiment
+	for _, f := range figures {
+		out = append(out, Experiment{ID: f.id, Title: f.title, Run: f.write})
 	}
+	return append(out,
+		Experiment{ID: "agg", Title: "Section 4.3: aggregate (AVG) query precision, long run", Run: AggPrecision},
+		Experiment{ID: "vol", Title: "Section 4.2: volatility contrast (10% vs 80% updates)", Run: Volatility},
+		Experiment{ID: "sel", Title: "Section 4.2: selectivity sweep (precision vs selectivity factor)", Run: Selectivity},
+		Experiment{ID: "compress", Title: "Section 4.4 extension: compression ratios per distribution (postponing forgetting)", Run: CompressRatios},
+		Experiment{ID: "drift", Title: "Section 4.4 extension: distribution drift of the active set per strategy (TV distance)", Run: Drift},
+		Experiment{ID: "fig3e", Title: "Figure 3 with error bars: mean ± sd over 5 seeds, zipfian data", Run: Fig3ErrorBars},
+		Experiment{ID: "sweep", Title: "Beyond the paper: final and mean precision per strategy x distribution x volatility", Run: Sweep},
+	)
 }
 
 // Lookup finds an experiment by ID.
@@ -85,20 +85,27 @@ func baseConfig(seed uint64) sim.Config {
 }
 
 // figure is a graphical experiment: the runs it draws, and whether it
-// draws them as an amnesia map (Figures 1-2) or as precision lines.
+// draws them as an amnesia map (Figures 1-2) or as precision lines. Its
+// text and PNG renderings draw the same runs.
 type figure struct {
-	runs  func(ctx context.Context, seed uint64) ([]*sim.Result, error)
-	isMap bool
+	id, title string
+	runs      func(ctx context.Context, seed uint64) ([]*sim.Result, error)
+	isMap     bool
 }
 
-// figures holds the graphical experiments by ID; the text and PNG
-// renderings of one draw the same runs.
-var figures = map[string]figure{
-	"fig1":  {runs: fig1Runs, isMap: true},
-	"fig2":  {runs: fig2Runs, isMap: true},
-	"fig3a": {runs: fig3Runs(dist.Normal, PaperStrategies)},
-	"fig3b": {runs: fig3Runs(dist.Zipf, PaperStrategies)},
-	"fig3x": {runs: fig3Runs(dist.Zipf, []string{"uniform", "area", "areav", "pairwise", "distaligned"})},
+// figures are the graphical experiments in paper order.
+var figures = []figure{
+	{"fig1", "Figure 1: database amnesia map after 10 batches of updates", fig1Runs, true},
+	{"fig2", "Figure 2: database rot map after 10 batches of updates", fig2Runs, true},
+	{"fig3a", "Figure 3 (top): range query precision, normal data, upd-perc=0.80", fig3Runs(dist.Normal, PaperStrategies), false},
+	{"fig3b", "Figure 3 (bottom): range query precision, zipfian data, upd-perc=0.80", fig3Runs(dist.Zipf, PaperStrategies), false},
+	// The Figure 3 pipeline on zipfian data with the repository's
+	// extension strategies next to the uniform baseline. The value-space
+	// area variant (areav) is the interpretation under which the paper's
+	// "area retains precision better" claim reproduces: forgetting
+	// clusters in the value domain, so queries centred on retained data
+	// rarely cross a hole.
+	{"fig3x", "Figure 3 ablation: extension strategies (areav/pairwise/distaligned), zipfian data", fig3Runs(dist.Zipf, []string{"uniform", "area", "areav", "pairwise", "distaligned"}), false},
 }
 
 // fig1Runs is the Figure 1 amnesia map: dbsize=1000, upd-perc=0.20, 10
@@ -137,9 +144,8 @@ func fig3Runs(d dist.Kind, strategies []string) func(context.Context, uint64) ([
 	}
 }
 
-// writeFigure renders figure id as CSV followed by an ASCII chart.
-func writeFigure(ctx context.Context, w io.Writer, id string, seed uint64) error {
-	f := figures[id]
+// write renders f as CSV followed by an ASCII chart.
+func (f figure) write(ctx context.Context, w io.Writer, seed uint64) error {
 	results, err := f.runs(ctx, seed)
 	if err != nil {
 		return err
@@ -167,10 +173,11 @@ func writeLines(w io.Writer, series []*metrics.Series) error {
 // fig3b, fig3x) as a PNG written to w. Non-graphical experiment ids are
 // rejected.
 func RenderPNG(ctx context.Context, w io.Writer, id string, seed uint64) error {
-	f, ok := figures[id]
-	if !ok {
+	i := slices.IndexFunc(figures, func(f figure) bool { return f.id == id })
+	if i < 0 {
 		return fmt.Errorf("exp: experiment %q has no PNG rendering", id)
 	}
+	f := figures[i]
 	results, err := f.runs(ctx, seed)
 	if err != nil {
 		return err
@@ -179,36 +186,6 @@ func RenderPNG(ctx context.Context, w io.Writer, id string, seed uint64) error {
 		return report.WriteMapPNG(w, results, 0, 0)
 	}
 	return report.WriteSeriesPNG(w, seriesOf(results), 0, 0)
-}
-
-// Fig1 regenerates the Figure 1 amnesia map.
-func Fig1(ctx context.Context, w io.Writer, seed uint64) error {
-	return writeFigure(ctx, w, "fig1", seed)
-}
-
-// Fig2 regenerates the Figure 2 rot map.
-func Fig2(ctx context.Context, w io.Writer, seed uint64) error {
-	return writeFigure(ctx, w, "fig2", seed)
-}
-
-// Fig3Normal regenerates the top panel of Figure 3 (normal data).
-func Fig3Normal(ctx context.Context, w io.Writer, seed uint64) error {
-	return writeFigure(ctx, w, "fig3a", seed)
-}
-
-// Fig3Zipf regenerates the bottom panel of Figure 3 (zipfian data).
-func Fig3Zipf(ctx context.Context, w io.Writer, seed uint64) error {
-	return writeFigure(ctx, w, "fig3b", seed)
-}
-
-// Fig3Extensions reruns the Figure 3 pipeline on zipfian data with the
-// repository's extension strategies next to the uniform baseline. The
-// value-space area variant (areav) is the interpretation under which the
-// paper's "area retains precision better" claim reproduces: forgetting
-// clusters in the value domain, so queries centred on retained data
-// rarely cross a hole.
-func Fig3Extensions(ctx context.Context, w io.Writer, seed uint64) error {
-	return writeFigure(ctx, w, "fig3x", seed)
 }
 
 // AggPrecision regenerates the §4.3 aggregate experiment: SELECT AVG(a)

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -37,7 +38,7 @@ func TestLookup(t *testing.T) {
 
 func TestFig1Shape(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Fig1(t.Context(), &buf, 1); err != nil {
+	if err := run(t, "fig1", &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -66,7 +67,7 @@ func TestFig1Shape(t *testing.T) {
 
 func TestFig2CoversDistributions(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Fig2(t.Context(), &buf, 1); err != nil {
+	if err := run(t, "fig2", &buf); err != nil {
 		t.Fatal(err)
 	}
 	head := strings.SplitN(buf.String(), "\n", 2)[0]
@@ -77,7 +78,7 @@ func TestFig2CoversDistributions(t *testing.T) {
 
 func TestFig3HasAllStrategies(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Fig3Normal(t.Context(), &buf, 1); err != nil {
+	if err := run(t, "fig3a", &buf); err != nil {
 		t.Fatal(err)
 	}
 	head := strings.SplitN(buf.String(), "\n", 2)[0]
@@ -189,6 +190,15 @@ func TestVolatilityOrdering(t *testing.T) {
 			t.Fatalf("low-volatility %v not above high %v (col %d)", low, high, i)
 		}
 	}
+}
+
+// run renders experiment id at seed 1 into w.
+func run(t *testing.T, id string, w io.Writer) error {
+	e, err := Lookup(id)
+	if err != nil {
+		return err
+	}
+	return e.Run(t.Context(), w, 1)
 }
 
 func firstLines(s string, n int) string {

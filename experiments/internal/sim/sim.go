@@ -8,10 +8,13 @@
 // SetPolicy{Strategy, Budget: DBSize}, InsertColumn (its enforcement is
 // the only forgetting), Table.ActiveValues once per query batch for
 // active-candidate draws, Table.Precision for range queries,
-// Table.Aggregate beside SelectWithForgotten for §4.3's AVG, and
-// ActivePerBatch and Stats at the end. Simulator tables hold at most 20k
-// rows, below the engine's parallel threshold, so every scan is serial
-// and a Parallelism 1-vs-n comparison would compare serial with serial.
+// Table.Aggregate for §4.3's AVG, and ActivePerBatch and Stats at the
+// end. §4.3's exact AVG is folded from the inserted values the query
+// generator records: the simulator never vacuums, so they are what
+// SelectWithForgotten's complete scan would return. Simulator tables
+// hold at most 20k rows, below the engine's parallel threshold, so every
+// scan is serial and a Parallelism 1-vs-n comparison would compare
+// serial with serial.
 package sim
 
 import (
@@ -239,6 +242,12 @@ func queryBatch(ctx context.Context, tb *amnesiadb.Table, cfg Config, g *workloa
 			return nil, err
 		}
 	}
+	// AVG(a) over the whole table has one exact answer a batch.
+	var n int
+	var sum int64
+	if cfg.Queries == AggQueries {
+		n, sum = g.Inserted(math.MinInt64, math.MaxInt64)
+	}
 	b := &metrics.Batch{}
 	for i := 0; i < cfg.QueriesPerBatch; i++ {
 		p := amnesiadb.All()
@@ -248,16 +257,17 @@ func queryBatch(ctx context.Context, tb *amnesiadb.Table, cfg Config, g *workloa
 				return nil, errors.New("sim: no data to draw a query from")
 			}
 			p = amnesiadb.Range(lo, hi)
-		}
-		if cfg.Queries == RangeQueries {
-			rf, mf, _, err := tb.Precision(ctx, col, p)
-			if err != nil {
-				return nil, err
+			if cfg.Queries == RangeQueries {
+				rf, mf, _, err := tb.Precision(ctx, col, p)
+				if err != nil {
+					return nil, err
+				}
+				b.Observe(metrics.Query{RF: rf, MF: mf})
+				continue
 			}
-			b.Observe(metrics.Query{RF: rf, MF: mf})
-			continue
+			n, sum = g.Inserted(lo, hi)
 		}
-		if err := observeAvg(b, tb, p); err != nil {
+		if err := observeAvg(b, tb, p, n, sum); err != nil {
 			return nil, err
 		}
 	}
@@ -265,30 +275,23 @@ func queryBatch(ctx context.Context, tb *amnesiadb.Table, cfg Config, g *workloa
 }
 
 // observeAvg fires one AVG query, recording its tuple-level precision
-// and its relative error against the exact average over every stored
-// tuple, folded from the complete scan.
-func observeAvg(b *metrics.Batch, tb *amnesiadb.Table, p amnesiadb.Pred) error {
+// and its relative error against the exact average: n and sum fold every
+// qualifying value ever inserted, which is what a complete scan would
+// see, since the simulator never vacuums.
+func observeAvg(b *metrics.Batch, tb *amnesiadb.Table, p amnesiadb.Pred, n int, sum int64) error {
 	// An empty active match is a zero Agg: everything in range was
 	// forgotten.
 	approx, err := tb.Aggregate(col, p)
 	if err != nil && !errors.Is(err, amnesiadb.ErrNoRows) {
 		return err
 	}
-	all, err := tb.SelectWithForgotten(col, p)
-	if err != nil {
-		return err
-	}
-	if all.Count() == 0 {
+	if n == 0 {
 		// Nothing qualifies anywhere: vacuously precise.
 		b.Observe(metrics.Query{})
 		return nil
 	}
-	var sum int64
-	for _, v := range all.Values {
-		sum += v
-	}
-	b.Observe(metrics.Query{RF: approx.Count, MF: all.Count() - approx.Count})
-	b.ObserveAggregate(approx.Avg, float64(sum)/float64(all.Count()))
+	b.Observe(metrics.Query{RF: approx.Count, MF: n - approx.Count})
+	b.ObserveAggregate(approx.Avg, float64(sum)/float64(n))
 	return nil
 }
 

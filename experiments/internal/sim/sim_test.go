@@ -449,3 +449,29 @@ func TestAvgBatchAllForgottenRange(t *testing.T) {
 		t.Fatalf("nearly fully forgotten table precision = %v", p)
 	}
 }
+
+func TestExactAvgMatchesCompleteScan(t *testing.T) {
+	// The exact AVG folds the generator's inserted values; with no
+	// Vacuum they are what the complete scan returns, forgotten or not.
+	vals := make([]int64, 2000)
+	src := xrand.New(3)
+	for i := range vals {
+		vals[i] = src.Int63n(5000)
+	}
+	tb, g := loaded(t, amnesiadb.Policy{Strategy: "uniform", Budget: 700}, vals)
+	g.Candidates = workload.CandidateStored
+	for i := 0; i < 50; i++ {
+		lo, hi, _ := g.Next(nil)
+		all, err := tb.SelectWithForgotten(col, amnesiadb.Range(lo, hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for _, v := range all.Values {
+			sum += v
+		}
+		if n, s := g.Inserted(lo, hi); n != all.Count() || s != sum {
+			t.Fatalf("[%d, %d): inserted fold (%d, %d), complete scan (%d, %d)", lo, hi, n, s, all.Count(), sum)
+		}
+	}
+}

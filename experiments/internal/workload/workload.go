@@ -84,6 +84,18 @@ func (g *RangeGen) Insert(vals []int64) {
 	g.stored = append(g.stored, vals...)
 }
 
+// Inserted returns the count and sum of the values inserted so far that
+// lie in [lo, hi).
+func (g *RangeGen) Inserted(lo, hi int64) (n int, sum int64) {
+	for _, v := range g.stored {
+		if v >= lo && v < hi {
+			n++
+			sum += v
+		}
+	}
+	return n, sum
+}
+
 // Next returns the next window [lo, hi). active holds the values still
 // active, which CandidateActive draws from. ok is false when nothing was
 // inserted yet or, under CandidateActive, nothing is active.

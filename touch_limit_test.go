@@ -72,3 +72,60 @@ func TestUnorderedLimitTouchesReturnedRows(t *testing.T) {
 		}
 	}
 }
+
+// TestPrecisionTrainsActiveValuesDoesNot pins the two reads the paper's
+// simulator makes per query: ActiveValues (its candidate draws) touches
+// no row, and Precision (its range queries) touches each active match
+// exactly once and nothing else, so only the queries train the
+// access-driven strategies.
+func TestPrecisionTrainsActiveValuesDoesNot(t *testing.T) {
+	const rows, budget, lo, hi = 4096, 1500, 1000, 3000
+	db := Open(Options{Seed: 1})
+	tb, err := db.CreateTable("t", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.SetPolicy(Policy{Strategy: "uniform", Budget: budget}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.InsertColumn("a", seq(rows)); err != nil {
+		t.Fatal(err)
+	}
+	active, err := tb.ActiveValues("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(active) != budget {
+		t.Fatalf("ActiveValues returned %d values, want %d", len(active), budget)
+	}
+	matches := map[int]bool{}
+	for k, v := range active {
+		if !tb.tbl.IsActive(int(v)) || k > 0 && v <= active[k-1] {
+			t.Fatalf("ActiveValues[%d] = %d: not an active row in insertion order", k, v)
+		}
+		if v >= lo && v < hi {
+			matches[int(v)] = true
+		}
+	}
+	for i := 0; i < rows; i++ {
+		if n := tb.tbl.AccessCount(i); n != 0 {
+			t.Fatalf("ActiveValues touched row %d (%d times)", i, n)
+		}
+	}
+	rf, _, _, err := tb.Precision(t.Context(), "a", Range(lo, hi))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rf != len(matches) {
+		t.Fatalf("Precision rf = %d, want %d active matches", rf, len(matches))
+	}
+	for i := 0; i < rows; i++ {
+		want := uint32(0)
+		if matches[i] {
+			want = 1
+		}
+		if n := tb.tbl.AccessCount(i); n != want {
+			t.Fatalf("after Precision row %d touched %d times, want %d", i, n, want)
+		}
+	}
+}
