@@ -535,7 +535,7 @@ func (db *DB) Query(q string) (*QueryResult, error) {
 }
 
 // QueryStream is a query result delivered as a pipeline: the engine's
-// morsel workers (or the partition layer's shard fan-out) push batches
+// morsel workers (flat tables and partitioned shards alike) push batches
 // into a bounded channel while they are still scanning, and NextChunk
 // projects whatever has arrived into a column-major chunk — the first
 // chunk is ready after the first morsel, not the full scan. A chunk is
@@ -695,9 +695,9 @@ func (db *DB) QueryStream(q string) (*QueryStream, error) {
 // stays locked until the stream no longer reads storage (scan-side
 // completion for value-only streams, Close otherwise), so concurrent
 // queries stream in parallel while inserts wait only as long as the
-// scan itself. Cancelling ctx tears down the query's morsel workers and
-// shard fan-outs mid-scan: a disconnected HTTP client stops consuming
-// cores within one morsel.
+// scan itself. Cancelling ctx tears down the query's morsel workers
+// mid-scan: a disconnected HTTP client stops consuming cores within one
+// morsel.
 func (db *DB) QueryStreamCtx(ctx context.Context, q string) (*QueryStream, error) {
 	// Normalize once and key both caches on the canonical text; the
 	// grammar has no literals where whitespace matters, so the

@@ -1,6 +1,6 @@
 // Partitioned: §4.4's adaptive partitioning driven end to end — a
-// value-partitioned table served through the SQL catalog, with the
-// pipelined shard fan-out and the shard-merge ORDER BY doing the work,
+// value-partitioned table served through the SQL catalog, with one
+// scan pipeline over the shards and the ORDER BY sort doing the work,
 // and Adapt() steering per-shard budgets toward the queried range.
 //
 //	go run ./examples/partitioned
@@ -29,7 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The pipelined shard fan-out: results stream shard by shard.
+	// One scan pipeline over the shards: results stream in value order.
 	qs, err := db.QueryStream("SELECT reading FROM sensors WHERE reading >= 2000 AND reading < 4000")
 	if err != nil {
 		log.Fatal(err)
@@ -47,8 +47,8 @@ func main() {
 	}
 	fmt.Printf("range scan streamed %d readings\n", n)
 
-	// ORDER BY over the shards: an ascending sort streams shard by shard;
-	// this descending top-3 is one sort over the fan-out.
+	// ORDER BY over the shards is one sort over the scan, either way;
+	// this is a descending top-3.
 	res, err := db.Query("SELECT reading FROM sensors ORDER BY reading DESC LIMIT 3")
 	if err != nil {
 		log.Fatal(err)

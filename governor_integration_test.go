@@ -298,86 +298,148 @@ func TestQueryDeadlineExpires(t *testing.T) {
 // hostage to the consumer. With StallDetach armed, a consumer idle past
 // the threshold gets its remaining chunks drained into a governed heap
 // buffer, the scan completes, the lock drops (writer makes progress),
-// and the tail is still delivered byte-identically.
+// and the tail is still delivered byte-identically. A partitioned
+// table's stream is the same scan over its shards, so it spills,
+// releases and drains its charges the same way.
 func TestStalledStreamSpillsAndReleasesLocks(t *testing.T) {
-	db := amnesiadb.Open(amnesiadb.Options{Seed: 14, StallDetach: 50 * time.Millisecond})
-	defer db.Close()
-	tab, err := db.CreateTable("big", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 262_144 // 256 chunks — far beyond the pipeline buffer
 	src := xrand.New(3)
 	av := make([]int64, n)
 	for i := range av {
 		av[i] = src.Int63n(1 << 18)
 	}
-	if err := tab.InsertColumn("a", av); err != nil {
-		t.Fatal(err)
-	}
+	for _, kind := range []string{"flat", "partitioned"} {
+		t.Run(kind, func(t *testing.T) {
+			db := amnesiadb.Open(amnesiadb.Options{Seed: 14, StallDetach: 50 * time.Millisecond})
+			defer db.Close()
+			var write func() error
+			if kind == "flat" {
+				tab, err := db.CreateTable("big", "a")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tab.InsertColumn("a", av); err != nil {
+					t.Fatal(err)
+				}
+				write = func() error { return tab.InsertColumn("a", []int64{1 << 19}) }
+			} else {
+				tab, err := db.CreatePartitionedTable("big", "a", 1<<18, 4, "fifo", 2*n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tab.Insert(av); err != nil {
+					t.Fatal(err)
+				}
+				write = func() error { return tab.Insert([]int64{1 << 17}) }
+			}
 
-	// The expected rows, from a plain materialized run.
-	want, err := db.Query("SELECT a FROM big")
-	if err != nil {
-		t.Fatal(err)
-	}
+			// The expected rows, from a plain materialized run.
+			want, err := db.Query("SELECT a FROM big")
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	qs, err := db.QueryStream("SELECT a FROM big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer qs.Close()
-	// Consume one chunk, then stall. The first Next also proves the
-	// pipeline was live before the detach.
-	first, err := qs.Next()
-	if err != nil || first == nil {
-		t.Fatalf("first chunk: %v %v", first, err)
-	}
+			qs, err := db.QueryStream("SELECT a FROM big")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer qs.Close()
+			// Consume one chunk, then stall. The first Next also proves
+			// the pipeline was live before the detach.
+			first, err := qs.Next()
+			if err != nil || first == nil {
+				t.Fatalf("first chunk: %v %v", first, err)
+			}
 
-	// A writer must get through while the consumer stalls: the monitor
-	// spills the backlog, the scan finishes, the lock drops.
-	done := make(chan error, 1)
-	go func() { done <- tab.InsertColumn("a", []int64{1 << 19}) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("writer still blocked: stalled stream never spilled and released its lock")
-	}
+			// A writer must get through while the consumer stalls: the
+			// monitor spills the backlog, the scan finishes, the lock
+			// drops.
+			done := make(chan error, 1)
+			go func() { done <- write() }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("writer still blocked: stalled stream never spilled and released its lock")
+			}
 
-	// Drain the tail; rows must be byte-identical to the serial result.
-	got := make([][]float64, 0, n)
-	got = append(got, first...)
-	for {
-		rows, err := qs.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rows == nil {
-			break
-		}
-		got = append(got, rows...)
-	}
-	if len(got) != len(want.Rows) {
-		t.Fatalf("spilled stream delivered %d rows, want %d", len(got), len(want.Rows))
-	}
-	if !reflect.DeepEqual(got, want.Rows) {
-		t.Fatal("spilled stream diverged from the serial result")
-	}
+			// Drain the tail; rows must be byte-identical to the serial
+			// result.
+			got := make([][]float64, 0, n)
+			got = append(got, first...)
+			for {
+				rows, err := qs.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rows == nil {
+					break
+				}
+				got = append(got, rows...)
+			}
+			if len(got) != len(want.Rows) {
+				t.Fatalf("spilled stream delivered %d rows, want %d", len(got), len(want.Rows))
+			}
+			if !reflect.DeepEqual(got, want.Rows) {
+				t.Fatal("spilled stream diverged from the serial result")
+			}
 
-	// Spilled buffers were recycled on drain: the ledger is empty.
-	if st := db.GovernorStats(); st.ActiveQueries != 0 || st.UsedBytes != 0 {
-		t.Fatalf("governor ledger not drained after spill: %+v", st)
+			// Spilled buffers were recycled on drain: the ledger is
+			// empty.
+			if st := db.GovernorStats(); st.ActiveQueries != 0 || st.UsedBytes != 0 {
+				t.Fatalf("governor ledger not drained after spill: %+v", st)
+			}
+		})
 	}
 }
 
-// TestStalledOrderedStreamSpills runs the same stall through the
-// clustered-ascending ORDER BY path — the other early-release stream
-// shape that arms spill-on-stall. The table is partitioned into more
-// shards (one chunk each) than a two-worker pipeline buffers, so the
-// producers stall with the relation's read lock held until the spill.
+// TestOverBudgetPartitionedStreamFails pins that partitioned streams
+// are governed: their chunks are pooled and charged like a flat
+// table's, so a stream whose result charges far more than
+// MaxQueryBytes dies with ErrResourceExhausted instead of returning
+// every row, and leaves nothing charged behind.
+func TestOverBudgetPartitionedStreamFails(t *testing.T) {
+	db := amnesiadb.Open(amnesiadb.Options{Seed: 16, MaxQueryBytes: 256 << 10})
+	defer db.Close()
+	const n = 1 << 18 // 256 chunks, 3 MiB of charges
+	tab, err := db.CreatePartitionedTable("p", "a", n, 4, "fifo", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	av := make([]int64, n)
+	for i := range av {
+		av[i] = int64(i)
+	}
+	if err := tab.Insert(av); err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	qs, err := db.QueryStreamCtx(context.Background(), fmt.Sprintf("SELECT a FROM p WHERE a >= 0 AND a < %d", n))
+	if err == nil {
+		for {
+			var chunk [][]float64
+			if chunk, err = qs.Next(); err != nil || chunk == nil {
+				break
+			}
+			rows += len(chunk)
+		}
+		qs.Close()
+	}
+	if !errors.Is(err, amnesiadb.ErrResourceExhausted) {
+		t.Fatalf("over-budget partitioned stream: got %v after %d of %d rows, want ErrResourceExhausted", err, rows, n)
+	}
+	if st := db.GovernorStats(); st.ActiveQueries != 0 || st.UsedBytes != 0 {
+		t.Fatalf("governor ledger not drained after the failed stream: %+v", st)
+	}
+}
+
+// TestStalledOrderedStreamSpills runs the same stall through an
+// ascending ORDER BY over a partitioned table. The sort is a barrier:
+// it drains the scan before the stream returns, and the sorted result
+// needs no relation storage, so a consumer stalled after its first
+// chunk holds no read lock and the writer gets through.
 func TestStalledOrderedStreamSpills(t *testing.T) {
 	db := amnesiadb.Open(amnesiadb.Options{Seed: 15, PoolSize: 2, StallDetach: 50 * time.Millisecond})
 	defer db.Close()

@@ -295,11 +295,12 @@ func (p cancelAt) Eval(int64) bool {
 func (cancelAt) Bounds() (int64, int64, bool) { return math.MinInt64, math.MaxInt64, false }
 func (cancelAt) String() string               { return "cancelAt" }
 
-// TestCancelLeavesEngineQuiescent cancels a scan, a stream, a join and
-// a shard-style fan-out at their first, middle and last morsel. A query
-// cancelled that late may finish instead of failing; either way nothing
-// may be left attached, running, checked out of the batch pool, charged
-// to the quota or alive as a goroutine.
+// TestCancelLeavesEngineQuiescent cancels a scan, a stream, a
+// multi-part stream, a join and a shard-style aggregate fan-out at
+// their first, middle and last morsel. A query cancelled that late may
+// finish instead of failing; either way nothing may be left attached,
+// running, checked out of the batch pool, charged to the quota or alive
+// as a goroutine.
 func TestCancelLeavesEngineQuiescent(t *testing.T) {
 	tb := vectorTable(t, matrixRows, 10000, 47)
 	other := vectorTable(t, matrixRows/2, 10000, 53)
@@ -342,21 +343,33 @@ func TestCancelLeavesEngineQuiescent(t *testing.T) {
 			_, err := HashJoin(ctx, pool, tb, "a", other, "a", pred, ScanAll, par)
 			return err
 		}},
+		{"parts", 8 * other.Len(), func(ctx context.Context, pool *sched.Pool, par int, pred expr.Expr) error {
+			// One stream over eight parts, the way partition.Set scans:
+			// its chunks are pooled and charged like a flat scan's.
+			ex := New(tb)
+			ex.SetParallelism(par)
+			ex.SetScheduler(pool)
+			parts := []*table.Table{other, other, other, other, other, other, other, other}
+			st, err := ex.SelectPartsChunkStream(ctx, parts, "a", pred, ScanAll)
+			if err != nil {
+				return err
+			}
+			chunks, err := st.Collect()
+			recycleChunks(chunks)
+			return err
+		}},
 		{"fanout", 8 * other.Len(), func(ctx context.Context, pool *sched.Pool, par int, pred expr.Expr) error {
-			// Eight shard-sized tasks, each a barrier Select nested inside
-			// the fan-out's pool step, the way partition.Set scans.
-			st := NewChunkPipeline(ctx, pool, Workers(pool, par, 8, 0), 8, func(int) ([]SelChunk, error) {
+			// Eight shard-sized tasks, each a barrier Aggregate nested
+			// inside the fan-out's pool step, the way partition.Set's
+			// Aggregate and Precision fan out.
+			errs := make([]error, 8)
+			err := ForEachTask(ctx, pool, Workers(pool, par, 8, 0), 8, func(_, i int) {
 				ex := NewSilent(other).WithContext(ctx)
 				ex.SetParallelism(1)
 				ex.SetScheduler(pool)
-				res, err := ex.Select("a", pred, ScanAll)
-				if err != nil {
-					return nil, err
-				}
-				return []SelChunk{{Values: res.Values}}, nil
+				_, errs[i] = ex.Aggregate("a", pred, ScanAll)
 			})
-			_, err := st.Collect()
-			return err
+			return errors.Join(append(errs, err)...)
 		}},
 	}
 	for poolName, pool := range matrixPools(t) {

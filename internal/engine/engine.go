@@ -48,16 +48,16 @@
 // an unset one is sched.Default(). Before every step run checks the
 // Exec's context and the query's governor quota, so every operator
 // stops at its next morsel once the request is cancelled, over budget
-// or past its deadline. Every stream — SelectChunkStream, shard
-// fan-outs — runs through runPipeline (pipeline.go), whose steps are
-// queries of the same pool that nobody Waits on: the consumer blocks on
-// a channel instead. That is why the two drivers stay apart and why
-// Select is not Collect() of SelectChunkStream: a barrier may run
-// inside another query's pool step (a shard's Select inside a
-// partitioned fan-out), where it must drive its own morsels; a stream
-// consumer there would block a pool worker on a producer nobody is
-// obliged to run. Materialized-is-Collect-of-the-stream applies where
-// the caller is not a pool step (partition.Set.Select, SQL's ORDER BY).
+// or past its deadline. Every stream runs through runPipeline
+// (pipeline.go), whose steps are queries of the same pool that nobody
+// Waits on: the consumer blocks on a channel instead. That is why the
+// two drivers stay apart and why Select is not Collect() of
+// SelectChunkStream: a barrier may run inside another query's pool step
+// (a shard's Aggregate or Precision inside a partitioned fan-out), where
+// it must drive its own morsels; a stream consumer there would block a
+// pool worker on a producer nobody is obliged to run.
+// Materialized-is-Collect-of-the-stream applies where the caller is not
+// a pool step (partition.Set.Select, SQL's ORDER BY).
 //
 // Scans are also pipelined (see pipeline.go): SelectChunkStream's
 // workers push qualifying chunks into a bounded channel, in order,
@@ -72,11 +72,12 @@
 // every stride produces byte-identical output.
 //
 // HashJoin rides the same dispatchers end to end, build-while-collect
-// (see its doc). Cross-shard parallelism follows the same shape one
-// level up: internal/partition fans a query's per-shard scans out
-// through ForEachTask and NewChunkPipeline (a shard is the morsel), and
-// SQL's ORDER BY sorts morsel-sized runs through ForEachTask before a
-// k-way merge.
+// (see its doc). A stream may span several tables: SelectPartsChunkStream
+// scans internal/partition's shards as the parts of one pipeline, their
+// morsels claimed one part after another, while the partition layer's
+// Aggregate and Precision fan out per shard through ForEachTask. SQL's
+// ORDER BY sorts morsel-sized runs through ForEachTask before a k-way
+// merge.
 //
 // Narrow ranges take a second access path (index.go): when a column's
 // value-order index (internal/column) puts a predicate's candidates at
@@ -87,11 +88,11 @@
 // Executors are safe for concurrent readers: scans take no locks and
 // share no mutable state, and the access-frequency touches feeding
 // query-based amnesia (§3.2) go through the table's internally
-// synchronized flushes: one TouchMany per Select or stream — a stream's
-// covers the rows its emitter handed over, so a LIMIT pushed down with
-// WithLimit touches exactly the rows returned — and one TouchRange per
-// block an aggregate folds. A touch stripe is never held across a
-// morsel or a scan.
+// synchronized flushes: one TouchMany per Select or stream part — a
+// stream's cover the rows its emitter handed over, so a LIMIT pushed
+// down with WithLimit touches exactly the rows returned — and one
+// TouchRange per block an aggregate folds. A touch stripe is never held
+// across a morsel or a scan.
 package engine
 
 import (
@@ -102,7 +103,6 @@ import (
 	"sync"
 
 	"amnesiadb/internal/bitvec"
-	"amnesiadb/internal/column"
 	"amnesiadb/internal/engine/governor"
 	"amnesiadb/internal/engine/sched"
 	"amnesiadb/internal/expr"
@@ -198,18 +198,14 @@ func (e *Exec) Select(col string, pred expr.Expr, mode ScanMode) (*Result, error
 // callers (Aggregate, GroupBy, Precision ground truth) control the
 // feedback without mutating shared executor state.
 func (e *Exec) selectTouching(col string, pred expr.Expr, mode ScanMode, touch bool) (*Result, error) {
-	c, err := e.t.Column(col)
+	p, err := newPart(e.t, col, pred, mode)
 	if err != nil {
 		return nil, err
-	}
-	var active *bitvec.Vector
-	if mode == ScanActive {
-		active = e.t.Active()
 	}
 	// The scan kernel fills pooled batches (morsel-parallel past the
 	// threshold); the chunks are then merged once into an exactly-sized
 	// result. One pass over the data, no append-doubling churn.
-	chunks, err := e.collectAll(c, pred, active)
+	chunks, err := e.collectAll(p, pred)
 	if err != nil {
 		return nil, err
 	}
@@ -222,10 +218,16 @@ func (e *Exec) selectTouching(col string, pred expr.Expr, mode ScanMode, touch b
 
 // SelChunk is one batch-sized piece of a chunked selection: qualifying
 // tuple positions and the parallel attribute values, in insertion order
-// within and across chunks. The caller owns the slices.
+// within and across chunks. Positions are local to the table of the part
+// the chunk came from (see SelectPartsChunkStream). The caller owns the
+// slices.
 type SelChunk struct {
 	Rows   []int32
 	Values []int64
+
+	// part indexes the scan part whose table Rows belong to; the
+	// emitter groups touches by it.
+	part int
 
 	// quota, when non-nil, holds the per-query resource account this
 	// chunk's pooled buffers are charged against; RecycleChunk releases
@@ -242,16 +244,18 @@ type SelChunk struct {
 // order — claims are contiguous and ascending, so rows stay in
 // insertion order, byte-identical at every stride and worker count. A
 // cancelled scan hands its batches back to the pool.
-func (e *Exec) collectAll(c *column.Int64, pred expr.Expr, active *bitvec.Vector) ([]*Batch, error) {
-	cur, workers, short := e.newMorsels(c, pred)
+func (e *Exec) collectAll(p scanPart, pred expr.Expr) ([]*Batch, error) {
+	parts := []scanPart{p}
+	workers, short := e.scanWorkers(parts)
+	cur := &partCursor{parts: parts}
 	var mu sync.Mutex
 	var slots [][]*Batch
 	err := run(e.ctx, e.sched, workers, short, func(int) bool {
-		r, seq, ok := cur.claim()
+		task, seq, ok := cur.claim()
 		if !ok {
 			return false
 		}
-		cs := cur.scan(c, pred, active, r)
+		cs := p.scan(pred, task.r)
 		mu.Lock()
 		for len(slots) <= seq {
 			slots = append(slots, nil)
@@ -260,7 +264,7 @@ func (e *Exec) collectAll(c *column.Int64, pred expr.Expr, active *bitvec.Vector
 		mu.Unlock()
 		return true
 	})
-	e.recordStride(cur)
+	p.recordStride()
 	var flat []*Batch
 	for _, cs := range slots {
 		flat = append(flat, cs...)

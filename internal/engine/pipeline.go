@@ -13,6 +13,7 @@ import (
 	"amnesiadb/internal/engine/governor"
 	"amnesiadb/internal/engine/sched"
 	"amnesiadb/internal/expr"
+	"amnesiadb/internal/table"
 )
 
 // This file is the engine's pipelined execution layer: instead of
@@ -25,8 +26,8 @@ import (
 // peak memory stays bounded; and cancelling the stream's context tears
 // the producers down mid-scan.
 //
-// Chunks are emitted in task order — morsel ranges ascend, shard
-// fan-outs go in value order — via a reorder stage: workers deposit
+// Chunks are emitted in task order — parts in turn, each part's morsel
+// ranges ascending — via a reorder stage: workers deposit
 // completed tasks into a slot map and the emitter, the pipeline's one
 // goroutine, drains slots in sequence, so workers never stall on
 // ordering and the pipelined output is byte-identical to the serial
@@ -57,9 +58,10 @@ const pipelineChunkBuf = 4
 // pipelineInflight bounds how many claimed-but-unconsumed tasks a
 // pipeline with w workers may hold: every worker can be scanning one
 // task with one more buffered ahead, plus slack so the emitter never
-// starves. Together with pipelineChunkBuf this is the stream's memory
-// bound — a slow consumer can never force more than this many tasks'
-// chunks to exist at once.
+// starves. It bounds tasks, not bytes: a task is a morsel of up to
+// MaxMorselBlocks blocks whose chunks are charged and handed over at
+// once, so the governed bytes a stalled consumer holds in flight still
+// grow with the adaptive morsel stride (ROADMAP item 10's flat half).
 func pipelineInflight(w int) int { return 2*w + 2 }
 
 // ChunkQuotaBytes is what one pooled chunk charges its query's resource
@@ -85,11 +87,12 @@ type ChunkStream struct {
 	// limit, when positive, is the most rows the emitter hands over: the
 	// chunk that reaches it is truncated and the pipeline stops after
 	// it. touch, when set, gets the positions of every row the emitter
-	// handed over, in one call before the consumer can see the stream
-	// end — before the last chunk under a limit, else before the drain —
-	// and before ScanDone. Both are set before the pipeline starts.
+	// handed over, one call per part, each before the consumer can see
+	// the stream end — before the last chunk under a limit, else before
+	// the drain — and before ScanDone. Both are set before the pipeline
+	// starts.
 	limit int
-	touch func(rows []int32)
+	touch func(part int, rows []int32)
 
 	// stall is the DetachOnStall threshold in nanoseconds, stored once;
 	// armed closes when it is stored, so a send already blocked when it
@@ -257,7 +260,7 @@ func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, wor
 	}
 	// Morsel-boundary enforcement: a query killed by its budget, a
 	// process-level shed or its deadline stops before producing the
-	// next task, on every pipeline (scans and shard fan-outs alike).
+	// next task, on every pipeline.
 	quota := governor.FromContext(ctx)
 	sem := make(chan struct{}, pipelineInflight(workers))
 	notify := make(chan struct{}, 1)
@@ -367,7 +370,10 @@ func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, wor
 			}
 		}
 
+		// emitted holds the handed-over rows of part touchPart not yet
+		// touched; parts arrive in turn, so each flushes once.
 		var emitted []int32
+		touchPart := 0
 		emit := func() error {
 			next := 0
 			// left counts the limit down; without one it only goes
@@ -387,16 +393,18 @@ func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, wor
 					for i, c := range chunks {
 						last := left > 0 && len(c.Values) >= left
 						if last {
-							c.Values = c.Values[:left]
-							if c.Rows != nil {
-								c.Rows = c.Rows[:left]
-							}
+							c.Values, c.Rows = c.Values[:left], c.Rows[:left]
 						}
 						left -= len(c.Values)
 						if s.touch != nil {
+							if c.part != touchPart && len(emitted) > 0 {
+								s.touch(touchPart, emitted)
+								emitted = nil
+							}
+							touchPart = c.part
 							emitted = append(emitted, c.Rows...)
 							if last {
-								s.touch(emitted)
+								s.touch(touchPart, emitted)
 								emitted = nil
 							}
 						}
@@ -435,7 +443,7 @@ func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, wor
 		// Teardown: touches land before the consumer can see the end,
 		// and storage is released only after the last producer step.
 		if len(emitted) > 0 {
-			s.touch(emitted)
+			s.touch(touchPart, emitted)
 		}
 		q.Wake() // a parked query must observe stop
 		<-q.Done()
@@ -475,43 +483,16 @@ func recycleChunks(chunks []SelChunk) {
 
 // RecycleChunk returns a chunk's buffers to the batch pool once the
 // consumer has projected it. Only pool-shaped chunks — full-capacity
-// position and value buffers, the kind the scan pipeline steals from the
-// pool — are recycled; partitioned shard chunks (nil positions,
-// arbitrary capacity) are left for the collector. Recycling also
+// position and value buffers, the kind every scan chunk steals from the
+// pool — are recycled; the zero chunk is ignored. Recycling also
 // releases the chunk's resource-quota charge, closing the loop opened
 // at produce time.
 func RecycleChunk(c SelChunk) {
-	if c.Rows == nil || cap(c.Rows) != BatchSize || cap(c.Values) != BatchSize {
+	if cap(c.Rows) != BatchSize || cap(c.Values) != BatchSize {
 		return
 	}
 	c.quota.Release(ChunkQuotaBytes)
 	PutBatch(&Batch{Sel: c.Rows[:BatchSize], Val: c.Values[:BatchSize]})
-}
-
-// NewChunkPipeline starts a pipelined fan-out over n indexed tasks:
-// produce(i) runs as steps of one pool query of the given width on sp
-// (nil = sched.Default()), and the tasks' chunks are emitted strictly in
-// index order over the stream's bounded channel. The partition layer's
-// shard fan-out streams through this; tests drive it directly to pin
-// the backpressure bound. Shard fan-outs are whole-shard tasks, so they
-// never get the short-query boost.
-func NewChunkPipeline(ctx context.Context, sp *sched.Pool, workers, n int, produce func(task int) ([]SelChunk, error)) *ChunkStream {
-	workers = max(min(workers, n), 1)
-	s := newChunkStream()
-	var next int
-	var mu sync.Mutex
-	claim := func() (int, int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= n {
-			return 0, 0, false
-		}
-		i := next
-		next++
-		return i, i, true
-	}
-	runPipeline(ctx, s, sp, workers, false, claim, produce, nil)
-	return s
 }
 
 // Adaptive morsel sizing: the scheduler starts at MorselBlocks and
@@ -542,9 +523,8 @@ const (
 // rowRange is one claimed scan range [start, end).
 type rowRange struct{ start, end int }
 
-// adaptiveMorsels is a per-query morsel cursor: claim hands out
-// contiguous ranges of the current stride with dense sequence numbers,
-// observe grows the stride while morsels qualify next to nothing. One mutex
+// adaptiveMorsels is one table's morsel cursor: claim hands out
+// contiguous ranges of the current stride, observe grows the stride while morsels qualify next to nothing. One mutex
 // guards both — a morsel is many thousands of rows, so the lock is cold.
 // A cursor carrying an index plan hands out the whole column as its one
 // task, answered from the index.
@@ -553,7 +533,6 @@ type adaptiveMorsels struct {
 	blockRows int
 	total     int
 	pos       int
-	seq       int
 	stride    int
 	index     *indexPlan
 }
@@ -562,38 +541,85 @@ func newAdaptiveMorsels(c *column.Int64) *adaptiveMorsels {
 	return &adaptiveMorsels{blockRows: c.BlockSize(), total: c.Len(), stride: MorselBlocks}
 }
 
-// newMorsels builds the cursor for a scan of c under pred, with the
-// worker count and pool priority that go with it. When planIndex picks
-// the index the cursor is one task on one worker. Otherwise it is the
-// adaptive cursor, seeded from the table's last recorded effective
-// stride so steady-state scans skip the warm-up doublings. A stale hint
-// is self-correcting: observe shrinks an oversized stride within a
-// couple of morsels, and results are stride-independent by construction.
-func (e *Exec) newMorsels(c *column.Int64, pred expr.Expr) (cur *adaptiveMorsels, workers int, short bool) {
-	cur = newAdaptiveMorsels(c)
-	if p, ok := planIndex(c, pred); ok {
-		cur.index = &p
-		return cur, 1, true
+// scanPart is one table of a scan: the column it reads, the active
+// bitmap under ScanActive (nil under ScanAll) and its morsel cursor.
+type scanPart struct {
+	t      *table.Table
+	c      *column.Int64
+	active *bitvec.Vector
+	cur    *adaptiveMorsels
+}
+
+// newPart plans t's part of a scan of col under pred. When planIndex
+// picks the index the cursor is one task answered from it. Otherwise it
+// is the adaptive cursor, seeded from the table's last recorded
+// effective stride so steady-state scans skip the warm-up doublings. A
+// stale hint is self-correcting: observe shrinks an oversized stride
+// within a couple of morsels, and results are stride-independent by
+// construction.
+func newPart(t *table.Table, col string, pred expr.Expr, mode ScanMode) (scanPart, error) {
+	c, err := t.Column(col)
+	if err != nil {
+		return scanPart{}, err
 	}
-	if h := e.t.ScanStrideHint(); h >= MorselBlocks && h <= MaxMorselBlocks {
-		cur.stride = h
+	p := scanPart{t: t, c: c, cur: newAdaptiveMorsels(c)}
+	if mode == ScanActive {
+		p.active = t.Active()
 	}
-	return cur, e.workersFor(c.Len()), shortScan(c.Len())
+	if ip, ok := planIndex(c, pred); ok {
+		p.cur.index = &ip
+	} else if h := t.ScanStrideHint(); h >= MorselBlocks && h <= MaxMorselBlocks {
+		p.cur.stride = h
+	}
+	return p, nil
+}
+
+// scanWorkers is the worker count and pool priority of a scan over
+// parts: the knob resolved for the rows their morsel cursors cover, or
+// one short task's worth when the index answers every part.
+func (e *Exec) scanWorkers(parts []scanPart) (workers int, short bool) {
+	rows, indexed := 0, true
+	for _, p := range parts {
+		if p.cur.index == nil {
+			rows, indexed = rows+p.c.Len(), false
+		}
+	}
+	if indexed {
+		return 1, true
+	}
+	return e.workersFor(rows), shortScan(rows)
+}
+
+// scan runs the scan pipeline over one claimed range of the part — the
+// morsel body of the barrier and the stream alike — and feeds what
+// qualified back into the stride; an index cursor's one task runs its
+// plan instead.
+func (p scanPart) scan(pred expr.Expr, r rowRange) []*Batch {
+	if p.cur.index != nil {
+		return p.cur.index.scan(p.c, pred, p.active)
+	}
+	batches := collectChunks(p.c, pred, p.active, r.start, r.end)
+	qual := 0
+	for _, b := range batches {
+		qual += len(b.Sel)
+	}
+	p.cur.observe(qual)
+	return batches
 }
 
 // recordStride stores a finished morsel scan's effective stride as the
 // table's seed for the next one.
-func (e *Exec) recordStride(cur *adaptiveMorsels) {
-	if cur.index == nil {
-		e.t.RecordScanStride(cur.Stride())
+func (p scanPart) recordStride() {
+	if p.cur.index == nil {
+		p.t.RecordScanStride(p.cur.Stride())
 	}
 }
 
-func (a *adaptiveMorsels) claim() (rowRange, int, bool) {
+func (a *adaptiveMorsels) claim() (rowRange, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.pos >= a.total {
-		return rowRange{}, 0, false
+		return rowRange{}, false
 	}
 	end := a.pos + a.stride*a.blockRows
 	if end > a.total || a.index != nil {
@@ -601,25 +627,7 @@ func (a *adaptiveMorsels) claim() (rowRange, int, bool) {
 	}
 	r := rowRange{start: a.pos, end: end}
 	a.pos = end
-	seq := a.seq
-	a.seq++
-	return r, seq, true
-}
-
-// scan runs the scan pipeline over one claimed range — the morsel body
-// of the barrier and the stream alike — and feeds what qualified back
-// into the stride; an index cursor's one task runs its plan instead.
-func (a *adaptiveMorsels) scan(c *column.Int64, pred expr.Expr, active *bitvec.Vector, r rowRange) []*Batch {
-	if a.index != nil {
-		return a.index.scan(c, pred, active)
-	}
-	batches := collectChunks(c, pred, active, r.start, r.end)
-	qual := 0
-	for _, b := range batches {
-		qual += len(b.Sel)
-	}
-	a.observe(qual)
-	return batches
+	return r, true
 }
 
 // observe feeds one morsel's qualifying-row count back into the stride:
@@ -650,31 +658,70 @@ func (a *adaptiveMorsels) Stride() int {
 // SelectChunkStream is the pipelined form of Select: qualifying chunks
 // arrive over a bounded channel while morsel workers are still
 // scanning, in insertion order, byte-identical to Select's output when
-// concatenated. The access-frequency feedback is one TouchMany of
-// exactly the rows the stream emitted, complete before the consumer can
-// see the stream end. Under WithLimit the stream stops after its limit,
-// truncating the chunk that reaches it. Cancelling ctx (or calling Close) stops the
-// workers after their current morsel; ScanDone reports when storage is
-// no longer read.
+// concatenated. It is SelectPartsChunkStream over e's table alone.
 func (e *Exec) SelectChunkStream(ctx context.Context, col string, pred expr.Expr, mode ScanMode) (*ChunkStream, error) {
-	c, err := e.t.Column(col)
-	if err != nil {
-		return nil, err
+	return e.SelectPartsChunkStream(ctx, []*table.Table{e.t}, col, pred, mode)
+}
+
+// partTask is one task of a scan: a claimed range of one part.
+type partTask struct {
+	part int
+	r    rowRange
+}
+
+// partCursor hands out a scan's tasks: every range of each part's cursor
+// in turn, parts in order, with sequence numbers dense across parts.
+type partCursor struct {
+	mu    sync.Mutex
+	parts []scanPart
+	i     int
+	seq   int
+}
+
+func (pc *partCursor) claim() (partTask, int, bool) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	for ; pc.i < len(pc.parts); pc.i++ {
+		if r, ok := pc.parts[pc.i].cur.claim(); ok {
+			pc.seq++
+			return partTask{part: pc.i, r: r}, pc.seq - 1, true
+		}
 	}
-	var active *bitvec.Vector
-	if mode == ScanActive {
-		active = e.t.Active()
+	return partTask{}, 0, false
+}
+
+// SelectPartsChunkStream streams col's tuples satisfying pred over
+// parts, tables scanned one after another as if concatenated: the chunks
+// of each part come in its insertion order, parts in the given order,
+// and a chunk's Rows are positions in its own part's table. e supplies
+// the knob, pool, limit and touch flag; each part brings its own column,
+// active bitmap, index plan and stride hint. Every chunk is pooled and
+// charged to the query's quota at produce time. The access-frequency
+// feedback is one TouchMany per part of exactly the rows the stream
+// emitted from it, complete before the consumer can see the stream end.
+// Under WithLimit the stream stops after its limit, across parts,
+// truncating the chunk that reaches it. Cancelling ctx (or calling
+// Close) stops the workers after their current morsel; ScanDone reports
+// when storage is no longer read.
+func (e *Exec) SelectPartsChunkStream(ctx context.Context, tables []*table.Table, col string, pred expr.Expr, mode ScanMode) (*ChunkStream, error) {
+	parts := make([]scanPart, len(tables))
+	for i, t := range tables {
+		p, err := newPart(t, col, pred, mode)
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = p
 	}
-	cur, workers, short := e.newMorsels(c, pred)
+	workers, short := e.scanWorkers(parts)
 	s := newChunkStream()
 	s.limit = e.limit
 	if e.touch && mode == ScanActive {
-		s.touch = e.t.TouchMany
+		s.touch = func(part int, rows []int32) { parts[part].t.TouchMany(rows) }
 	}
 
 	quota := governor.FromContext(ctx)
-	produce := func(r rowRange) ([]SelChunk, error) {
-		batches := cur.scan(c, pred, active, r)
+	produce := func(task partTask) ([]SelChunk, error) {
+		batches := parts[task.part].scan(pred, task.r)
 		if len(batches) == 0 {
 			return nil, nil
 		}
@@ -693,10 +740,15 @@ func (e *Exec) SelectChunkStream(ctx context.Context, col string, pred expr.Expr
 				recycleChunks(chunks[:i])
 				return nil, err
 			}
-			chunks[i] = SelChunk{Rows: b.Sel, Values: b.Val, quota: quota}
+			chunks[i] = SelChunk{Rows: b.Sel, Values: b.Val, quota: quota, part: task.part}
 		}
 		return chunks, nil
 	}
-	runPipeline(ctx, s, e.sched, workers, short, cur.claim, produce, func() { e.recordStride(cur) })
+	finish := func() {
+		for _, p := range parts {
+			p.recordStride()
+		}
+	}
+	runPipeline(ctx, s, e.sched, workers, short, (&partCursor{parts: parts}).claim, produce, finish)
 	return s, nil
 }

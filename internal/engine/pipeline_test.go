@@ -4,13 +4,32 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"amnesiadb/internal/engine/governor"
+	"amnesiadb/internal/engine/sched"
 	"amnesiadb/internal/expr"
+	"amnesiadb/internal/table"
 )
+
+// taskPipeline starts runPipeline over n indexed tasks with dense
+// sequence numbers equal to the task index: produce(i) runs as steps of
+// one pool query of the given width on sp, and the tasks' chunks are
+// emitted strictly in index order. The pipeline tests drive the
+// reorder stage, backpressure bound and teardown through it.
+func taskPipeline(ctx context.Context, sp *sched.Pool, workers, n int, produce func(task int) ([]SelChunk, error)) *ChunkStream {
+	s := newChunkStream()
+	var next atomic.Int64
+	claim := func() (int, int, bool) {
+		i := int(next.Add(1) - 1)
+		return i, i, i < n
+	}
+	runPipeline(ctx, s, sp, max(min(workers, n), 1), false, claim, produce, nil)
+	return s
+}
 
 // drainStream consumes a chunk stream to the end, concatenating rows
 // and values.
@@ -78,7 +97,7 @@ func TestSelectChunkStreamMatchesSelect(t *testing.T) {
 // order.
 func TestChunkPipelineEmitsInOrder(t *testing.T) {
 	const n = 32
-	st := NewChunkPipeline(context.Background(), nil, 4, n, func(task int) ([]SelChunk, error) {
+	st := taskPipeline(context.Background(), nil, 4, n, func(task int) ([]SelChunk, error) {
 		// Invert completion order within each worker's stride.
 		time.Sleep(time.Duration(n-task) * 100 * time.Microsecond)
 		return []SelChunk{{Values: []int64{int64(task)}}}, nil
@@ -110,7 +129,7 @@ func TestChunkPipelineEmitsInOrder(t *testing.T) {
 func TestChunkPipelineBackpressure(t *testing.T) {
 	const n, workers = 200, 4
 	var produced atomic.Int64
-	st := NewChunkPipeline(context.Background(), nil, workers, n, func(task int) ([]SelChunk, error) {
+	st := taskPipeline(context.Background(), nil, workers, n, func(task int) ([]SelChunk, error) {
 		produced.Add(1)
 		return []SelChunk{{Values: []int64{int64(task)}}}, nil
 	})
@@ -245,7 +264,7 @@ func TestChunkStreamCloseTearsDown(t *testing.T) {
 // error surfaces to the consumer and tears the pipeline down.
 func TestChunkPipelineProduceError(t *testing.T) {
 	boom := errors.New("boom")
-	st := NewChunkPipeline(context.Background(), nil, 2, 16, func(task int) ([]SelChunk, error) {
+	st := taskPipeline(context.Background(), nil, 2, 16, func(task int) ([]SelChunk, error) {
 		if task == 3 {
 			return nil, boom
 		}
@@ -285,12 +304,14 @@ func TestAdaptiveMorselsGrowAndCap(t *testing.T) {
 	if got := cur.Stride(); got != MorselBlocks {
 		t.Fatalf("initial stride = %d, want %d", got, MorselBlocks)
 	}
+	pc := &partCursor{parts: []scanPart{{c: c, cur: cur}}}
 	pos, seq := 0, 0
 	for {
-		r, s, ok := cur.claim()
+		task, s, ok := pc.claim()
 		if !ok {
 			break
 		}
+		r := task.r
 		if r.start != pos || s != seq {
 			t.Fatalf("claim %d = [%d,%d), want start %d", s, r.start, r.end, pos)
 		}
@@ -402,7 +423,7 @@ func TestConcurrentChunkStreams(t *testing.T) {
 func TestChunkPipelineStallSpills(t *testing.T) {
 	const n, workers = 200, 4
 	var produced atomic.Int64
-	st := NewChunkPipeline(context.Background(), nil, workers, n, func(task int) ([]SelChunk, error) {
+	st := taskPipeline(context.Background(), nil, workers, n, func(task int) ([]SelChunk, error) {
 		produced.Add(1)
 		return []SelChunk{{Values: []int64{int64(task)}}}, nil
 	})
@@ -503,4 +524,93 @@ func TestChunkStreamParkedGoroutines(t *testing.T) {
 	st.Close()
 	<-st.ScanDone()
 	waitGoroutines(t, baseline)
+}
+
+// TestSelectChunkStreamPartsMatchesPartSelects pins the multi-part scan:
+// its chunks concatenate to the parts' own Selects in part order, each
+// chunk's Rows index its own part, and a limit ending inside the second
+// part touches exactly the rows handed over, each on its own part's
+// table.
+func TestSelectChunkStreamPartsMatchesPartSelects(t *testing.T) {
+	parts := []*table.Table{vectorTable(t, 3*BatchSize+100, 1000, 1), vectorTable(t, 5000, 1000, 2), vectorTable(t, 10, 1000, 3)}
+	pred := expr.NewRange(100, 900)
+	var want []*Result
+	var rows []int32
+	var vals []int64
+	for _, p := range parts {
+		res, err := NewSilent(p).Select("a", pred, ScanActive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res)
+		rows, vals = append(rows, res.Rows...), append(vals, res.Values...)
+	}
+	for _, par := range []int{1, 4} {
+		ex := NewSilent(parts[0])
+		ex.SetParallelism(par)
+		st, err := ex.SelectPartsChunkStream(context.Background(), parts, "a", pred, ScanActive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRows, gotVals := drainStream(t, st)
+		if !slices.Equal(gotRows, rows) || !slices.Equal(gotVals, vals) {
+			t.Fatalf("par=%d: multi-part stream diverged from the parts' Selects", par)
+		}
+	}
+
+	limit := len(want[0].Rows) + 5
+	st, err := New(parts[0]).WithLimit(limit).SelectPartsChunkStream(context.Background(), parts, "a", pred, ScanActive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got := drainStream(t, st); len(got) != limit {
+		t.Fatalf("limited stream emitted %d rows, want %d", len(got), limit)
+	}
+	for i, p := range parts {
+		touched := map[int32]bool{}
+		if i == 0 {
+			for _, r := range want[0].Rows {
+				touched[r] = true
+			}
+		} else if i == 1 {
+			for _, r := range want[1].Rows[:5] {
+				touched[r] = true
+			}
+		}
+		for r := 0; r < p.Len(); r++ {
+			if n, w := p.AccessCount(r), touched[int32(r)]; (n == 1) != w || n > 1 {
+				t.Fatalf("part %d row %d touched %d times, want touched=%v once", i, r, n, w)
+			}
+		}
+	}
+}
+
+// TestSelectChunkStreamPartsOverBudget pins that a multi-part stream is
+// governed: a quota below its chunk charges fails it with
+// ErrResourceExhausted, leaving no pool batch outstanding and no byte
+// charged.
+func TestSelectChunkStreamPartsOverBudget(t *testing.T) {
+	parts := []*table.Table{parallelTable(t, "all-active"), parallelTable(t, "random")}
+	gov := governor.New(0)
+	for _, par := range []int{1, 2} {
+		quota := gov.NewQuota(256 << 10)
+		mark := markBatches()
+		ex := NewSilent(parts[0])
+		ex.SetParallelism(par)
+		st, err := ex.SelectPartsChunkStream(governor.WithQuota(context.Background(), quota), parts, "a", expr.True{}, ScanActive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks, err := st.Collect()
+		if !errors.Is(err, governor.ErrResourceExhausted) {
+			t.Fatalf("par=%d: over-budget stream collected %d chunks, err %v, want ErrResourceExhausted", par, len(chunks), err)
+		}
+		if got := mark.outstanding(); got != 0 {
+			t.Fatalf("par=%d: failed stream left %d pool batches outstanding", par, got)
+		}
+		if got := quota.Used(); got != 0 {
+			t.Fatalf("par=%d: failed stream left %d governed bytes charged", par, got)
+		}
+		gov.Remove(quota)
+	}
 }

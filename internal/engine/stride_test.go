@@ -27,22 +27,27 @@ func strideTable(t *testing.T, n int) *table.Table {
 // hints (below the base stride or above the cap) are ignored.
 func TestStrideHintSeedsCursor(t *testing.T) {
 	tb := strideTable(t, 10*MorselBlocks*128)
-	ex := NewSilent(tb)
-	c := tb.MustColumn("a")
-	if cur, _, _ := ex.newMorsels(c, expr.True{}); cur.stride != MorselBlocks {
-		t.Fatalf("fresh cursor stride = %d, want base %d", cur.stride, MorselBlocks)
+	stride := func() int {
+		p, err := newPart(tb, "a", expr.True{}, ScanActive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.cur.stride
+	}
+	if cur := stride(); cur != MorselBlocks {
+		t.Fatalf("fresh cursor stride = %d, want base %d", cur, MorselBlocks)
 	}
 	tb.RecordScanStride(4 * MorselBlocks)
-	if cur, _, _ := ex.newMorsels(c, expr.True{}); cur.stride != 4*MorselBlocks {
-		t.Fatalf("seeded stride = %d, want %d", cur.stride, 4*MorselBlocks)
+	if cur := stride(); cur != 4*MorselBlocks {
+		t.Fatalf("seeded stride = %d, want %d", cur, 4*MorselBlocks)
 	}
 	tb.RecordScanStride(2 * MaxMorselBlocks) // bogus: above the cap
-	if cur, _, _ := ex.newMorsels(c, expr.True{}); cur.stride != MorselBlocks {
-		t.Fatalf("over-cap hint used: stride = %d", cur.stride)
+	if cur := stride(); cur != MorselBlocks {
+		t.Fatalf("over-cap hint used: stride = %d", cur)
 	}
 	tb.RecordScanStride(1) // bogus: below the base
-	if cur, _, _ := ex.newMorsels(c, expr.True{}); cur.stride != MorselBlocks {
-		t.Fatalf("under-base hint used: stride = %d", cur.stride)
+	if cur := stride(); cur != MorselBlocks {
+		t.Fatalf("under-base hint used: stride = %d", cur)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestFanOutHonorsCanceledContext(t *testing.T) {
 	cancel()
 	pred := expr.NewRange(0, 1000)
 
-	if cs, err := s.ScanChunkStream(ctx, pred); err != nil {
+	if cs, err := s.ScanChunkStream(ctx, pred, 0, 0); err != nil {
 		t.Errorf("ScanChunkStream on canceled ctx: %v", err)
 	} else if _, err := cs.Collect(); !errors.Is(err, context.Canceled) {
 		t.Errorf("collected ScanChunkStream on canceled ctx: err = %v, want context.Canceled", err)

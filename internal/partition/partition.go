@@ -5,9 +5,8 @@
 //
 // A Set splits one logical attribute domain into contiguous value-range
 // partitions, each holding its own table, amnesia strategy and budget.
-// Inserts are routed by value; queries fan out to the partitions whose
-// ranges intersect the predicate — concurrently, since shards are
-// independent tables (see SetParallelism). Adapt() rebalances the
+// Inserts are routed by value; queries read the partitions whose ranges
+// intersect the predicate (see SetParallelism). Adapt() rebalances the
 // budgets toward the partitions the workload actually queries, which is
 // the "tuned to provide the best precision for a subset of the workload"
 // loop. Budgets are atomic and each shard serialises its own mutation,
@@ -17,9 +16,10 @@
 // take a request context and an arbitrary single-attribute predicate
 // (pruning the fan-out by the predicate's bounding interval), which is
 // what the SQL layer's PartitionRelation adapter serves the catalog
-// with. Every fan-out runs on the engine's dispatchers — barriers
-// through engine.ForEachTask, streams through engine.NewChunkPipeline —
-// on the pool stamped by SetScheduler, or the process-global one.
+// with. A scan is the engine's one scan pipeline with the intersecting
+// shards as its parts (engine.Exec.SelectPartsChunkStream); Aggregate and
+// Precision fan out per shard through engine.ForEachTask. Both run on
+// the pool stamped by SetScheduler, or the process-global one.
 package partition
 
 import (
@@ -100,7 +100,7 @@ type Set struct {
 	strategy string
 	parts    []*Partition
 	src      *xrand.Source
-	// par is the fan-out parallelism knob; see SetParallelism.
+	// par is the parallelism knob; see SetParallelism.
 	par int
 	// sched is the worker pool fan-outs and shard scans run on; nil
 	// means sched.Default(). See SetScheduler.
@@ -158,14 +158,14 @@ func (s *Set) Domain() int64 { return s.domain }
 // built with.
 func (s *Set) Strategy() string { return s.strategy }
 
-// SetParallelism sets the fan-out parallelism (0 auto = GOMAXPROCS,
-// 1 one worker, n > 1 asks for n) and stamps the same knob onto every
-// shard executor. Shards are independent tables, so a partitioned query runs
-// its per-shard scans concurrently. The two levels never multiply: a
-// query fanning out to several shards runs each shard's scan serially
-// (the fan-out itself saturates the cores), while a query confined to
-// one shard parallelises inside it with the stamped knob. Configure
-// before serving concurrent queries.
+// SetParallelism sets the set's parallelism knob (0 auto, 1 one worker,
+// n > 1 asks for n) and stamps it onto every shard executor. A scan
+// resolves the knob like a flat scan over the intersecting shards' rows
+// together, its morsels drawn from one shard after another. Aggregate
+// and Precision fan out per shard: several shards run concurrently, each
+// on one worker (the fan-out itself saturates the cores), while a query
+// confined to one shard parallelises inside it with the stamped knob.
+// Configure before serving concurrent queries.
 func (s *Set) SetParallelism(n int) {
 	if n < 0 {
 		n = 0
@@ -386,37 +386,29 @@ func (s *Set) locateIdx(v int64) (int, error) {
 	return i, nil
 }
 
-// ScanChunkStream streams the active tuples matching pred, one chunk per
-// intersecting shard — the chunked form the SQL catalog serves. The
-// predicate's bounding interval prunes the fan-out to the shards it can
-// touch; per-shard scans run concurrently up to the parallelism knob,
-// each recording a workload hit for Adapt, and each shard's qualifying
-// values are emitted — strictly in value-range order — over the
-// stream's bounded channel as soon as the shard finishes, so a consumer
-// sees the first shard's rows while later shards are still scanning.
-// Empty shards emit nothing. Chunk positions are nil: they would be
-// shard-local and mean nothing globally, so partitioned results project
-// by value. Cancelling ctx (or closing the stream) abandons the
-// remaining shards.
-//
-// A shard's scan is a barrier (Exec.Select), not a nested stream: it
-// runs inside one of this pipeline's pool steps and has to drive its
-// own morsels there.
-func (s *Set) ScanChunkStream(ctx context.Context, pred expr.Expr) (*engine.ChunkStream, error) {
+// ScanChunkStream streams the active tuples matching pred as the
+// engine's one scan pipeline over the shards the predicate's bounding
+// interval intersects, in value order. Each shard is scanned morsel by
+// morsel against its own active bitmap, index and stride hint, so its
+// chunks are pooled and charged like a flat table's, their Rows are
+// shard-local, and their touches land on the shard's table. par is the
+// parallelism knob of the whole scan; limit, when positive, ends it
+// after that many rows, touching exactly those. Each intersecting shard
+// records one workload hit for Adapt. Cancelling ctx (or closing the
+// stream) stops the scan at its next morsel.
+func (s *Set) ScanChunkStream(ctx context.Context, pred expr.Expr, par, limit int) (*engine.ChunkStream, error) {
 	lo, hi, _ := pred.Bounds()
 	hit := s.intersecting(lo, hi)
-	w := s.fanWorkers(len(hit))
-	return engine.NewChunkPipeline(ctx, s.sched, w, len(hit), func(i int) ([]engine.SelChunk, error) {
-		hit[i].hits.Add(1)
-		res, err := s.shardExec(ctx, hit[i], w).Select(s.column, pred, engine.ScanActive)
-		if err != nil {
-			return nil, err
-		}
-		if len(res.Values) == 0 {
-			return nil, nil
-		}
-		return []engine.SelChunk{{Values: res.Values}}, nil
-	}), nil
+	tables := make([]*table.Table, len(hit))
+	for i, p := range hit {
+		p.hits.Add(1)
+		tables[i] = p.tbl
+	}
+	// Every shard executor carries the set's pool and touch flag; a copy
+	// of the first adds the scan's knob and limit.
+	ex := s.parts[0].ex.WithLimit(limit)
+	ex.SetParallelism(par)
+	return ex.SelectPartsChunkStream(ctx, tables, s.column, pred, engine.ScanActive)
 }
 
 // Select is SelectWhere over [lo, hi); it panics if lo > hi.
@@ -432,7 +424,7 @@ func (s *Set) Select(lo, hi int64) ([]int64, error) {
 // the table's internal synchronisation.
 func (s *Set) SelectWhere(pred expr.Expr) ([]int64, error) {
 	//lint:ignore ctxflow Select is the set's one ctx-less entry (library callers and the frozen benchmark); request paths stream with their own ctx.
-	cs, err := s.ScanChunkStream(context.Background(), pred)
+	cs, err := s.ScanChunkStream(context.Background(), pred, s.par, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -444,12 +436,13 @@ func (s *Set) SelectWhere(pred expr.Expr) ([]int64, error) {
 	for _, c := range chunks {
 		total += len(c.Values)
 	}
-	if total == 0 {
-		return nil, nil
+	var out []int64
+	if total > 0 {
+		out = make([]int64, 0, total)
 	}
-	out := make([]int64, 0, total)
 	for _, c := range chunks {
 		out = append(out, c.Values...)
+		engine.RecycleChunk(c)
 	}
 	return out, nil
 }

@@ -80,7 +80,7 @@ func pinnedDB(t *testing.T) *amnesiadb.DB {
 // pinnedQueries are the /query bodies TestQueryResponseBytesPinned
 // holds to a CRC-64 each, covering every result producer: unordered
 // selects (one and two columns, with and without LIMIT, across
-// chunks), a partitioned select, a clustered ascending ORDER BY, flat
+// chunks), a partitioned select, a partitioned ascending ORDER BY, flat
 // ORDER BY either way, joins, every aggregate (fractional AVG and
 // empty-set NULLs included) and LIMIT 0.
 var pinnedQueries = []struct {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"amnesiadb/internal/engine"
@@ -214,14 +213,12 @@ func queryLimit(q *Query) int {
 }
 
 // execSelectStream streams a single-relation projection as a true
-// pipeline: the engine's morsel workers (or the partition layer's shard
-// fan-out) push scan chunks into a bounded channel while they are still
-// scanning, and Next projects whatever has arrived — so the first rows
-// reach the server after the first morsel, not the full scan, with
-// backpressure from a slow consumer halting the producers. ORDER BY is
-// the one barrier — the qualifying set materializes for the sort —
-// except over clustered (partitioned) relations, where ascending sorts
-// stream shard by shard through per-shard sorts.
+// pipeline: the engine's morsel workers push scan chunks into a bounded
+// channel while they are still scanning, and Next projects whatever has
+// arrived — so the first rows reach the server after the first morsel,
+// not the full scan, with backpressure from a slow consumer halting the
+// producers. ORDER BY is the one barrier: the qualifying set
+// materializes for the sort, for both relation kinds.
 func execSelectStream(rel Relation, q *Query, o Opts) (*ResultStream, error) {
 	var cols []string    // plain column names to project
 	var headers []string // output headers as written
@@ -294,13 +291,6 @@ func execSelectStream(rel Relation, q *Query, o Opts) (*ResultStream, error) {
 		return nil, err
 	}
 	if orderCol != "" {
-		if rel.Clustered() && orderCol == scanCol && valueOnly && !q.OrderDesc {
-			// The ascending clustered sort streams shard by shard and
-			// releases locks at scan completion — the same stall
-			// exposure as the unordered pipeline, same remedy.
-			cs.DetachOnStall(o.StallDetach)
-			return clusteredOrderedStream(headers, ints, len(cols), cs, limit), nil
-		}
 		// The sort is a barrier: drain the pipeline, then sort.
 		chunks, err := cs.Collect()
 		if err != nil {
@@ -321,13 +311,7 @@ func execSelectStream(rel Relation, q *Query, o Opts) (*ResultStream, error) {
 	}
 	cursor := &chunkCursor{cs: cs, rem: limit, out: intChunk(len(cols), 0),
 		emit: func(out *Chunk, c engine.SelChunk, off, end int) error {
-			// Relations without global positions (partitioned sets)
-			// carry nil Rows; they project by value only.
-			var span []int32
-			if c.Rows != nil {
-				span = c.Rows[off:end]
-			}
-			return projectSpan(rel, cols, scanCol, span, c.Values[off:end], out)
+			return projectSpan(rel, cols, scanCol, c.Rows[off:end], c.Values[off:end], out)
 		},
 	}
 	st := newResultStream(headers, ints, cursor.next)
@@ -342,15 +326,9 @@ func execSelectStream(rel Relation, q *Query, o Opts) (*ResultStream, error) {
 // output rows per next call through emit, counts the LIMIT down across
 // chunks, closes the producers the moment the LIMIT is satisfied
 // (cancelling still-running scans), and returns fully consumed chunks
-// to the engine's batch pool. Both pipelined select paths — unordered
-// projection and the clustered per-shard sort — drive this one state
-// machine, so the LIMIT/teardown/recycle interplay cannot drift between
-// them.
+// to the engine's batch pool.
 type chunkCursor struct {
 	cs *engine.ChunkStream
-	// onChunk, when set, hooks each chunk as it arrives (the clustered
-	// path sorts shard values in place).
-	onChunk func(c engine.SelChunk)
 	// emit appends c's [off, end) span to out's columns.
 	emit func(out *Chunk, c engine.SelChunk, off, end int) error
 	// out is the output window, refilled by every next call: its
@@ -382,9 +360,6 @@ func (k *chunkCursor) next() (*Chunk, error) {
 				k.drained = true
 				break
 			}
-			if k.onChunk != nil {
-				k.onChunk(c)
-			}
 			k.cur = c
 			continue
 		}
@@ -415,32 +390,6 @@ func (k *chunkCursor) next() (*Chunk, error) {
 	return out, nil
 }
 
-// clusteredOrderedStream serves ascending ORDER BY over a clustered
-// relation: the fan-out's chunks arrive one per shard, in ascending
-// shard order, and shard value ranges are disjoint — so sorting each
-// shard independently and emitting shards in order reproduces the
-// global stable sort exactly, without ever sorting the concatenation.
-// It streams: the first shard's sorted rows flush while later shards
-// are still scanning, so even ORDER BY has morsel-level
-// time-to-first-chunk. Clustered relations are value-only (one stored
-// attribute), so every output cell is the sort key itself.
-func clusteredOrderedStream(headers []string, ints []bool, ncols int, cs *engine.ChunkStream, limit int) *ResultStream {
-	cursor := &chunkCursor{cs: cs, rem: limit, out: intChunk(ncols, 0),
-		onChunk: func(c engine.SelChunk) { slices.Sort(c.Values) },
-		emit: func(out *Chunk, c engine.SelChunk, off, end int) error {
-			for i := range out.Cols {
-				out.Cols[i].Ints = append(out.Cols[i].Ints, c.Values[off:end]...)
-			}
-			return nil
-		},
-	}
-	st := newResultStream(headers, ints, cursor.next)
-	st.closeFn = cs.Close
-	st.scanDone = cs.ScanDone()
-	st.earlyRelease = true
-	return st
-}
-
 // orderedSelectStream sorts the qualifying set and streams the sorted
 // projection window by window.
 func orderedSelectStream(ctx context.Context, rel Relation, headers []string, ints []bool, cols []string, scanCol, orderCol string, chunks []engine.SelChunk, desc bool, limit, par int, sp *sched.Pool, valueOnly bool) (*ResultStream, error) {
@@ -455,14 +404,8 @@ func orderedSelectStream(ctx context.Context, rel Relation, headers []string, in
 		vals = append(vals, c.Values...)
 		engine.RecycleChunk(c)
 	}
-	// Relations without global positions (partitioned sets) carry nil
-	// chunk Rows; their single column projects — and sorts — by value.
-	hasRows := len(rows) == total
 	keys := vals
 	if orderCol != scanCol {
-		if !hasRows {
-			return nil, badQueryf("relation has no column %q to order by", orderCol)
-		}
 		var err error
 		keys, err = rel.Gather(orderCol, rows, nil)
 		if err != nil {
@@ -485,18 +428,12 @@ func orderedSelectStream(ctx context.Context, rel Relation, headers []string, in
 		end := min(pos+StreamChunkRows, len(perm))
 		wrows, wvals = wrows[:0], wvals[:0]
 		for _, p := range perm[pos:end] {
-			if hasRows {
-				wrows = append(wrows, rows[p])
-			}
+			wrows = append(wrows, rows[p])
 			wvals = append(wvals, vals[p])
 		}
 		pos = end
-		var span []int32
-		if hasRows {
-			span = wrows
-		}
 		out.reset()
-		if err := projectSpan(rel, cols, scanCol, span, wvals, out); err != nil {
+		if err := projectSpan(rel, cols, scanCol, wrows, wvals, out); err != nil {
 			return nil, err
 		}
 		out.Len = len(wvals)

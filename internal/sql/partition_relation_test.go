@@ -165,8 +165,8 @@ func TestStreamChunking(t *testing.T) {
 	}
 }
 
-// TestPartitionedStreamMatchesShardScans pins the pipelined shard
-// fan-out: concatenating ScanChunkStream's chunks must reproduce the
+// TestPartitionedStreamMatchesShardScans pins the scan over shards:
+// concatenating ScanChunkStream's chunks must reproduce the
 // shards' own scans taken one by one in range order — shard order,
 // value order, every shard.
 func TestPartitionedStreamMatchesShardScans(t *testing.T) {
@@ -180,7 +180,7 @@ func TestPartitionedStreamMatchesShardScans(t *testing.T) {
 		}
 		want = append(want, res.Values...)
 	}
-	st, err := set.ScanChunkStream(context.Background(), pred)
+	st, err := set.ScanChunkStream(context.Background(), pred, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +203,8 @@ func TestPartitionedStreamMatchesShardScans(t *testing.T) {
 	}
 }
 
-// TestClusteredOrderByMatchesGlobalSort pins ORDER BY over shards:
-// ascending per-shard sorts emitted in shard order, and the descending
-// sort barrier, must equal the global stable sort of the whole fan-out,
+// TestClusteredOrderByMatchesGlobalSort pins ORDER BY over shards: the
+// sort barrier must equal the global stable sort of the whole scan,
 // across directions, limits and parallelism.
 func TestClusteredOrderByMatchesGlobalSort(t *testing.T) {
 	set, cat := partFixture(t, 8)
@@ -248,6 +247,46 @@ func TestClusteredOrderByMatchesGlobalSort(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPartitionedLimitTouchesReturnedRows pins the unordered LIMIT over
+// a partitioned relation: it goes down into the scan, which stops
+// across shards at the limit, so the shards' access counts sum to
+// exactly the rows returned — the first ten of the value-ordered scan —
+// like a flat table's.
+func TestPartitionedLimitTouchesReturnedRows(t *testing.T) {
+	set, cat := partFixture(t, 8)
+	var want []int64
+	for _, p := range set.Partitions() {
+		res, err := engine.NewSilent(p.Table()).Select(set.Column(), expr.True{}, engine.ScanActive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res.Values...)
+	}
+	for rep, par := range []int{1, 4} {
+		res, err := RunOpts(cat, "SELECT v FROM p LIMIT 10", Opts{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 10 {
+			t.Fatalf("par=%d: %d rows, want 10", par, len(res.Rows))
+		}
+		for i, row := range res.Rows {
+			if row[0] != float64(want[i]) {
+				t.Fatalf("par=%d: row %d = %v, want %d", par, i, row[0], want[i])
+			}
+		}
+		touched := 0
+		for _, p := range set.Partitions() {
+			for i := 0; i < p.Table().Len(); i++ {
+				touched += int(p.Table().AccessCount(i))
+			}
+		}
+		if want := 10 * (rep + 1); touched != want {
+			t.Fatalf("par=%d: shards' access counts sum to %d after %d queries, want %d", par, touched, rep+1, want)
 		}
 	}
 }

@@ -21,21 +21,16 @@ type Relation interface {
 	// Columns lists the projectable column names in declaration order.
 	Columns() []string
 	// ScanChunkStream streams the active tuples of col matching pred
-	// as chunks in deterministic order (insertion order for tables,
-	// value order for partitioned sets) over a bounded channel, while
-	// producers are still scanning; its Collect is the materialized
-	// form. par is the engine's intra-query parallelism knob;
-	// relations with their own stamped knob may ignore it. limit, when
-	// positive, is an unordered LIMIT: a table's stream ends after that
-	// many rows and touches exactly those (partitioned sets ignore it).
+	// as pooled, quota-charged chunks in deterministic order (insertion
+	// order for tables, shard by shard in value order for partitioned
+	// sets) over a bounded channel, while producers are still scanning;
+	// its Collect is the materialized form. Chunk Rows are
+	// relation-local positions. par is the engine's intra-query
+	// parallelism knob. limit, when positive, is an unordered LIMIT:
+	// the stream ends after that many rows and touches exactly those.
 	// Cancelling ctx tears the producers down; the stream's ScanDone
 	// reports when relation storage is no longer read.
 	ScanChunkStream(ctx context.Context, col string, pred expr.Expr, par, limit int) (*engine.ChunkStream, error)
-	// Clustered reports that scan chunks arrive as disjoint, ascending
-	// value ranges (partitioned sets: one chunk per shard, in shard
-	// order). Ascending ORDER BY exploits it to sort shard-locally and
-	// stream shard by shard instead of sorting the whole fan-out.
-	Clustered() bool
 	// Gather materializes col at the given scan positions. Relations
 	// without a global position space (partitioned sets) reject it;
 	// the executor projects their scan values directly.
@@ -106,10 +101,6 @@ func (r *TableRelation) ScanChunkStream(ctx context.Context, col string, pred ex
 	return r.exec(par).WithLimit(limit).SelectChunkStream(ctx, col, pred, engine.ScanActive)
 }
 
-// Clustered implements Relation: table chunks are insertion-ordered,
-// not value-ordered.
-func (r *TableRelation) Clustered() bool { return false }
-
 // Gather implements Relation.
 func (r *TableRelation) Gather(col string, rows []int32, buf []int64) ([]int64, error) {
 	c, err := r.tbl.Column(col)
@@ -135,9 +126,9 @@ func (r *TableRelation) Stats() table.Stats { return r.tbl.Stats() }
 // Epoch implements Relation.
 func (r *TableRelation) Epoch() uint64 { return r.tbl.Epoch() }
 
-// PartitionRelation adapts a partitioned set to the catalog: scans fan
-// out per shard (chunks come back one per shard, in value order) and
-// project by value, since shard-local positions mean nothing globally.
+// PartitionRelation adapts a partitioned set to the catalog: a scan runs
+// over the intersecting shards in value order and projects by value,
+// since shard-local positions mean nothing globally.
 type PartitionRelation struct {
 	set *partition.Set
 }
@@ -159,21 +150,14 @@ func (r *PartitionRelation) checkCol(col string) error {
 	return nil
 }
 
-// ScanChunkStream implements Relation: the set's pipelined shard
-// fan-out, one chunk per shard in value order. The set's own fan-out
-// knob governs concurrency, so par is ignored, and a shard's scan is a
-// barrier that touches every row it qualifies, so limit is too.
-func (r *PartitionRelation) ScanChunkStream(ctx context.Context, col string, pred expr.Expr, _, _ int) (*engine.ChunkStream, error) {
+// ScanChunkStream implements Relation: the set's scan over the
+// intersecting shards, honouring par and limit like a table's.
+func (r *PartitionRelation) ScanChunkStream(ctx context.Context, col string, pred expr.Expr, par, limit int) (*engine.ChunkStream, error) {
 	if err := r.checkCol(col); err != nil {
 		return nil, err
 	}
-	return r.set.ScanChunkStream(ctx, pred)
+	return r.set.ScanChunkStream(ctx, pred, par, limit)
 }
-
-// Clustered implements Relation: shards are contiguous value ranges
-// scanned in range order, so chunk values are disjoint and ascending
-// across chunks.
-func (r *PartitionRelation) Clustered() bool { return true }
 
 // Gather implements Relation. Positions are shard-local, so partitioned
 // relations cannot project by position; the executor never asks, since

@@ -14,19 +14,19 @@ import (
 // adaptive-partitioning vision. Budgets can follow the workload via
 // Adapt. Obtain via DB.CreatePartitionedTable. Partitioned tables are
 // first-class catalog entries: DB.Query and the HTTP /query endpoint
-// route SELECTs to them transparently (scans fan out per shard, and
-// SQL aggregates feed the Adapt workload counters like Select does).
+// route SELECTs to them transparently (a scan is one pipeline over its
+// shards, and SQL aggregates feed the Adapt counters like Select does).
 //
 // Like Table, reads (Select, Precision, Stats, Partitions) run under a
 // shared lock and proceed in parallel; Insert and Adapt are exclusive.
-// Within one query, shards are independent tables, so Select and
-// Precision fan their per-shard scans out concurrently up to the
-// database's Parallelism knob. Workload hit counters are atomic, so
-// parallel selects still feed the Adapt loop, and per-shard budgets are
-// atomic with per-shard mutation locks, so the partition layer's Adapt
-// can interleave with Inserts; Adapt concurrent with reads still needs
-// this facade's exclusive lock, because forgetting mutates the active
-// bitmap that lock-free scans read.
+// Within one query, Select scans the shards' morsels as a flat scan of
+// their rows would, and Precision fans its per-shard scans out
+// concurrently, both up to the database's Parallelism knob. Hit
+// counters are atomic, so parallel selects still feed the Adapt loop,
+// and per-shard budgets are atomic with per-shard mutation locks, so
+// the partition layer's Adapt can interleave with Inserts; Adapt
+// concurrent with reads still needs this facade's exclusive lock,
+// because forgetting mutates the bitmap that lock-free scans read.
 type PartitionedTable struct {
 	handle
 	set *partition.Set
