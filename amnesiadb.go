@@ -29,8 +29,8 @@
 // SQL serves the whole catalog through one Relation abstraction: flat
 // tables and partitioned tables (CreatePartitionedTable) are both
 // first-class entries, so DB.Query — and the HTTP /query endpoint built
-// on it — routes to either kind transparently, fanning partitioned
-// scans out per shard. The dialect covers projection, aggregates,
+// on it — routes to either kind transparently, reading a partitioned
+// table's shards as the parts of one scan. The dialect covers projection, aggregates,
 // WHERE/ORDER BY/LIMIT and two-table equi-joins with qualified columns
 // (SELECT a.v, b.v FROM a JOIN b ON a.k = b.k), the join riding the
 // same morsel-parallel hash join as DB.Join. Results are pipelined:

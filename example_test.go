@@ -58,8 +58,9 @@ func ExampleDB_Query_join() {
 }
 
 // ExampleDB_Query_partitioned shows that partitioned tables are
-// first-class catalog entries: SQL routes to the shard fan-out, so the
-// §4.4 adaptive-partitioning store serves the same /query surface.
+// first-class catalog entries: SQL reads the intersecting shards as
+// one scan, so the §4.4 adaptive-partitioning store serves the same
+// /query surface.
 func ExampleDB_Query_partitioned() {
 	db := amnesiadb.Open(amnesiadb.Options{Seed: 1})
 	pt, _ := db.CreatePartitionedTable("sensors", "v", 100, 4, "fifo", 100)

@@ -1,13 +1,6 @@
 package engine
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"amnesiadb/internal/bitvec"
-	"amnesiadb/internal/column"
-	"amnesiadb/internal/expr"
-)
+import "sync"
 
 // BatchSize is the number of tuples a vectorized kernel processes per
 // invocation. It matches column.DefaultBlockSize so one batch covers one
@@ -58,31 +51,4 @@ func PutBatch(b *Batch) {
 	b.Sel = b.Sel[:BatchSize]
 	b.Val = b.Val[:BatchSize]
 	batchPool.Put(b)
-}
-
-// countMatches returns the number of rows satisfying pred under mode
-// without materializing positions or values — the counting fast path
-// behind COUNT(*) and both of Precision's passes — over the same morsel
-// loop as every other scan. Exact-bounds predicates use the pure
-// counting kernel; inexact ones run the filter pipeline and count
-// survivors.
-func (e *Exec) countMatches(c *column.Int64, pred expr.Expr, mode ScanMode) (int, error) {
-	var active *bitvec.Vector
-	if mode == ScanActive {
-		active = e.t.Active()
-	}
-	lo, hi, exact := pred.Bounds()
-	rowsPer, nm := morselGeometry(c)
-	var total atomic.Int64
-	err := ForEachTask(e.ctx, e.sched, e.workersFor(c.Len()), nm, func(_, m int) {
-		start, end := m*rowsPer, (m+1)*rowsPer
-		n := 0
-		if exact {
-			n = c.CountRangeIn(lo, hi, active, start, end)
-		} else {
-			scanMorselBatches(c, lo, hi, exact, pred, active, start, end, func(sel []int32, _ []int64) { n += len(sel) })
-		}
-		total.Add(int64(n))
-	})
-	return int(total.Load()), err
 }

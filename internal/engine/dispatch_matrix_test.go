@@ -296,8 +296,8 @@ func (cancelAt) Bounds() (int64, int64, bool) { return math.MinInt64, math.MaxIn
 func (cancelAt) String() string               { return "cancelAt" }
 
 // TestCancelLeavesEngineQuiescent cancels a scan, a stream, a
-// multi-part stream, a join and a shard-style aggregate fan-out at
-// their first, middle and last morsel. A query cancelled that late may
+// multi-part stream, a join, a multi-part aggregate and barriers nested
+// in a barrier's steps at their first, middle and last morsel. A query cancelled that late may
 // finish instead of failing; either way nothing may be left attached,
 // running, checked out of the batch pool, charged to the quota or alive
 // as a goroutine.
@@ -358,10 +358,21 @@ func TestCancelLeavesEngineQuiescent(t *testing.T) {
 			recycleChunks(chunks)
 			return err
 		}},
+		{"partsagg", 8 * other.Len(), func(ctx context.Context, pool *sched.Pool, par int, pred expr.Expr) error {
+			// One barrier over eight parts, the way partition.Set
+			// aggregates: every part's morsels in one task list.
+			ex := NewSilent(other).WithContext(ctx)
+			ex.SetParallelism(par)
+			ex.SetScheduler(pool)
+			parts := []*table.Table{other, other, other, other, other, other, other, other}
+			_, err := ex.AggregateParts(parts, "a", pred, ScanAll)
+			return err
+		}},
 		{"fanout", 8 * other.Len(), func(ctx context.Context, pool *sched.Pool, par int, pred expr.Expr) error {
-			// Eight shard-sized tasks, each a barrier Aggregate nested
-			// inside the fan-out's pool step, the way partition.Set's
-			// Aggregate and Precision fan out.
+			// Eight tasks, each a barrier Aggregate nested inside the
+			// outer barrier's pool step: pins run's guarantee that a
+			// nested barrier drives its own morsels and stops with its
+			// caller's context.
 			errs := make([]error, 8)
 			err := ForEachTask(ctx, pool, Workers(pool, par, 8, 0), 8, func(_, i int) {
 				ex := NewSilent(other).WithContext(ctx)

@@ -27,37 +27,35 @@
 // steps pull morsel indices from a shared atomic counter, each running
 // the same ScanBatchRange/Filter pipeline over its morsel with worker-local
 // pooled batches and worker-local partial states (chunk lists for
-// Select, partial aggregates for Aggregate, group tables for GroupBy,
-// tallies for counting). Partials merge deterministically — per-morsel
-// outputs concatenate in morsel order, so Select results stay in
-// insertion order and aggregates are exact at every worker count. One
-// knob governs the whole engine: SetParallelism(0) (auto) uses
-// GOMAXPROCS workers for scans of at least one maximum-stride morsel
-// (1 Mi rows at the default block size) and one worker below it, where
-// attaching workers and merging costs more than a near-roofline scan
-// saves; SetParallelism(1) is one worker; n > 1 asks for n, capped at
-// the pool's width.
+// streams, partial aggregates and tallies for Aggregate and Precision,
+// group tables for GroupBy). Partials merge deterministically —
+// per-morsel outputs concatenate in morsel order, so Select results
+// stay in insertion order and aggregates are exact at every worker
+// count. One knob governs the whole engine: SetParallelism(0) (auto)
+// uses GOMAXPROCS workers for scans of at least one maximum-stride
+// morsel (1 Mi rows at the default block size) and one worker below
+// it, where attaching workers and merging costs more than a
+// near-roofline scan saves; SetParallelism(1) is one worker; n > 1
+// asks for n, capped at the pool's width.
 //
 // There is one dispatcher and one entry per operator. Every barrier —
-// Select, Aggregate, counting, GroupBy, the join's build and probe, and
-// through ForEachTask the SQL sort runs and the partition layer's shard
-// fan-outs — hands its steps to run (parallel.go): one worker loops
-// inline on the caller, more attach to the worker pool as one sched
-// query of that width which the caller drives alongside the pool's
-// workers (Attach + Wait). The pool is the only place engine work runs;
-// an unset one is sched.Default(). Before every step run checks the
-// Exec's context and the query's governor quota, so every operator
-// stops at its next morsel once the request is cancelled, over budget
-// or past its deadline. Every stream runs through runPipeline
-// (pipeline.go), whose steps are queries of the same pool that nobody
-// Waits on: the consumer blocks on a channel instead. That is why the
-// two drivers stay apart and why Select is not Collect() of
-// SelectChunkStream: a barrier may run inside another query's pool step
-// (a shard's Aggregate or Precision inside a partitioned fan-out), where
-// it must drive its own morsels; a stream consumer there would block a
-// pool worker on a producer nobody is obliged to run.
-// Materialized-is-Collect-of-the-stream applies where the caller is not
-// a pool step (partition.Set.Select, SQL's ORDER BY).
+// Aggregate and Precision, GroupBy, the join's build and probe, and
+// through ForEachTask the SQL sort runs — hands its steps to run
+// (parallel.go): one worker loops inline on the caller, more attach to
+// the worker pool as one sched query of that width which the caller
+// drives alongside the pool's workers (Attach + Wait). The pool is the
+// only place engine work runs; an unset one is sched.Default(). Before
+// every step run checks the Exec's context and the query's governor
+// quota, so every operator stops at its next morsel once the request
+// is cancelled, over budget or past its deadline. Every stream runs
+// through runPipeline (pipeline.go), whose steps are queries of the
+// same pool that nobody Waits on: the consumer blocks on a channel
+// instead. A materialized scan is Collect() of its stream — Select,
+// partition.Set.Select, the join's sides, SQL's ORDER BY — flattened
+// once by Flatten. The one rule between the two drivers: no stream is
+// collected inside a pool step, where its consumer would block a pool
+// worker on a producer nobody is obliged to run; a barrier may run
+// there, since it drives its own morsels.
 //
 // Scans are also pipelined (see pipeline.go): SelectChunkStream's
 // workers push qualifying chunks into a bounded channel, in order,
@@ -72,27 +70,26 @@
 // every stride produces byte-identical output.
 //
 // HashJoin rides the same dispatchers end to end, build-while-collect
-// (see its doc). A stream may span several tables: SelectPartsChunkStream
-// scans internal/partition's shards as the parts of one pipeline, their
-// morsels claimed one part after another, while the partition layer's
-// Aggregate and Precision fan out per shard through ForEachTask. SQL's
-// ORDER BY sorts morsel-sized runs through ForEachTask before a k-way
-// merge.
+// (see its doc). A scan may span several tables, internal/partition's
+// shards: SelectPartsChunkStream claims their morsels one part after
+// another in one pipeline, and AggregateParts and PrecisionParts run
+// every part's morsels as one barrier's task list. SQL's ORDER BY sorts
+// morsel-sized runs through ForEachTask before a k-way merge.
 //
 // Narrow ranges take a second access path (index.go): when a column's
 // value-order index (internal/column) puts a predicate's candidates at
-// one batch or less, Select, SelectChunkStream and Aggregate run the
-// scan as one unit of work through their usual dispatcher, with the
-// same rows, order and touches as the morsel scan.
+// one batch or less, a stream and a barrier run that part as one unit
+// of work through their usual dispatcher, with the same rows, order and
+// touches as the morsel scan.
 //
 // Executors are safe for concurrent readers: scans take no locks and
 // share no mutable state, and the access-frequency touches feeding
 // query-based amnesia (§3.2) go through the table's internally
-// synchronized flushes: one TouchMany per Select or stream part — a
-// stream's cover the rows its emitter handed over, so a LIMIT pushed
-// down with WithLimit touches exactly the rows returned — and one
-// TouchRange per block an aggregate folds. A touch stripe is never held
-// across a morsel or a scan.
+// synchronized flushes: one TouchMany per stream part — covering the
+// rows its emitter handed over, so a LIMIT pushed down with WithLimit
+// touches exactly the rows returned — and one TouchRange per block an
+// aggregate or Precision folds. A touch stripe is never held across a
+// morsel or a scan.
 package engine
 
 import (
@@ -100,9 +97,7 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"sync"
 
-	"amnesiadb/internal/bitvec"
 	"amnesiadb/internal/engine/governor"
 	"amnesiadb/internal/engine/sched"
 	"amnesiadb/internal/expr"
@@ -188,32 +183,19 @@ func NewSilent(t *table.Table) *Exec {
 func (e *Exec) Table() *table.Table { return e.t }
 
 // Select returns the tuples of column col satisfying pred under the given
-// scan mode. The result accumulates batch by batch; the touched-row
-// feedback is flushed once at the end of the scan.
+// scan mode: SelectChunkStream under the executor's context, collected
+// and flattened once. The stream's touches are the Select's, one
+// TouchMany of the rows it returned.
 func (e *Exec) Select(col string, pred expr.Expr, mode ScanMode) (*Result, error) {
-	return e.selectTouching(col, pred, mode, e.touch)
-}
-
-// selectTouching is Select with an explicit touch decision, so internal
-// callers (Aggregate, GroupBy, Precision ground truth) control the
-// feedback without mutating shared executor state.
-func (e *Exec) selectTouching(col string, pred expr.Expr, mode ScanMode, touch bool) (*Result, error) {
-	p, err := newPart(e.t, col, pred, mode)
+	s, err := e.SelectChunkStream(e.ctx, col, pred, mode)
 	if err != nil {
 		return nil, err
 	}
-	// The scan kernel fills pooled batches (morsel-parallel past the
-	// threshold); the chunks are then merged once into an exactly-sized
-	// result. One pass over the data, no append-doubling churn.
-	chunks, err := e.collectAll(p, pred)
+	chunks, err := s.Collect()
 	if err != nil {
 		return nil, err
 	}
-	res := mergeChunks(chunks)
-	if touch && mode == ScanActive {
-		e.t.TouchMany(res.Rows)
-	}
-	return res, nil
+	return Flatten(chunks), nil
 }
 
 // SelChunk is one batch-sized piece of a chunked selection: qualifying
@@ -236,74 +218,23 @@ type SelChunk struct {
 	quota *governor.Quota
 }
 
-// collectAll runs the scan pipeline over the whole column as one barrier
-// and returns the qualifying rows as truncated pooled batches in
-// insertion order. Steps pull adaptively sized morsels (see
-// adaptiveMorsels): each claimed range fills its own chunk-list slot
-// keyed by claim sequence, and the flattening walks the slots in claim
-// order — claims are contiguous and ascending, so rows stay in
-// insertion order, byte-identical at every stride and worker count. A
-// cancelled scan hands its batches back to the pool.
-func (e *Exec) collectAll(p scanPart, pred expr.Expr) ([]*Batch, error) {
-	parts := []scanPart{p}
-	workers, short := e.scanWorkers(parts)
-	cur := &partCursor{parts: parts}
-	var mu sync.Mutex
-	var slots [][]*Batch
-	err := run(e.ctx, e.sched, workers, short, func(int) bool {
-		task, seq, ok := cur.claim()
-		if !ok {
-			return false
-		}
-		cs := p.scan(pred, task.r)
-		mu.Lock()
-		for len(slots) <= seq {
-			slots = append(slots, nil)
-		}
-		slots[seq] = cs
-		mu.Unlock()
-		return true
-	})
-	p.recordStride()
-	var flat []*Batch
-	for _, cs := range slots {
-		flat = append(flat, cs...)
-	}
-	if err != nil {
-		for _, b := range flat {
-			PutBatch(b)
-		}
-		return nil, err
-	}
-	return flat, nil
-}
-
-// mergeChunks concatenates scan chunks into an exactly-sized Result and
-// recycles the batches. When the scan produced exactly one chunk, its
-// buffers are handed to the Result directly — ownership moves out of the
-// pool, the pool replaces the batch on demand — so small scans skip the
-// concatenation copy entirely.
-func mergeChunks(chunks []*Batch) *Result {
-	if len(chunks) == 1 {
-		b := chunks[0]
-		return &Result{Rows: b.Sel, Values: b.Val}
-	}
+// Flatten concatenates collected scan chunks into an exactly-sized
+// Result, in chunk order, and recycles their buffers.
+func Flatten(chunks []SelChunk) *Result {
 	total := 0
-	for _, b := range chunks {
-		total += len(b.Sel)
+	for _, c := range chunks {
+		total += len(c.Values)
 	}
 	res := &Result{}
 	if total > 0 {
 		res.Rows = make([]int32, 0, total)
 		res.Values = make([]int64, 0, total)
-		for _, b := range chunks {
-			res.Rows = append(res.Rows, b.Sel...)
-			res.Values = append(res.Values, b.Val...)
+		for _, c := range chunks {
+			res.Rows = append(res.Rows, c.Rows...)
+			res.Values = append(res.Values, c.Values...)
 		}
 	}
-	for _, b := range chunks {
-		PutBatch(b)
-	}
+	recycleChunks(chunks)
 	return res
 }
 
@@ -383,80 +314,33 @@ func (a *AggResult) Value(k AggKind) float64 {
 }
 
 // Aggregate computes COUNT/SUM/AVG/MIN/MAX of column col over tuples
-// satisfying pred under the given scan mode in one fused pass over the
-// morsels — inline for one worker, morsel-parallel past the threshold,
-// the same loop either way. Exact-bounds predicates fold straight from
-// the column kernel's qualifying masks; inexact ones run the filter
-// pipeline and fold its batches. Sums, counts and min/max are
-// order-independent over int64, so per-worker partials merge to the
-// same aggregate at every parallelism. On the feedback path a morsel
-// folds one TouchBlock-row block at a time inside Table.TouchRange, so
-// the kernel increments the access counts of exactly the rows a Select
-// would touch in the loop that folds them, holding one stripe for one
-// block; an inexact predicate's batches go through TouchMany. A narrow
-// predicate the column's value-order index answers (see planIndex) is
-// one task instead, folding the plan's batches and touching their
-// positions. It returns ErrNoRows when no tuple qualifies.
+// satisfying pred under the given scan mode: AggregateParts over e's
+// table alone.
 func (e *Exec) Aggregate(col string, pred expr.Expr, mode ScanMode) (*AggResult, error) {
-	c, err := e.t.Column(col)
+	return e.AggregateParts([]*table.Table{e.t}, col, pred, mode)
+}
+
+// AggregateParts computes COUNT/SUM/AVG/MIN/MAX of column col over the
+// tuples of tables satisfying pred under the given scan mode in one
+// fused barrier over every part's tasks (see barrier). Exact-bounds
+// predicates fold straight from the column kernel's qualifying masks;
+// inexact ones run the filter pipeline and fold its batches. Sums,
+// counts and min/max are order-independent over int64, so per-worker
+// partials merge to the same aggregate at every parallelism. On the
+// feedback path a morsel folds one TouchBlock-row block at a time
+// inside its part's Table.TouchRange, so the kernel increments the
+// access counts of exactly the rows a Select would touch in the loop
+// that folds them; an inexact predicate's batches, and an index task's
+// (see planIndex), go through TouchMany. It returns ErrNoRows when no
+// tuple qualifies.
+func (e *Exec) AggregateParts(tables []*table.Table, col string, pred expr.Expr, mode ScanMode) (*AggResult, error) {
+	parts, err := newParts(tables, col, pred, mode)
 	if err != nil {
 		return nil, err
 	}
-	var active *bitvec.Vector
-	if mode == ScanActive {
-		active = e.t.Active()
-	}
-	touching := e.touch && mode == ScanActive
-	lo, hi, exact := pred.Bounds()
-	rowsPer, nm := morselGeometry(c)
-	workers := e.workersFor(c.Len())
-	index, indexed := planIndex(c, pred)
-	if indexed {
-		workers, nm = 1, 1
-	}
-	partials := make([]AggResult, workers)
-	for i := range partials {
-		partials[i].Min, partials[i].Max = math.MaxInt64, math.MinInt64
-	}
-	err = ForEachTask(e.ctx, e.sched, workers, nm, func(w, m int) {
-		p := &partials[w]
-		if indexed {
-			for _, b := range index.scan(c, pred, active) {
-				p.foldValues(b.Val)
-				if touching {
-					e.t.TouchMany(b.Sel)
-				}
-				PutBatch(b)
-			}
-			return
-		}
-		start, end := m*rowsPer, min((m+1)*rowsPer, c.Len())
-		switch {
-		case !exact:
-			scanMorselBatches(c, lo, hi, exact, pred, active, start, end, func(sel []int32, val []int64) {
-				p.foldValues(val)
-				if touching {
-					e.t.TouchMany(sel)
-				}
-			})
-		case touching:
-			for bs := start; bs < end; {
-				be := min((bs/table.TouchBlock+1)*table.TouchBlock, end)
-				e.t.TouchRange(bs, be, func(counts []uint32) {
-					p.fold(c.AggregateRangeIn(lo, hi, active, bs, be, counts))
-				})
-				bs = be
-			}
-		default:
-			p.fold(c.AggregateRangeIn(lo, hi, active, start, end, nil))
-		}
-	})
+	agg, _, err := e.aggregate(parts, pred, e.touch && mode == ScanActive, false)
 	if err != nil {
 		return nil, err
-	}
-	agg := &partials[0]
-	for _, p := range partials[1:] {
-		agg.fold(p.Rows, p.Sum, p.Min, p.Max)
 	}
 	if agg.Rows == 0 {
 		return nil, ErrNoRows
@@ -465,36 +349,113 @@ func (e *Exec) Aggregate(col string, pred expr.Expr, mode ScanMode) (*AggResult,
 	return agg, nil
 }
 
-// Precision runs pred in both scan modes and returns RF(Q) (active
-// matches), MF(Q) (matches lost to amnesia among stored tuples), and the
-// query precision PF(Q) = RF/(RF+MF) as defined in §2.3. The ground-truth
-// pass reuses the batch pipeline in counting mode, so it materializes
-// nothing; on a silent executor the active pass counts too, since no
-// touch feedback is owed — simulator precision sweeps then allocate
-// nothing at all. When the query range is empty in both modes,
-// precision is reported as 1 (nothing was asked for, nothing was
-// missed).
-func (e *Exec) Precision(col string, pred expr.Expr) (rf, mf int, pf float64, err error) {
-	c, err := e.t.Column(col)
-	if err != nil {
-		return 0, 0, 0, err
+// aggregate is AggregateParts' fold over planned parts, touching the
+// rows it folds when touching is set; Avg is left to the caller. With
+// all set, every task also counts the rows pred matches among all
+// stored tuples of its range (see countAll) — Precision's ScanAll pass
+// over the same tasks — and aggregate returns their total.
+func (e *Exec) aggregate(parts []scanPart, pred expr.Expr, touching, all bool) (*AggResult, int, error) {
+	lo, hi, exact := pred.Bounds()
+	workers, short := e.scanWorkers(parts)
+	partials := make([]struct {
+		agg AggResult
+		all int
+	}, workers)
+	for i := range partials {
+		partials[i].agg.Min, partials[i].agg.Max = math.MaxInt64, math.MinInt64
 	}
-	if e.touch {
-		act, err := e.Select(col, pred, ScanActive)
-		if err != nil {
-			return 0, 0, 0, err
+	err := e.barrier(parts, workers, short, func(w int, p scanPart, r rowRange) {
+		a := &partials[w].agg
+		switch {
+		case p.cur.index != nil:
+			for _, b := range p.cur.index.scan(p.c, pred, p.active) {
+				a.foldValues(b.Val)
+				if touching {
+					p.t.TouchMany(b.Sel)
+				}
+				PutBatch(b)
+			}
+		case !exact:
+			scanMorselBatches(p.c, lo, hi, exact, pred, p.active, r.start, r.end, func(sel []int32, val []int64) {
+				a.foldValues(val)
+				if touching {
+					p.t.TouchMany(sel)
+				}
+			})
+		case touching:
+			for bs := r.start; bs < r.end; {
+				be := min((bs/table.TouchBlock+1)*table.TouchBlock, r.end)
+				p.t.TouchRange(bs, be, func(counts []uint32) {
+					a.fold(p.c.AggregateRangeIn(lo, hi, p.active, bs, be, counts))
+				})
+				bs = be
+			}
+		default:
+			a.fold(p.c.AggregateRangeIn(lo, hi, p.active, r.start, r.end, nil))
 		}
-		rf = act.Count()
-	} else if rf, err = e.countMatches(c, pred, ScanActive); err != nil {
-		return 0, 0, 0, err
+		if all {
+			partials[w].all += p.countAll(pred, r)
+		}
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	all, err := e.countMatches(c, pred, ScanAll)
+	agg, n := &partials[0].agg, partials[0].all
+	for _, p := range partials[1:] {
+		agg.fold(p.agg.Rows, p.agg.Sum, p.agg.Min, p.agg.Max)
+		n += p.all
+	}
+	return agg, n, nil
+}
+
+// countAll returns how many stored tuples of task r of the part pred
+// matches, forgotten ones included (ScanAll), without folding them:
+// the counting kernel for exact bounds, the filter pipeline's survivors
+// otherwise, the plan's rows for an index task.
+func (p scanPart) countAll(pred expr.Expr, r rowRange) int {
+	lo, hi, exact := pred.Bounds()
+	n := 0
+	switch {
+	case p.cur.index != nil:
+		for _, b := range p.cur.index.scan(p.c, pred, nil) {
+			n += len(b.Sel)
+			PutBatch(b)
+		}
+	case exact:
+		n = p.c.CountRangeIn(lo, hi, nil, r.start, r.end)
+	default:
+		scanMorselBatches(p.c, lo, hi, exact, pred, nil, r.start, r.end, func(sel []int32, _ []int64) { n += len(sel) })
+	}
+	return n
+}
+
+// Precision runs pred in both scan modes over e's table and returns
+// RF(Q), MF(Q) and PF(Q): PrecisionParts over e's table alone.
+func (e *Exec) Precision(col string, pred expr.Expr) (rf, mf int, pf float64, err error) {
+	return e.PrecisionParts([]*table.Table{e.t}, col, pred)
+}
+
+// PrecisionParts runs pred in both scan modes over tables and returns
+// RF(Q) (active matches), MF(Q) (matches lost to amnesia among stored
+// tuples), and the query precision PF(Q) = RF/(RF+MF) as defined in
+// §2.3, in one barrier. RF is the parts aggregate's row count under
+// ScanActive, so a touching executor touches exactly what Select
+// would, through the fold, and nothing is materialized; the same tasks
+// count every stored match with the counting kernel, and MF is the
+// difference. When the query range is empty in both modes, precision
+// is reported as 1 (nothing was asked for, nothing was missed).
+func (e *Exec) PrecisionParts(tables []*table.Table, col string, pred expr.Expr) (rf, mf int, pf float64, err error) {
+	parts, err := newParts(tables, col, pred, ScanActive)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	mf = all - rf
-	if rf+mf == 0 {
+	agg, all, err := e.aggregate(parts, pred, e.touch, true)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	rf, mf = agg.Rows, all-agg.Rows
+	if all == 0 {
 		return 0, 0, 1, nil
 	}
-	return rf, mf, float64(rf) / float64(rf+mf), nil
+	return rf, mf, float64(rf) / float64(all), nil
 }

@@ -17,21 +17,24 @@ type indexPlan struct {
 }
 
 // planIndex picks a scan's access path: the index whenever its exact
-// candidate count is at most one batch. A column of at least one morsel
-// without an index gets one, once, for the first query its zone maps'
-// global min/max estimate at one batch or less; a reader that finds the
-// build taken scans. Both thresholds are properties of the input, so the
-// access path has no knob.
-func planIndex(c *column.Int64, pred expr.Expr) (indexPlan, bool) {
+// candidate count is at most one batch, else nil, the morsel scan. A
+// column of at least one morsel without an index gets one, once, for
+// the first query its zone maps' global min/max estimate at one batch
+// or less; a reader that finds the build taken scans. Both thresholds
+// are properties of the input, so the access path has no knob.
+func planIndex(c *column.Int64, pred expr.Expr) *indexPlan {
 	lo, hi, _ := pred.Bounds()
 	cand, covered, ok := c.IndexRange(lo, hi)
 	if !ok {
 		if c.Len() < TaskMinRows || c.EstimateRange(lo, hi) > BatchSize || !c.BuildIndex(TaskMinRows) {
-			return indexPlan{}, false
+			return nil
 		}
 		cand, covered, _ = c.IndexRange(lo, hi)
 	}
-	return indexPlan{cand: cand, covered: covered}, len(cand) <= BatchSize
+	if len(cand) > BatchSize {
+		return nil
+	}
+	return &indexPlan{cand: cand, covered: covered}
 }
 
 // scan returns what the morsel scan would — pooled batches of qualifying

@@ -191,7 +191,7 @@ func HashJoin(ctx context.Context, sp *sched.Pool, left *table.Table, leftCol st
 		}
 	}
 	recycleChunks(build.chunks)
-	probe := chunksToResult(probeSide.chunks)
+	probe := Flatten(probeSide.chunks)
 	ht, err := build.scat.table(ctx, sp, workers)
 	if err != nil {
 		return nil, err
@@ -221,26 +221,6 @@ func HashJoin(ctx context.Context, sp *sched.Pool, left *table.Table, leftCol st
 	}
 	defer quota.Release(outBytes)
 	return &JoinResult{Rows: slices.Concat(slots...)}, nil
-}
-
-// chunksToResult flattens streamed scan chunks into the exact-size flat
-// Result the probe loop walks, recycling the chunk buffers.
-func chunksToResult(chunks []SelChunk) *Result {
-	total := 0
-	for _, c := range chunks {
-		total += len(c.Values)
-	}
-	res := &Result{}
-	if total > 0 {
-		res.Rows = make([]int32, 0, total)
-		res.Values = make([]int64, 0, total)
-		for _, c := range chunks {
-			res.Rows = append(res.Rows, c.Rows...)
-			res.Values = append(res.Values, c.Values...)
-		}
-	}
-	recycleChunks(chunks)
-	return res
 }
 
 // radixScatter accumulates build-side keys into radix partitions

@@ -103,8 +103,8 @@ func poolOf(p *sched.Pool) *sched.Pool {
 // GOMAXPROCS from minRows rows on and one worker below it; whatever was
 // resolved is capped at the pool's width, because the pool is where the
 // steps run. Scans pass parallelMinRows, the per-row-heavy barriers
-// (join, SQL sort) TaskMinRows, the shard fan-out 0 — so the knob means
-// the same thing everywhere and only the break-even size differs.
+// (join, SQL sort) TaskMinRows — so the knob means the same thing
+// everywhere and only the break-even size differs.
 func Workers(p *sched.Pool, par, rows, minRows int) int {
 	w := par
 	if par == 0 {
@@ -184,18 +184,45 @@ func alive(ctx context.Context, quota *governor.Quota) error {
 // were zone-pruned away immediately takes load off the others. fn must
 // be safe for concurrent invocation with distinct indices. Every
 // barrier with a known task count — aggregate, count and group-by
-// morsels, join partitions and probe morsels, SQL sort runs, the
-// partition layer's shard fan-out — schedules through this.
+// morsels, join partitions and probe morsels, SQL sort runs — schedules
+// through this. A list no longer than its workers runs as a short query.
 func ForEachTask(ctx context.Context, p *sched.Pool, workers, n int, fn func(worker, i int)) error {
-	workers = min(workers, n)
+	return forEachTask(ctx, p, workers, n <= workers, n, fn)
+}
+
+// forEachTask is ForEachTask with the pool priority given.
+func forEachTask(ctx context.Context, p *sched.Pool, workers int, short bool, n int, fn func(worker, i int)) error {
 	var next atomic.Int64
-	return run(ctx, p, workers, n <= workers, func(w int) bool {
+	return run(ctx, p, min(workers, n), short, func(w int) bool {
 		i := int(next.Add(1)) - 1
 		if i >= n {
 			return false
 		}
 		fn(w, i)
 		return true
+	})
+}
+
+// barrier runs fn over the tasks of a barrier scan of parts — each
+// part's one index task, or its fixed MorselBlocks-block morsels, parts
+// in order — as one ForEachTask over the flattened list, with the
+// workers and priority scanWorkers resolved for parts. fn gets a dense
+// worker index in [0, workers), so callers keep per-worker partials.
+func (e *Exec) barrier(parts []scanPart, workers int, short bool, fn func(w int, p scanPart, r rowRange)) error {
+	n := 0
+	for _, p := range parts {
+		_, m := p.morsels()
+		n += m
+	}
+	tasks := make([]partTask, 0, n)
+	for i, p := range parts {
+		rowsPer, m := p.morsels()
+		for j := range m {
+			tasks = append(tasks, partTask{part: i, r: rowRange{j * rowsPer, min((j+1)*rowsPer, p.c.Len())}})
+		}
+	}
+	return forEachTask(e.ctx, e.sched, workers, short, n, func(w, i int) {
+		fn(w, parts[tasks[i].part], tasks[i].r)
 	})
 }
 
@@ -230,9 +257,8 @@ func scanMorselBatches(c *column.Int64, lo, hi int64, exact bool, pred expr.Expr
 
 // collectChunks runs the scan pipeline over rows [start, end) and
 // returns the qualifying rows as a list of pooled batches, each
-// truncated to its fill. The caller owns the batches (mergeChunks
-// recycles or steals them). Both the serial Select and every parallel
-// morsel use this one loop, so the two paths cannot drift apart.
+// truncated to its fill. The caller owns the batches. Every morsel of
+// a stream and the index plan's uncovered tail use this one loop.
 func collectChunks(c *column.Int64, pred expr.Expr, active *bitvec.Vector, start, end int) []*Batch {
 	lo, hi, exact := pred.Bounds()
 	var out []*Batch

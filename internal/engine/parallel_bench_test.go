@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"amnesiadb/internal/expr"
@@ -138,19 +139,27 @@ func BenchmarkParallelJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelCount measures the counting path (COUNT(*) and the
-// Precision ground truth): pure per-morsel tallies, no materialization.
+// BenchmarkParallelCount measures the counting path (Precision's
+// ground-truth tally, countAll): pure per-morsel tallies, no materialization.
 func BenchmarkParallelCount(b *testing.B) {
 	pred := expr.NewRange(1<<18, 1<<19)
 	for _, s := range parallelSettings() {
 		b.Run(s.name, func(b *testing.B) {
 			ex := benchExec(b, s.par)
-			c := ex.Table().MustColumn("a")
+			parts, err := newParts([]*table.Table{ex.Table()}, "a", pred, ScanActive)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.SetBytes(benchRows * 8)
 			b.ResetTimer()
+			workers, short := ex.scanWorkers(parts)
 			for i := 0; i < b.N; i++ {
-				if n, err := ex.countMatches(c, pred, ScanActive); err != nil || n == 0 {
+				var n atomic.Int64
+				err := ex.barrier(parts, workers, short, func(_ int, p scanPart, r rowRange) {
+					n.Add(int64(p.countAll(pred, r)))
+				})
+				if err != nil || n.Load() == 0 {
 					b.Fatal("empty count")
 				}
 			}

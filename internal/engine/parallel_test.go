@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -323,6 +324,69 @@ func TestSilentPrecisionAllocatesNothing(t *testing.T) {
 	// boxed once for them.
 	if allocs > 9 {
 		t.Fatalf("silent Precision allocated %v objects per run, want O(1)", allocs)
+	}
+}
+
+// TestTouchingPrecisionTouchesLikeSelect pins Precision's feedback
+// path: its active pass folds the matches instead of collecting them,
+// so a touching Precision over a 1 Mi-row table allocates a small
+// constant number of times, and it leaves exactly the access counts a
+// Select of the same predicate leaves on a twin table — on one table,
+// and over parts the way a partitioned table's shards are read.
+func TestTouchingPrecisionTouchesLikeSelect(t *testing.T) {
+	const rows = 1 << 20
+	twins := func(n, size int, seed uint64) (prec, sel []*table.Table) {
+		for i := range n {
+			prec = append(prec, vectorTable(t, size, 10000, seed+uint64(i)))
+			sel = append(sel, vectorTable(t, size, 10000, seed+uint64(i)))
+		}
+		return prec, sel
+	}
+	preds := map[string]expr.Expr{
+		"exact":   expr.NewRange(100, 5000),
+		"inexact": expr.Not{X: expr.NewRange(2000, 8000)},
+	}
+	for _, layout := range []struct {
+		name        string
+		parts, size int
+	}{{"flat", 1, rows}, {"parts", 4, rows / 4}} {
+		for name, pred := range preds {
+			prec, sel := twins(layout.parts, layout.size, 71)
+			rf, _, _, err := New(prec[0]).PrecisionParts(prec, "a", pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			selected := 0
+			for _, tb := range sel {
+				res, err := New(tb).Select("a", pred, ScanActive)
+				if err != nil {
+					t.Fatal(err)
+				}
+				selected += res.Count()
+			}
+			if rf != selected {
+				t.Fatalf("%s/%s: rf = %d, Select returned %d rows", layout.name, name, rf, selected)
+			}
+			for i := range prec {
+				if !slices.Equal(accessCounts(prec[i]), accessCounts(sel[i])) {
+					t.Fatalf("%s/%s: part %d's access counts diverge from Select's", layout.name, name, i)
+				}
+			}
+		}
+	}
+
+	tb := vectorTable(t, rows, 10000, 73)
+	ex := New(tb)
+	pred := preds["exact"]
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, _, err := ex.Precision("a", pred); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Parts, cursor, partials, the barrier's task list and closures,
+	// and the pool query when the knob resolves to several workers.
+	if allocs > 16 {
+		t.Fatalf("touching Precision allocated %v objects per run over %d rows, want a small constant", allocs, rows)
 	}
 }
 

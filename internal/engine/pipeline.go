@@ -244,9 +244,8 @@ func (s *ChunkStream) Collect() ([]SelChunk, error) {
 // query's end, and when it stops it wakes a parked query so the next
 // step observes stop, waits for the query to finish, and only then
 // closes ScanDone and the channel. Nobody Waits on the query — the
-// consumer blocks on a channel, not on the pool — which is why barrier
-// operators running inside a pool step use run instead of collecting a
-// stream.
+// consumer blocks on a channel, not on the pool — which is why no
+// stream is collected inside a pool step (see the package doc).
 func runPipeline[T any](ctx context.Context, s *ChunkStream, sp *sched.Pool, workers int, short bool,
 	claim func() (T, int, bool),
 	produce func(T) ([]SelChunk, error),
@@ -524,8 +523,10 @@ const (
 type rowRange struct{ start, end int }
 
 // adaptiveMorsels is one table's morsel cursor: claim hands out
-// contiguous ranges of the current stride, observe grows the stride while morsels qualify next to nothing. One mutex
-// guards both — a morsel is many thousands of rows, so the lock is cold.
+// contiguous ranges of the current stride, observe grows the stride
+// after a morsel that qualifies next to nothing and shrinks it after a
+// denser one. One mutex guards both — a morsel is many thousands of
+// rows, so the lock is cold.
 // A cursor carrying an index plan hands out the whole column as its one
 // task, answered from the index.
 type adaptiveMorsels struct {
@@ -566,12 +567,35 @@ func newPart(t *table.Table, col string, pred expr.Expr, mode ScanMode) (scanPar
 	if mode == ScanActive {
 		p.active = t.Active()
 	}
-	if ip, ok := planIndex(c, pred); ok {
-		p.cur.index = &ip
-	} else if h := t.ScanStrideHint(); h >= MorselBlocks && h <= MaxMorselBlocks {
+	p.cur.index = planIndex(c, pred)
+	if h := t.ScanStrideHint(); p.cur.index == nil && h >= MorselBlocks && h <= MaxMorselBlocks {
 		p.cur.stride = h
 	}
 	return p, nil
+}
+
+// newParts plans one part per table, in order, of a scan of col under
+// pred.
+func newParts(tables []*table.Table, col string, pred expr.Expr, mode ScanMode) ([]scanPart, error) {
+	parts := make([]scanPart, len(tables))
+	for i, t := range tables {
+		p, err := newPart(t, col, pred, mode)
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = p
+	}
+	return parts, nil
+}
+
+// morsels is the part's share of a barrier's tasks: the whole column as
+// one task when the index answers it, else its fixed morsels of
+// MorselBlocks blocks.
+func (p scanPart) morsels() (rowsPer, n int) {
+	if p.cur.index != nil {
+		return p.c.Len(), 1
+	}
+	return morselGeometry(p.c)
 }
 
 // scanWorkers is the worker count and pool priority of a scan over
@@ -704,13 +728,9 @@ func (pc *partCursor) claim() (partTask, int, bool) {
 // Close) stops the workers after their current morsel; ScanDone reports
 // when storage is no longer read.
 func (e *Exec) SelectPartsChunkStream(ctx context.Context, tables []*table.Table, col string, pred expr.Expr, mode ScanMode) (*ChunkStream, error) {
-	parts := make([]scanPart, len(tables))
-	for i, t := range tables {
-		p, err := newPart(t, col, pred, mode)
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = p
+	parts, err := newParts(tables, col, pred, mode)
+	if err != nil {
+		return nil, err
 	}
 	workers, short := e.scanWorkers(parts)
 	s := newChunkStream()

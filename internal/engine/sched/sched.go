@@ -19,9 +19,9 @@
 // Wait lets the querying goroutine participate: while waiting for its
 // query to finish it runs the query's own steps alongside the pool
 // workers. A caller therefore never sits idle behind a saturated pool,
-// and a step that synchronously starts a nested query (a shard scan
-// inside a fan-out morsel) drives that nested work itself rather than
-// deadlocking the worker it runs on.
+// and a step that synchronously starts a nested query (a barrier
+// inside another barrier's task) drives that nested work itself rather
+// than deadlocking the worker it runs on.
 package sched
 
 import (

@@ -1,9 +1,8 @@
 package partition
 
-// Regression tests for the context-threaded fan-out: the ctxflow
-// analyzer flagged the shard fan-out for dropping the request context,
-// and the fix (fanOut over engine.ForEachTask) must make a canceled
-// context win over shard work.
+// Regression tests for the context-threaded shard reads: the ctxflow
+// analyzer once flagged the shard reads for dropping the request
+// context, and a canceled context must win over shard work.
 
 import (
 	"context"

@@ -14,19 +14,19 @@
 //
 // Sets are also SQL citizens: ScanChunkStream, Aggregate and Precision
 // take a request context and an arbitrary single-attribute predicate
-// (pruning the fan-out by the predicate's bounding interval), which is
+// (pruning the shards by the predicate's bounding interval), which is
 // what the SQL layer's PartitionRelation adapter serves the catalog
-// with. A scan is the engine's one scan pipeline with the intersecting
-// shards as its parts (engine.Exec.SelectPartsChunkStream); Aggregate and
-// Precision fan out per shard through engine.ForEachTask. Both run on
-// the pool stamped by SetScheduler, or the process-global one.
+// with. Each is one engine call with the intersecting shards' tables as
+// its parts — the scan pipeline (engine.Exec.SelectPartsChunkStream),
+// the aggregate barrier (AggregateParts) and the precision passes
+// (PrecisionParts) — so a shard's morsels are scheduled as a flat
+// table's are, on the pool stamped by SetScheduler or the
+// process-global one.
 package partition
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync/atomic"
 
@@ -54,7 +54,6 @@ type Partition struct {
 	mu lockrank.Shard
 
 	tbl   *table.Table
-	ex    *engine.Exec
 	strat amnesia.Strategy
 	// hits counts queries that touched this shard since the last Adapt.
 	// It is atomic so concurrent readers can record workload feedback
@@ -100,11 +99,9 @@ type Set struct {
 	strategy string
 	parts    []*Partition
 	src      *xrand.Source
-	// par is the parallelism knob; see SetParallelism.
-	par int
-	// sched is the worker pool fan-outs and shard scans run on; nil
-	// means sched.Default(). See SetScheduler.
-	sched *sched.Pool
+	// ex carries the set's parallelism knob, worker pool and touch flag
+	// into every engine call over the shards; see SetParallelism.
+	ex *engine.Exec
 }
 
 // New builds a Set over [0, domain) split into n equal-width partitions,
@@ -135,13 +132,13 @@ func New(column string, domain int64, n int, strategy string, totalBudget int, s
 		p := &Partition{
 			Lo: lo, Hi: hi,
 			tbl:    tbl,
-			ex:     engine.New(tbl),
 			strat:  strat,
 			column: column,
 		}
 		p.budget.Store(int64(totalBudget / n))
 		s.parts = append(s.parts, p)
 	}
+	s.ex = engine.New(s.parts[0].tbl)
 	return s, nil
 }
 
@@ -159,33 +156,16 @@ func (s *Set) Domain() int64 { return s.domain }
 func (s *Set) Strategy() string { return s.strategy }
 
 // SetParallelism sets the set's parallelism knob (0 auto, 1 one worker,
-// n > 1 asks for n) and stamps it onto every shard executor. A scan
-// resolves the knob like a flat scan over the intersecting shards' rows
-// together, its morsels drawn from one shard after another. Aggregate
-// and Precision fan out per shard: several shards run concurrently, each
-// on one worker (the fan-out itself saturates the cores), while a query
-// confined to one shard parallelises inside it with the stamped knob.
-// Configure before serving concurrent queries.
-func (s *Set) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.par = n
-	for _, p := range s.parts {
-		p.ex.SetParallelism(n)
-	}
-}
+// n > 1 asks for n). Every query resolves it like a flat table's over
+// the intersecting shards' rows together, its morsels drawn from one
+// shard after another. Configure before serving concurrent queries.
+func (s *Set) SetParallelism(n int) { s.ex.SetParallelism(n) }
 
-// SetScheduler picks the worker pool the set's fan-outs and every shard
-// executor run on (nil, the default, is sched.Default()), so partitioned
-// queries compete fair-share with everything else on the pool.
-// Configure before serving concurrent queries, like SetParallelism.
-func (s *Set) SetScheduler(p *sched.Pool) {
-	s.sched = p
-	for _, part := range s.parts {
-		part.ex.SetScheduler(p)
-	}
-}
+// SetScheduler picks the worker pool the set's queries run on (nil, the
+// default, is sched.Default()), so partitioned queries compete
+// fair-share with everything else on the pool. Configure before serving
+// concurrent queries, like SetParallelism.
+func (s *Set) SetScheduler(p *sched.Pool) { s.ex.SetScheduler(p) }
 
 // Epoch sums the shard tables' mutation epochs: any insert, forget,
 // remember or vacuum anywhere in the set changes the sum, so it plays
@@ -199,60 +179,20 @@ func (s *Set) Epoch() uint64 {
 	return e
 }
 
-// fanWorkers resolves the parallelism knob to the worker count a
-// fan-out over n shards actually runs with: the engine's one resolution
-// with no row threshold — a shard is a coarse unit of work, so any
-// multi-shard fan-out is worth spreading — capped at the shard count.
-func (s *Set) fanWorkers(n int) int {
-	return max(min(engine.Workers(s.sched, s.par, n, 0), n), 1)
-}
-
-// fanOut runs fn over every shard in hit — concurrently up to the
-// parallelism knob — handing each call the executor shardExec picks for
-// this fan-out width, and returns the first error in shard order. A
-// cancelled ctx skips shards not yet started and reports its cause,
-// which outranks shard errors (partial fan-outs have no meaningful
-// first error). Aggregate and Precision schedule through this one
-// scaffold.
-func (s *Set) fanOut(ctx context.Context, hit []*Partition, fn func(i int, ex *engine.Exec) error) error {
-	errs := make([]error, len(hit))
-	w := s.fanWorkers(len(hit))
-	if err := engine.ForEachTask(ctx, s.sched, w, len(hit), func(_, i int) {
-		errs[i] = fn(i, s.shardExec(ctx, hit[i], w))
-	}); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// shardExec derives the executor for one shard of a fan-out over workers
-// concurrent shards, running under the fan-out's ctx: the shard's
-// stamped knob when the fan-out has one worker (single-shard queries
-// keep their intra-shard parallelism), one worker when several shards
-// already run concurrently — nesting morsel workers inside a concurrent
-// fan-out would oversubscribe the cores quadratically. Results are
-// identical either way; only the scheduling changes.
-func (s *Set) shardExec(ctx context.Context, p *Partition, workers int) *engine.Exec {
-	ex := p.ex.WithContext(ctx)
-	if workers > 1 {
-		ex.SetParallelism(1)
-	}
-	return ex
-}
-
-// intersecting returns the shards overlapping [lo, hi) in value order.
-func (s *Set) intersecting(lo, hi int64) []*Partition {
-	var out []*Partition
+// intersecting returns the tables of the shards pred's bounding
+// interval overlaps, in value order, recording a workload hit on each
+// when hit is set.
+func (s *Set) intersecting(pred expr.Expr, hit bool) []*table.Table {
+	lo, hi, _ := pred.Bounds()
+	var out []*table.Table
 	for _, p := range s.parts {
 		if p.Hi <= lo || p.Lo >= hi {
 			continue
 		}
-		out = append(out, p)
+		if hit {
+			p.hits.Add(1)
+		}
+		out = append(out, p.tbl)
 	}
 	return out
 }
@@ -367,13 +307,13 @@ func Restore(column string, domain int64, strategy string, shards []RestoredShar
 		p := &Partition{
 			Lo: sh.Lo, Hi: sh.Hi,
 			tbl:    sh.Table,
-			ex:     engine.New(sh.Table),
 			strat:  strat,
 			column: column,
 		}
 		p.budget.Store(int64(sh.Budget))
 		s.parts = append(s.parts, p)
 	}
+	s.ex = engine.New(s.parts[0].tbl)
 	return s, nil
 }
 
@@ -397,18 +337,9 @@ func (s *Set) locateIdx(v int64) (int, error) {
 // records one workload hit for Adapt. Cancelling ctx (or closing the
 // stream) stops the scan at its next morsel.
 func (s *Set) ScanChunkStream(ctx context.Context, pred expr.Expr, par, limit int) (*engine.ChunkStream, error) {
-	lo, hi, _ := pred.Bounds()
-	hit := s.intersecting(lo, hi)
-	tables := make([]*table.Table, len(hit))
-	for i, p := range hit {
-		p.hits.Add(1)
-		tables[i] = p.tbl
-	}
-	// Every shard executor carries the set's pool and touch flag; a copy
-	// of the first adds the scan's knob and limit.
-	ex := s.parts[0].ex.WithLimit(limit)
+	ex := s.ex.WithLimit(limit)
 	ex.SetParallelism(par)
-	return ex.SelectPartsChunkStream(ctx, tables, s.column, pred, engine.ScanActive)
+	return ex.SelectPartsChunkStream(ctx, s.intersecting(pred, true), s.column, pred, engine.ScanActive)
 }
 
 // Select is SelectWhere over [lo, hi); it panics if lo > hi.
@@ -418,13 +349,13 @@ func (s *Set) Select(lo, hi int64) ([]int64, error) {
 
 // SelectWhere returns matching active values across all shards pred can
 // touch, recording per-shard workload hits for Adapt: the collected
-// form of ScanChunkStream, concatenated in value order. Like the flat
+// form of ScanChunkStream, flattened in value order. Like the flat
 // engine's scans, it is safe for concurrent readers: hit counters are
-// atomic and the per-shard executors touch access frequencies through
-// the table's internal synchronisation.
+// atomic and the scan touches access frequencies through each shard
+// table's internal synchronisation.
 func (s *Set) SelectWhere(pred expr.Expr) ([]int64, error) {
 	//lint:ignore ctxflow Select is the set's one ctx-less entry (library callers and the frozen benchmark); request paths stream with their own ctx.
-	cs, err := s.ScanChunkStream(context.Background(), pred, s.par, 0)
+	cs, err := s.ScanChunkStream(context.Background(), pred, s.ex.Parallelism(), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -432,87 +363,26 @@ func (s *Set) SelectWhere(pred expr.Expr) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, c := range chunks {
-		total += len(c.Values)
-	}
-	var out []int64
-	if total > 0 {
-		out = make([]int64, 0, total)
-	}
-	for _, c := range chunks {
-		out = append(out, c.Values...)
-		engine.RecycleChunk(c)
-	}
-	return out, nil
+	return engine.Flatten(chunks).Values, nil
 }
 
 // Aggregate folds the single attribute under pred across the
-// intersecting shards in one concurrent fan-out, merging the per-shard
-// partials exactly (sums, counts and min/max are order-independent).
-// Shards whose qualifying set is empty contribute nothing; when every
-// shard is empty it returns engine.ErrNoRows like the flat engine.
-// Each touched shard records a workload hit, so SQL aggregates feed
-// Adapt like selects do. A cancelled ctx stops the fan-out — and every
-// running shard scan at its next morsel — and returns the cause.
+// intersecting shards as one engine barrier over their tables
+// (engine.Exec.AggregateParts): exact at every parallelism, and
+// engine.ErrNoRows when no shard has a qualifying row. Each
+// intersecting shard records a workload hit, so SQL aggregates feed
+// Adapt like selects do. A cancelled ctx stops the barrier at its next
+// morsel and returns the cause.
 func (s *Set) Aggregate(ctx context.Context, pred expr.Expr) (*engine.AggResult, error) {
-	lo, hi, _ := pred.Bounds()
-	hit := s.intersecting(lo, hi)
-	partials := make([]*engine.AggResult, len(hit))
-	err := s.fanOut(ctx, hit, func(i int, ex *engine.Exec) error {
-		hit[i].hits.Add(1)
-		a, err := ex.Aggregate(s.column, pred, engine.ScanActive)
-		if errors.Is(err, engine.ErrNoRows) {
-			return nil
-		}
-		partials[i] = a
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &engine.AggResult{Min: math.MaxInt64, Max: math.MinInt64}
-	for _, p := range partials {
-		if p == nil {
-			continue
-		}
-		out.Rows += p.Rows
-		out.Sum += p.Sum
-		out.Min = min(out.Min, p.Min)
-		out.Max = max(out.Max, p.Max)
-	}
-	if out.Rows == 0 {
-		return nil, engine.ErrNoRows
-	}
-	out.Avg = float64(out.Sum) / float64(out.Rows)
-	return out, nil
+	return s.ex.WithContext(ctx).AggregateParts(s.intersecting(pred, true), s.column, pred, engine.ScanActive)
 }
 
-// Precision aggregates the §2.3 metrics for pred across the shards its
-// bounding interval touches, running the per-shard precision scans
-// concurrently and cancellably like Aggregate. Metrics do not record
-// workload hits, so measuring precision never perturbs Adapt.
+// Precision computes the §2.3 metrics for pred across the shards its
+// bounding interval touches (engine.Exec.PrecisionParts), cancellably
+// like Aggregate. Metrics do not record workload hits, so measuring
+// precision never perturbs Adapt.
 func (s *Set) Precision(ctx context.Context, pred expr.Expr) (rf, mf int, pf float64, err error) {
-	lo, hi, _ := pred.Bounds()
-	hit := s.intersecting(lo, hi)
-	rfs := make([]int, len(hit))
-	mfs := make([]int, len(hit))
-	ferr := s.fanOut(ctx, hit, func(i int, ex *engine.Exec) error {
-		r, m, _, err := ex.Precision(s.column, pred)
-		rfs[i], mfs[i] = r, m
-		return err
-	})
-	if ferr != nil {
-		return 0, 0, 0, ferr
-	}
-	for i := range hit {
-		rf += rfs[i]
-		mf += mfs[i]
-	}
-	if rf+mf == 0 {
-		return 0, 0, 1, nil
-	}
-	return rf, mf, float64(rf) / float64(rf+mf), nil
+	return s.ex.WithContext(ctx).PrecisionParts(s.intersecting(pred, false), s.column, pred)
 }
 
 // Stats sums tuple counts over all shards.

@@ -135,6 +135,18 @@ func TestSelectCountsHitsOnlyOnIntersect(t *testing.T) {
 			t.Fatalf("partition %d hits = %d, want 0", i, parts[i].Hits())
 		}
 	}
+	// An aggregate records one hit per intersecting shard, like a scan.
+	if _, err := s.Aggregate(context.Background(), expr.NewRange(50, 150)); err != nil {
+		t.Fatal(err)
+	}
+	if parts[0].Hits() != 2 {
+		t.Fatalf("partition 0 hits after Aggregate = %d, want 2", parts[0].Hits())
+	}
+	for i := 1; i < 4; i++ {
+		if parts[i].Hits() != 0 {
+			t.Fatalf("partition %d hits after Aggregate = %d, want 0", i, parts[i].Hits())
+		}
+	}
 }
 
 func TestPrecisionAcrossShards(t *testing.T) {
@@ -225,9 +237,11 @@ func TestAdaptImprovesHotRangePrecision(t *testing.T) {
 	}
 }
 
-// TestSelectParallelFanOutEquivalence pins the acceptance criterion: the
-// concurrent shard fan-out returns byte-identical results to the serial
-// one, across full-domain and partial-range queries.
+// TestSelectParallelFanOutEquivalence pins the acceptance criterion: a
+// set read by four workers returns byte-identical selects, precision
+// and aggregates to one read by one worker, across full-domain and
+// partial-range queries, and leaves the same access counts on every
+// shard.
 func TestSelectParallelFanOutEquivalence(t *testing.T) {
 	build := func(par int) *Set {
 		s, err := New("a", 1000, 8, "uniform", 800, xrand.New(5))
@@ -273,6 +287,19 @@ func TestSelectParallelFanOutEquivalence(t *testing.T) {
 		}
 		if rf1 != rf4 || mf1 != mf4 || pf1 != pf4 {
 			t.Fatalf("range %v: precision diverges: (%d,%d,%v) vs (%d,%d,%v)", r, rf1, mf1, pf1, rf4, mf4, pf4)
+		}
+		a1, err1 := serial.Aggregate(context.Background(), expr.NewRange(r[0], r[1]))
+		a4, err4 := parallel.Aggregate(context.Background(), expr.NewRange(r[0], r[1]))
+		if err1 != err4 || (a1 != nil) != (a4 != nil) || (a1 != nil && *a1 != *a4) {
+			t.Fatalf("range %v: aggregate diverges: %+v, %v vs %+v, %v", r, a1, err1, a4, err4)
+		}
+	}
+	for i, p := range serial.Partitions() {
+		q := parallel.Partitions()[i]
+		for row := range p.Table().Len() {
+			if p.Table().AccessCount(row) != q.Table().AccessCount(row) {
+				t.Fatalf("shard %d row %d: access count %d at par 1, %d at par 4", i, row, p.Table().AccessCount(row), q.Table().AccessCount(row))
+			}
 		}
 	}
 }

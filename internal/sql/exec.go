@@ -35,7 +35,7 @@ type Opts struct {
 	// 1 serial, n > 1 forces n workers. See engine.Exec.SetParallelism.
 	Parallelism int
 	// Ctx, when non-nil, scopes the query's producers: cancelling it
-	// tears down in-flight morsel workers, shard fan-outs and join
+	// tears down in-flight morsel workers, partitioned scans and join
 	// collections mid-scan. The HTTP server threads the request context
 	// through here so a disconnected client stops paying for its query.
 	Ctx context.Context
@@ -393,17 +393,8 @@ func (k *chunkCursor) next() (*Chunk, error) {
 // orderedSelectStream sorts the qualifying set and streams the sorted
 // projection window by window.
 func orderedSelectStream(ctx context.Context, rel Relation, headers []string, ints []bool, cols []string, scanCol, orderCol string, chunks []engine.SelChunk, desc bool, limit, par int, sp *sched.Pool, valueOnly bool) (*ResultStream, error) {
-	total := 0
-	for _, c := range chunks {
-		total += len(c.Values)
-	}
-	rows := make([]int32, 0, total)
-	vals := make([]int64, 0, total)
-	for _, c := range chunks {
-		rows = append(rows, c.Rows...)
-		vals = append(vals, c.Values...)
-		engine.RecycleChunk(c)
-	}
+	flat := engine.Flatten(chunks)
+	rows, vals := flat.Rows, flat.Values
 	keys := vals
 	if orderCol != scanCol {
 		var err error

@@ -19,9 +19,9 @@ import (
 //
 // Like Table, reads (Select, Precision, Stats, Partitions) run under a
 // shared lock and proceed in parallel; Insert and Adapt are exclusive.
-// Within one query, Select scans the shards' morsels as a flat scan of
-// their rows would, and Precision fans its per-shard scans out
-// concurrently, both up to the database's Parallelism knob. Hit
+// Within one query, Select, Precision and SQL aggregates schedule the
+// shards' morsels as a flat table's rows would be, up to the
+// database's Parallelism knob. Hit
 // counters are atomic, so parallel selects still feed the Adapt loop,
 // and per-shard budgets are atomic with per-shard mutation locks, so
 // the partition layer's Adapt can interleave with Inserts; Adapt

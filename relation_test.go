@@ -170,7 +170,7 @@ func TestSQLPartitionedMatchesSelect(t *testing.T) {
 			}
 		}
 	}
-	// COUNT routes through the shard fan-out too.
+	// COUNT routes through the shards' one aggregate barrier too.
 	res, err := db.Query("SELECT COUNT(*) FROM readings")
 	if err != nil {
 		t.Fatal(err)
