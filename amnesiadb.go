@@ -30,10 +30,11 @@
 // tables and partitioned tables (CreatePartitionedTable) are both
 // first-class entries, so DB.Query — and the HTTP /query endpoint built
 // on it — routes to either kind transparently, reading a partitioned
-// table's shards as the parts of one scan. The dialect covers projection, aggregates,
-// WHERE/ORDER BY/LIMIT and two-table equi-joins with qualified columns
-// (SELECT a.v, b.v FROM a JOIN b ON a.k = b.k), the join riding the
-// same morsel-parallel hash join as DB.Join. Results are pipelined:
+// table's shards as the parts of one scan. The dialect covers
+// projection, aggregates, WHERE/ORDER BY/LIMIT and two-table
+// equi-joins with qualified columns (SELECT a.v, b.v FROM a JOIN b ON
+// a.k = b.k), the join riding the same morsel-parallel hash join as
+// DB.Join. Results are pipelined:
 // DB.QueryStream's producers push per-morsel/per-shard batches into a
 // bounded channel while they are still scanning, projection and the
 // server's serialization consume concurrently (first chunk after the

@@ -297,10 +297,10 @@ func (cancelAt) String() string               { return "cancelAt" }
 
 // TestCancelLeavesEngineQuiescent cancels a scan, a stream, a
 // multi-part stream, a join, a multi-part aggregate and barriers nested
-// in a barrier's steps at their first, middle and last morsel. A query cancelled that late may
-// finish instead of failing; either way nothing may be left attached,
-// running, checked out of the batch pool, charged to the quota or alive
-// as a goroutine.
+// in a barrier's steps at their first, middle and last morsel. A query
+// cancelled that late may finish instead of failing; either way nothing
+// may be left attached, running, checked out of the batch pool, charged
+// to the quota or alive as a goroutine.
 func TestCancelLeavesEngineQuiescent(t *testing.T) {
 	tb := vectorTable(t, matrixRows, 10000, 47)
 	other := vectorTable(t, matrixRows/2, 10000, 53)

@@ -32,7 +32,7 @@ func TestCollectErrorPathRecyclesChunks(t *testing.T) {
 	}
 }
 
-// TestForEachTaskCtx pins the fan-out primitive's cancellation: a live
+// TestForEachTaskCtx pins the barrier dispatcher's cancellation: a live
 // ctx runs every task, and a canceled ctx returns its error without
 // running the remainder.
 func TestForEachTaskCtx(t *testing.T) {

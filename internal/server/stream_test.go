@@ -690,7 +690,7 @@ func BenchmarkAppendChunkJSON(b *testing.B) {
 // TestPrecisionInvertedRangeBothKinds pins /precision's bound handling
 // across catalog kinds: lo > hi means the swapped range on a flat table
 // and on a partitioned one alike, answering 200 with the same body as
-// the ordered request instead of panicking in the shard fan-out.
+// the ordered request instead of panicking in the shard scan.
 func TestPrecisionInvertedRangeBothKinds(t *testing.T) {
 	ts, db := newServer(t)
 	vals := []int64{1, 6, 7, 9, 10, 500}

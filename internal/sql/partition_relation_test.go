@@ -196,10 +196,10 @@ func TestPartitionedStreamMatchesShardScans(t *testing.T) {
 		got = append(got, c.Values...)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed fan-out = %d values, want %d (order or content diverged)", len(got), len(want))
+		t.Fatalf("partitioned stream = %d values, want %d (order or content diverged)", len(got), len(want))
 	}
 	if len(want) == 0 {
-		t.Fatal("degenerate case: empty fan-out")
+		t.Fatal("degenerate case: empty partitioned stream")
 	}
 }
 

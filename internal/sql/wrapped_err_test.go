@@ -1,10 +1,10 @@
 package sql
 
 // Regression test for the senterr fix in execAggregateStream: relations
-// may wrap engine.ErrNoRows with shard context (partitioned fan-outs
-// do), so the empty-set detection must use errors.Is, not ==. Before the
-// fix a wrapped sentinel surfaced as a query error instead of the SQL
-// empty-set semantics.
+// may wrap engine.ErrNoRows with shard context, so the empty-set
+// detection must use errors.Is, not ==. Before the fix a wrapped
+// sentinel surfaced as a query error instead of the SQL empty-set
+// semantics.
 
 import (
 	"context"

@@ -21,9 +21,8 @@ import (
 // shared lock and proceed in parallel; Insert and Adapt are exclusive.
 // Within one query, Select, Precision and SQL aggregates schedule the
 // shards' morsels as a flat table's rows would be, up to the
-// database's Parallelism knob. Hit
-// counters are atomic, so parallel selects still feed the Adapt loop,
-// and per-shard budgets are atomic with per-shard mutation locks, so
+// database's Parallelism knob. Hit counters are atomic, so parallel
+// selects still feed the Adapt loop, and per-shard budgets are atomic with per-shard mutation locks, so
 // the partition layer's Adapt can interleave with Inserts; Adapt
 // concurrent with reads still needs this facade's exclusive lock,
 // because forgetting mutates the bitmap that lock-free scans read.

@@ -103,7 +103,7 @@ func TestPartitionedNameCollision(t *testing.T) {
 }
 
 // TestPartitionedConcurrentInsertSelectAdapt interleaves inserts,
-// parallel fan-out selects, precision sweeps and online Adapts on one
+// parallel selects, precision sweeps and online Adapts on one
 // partitioned table. Run under -race: it pins both the facade's
 // read/write locking and the partition layer's atomic budgets.
 func TestPartitionedConcurrentInsertSelectAdapt(t *testing.T) {
