@@ -1316,19 +1316,13 @@ type GroupRow struct {
 }
 
 // GroupBy aggregates col over active tuples matching p, grouped by exact
-// value when width is 0 or into equi-width buckets otherwise. Groups come
-// back in ascending key order; groups whose members were all forgotten
-// are absent entirely.
+// value when width is 0 or into equi-width buckets of width otherwise; a
+// negative width is an error. Groups come back in ascending key order;
+// groups whose members were all forgotten are absent entirely.
 func (t *Table) GroupBy(col string, p Pred, width int64) ([]GroupRow, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var groups []engine.Group
-	var err error
-	if width == 0 {
-		groups, err = t.ex.GroupByValue(col, p.expr(), engine.ScanActive)
-	} else {
-		groups, err = t.ex.GroupByBucket(col, p.expr(), engine.ScanActive, width)
-	}
+	groups, err := t.ex.GroupBy(col, p.expr(), engine.ScanActive, width)
 	if err != nil {
 		return nil, err
 	}
@@ -1369,9 +1363,10 @@ func (db *DB) Join(ctx context.Context, left *Table, leftCol string, right *Tabl
 
 // JoinPrecision reports the §2.3 metrics lifted to join pairs: pairs
 // returned over active tuples, pairs missed because either side forgot a
-// participant, and their ratio. Join precision compounds — it is roughly
-// the product of the two sides' tuple precision. A done ctx stops it
-// like Join.
+// participant, and their ratio, from one join over every stored tuple
+// whose pairs are counted by whether both participants are active. Join
+// precision compounds — it is roughly the product of the two sides'
+// tuple precision. A done ctx stops it like Join.
 func (db *DB) JoinPrecision(ctx context.Context, left *Table, leftCol string, right *Table, rightCol string, p Pred) (rf, mf int, pf float64, err error) {
 	lockPair(left, right)
 	defer unlockPair(left, right)

@@ -157,7 +157,7 @@ func TestOperatorMatrixMatchesRowOracles(t *testing.T) {
 			}
 		}},
 		{name: "groupby_value", run: func(t *testing.T, ex *Exec, pred string, mode ScanMode) {
-			got, err := ex.GroupByValue("a", preds[pred], mode)
+			got, err := ex.GroupBy("a", preds[pred], mode, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,7 @@ func TestOperatorMatrixMatchesRowOracles(t *testing.T) {
 			}
 		}},
 		{name: "groupby_bucket", run: func(t *testing.T, ex *Exec, pred string, mode ScanMode) {
-			got, err := ex.GroupByBucket("a", preds[pred], mode, 300)
+			got, err := ex.GroupBy("a", preds[pred], mode, 300)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -296,11 +296,12 @@ func (cancelAt) Bounds() (int64, int64, bool) { return math.MinInt64, math.MaxIn
 func (cancelAt) String() string               { return "cancelAt" }
 
 // TestCancelLeavesEngineQuiescent cancels a scan, a stream, a
-// multi-part stream, a join, a multi-part aggregate and barriers nested
-// in a barrier's steps at their first, middle and last morsel. A query
-// cancelled that late may finish instead of failing; either way nothing
-// may be left attached, running, checked out of the batch pool, charged
-// to the quota or alive as a goroutine.
+// multi-part stream, a join, a join's precision, a touching group-by, a
+// multi-part aggregate and barriers nested in a barrier's steps at their
+// first, middle and last morsel. A query cancelled that late may finish
+// instead of failing; either way nothing may be left attached, running,
+// checked out of the batch pool, charged to the quota or alive as a
+// goroutine.
 func TestCancelLeavesEngineQuiescent(t *testing.T) {
 	tb := vectorTable(t, matrixRows, 10000, 47)
 	other := vectorTable(t, matrixRows/2, 10000, 53)
@@ -341,6 +342,17 @@ func TestCancelLeavesEngineQuiescent(t *testing.T) {
 		}},
 		{"join", tb.Len() + other.Len(), func(ctx context.Context, pool *sched.Pool, par int, pred expr.Expr) error {
 			_, err := HashJoin(ctx, pool, tb, "a", other, "a", pred, ScanAll, par)
+			return err
+		}},
+		{"joinprecision", tb.Len() + other.Len(), func(ctx context.Context, pool *sched.Pool, par int, pred expr.Expr) error {
+			_, _, _, err := JoinPrecision(ctx, pool, tb, "a", other, "a", pred, par)
+			return err
+		}},
+		{"groupby", tb.ActiveCount(), func(ctx context.Context, pool *sched.Pool, par int, pred expr.Expr) error {
+			ex := New(tb).WithContext(ctx)
+			ex.SetParallelism(par)
+			ex.SetScheduler(pool)
+			_, err := ex.GroupBy("a", pred, ScanActive, 100)
 			return err
 		}},
 		{"parts", 8 * other.Len(), func(ctx context.Context, pool *sched.Pool, par int, pred expr.Expr) error {

@@ -27,8 +27,10 @@
 // steps pull morsel indices from a shared atomic counter, each running
 // the same ScanBatchRange/Filter pipeline over its morsel with worker-local
 // pooled batches and worker-local partial states (chunk lists for
-// streams, partial aggregates and tallies for Aggregate and Precision,
-// group tables for GroupBy). Partials merge deterministically —
+// streams; partial aggregates and tallies for Aggregate and Precision,
+// and group tables for GroupBy, all three folds over the parts barrier
+// with one per-task scan body, scanPart.batches, beside the kernels'
+// exact-bounds arms). Partials merge deterministically —
 // per-morsel outputs concatenate in morsel order, so Select results
 // stay in insertion order and aggregates are exact at every worker
 // count. One knob governs the whole engine: SetParallelism(0) (auto)
@@ -39,11 +41,11 @@
 // asks for n, capped at the pool's width.
 //
 // There is one dispatcher and one entry per operator. Every barrier —
-// Aggregate and Precision, GroupBy, the join's build and probe, and
-// through ForEachTask the SQL sort runs — hands its steps to run
-// (parallel.go): one worker loops inline on the caller, more attach to
-// the worker pool as one sched query of that width which the caller
-// drives alongside the pool's workers (Attach + Wait). The pool is the
+// Aggregate, Precision and GroupBy over a scan's parts, the join's build
+// and probe, and through ForEachTask the SQL sort runs — hands its
+// steps to run (parallel.go): one worker loops inline on the caller,
+// more attach to the worker pool as one sched query of that width which
+// the caller drives alongside the pool's workers (Attach + Wait). The pool is the
 // only place engine work runs; an unset one is sched.Default(). Before
 // every step run checks the Exec's context and the query's governor
 // quota, so every operator stops at its next morsel once the request
@@ -73,8 +75,10 @@
 // (see its doc). A scan may span several tables, internal/partition's
 // shards: SelectPartsChunkStream claims their morsels one part after
 // another in one pipeline, and AggregateParts and PrecisionParts run
-// every part's morsels as one barrier's task list. SQL's ORDER BY sorts
-// morsel-sized runs through ForEachTask before a k-way merge.
+// every part's morsels as one barrier's task list, as GroupBy runs its
+// one table's. JoinPrecision is one ScanAll join whose pairs are split
+// by the two sides' active bitmaps. SQL's ORDER BY sorts morsel-sized
+// runs through ForEachTask before a k-way merge.
 //
 // Narrow ranges take a second access path (index.go): when a column's
 // value-order index (internal/column) puts a predicate's candidates at
@@ -87,9 +91,10 @@
 // query-based amnesia (§3.2) go through the table's internally
 // synchronized flushes: one TouchMany per stream part — covering the
 // rows its emitter handed over, so a LIMIT pushed down with WithLimit
-// touches exactly the rows returned — and one TouchRange per block an
-// aggregate or Precision folds. A touch stripe is never held across a
-// morsel or a scan.
+// touches exactly the rows returned — one TouchRange per block an
+// exact-bounds aggregate or Precision folds, and one TouchMany per batch
+// any other fold takes in: GroupBy's, an inexact aggregate's, an index
+// task's. A touch stripe is never held across a morsel or a scan.
 package engine
 
 import (
@@ -211,10 +216,13 @@ type SelChunk struct {
 	// emitter groups touches by it.
 	part int
 
-	// quota, when non-nil, holds the per-query resource account this
-	// chunk's pooled buffers are charged against; RecycleChunk releases
-	// the charge when the buffers return to the pool. Copies of the
-	// chunk carry the stamp, so whichever copy is recycled settles it.
+	// batch is the pooled batch Rows and Values came from, which
+	// RecycleChunk puts back; nil for a chunk no scan produced. quota,
+	// when non-nil, holds the per-query resource account the batch is
+	// charged against; RecycleChunk releases the charge with it. Copies
+	// of the chunk carry both, so whichever copy is recycled settles
+	// them.
+	batch *Batch
 	quota *governor.Quota
 }
 
@@ -331,8 +339,8 @@ func (e *Exec) Aggregate(col string, pred expr.Expr, mode ScanMode) (*AggResult,
 // inside its part's Table.TouchRange, so the kernel increments the
 // access counts of exactly the rows a Select would touch in the loop
 // that folds them; an inexact predicate's batches, and an index task's
-// (see planIndex), go through TouchMany. It returns ErrNoRows when no
-// tuple qualifies.
+// (see scanPart.batches), go through TouchMany. It returns ErrNoRows
+// when no tuple qualifies.
 func (e *Exec) AggregateParts(tables []*table.Table, col string, pred expr.Expr, mode ScanMode) (*AggResult, error) {
 	parts, err := newParts(tables, col, pred, mode)
 	if err != nil {
@@ -367,16 +375,8 @@ func (e *Exec) aggregate(parts []scanPart, pred expr.Expr, touching, all bool) (
 	err := e.barrier(parts, workers, short, func(w int, p scanPart, r rowRange) {
 		a := &partials[w].agg
 		switch {
-		case p.cur.index != nil:
-			for _, b := range p.cur.index.scan(p.c, pred, p.active) {
-				a.foldValues(b.Val)
-				if touching {
-					p.t.TouchMany(b.Sel)
-				}
-				PutBatch(b)
-			}
-		case !exact:
-			scanMorselBatches(p.c, lo, hi, exact, pred, p.active, r.start, r.end, func(sel []int32, val []int64) {
+		case !exact || p.cur.index != nil:
+			p.batches(pred, p.active, r, func(sel []int32, val []int64) {
 				a.foldValues(val)
 				if touching {
 					p.t.TouchMany(sel)
@@ -409,23 +409,14 @@ func (e *Exec) aggregate(parts []scanPart, pred expr.Expr, touching, all bool) (
 }
 
 // countAll returns how many stored tuples of task r of the part pred
-// matches, forgotten ones included (ScanAll), without folding them:
-// the counting kernel for exact bounds, the filter pipeline's survivors
-// otherwise, the plan's rows for an index task.
+// matches, forgotten ones included (ScanAll), without folding them: the
+// counting kernel for exact bounds, the task's batches otherwise.
 func (p scanPart) countAll(pred expr.Expr, r rowRange) int {
-	lo, hi, exact := pred.Bounds()
-	n := 0
-	switch {
-	case p.cur.index != nil:
-		for _, b := range p.cur.index.scan(p.c, pred, nil) {
-			n += len(b.Sel)
-			PutBatch(b)
-		}
-	case exact:
-		n = p.c.CountRangeIn(lo, hi, nil, r.start, r.end)
-	default:
-		scanMorselBatches(p.c, lo, hi, exact, pred, nil, r.start, r.end, func(sel []int32, _ []int64) { n += len(sel) })
+	if lo, hi, exact := pred.Bounds(); exact && p.cur.index == nil {
+		return p.c.CountRangeIn(lo, hi, nil, r.start, r.end)
 	}
+	n := 0
+	p.batches(pred, nil, r, func(sel []int32, _ []int64) { n += len(sel) })
 	return n
 }
 

@@ -3,17 +3,16 @@ package engine
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
-	"amnesiadb/internal/bitvec"
 	"amnesiadb/internal/expr"
+	"amnesiadb/internal/table"
 )
 
 // Group is one bucket of a grouped aggregation.
 type Group struct {
-	// Key is the group's value: for GroupByValue the attribute value
-	// itself, for GroupByBucket the bucket's lower bound.
+	// Key is the group's value: the attribute value itself when
+	// grouping by value, else the bucket's lower bound.
 	Key int64
 	// Agg carries COUNT/SUM/AVG/MIN/MAX over the group's members.
 	Rows int
@@ -23,56 +22,42 @@ type Group struct {
 	Avg  float64
 }
 
-// GroupByValue aggregates column col grouped by its exact values over
-// tuples satisfying pred under mode, returning groups in ascending key
-// order. With amnesia active, whole groups can silently vanish when all
-// their members are forgotten — the grouped flavour of incomplete
-// results.
-func (e *Exec) GroupByValue(col string, pred expr.Expr, mode ScanMode) ([]Group, error) {
-	return e.groupBy(col, pred, mode, 0)
-}
-
-// GroupByBucket aggregates column col into equi-width buckets of the
-// given width (> 0), the typical form of the paper's "aggregated
-// summaries over scientific data".
-func (e *Exec) GroupByBucket(col string, pred expr.Expr, mode ScanMode, width int64) ([]Group, error) {
-	if width <= 0 {
-		return nil, fmt.Errorf("engine: bucket width %d must be positive", width)
+// GroupBy aggregates column col over the tuples satisfying pred under
+// mode, grouped by exact value when width is 0 or into equi-width
+// buckets of width otherwise — the typical form of the paper's
+// "aggregated summaries over scientific data" — and returns the groups
+// in ascending key order; a negative width is an error. With amnesia
+// active, whole groups can silently vanish when all their members are
+// forgotten: the grouped flavour of incomplete results.
+//
+// It is a fold over one barrier of e's table (see barrier): each task
+// folds its part's qualifying batches (see scanPart.batches) — the
+// index plan's when planIndex picked the index, the filter pipeline's
+// otherwise — into its worker's group table, and the tables merge
+// before the sort by key, so worker interleaving never shows. On the
+// feedback path each batch's rows are touched with TouchMany as they
+// are folded, so, like Aggregate, a cancelled GroupBy may already have
+// touched the rows it folded.
+func (e *Exec) GroupBy(col string, pred expr.Expr, mode ScanMode, width int64) ([]Group, error) {
+	if width < 0 {
+		return nil, fmt.Errorf("engine: bucket width %d must not be negative", width)
 	}
-	return e.groupBy(col, pred, mode, width)
-}
-
-// groupBy folds each scan batch straight into a per-worker group hash
-// table over the one morsel loop and merges the tables before the sort
-// by key, so worker interleaving never shows. Rows are only retained
-// when the access-frequency feedback needs them: collected per morsel
-// and flushed in one TouchMany, in morsel order.
-func (e *Exec) groupBy(col string, pred expr.Expr, mode ScanMode, width int64) ([]Group, error) {
-	c, err := e.t.Column(col)
+	parts, err := newParts([]*table.Table{e.t}, col, pred, mode)
 	if err != nil {
 		return nil, err
 	}
-	var active *bitvec.Vector
-	if mode == ScanActive {
-		active = e.t.Active()
-	}
-	lo, hi, exact := pred.Bounds()
-	rowsPer, nm := morselGeometry(c)
-	workers := e.workersFor(c.Len())
+	touching := e.touch && mode == ScanActive
+	workers, short := e.scanWorkers(parts)
 	maps := make([]map[int64]*Group, workers)
 	for w := range maps {
 		maps[w] = make(map[int64]*Group)
 	}
-	var touched [][]int32
-	if e.touch && mode == ScanActive {
-		touched = make([][]int32, nm)
-	}
-	err = ForEachTask(e.ctx, e.sched, workers, nm, func(w, m int) {
-		scanMorselBatches(c, lo, hi, exact, pred, active, m*rowsPer, (m+1)*rowsPer, func(sel []int32, val []int64) {
-			if touched != nil {
-				touched[m] = append(touched[m], sel...)
-			}
+	err = e.barrier(parts, workers, short, func(w int, p scanPart, r rowRange) {
+		p.batches(pred, p.active, r, func(sel []int32, val []int64) {
 			foldGroups(maps[w], val, width)
+			if touching {
+				p.t.TouchMany(sel)
+			}
 		})
 	})
 	if err != nil {
@@ -98,9 +83,6 @@ func (e *Exec) groupBy(col string, pred expr.Expr, mode ScanMode, width int64) (
 		out = append(out, *g)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	if touched != nil {
-		e.t.TouchMany(slices.Concat(touched...))
-	}
 	return out, nil
 }
 

@@ -9,7 +9,7 @@ import (
 func TestGroupByValue(t *testing.T) {
 	tb := tbl(t, 5, 5, 7, 9, 9, 9)
 	ex := New(tb)
-	groups, err := ex.GroupByValue("a", expr.True{}, ScanActive)
+	groups, err := ex.GroupBy("a", expr.True{}, ScanActive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,14 +28,14 @@ func TestGroupByValueRespectsAmnesia(t *testing.T) {
 	tb := tbl(t, 5, 5, 7)
 	tb.Forget(2) // the only 7
 	ex := New(tb)
-	groups, err := ex.GroupByValue("a", expr.True{}, ScanActive)
+	groups, err := ex.GroupBy("a", expr.True{}, ScanActive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(groups) != 1 || groups[0].Key != 5 {
 		t.Fatalf("forgotten group survived: %+v", groups)
 	}
-	all, err := ex.GroupByValue("a", expr.True{}, ScanAll)
+	all, err := ex.GroupBy("a", expr.True{}, ScanAll, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestGroupByValueRespectsAmnesia(t *testing.T) {
 func TestGroupByBucket(t *testing.T) {
 	tb := tbl(t, 0, 5, 10, 15, 25)
 	ex := New(tb)
-	groups, err := ex.GroupByBucket("a", expr.True{}, ScanActive, 10)
+	groups, err := ex.GroupBy("a", expr.True{}, ScanActive, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestGroupByBucket(t *testing.T) {
 func TestGroupByBucketPredicate(t *testing.T) {
 	tb := tbl(t, 1, 11, 21, 31)
 	ex := New(tb)
-	groups, err := ex.GroupByBucket("a", expr.NewRange(10, 30), ScanActive, 10)
+	groups, err := ex.GroupBy("a", expr.NewRange(10, 30), ScanActive, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,15 +80,15 @@ func TestGroupByBucketPredicate(t *testing.T) {
 
 func TestGroupByBucketWidthValidation(t *testing.T) {
 	ex := New(tbl(t, 1))
-	if _, err := ex.GroupByBucket("a", expr.True{}, ScanActive, 0); err == nil {
-		t.Fatal("zero width accepted")
+	if _, err := ex.GroupBy("a", expr.True{}, ScanActive, -1); err == nil {
+		t.Fatal("negative width accepted")
 	}
 }
 
 func TestGroupByTouches(t *testing.T) {
 	tb := tbl(t, 1, 2)
 	ex := New(tb)
-	if _, err := ex.GroupByValue("a", expr.True{}, ScanActive); err != nil {
+	if _, err := ex.GroupBy("a", expr.True{}, ScanActive, 0); err != nil {
 		t.Fatal(err)
 	}
 	if tb.AccessCount(0) != 1 || tb.AccessCount(1) != 1 {
@@ -98,7 +98,7 @@ func TestGroupByTouches(t *testing.T) {
 
 func TestGroupByUnknownColumn(t *testing.T) {
 	ex := New(tbl(t, 1))
-	if _, err := ex.GroupByValue("zz", expr.True{}, ScanActive); err == nil {
+	if _, err := ex.GroupBy("zz", expr.True{}, ScanActive, 0); err == nil {
 		t.Fatal("unknown column accepted")
 	}
 }

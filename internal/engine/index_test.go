@@ -18,9 +18,9 @@ import (
 // the index's tail, some folding it), forgetting, Remember and Vacuum
 // runs over a table big enough to get an index; after every step narrow
 // and wide, exact and inexact predicates go through Select, the
-// concatenated chunks of SelectChunkStream and Aggregate at one and two
-// workers, in both scan modes, and each answer and the whole
-// access-count vector are held to the row-at-a-time oracles.
+// concatenated chunks of SelectChunkStream, Aggregate and GroupBy at one
+// and two workers, in both scan modes, and Precision, and each answer and
+// the whole access-count vector are held to the row-at-a-time oracles.
 func TestIndexPathMatchesRowOracles(t *testing.T) {
 	const domain = 1 << 20
 	src := xrand.New(17)
@@ -92,6 +92,10 @@ func TestIndexPathMatchesRowOracles(t *testing.T) {
 			expr.NewRange(lo, lo+domain/4),
 			expr.Not{X: expr.NewRange(lo, lo+domain/2)},
 		}
+		// GroupBy's width per predicate: by value and bucketed among the
+		// narrow ones; wide buckets for the wide ones, which by value
+		// would be nearly a group per row.
+		widths := []int64{0, 1000, 0, 1000, 0, 1 << 16, 1 << 16}
 		for i, pred := range preds {
 			if indexed := planIndex(c, pred) != nil; indexed != (i < 5) {
 				t.Fatalf("step %d: %s takes the index: %v", step, pred, indexed)
@@ -99,6 +103,8 @@ func TestIndexPathMatchesRowOracles(t *testing.T) {
 			for _, mode := range []ScanMode{ScanActive, ScanAll} {
 				want := rowSelect(tb, "a", pred, mode)
 				wantAgg := rowAggregate(tb, "a", pred, mode)
+				width := widths[i]
+				wantGroups := rowGroupBy(tb, "a", pred, mode, width)
 				for _, workers := range []int{1, 2} {
 					ex := New(tb)
 					ex.SetParallelism(workers)
@@ -171,6 +177,22 @@ func TestIndexPathMatchesRowOracles(t *testing.T) {
 						}
 						return nil
 					})
+					touches(fmt.Sprintf("groupby width=%d", width), func() error {
+						got, err := ex.GroupBy("a", pred, mode, width)
+						if err == nil && !slices.Equal(got, wantGroups) {
+							err = fmt.Errorf("%d groups, oracle %d", len(got), len(wantGroups))
+						}
+						return err
+					})
+					if mode == ScanActive {
+						touches("precision", func() error {
+							rf, mf, _, err := ex.Precision("a", pred)
+							if all := rowSelect(tb, "a", pred, ScanAll).Count(); err == nil && (rf != want.Count() || mf != all-rf) {
+								err = fmt.Errorf("rf=%d mf=%d, oracle %d of %d", rf, mf, want.Count(), all)
+							}
+							return err
+						})
+					}
 				}
 			}
 		}

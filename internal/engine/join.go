@@ -309,23 +309,26 @@ func probeRange(jt *joinTable, probe *Result, start, end int, swap bool) []JoinR
 	return out
 }
 
-// JoinPrecision runs the join under ScanActive and ScanAll and reports
-// the §2.3 metrics lifted to join results: pairs returned, pairs missed
-// because at least one side forgot its tuple, and the precision ratio.
-// ctx, sp and par are HashJoin's.
+// JoinPrecision reports the §2.3 metrics lifted to join results: pairs
+// returned, pairs missed because at least one side forgot its tuple,
+// and the precision ratio. It is one HashJoin under ScanAll: rf counts
+// its pairs whose left and right tuples are both active — exactly the
+// ScanActive join, which is the ScanAll join restricted to active
+// tuples on both sides — and mf the rest. ctx, sp and par are
+// HashJoin's.
 func JoinPrecision(ctx context.Context, sp *sched.Pool, left *table.Table, leftCol string, right *table.Table, rightCol string, pred expr.Expr, par int) (rf, mf int, pf float64, err error) {
-	act, err := HashJoin(ctx, sp, left, leftCol, right, rightCol, pred, ScanActive, par)
-	if err != nil {
-		return 0, 0, 0, err
-	}
 	all, err := HashJoin(ctx, sp, left, leftCol, right, rightCol, pred, ScanAll, par)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	rf = act.Count()
-	mf = all.Count() - rf
-	if rf+mf == 0 {
+	la, ra := left.Active(), right.Active()
+	for _, p := range all.Rows {
+		if la.Test(int(p.Left)) && ra.Test(int(p.Right)) {
+			rf++
+		}
+	}
+	if all.Count() == 0 {
 		return 0, 0, 1, nil
 	}
-	return rf, mf, float64(rf) / float64(rf+mf), nil
+	return rf, all.Count() - rf, float64(rf) / float64(all.Count()), nil
 }

@@ -145,6 +145,27 @@ func TestJoinPrecisionCompoundsAcrossSides(t *testing.T) {
 	if pf < 0.15 || pf > 0.35 {
 		t.Fatalf("compound join precision = %v, want ~0.25", pf)
 	}
+	// rf and mf are the ScanActive join's pairs and the ones the ScanAll
+	// join adds, at every worker count and for a self-join.
+	for _, par := range []int{1, 4} {
+		for _, right := range []*table.Table{r, l} {
+			rf, mf, _, err := JoinPrecision(context.Background(), nil, l, "k", right, "k", nil, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			act, err := HashJoin(context.Background(), nil, l, "k", right, "k", nil, ScanActive, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := HashJoin(context.Background(), nil, l, "k", right, "k", nil, ScanAll, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rf != act.Count() || mf != all.Count()-act.Count() {
+				t.Fatalf("par=%d self=%v: rf=%d mf=%d, want %d and %d", par, right == l, rf, mf, act.Count(), all.Count()-act.Count())
+			}
+		}
+	}
 }
 
 func TestJoinPrecisionEmpty(t *testing.T) {

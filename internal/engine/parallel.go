@@ -183,9 +183,10 @@ func alive(ctx context.Context, quota *governor.Quota) error {
 // morsel-driven rather than range-partitioned: a worker whose morsels
 // were zone-pruned away immediately takes load off the others. fn must
 // be safe for concurrent invocation with distinct indices. Every
-// barrier with a known task count — aggregate, count and group-by
-// morsels, join partitions and probe morsels, SQL sort runs — schedules
-// through this. A list no longer than its workers runs as a short query.
+// barrier with a known task count — the parts barrier's aggregate,
+// count and group-by tasks, join partitions and probe morsels, SQL sort
+// runs — schedules through this. A list no longer than its workers runs
+// as a short query.
 func ForEachTask(ctx context.Context, p *sched.Pool, workers, n int, fn func(worker, i int)) error {
 	return forEachTask(ctx, p, workers, n <= workers, n, fn)
 }
@@ -226,23 +227,26 @@ func (e *Exec) barrier(parts []scanPart, workers int, short bool, fn func(w int,
 	})
 }
 
-// morselGeometry splits c into morsels of MorselBlocks blocks.
-func morselGeometry(c *column.Int64) (rowsPerMorsel, numMorsels int) {
-	rowsPerMorsel = MorselBlocks * c.BlockSize()
-	numMorsels = (c.Len() + rowsPerMorsel - 1) / rowsPerMorsel
-	return rowsPerMorsel, numMorsels
-}
-
-// scanMorselBatches runs the batch pipeline — range-bounded scan kernel,
-// vectorized filter — over rows [start, end) with a worker-local pooled
-// batch, handing each non-empty batch to fn. The slices passed to fn are
-// only valid during the call.
-func scanMorselBatches(c *column.Int64, lo, hi int64, exact bool, pred expr.Expr, active *bitvec.Vector, start, end int, fn func(sel []int32, val []int64)) {
+// batches hands fn every non-empty batch of task r's qualifying rows
+// under active (nil: every stored tuple): the index plan's batches for
+// an index task, else the range-bounded scan kernel and the vectorized
+// filter over r in one worker-local pooled batch. It is the per-task
+// scan body of every barrier fold that does not run on the kernel's
+// masks. The slices passed to fn are only valid during the call.
+func (p scanPart) batches(pred expr.Expr, active *bitvec.Vector, r rowRange, fn func(sel []int32, val []int64)) {
+	if p.cur.index != nil {
+		for _, b := range p.cur.index.scan(p.c, pred, active) {
+			fn(b.Sel, b.Val)
+			PutBatch(b)
+		}
+		return
+	}
+	lo, hi, exact := pred.Bounds()
 	b := GetBatch()
 	defer PutBatch(b)
-	for pos := start; pos < end && pos < c.Len(); {
+	for pos := r.start; pos < r.end && pos < p.c.Len(); {
 		var n int
-		n, pos = c.ScanBatchRange(lo, hi, active, pos, end, b.Sel, b.Val)
+		n, pos = p.c.ScanBatchRange(lo, hi, active, pos, r.end, b.Sel, b.Val)
 		if n == 0 {
 			continue
 		}

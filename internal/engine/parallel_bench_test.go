@@ -104,6 +104,28 @@ func BenchmarkParallelAggregate(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelGroupBy measures the touching group-by barrier —
+// per-worker group tables, each batch touched as it is folded — against
+// the serial fold over the same predicate, bucketed into 16 groups.
+func BenchmarkParallelGroupBy(b *testing.B) {
+	pred := expr.NewRange(1<<18, 1<<19)
+	for _, s := range parallelSettings() {
+		b.Run(s.name, func(b *testing.B) {
+			ex := New(bigBenchTable(b))
+			ex.SetParallelism(s.par)
+			b.ReportAllocs()
+			b.SetBytes(benchRows * 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ex.GroupBy("a", pred, ScanActive, 1<<14); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "procs")
+		})
+	}
+}
+
 // BenchmarkParallelJoin measures the full join pipeline — parallel
 // collection of both sides, radix-partitioned hash build, morsel-driven
 // probe — against the serial path. The probe side is the 4M-row bench

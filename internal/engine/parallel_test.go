@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -265,15 +266,8 @@ func TestParallelGroupByEquivalence(t *testing.T) {
 	parallel.SetParallelism(4)
 	pred := expr.Cmp{Op: expr.NE, Val: 77}
 	for _, width := range []int64{0, 1000} {
-		var want, got []Group
-		var errS, errP error
-		if width == 0 {
-			want, errS = serial.GroupByValue("a", pred, ScanActive)
-			got, errP = parallel.GroupByValue("a", pred, ScanActive)
-		} else {
-			want, errS = serial.GroupByBucket("a", pred, ScanActive, width)
-			got, errP = parallel.GroupByBucket("a", pred, ScanActive, width)
-		}
+		want, errS := serial.GroupBy("a", pred, ScanActive, width)
+		got, errP := parallel.GroupBy("a", pred, ScanActive, width)
 		if errS != nil || errP != nil {
 			t.Fatal(errS, errP)
 		}
@@ -390,6 +384,47 @@ func TestTouchingPrecisionTouchesLikeSelect(t *testing.T) {
 	}
 }
 
+// TestTouchingGroupByTouchesLikeSelect pins GroupBy's feedback path: it
+// touches each batch as it folds it instead of collecting the touched
+// positions, so a touching GroupBy over a 1 Mi-row table allocates a few
+// kilobytes, not a position per qualifying row, at one worker and at
+// four, and it leaves exactly the access counts a Select of the same
+// predicate leaves on a twin table.
+func TestTouchingGroupByTouchesLikeSelect(t *testing.T) {
+	const rows = 1 << 20
+	preds := map[string]expr.Expr{
+		"exact":   expr.NewRange(100, 5000),
+		"inexact": expr.Not{X: expr.NewRange(2000, 8000)},
+	}
+	for name, pred := range preds {
+		for _, par := range []int{1, 4} {
+			tb := vectorTable(t, rows, 10000, 79)
+			twin := vectorTable(t, rows, 10000, 79)
+			ex := New(tb)
+			ex.SetParallelism(par)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			groups, err := ex.GroupBy("a", pred, ScanActive, 1000)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(groups) == 0 || len(groups) > 16 {
+				t.Fatalf("%s/par=%d: %d groups, want 1 to 16", name, par, len(groups))
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n >= 256<<10 {
+				t.Fatalf("%s/par=%d: touching GroupBy allocated %d bytes over %d rows, want < 256 KiB", name, par, n, rows)
+			}
+			if _, err := New(twin).Select("a", pred, ScanActive); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(accessCounts(tb), accessCounts(twin)) {
+				t.Fatalf("%s/par=%d: GroupBy's access counts diverge from Select's", name, par)
+			}
+		}
+	}
+}
+
 // TestParallelSelectTouchesOnce verifies the §3.2 feedback under the
 // parallel path: one query increments each matched row's access count by
 // exactly one (one merged TouchMany flush, no double counting).
@@ -490,7 +525,7 @@ func TestParallelConcurrentQueries(t *testing.T) {
 						return
 					}
 				case 2:
-					if _, err := ex.GroupByBucket("a", pred, ScanActive, 4096); err != nil {
+					if _, err := ex.GroupBy("a", pred, ScanActive, 4096); err != nil {
 						errs <- err
 						return
 					}

@@ -480,18 +480,18 @@ func recycleChunks(chunks []SelChunk) {
 	}
 }
 
-// RecycleChunk returns a chunk's buffers to the batch pool once the
-// consumer has projected it. Only pool-shaped chunks — full-capacity
-// position and value buffers, the kind every scan chunk steals from the
-// pool — are recycled; the zero chunk is ignored. Recycling also
-// releases the chunk's resource-quota charge, closing the loop opened
-// at produce time.
+// RecycleChunk returns a chunk's batch to the pool once the consumer
+// has projected it. Only a scan's chunks, which keep the pooled batch
+// their buffers came from, are recycled; a chunk with no batch, the
+// zero chunk among them, is ignored. Recycling also releases the
+// chunk's resource-quota charge, closing the loop opened at produce
+// time.
 func RecycleChunk(c SelChunk) {
-	if cap(c.Rows) != BatchSize || cap(c.Values) != BatchSize {
+	if c.batch == nil {
 		return
 	}
 	c.quota.Release(ChunkQuotaBytes)
-	PutBatch(&Batch{Sel: c.Rows[:BatchSize], Val: c.Values[:BatchSize]})
+	PutBatch(c.batch)
 }
 
 // Adaptive morsel sizing: the scheduler starts at MorselBlocks and
@@ -595,7 +595,8 @@ func (p scanPart) morsels() (rowsPer, n int) {
 	if p.cur.index != nil {
 		return p.c.Len(), 1
 	}
-	return morselGeometry(p.c)
+	rowsPer = MorselBlocks * p.c.BlockSize()
+	return rowsPer, (p.c.Len() + rowsPer - 1) / rowsPer
 }
 
 // scanWorkers is the worker count and pool priority of a scan over
@@ -760,7 +761,7 @@ func (e *Exec) SelectPartsChunkStream(ctx context.Context, tables []*table.Table
 				recycleChunks(chunks[:i])
 				return nil, err
 			}
-			chunks[i] = SelChunk{Rows: b.Sel, Values: b.Val, quota: quota, part: task.part}
+			chunks[i] = SelChunk{Rows: b.Sel, Values: b.Val, part: task.part, batch: b, quota: quota}
 		}
 		return chunks, nil
 	}

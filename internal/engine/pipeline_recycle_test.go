@@ -17,7 +17,7 @@ func TestCollectErrorPathRecyclesChunks(t *testing.T) {
 	const buffered = 2
 	for i := 0; i < buffered; i++ {
 		b := GetBatch()
-		s.ch <- SelChunk{Rows: b.Sel[:1], Values: b.Val[:1]}
+		s.ch <- SelChunk{Rows: b.Sel[:1], Values: b.Val[:1], batch: b}
 	}
 	// The emitter publishes err strictly before closing ch; mimic that.
 	s.err = errors.New("scan failed")

@@ -212,13 +212,7 @@ func TestVectorizedGroupByMatchesRowAtATime(t *testing.T) {
 	ex := NewSilent(tb)
 	for _, pred := range vectorPreds {
 		for _, width := range []int64{0, 7, 100} {
-			var got []Group
-			var err error
-			if width == 0 {
-				got, err = ex.GroupByValue("a", pred, ScanActive)
-			} else {
-				got, err = ex.GroupByBucket("a", pred, ScanActive, width)
-			}
+			got, err := ex.GroupBy("a", pred, ScanActive, width)
 			if err != nil {
 				t.Fatal(err)
 			}
